@@ -24,8 +24,6 @@ from .belief import (
     bayes_update,
     make_belief,
     point_belief,
-    predicted_obs_prob,
-    prohibited_actions,
     stage_penalty,
     uniform_belief,
 )
@@ -47,7 +45,6 @@ from .mdp import (
     induced_chain,
     load_model_file,
     nominal_value_iteration,
-    policy_evaluation_exact,
     save_model_file,
     validate_model,
 )
@@ -58,16 +55,10 @@ from .models import (
     gridworld_model,
 )
 from .rho import (
-    JointDistribution,
     PlannerConfig,
     PlanResult,
     SequenceScore,
-    detection_exposure,
-    open_loop_reward,
     plan,
-    propagate_joint,
-    sequence_objective,
-    terminal_tail_value,
 )
 from .sim import (
     AugmentedValueController,

@@ -20,6 +20,8 @@ import numpy as np
 from .belief import (
     EPS_ZERO,
     ObservationModel,
+    blocked_actions,
+    emission_support,
     posterior_table,
     stage_penalty,
 )
@@ -196,20 +198,19 @@ class _CompiledBackup:
         coefs: list[np.ndarray] = []
         fallback: list[tuple[int, int]] = []
 
+        support = emission_support(model, obs)
+        posteriors, _, open_ys = posterior_table(pa, q, grid.points)
         for g in range(pts):
             o = grid.points[g]
-            posteriors, predictive = posterior_table(pa, q, o)
-            open_y = predictive > EPS_ZERO
+            open_y = open_ys[g]
             interp = {
-                y: interpolation_weights(grid, posteriors[y])
+                y: interpolation_weights(grid, posteriors[g, y])
                 for y in np.flatnonzero(open_y)
             }
+            blocked = blocked_actions(support, ~open_y)  # (U, X)
             for x in range(n):
                 penalty = exposure_weight * stage_penalty(x, o)
-                agent_obs = q @ model.transition[:, x, :]  # (Y, U)
-                emits = agent_obs > EPS_ZERO
-                admissible = ~np.any(emits & ~open_y[:, None], axis=0)
-                actions = np.flatnonzero(admissible)
+                actions = np.flatnonzero(~blocked[:, x])
                 relaxed = actions.size == 0
                 if relaxed:
                     fallback.append((x, g))
@@ -320,16 +321,12 @@ def action_values(
 ) -> np.ndarray:
     """Greedy lookahead at an arbitrary ``(x, o)``; inadmissible entries are -inf."""
     q = obs.likelihood
-    o = np.asarray(o, dtype=float)
-    posteriors, predictive = posterior_table(pa, q, o)
-    open_y = predictive > EPS_ZERO
+    posteriors, _, open_y = posterior_table(pa, q, o)
+    blocked = blocked_actions(emission_support(model, obs, x), ~open_y)
     out = np.full(model.num_actions, -np.inf)
     penalty = value.exposure_weight * stage_penalty(x, o)
-    for u in range(model.num_actions):
-        succ = model.transition[:, x, u]
-        mass = q * succ[None, :]
-        if np.any((mass.sum(axis=1) > EPS_ZERO) & ~open_y):
-            continue
+    for u in np.flatnonzero(~blocked):
+        mass = q * model.transition[:, x, u][None, :]
         future = 0.0
         for y in np.flatnonzero(mass.any(axis=1) & open_y):
             idx, w = interpolation_weights(value.grid, posteriors[y])

@@ -25,10 +25,9 @@ from .mdp import MdpModel, _readonly
 # probabilities, so true zeros carry only accumulated rounding noise.
 EPS_ZERO = 1e-12
 
-# Atoms whose beliefs agree to within this l-inf distance (and share the
-# successor state) are merged. Implemented by matching beliefs rounded to
-# 9 decimals, which merges all exact duplicates and is conservative for
-# near-duplicates.
+# Atoms of a joint law whose beliefs agree to within this l-inf distance
+# share one belief. Implemented by matching beliefs rounded to 9 decimals,
+# which merges all exact duplicates and is conservative for near-duplicates.
 EPS_MERGE = 1e-9
 
 BELIEF_L1_TOL = 1e-9
@@ -100,11 +99,6 @@ def observation_predictive(pa: np.ndarray, q: np.ndarray, o: np.ndarray) -> np.n
     return q @ (pa @ o)
 
 
-def predicted_obs_prob(pa: np.ndarray, q: np.ndarray, o: np.ndarray, y: int) -> float:
-    """Probability the observer's model assigns to seeing ``y`` next."""
-    return float(q[y] @ (pa @ o))
-
-
 def bayes_update(pa: np.ndarray, q: np.ndarray, o: np.ndarray, y: int) -> np.ndarray:
     """One predict-update step of the observer's filter.
 
@@ -124,46 +118,49 @@ def bayes_update(pa: np.ndarray, q: np.ndarray, o: np.ndarray, y: int) -> np.nda
 
 
 def posterior_table(
-    pa: np.ndarray, q: np.ndarray, o: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All one-step posteriors at once.
+    pa: np.ndarray, q: np.ndarray, beliefs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The filter step for every observation at once, batched over beliefs.
 
-    Returns ``(posteriors, predictive)`` where ``posteriors[y]`` is the updated
-    belief after observing ``y`` (rows with predictive mass <= EPS_ZERO are
-    left as zeros and must not be used) and ``predictive`` is the observation
-    distribution.
+    ``beliefs`` is one belief ``(n,)`` or a stack ``(G, n)``. Returns
+    ``(posteriors, predictive, open_y)`` shaped ``(..., Y, n)``, ``(..., Y)``
+    and ``(..., Y)``: the updated belief after each observation, the
+    one-step predictive, and which observations the predictive allows
+    (mass above EPS_ZERO). Rows of ruled-out observations are left as zeros
+    and must not be used.
     """
-    pred_states = pa @ o
-    numer = q * pred_states[None, :]
-    predictive = numer.sum(axis=1)
-    safe = predictive > EPS_ZERO
+    pred_states = (pa @ np.asarray(beliefs, dtype=float).T).T
+    numer = q * pred_states[..., None, :]
+    predictive = numer.sum(axis=-1)
+    open_y = predictive > EPS_ZERO
     posteriors = np.zeros_like(numer)
-    posteriors[safe] = numer[safe] / predictive[safe, None]
-    return posteriors, predictive
+    posteriors[open_y] = numer[open_y] / predictive[open_y][:, None]
+    return posteriors, predictive, open_y
 
 
-def ego_observation_table(model: MdpModel, obs: ObservationModel) -> np.ndarray:
-    """Table ``t[y, x, u]``: probability the agent's next state emits ``y``."""
-    return np.einsum("yd,dxu->yxu", obs.likelihood, model.transition)
+def emission_support(
+    model: MdpModel, obs: ObservationModel, sources=slice(None)
+) -> np.ndarray:
+    """Which observations each action can make the agent's next state emit.
 
-
-def prohibited_actions(
-    model: MdpModel,
-    obs: ObservationModel,
-    pa: np.ndarray,
-    x: int,
-    o: np.ndarray,
-) -> set[int]:
-    """Actions at ``(x, o)`` that could surprise the observer.
-
-    ``u`` is prohibited iff some observation has positive probability under
-    the agent's true successor distribution but numerically zero probability
-    under the observer's predictive.
+    ``support[u, x, y]`` is True when action ``u`` taken in state ``x``
+    produces observation ``y`` with probability above EPS_ZERO. ``sources``
+    selects the source states; a single state gives its ``(U, Y)`` table,
+    so per-step callers compute only their column.
     """
-    predictive = observation_predictive(pa, obs.likelihood, o)
-    agent_obs = obs.likelihood @ model.transition[:, x, :]  # (Y, U)
-    bad = (agent_obs > EPS_ZERO) & (predictive <= EPS_ZERO)[:, None]
-    return set(np.flatnonzero(bad.any(axis=0)).tolist())
+    emitted = np.inner(model.transition[:, sources, :].T, obs.likelihood)
+    return emitted > EPS_ZERO
+
+
+def blocked_actions(emits: np.ndarray, ruled_out: np.ndarray) -> np.ndarray:
+    """``blocked[u, ...]``: action ``u`` can produce an observation that the
+    observer's predictive rules out.
+
+    ``emits[u, ..., y]`` is an :func:`emission_support` table and
+    ``ruled_out[y]`` marks the observations whose predictive mass is at most
+    EPS_ZERO; the axes between ``u`` and ``y`` are batch axes and are kept.
+    """
+    return emits @ ruled_out
 
 
 def admissible_actions(
@@ -173,14 +170,111 @@ def admissible_actions(
     x: int,
     o: np.ndarray,
 ) -> list[int]:
-    """Complement of :func:`prohibited_actions`, sorted ascending."""
-    banned = prohibited_actions(model, obs, pa, x, o)
-    return [u for u in range(model.num_actions) if u not in banned]
+    """Actions at ``(x, o)`` that cannot surprise the observer, ascending.
+
+    ``u`` is prohibited iff some observation has positive probability under
+    the agent's true successor distribution but numerically zero probability
+    under the observer's predictive.
+    """
+    ruled_out = observation_predictive(pa, obs.likelihood, o) <= EPS_ZERO
+    blocked = blocked_actions(emission_support(model, obs, x), ruled_out)
+    return [u for u in range(model.num_actions) if not blocked[u]]
 
 
 def stage_penalty(x: int, o: np.ndarray) -> float:
     """Observer's current belief in the agent's true state."""
     return float(o[x])
+
+
+def _belief_keys(beliefs: np.ndarray) -> list[bytes]:
+    """One hashable key per belief row; rows equal to 9 decimals (the
+    EPS_MERGE radius) share a key."""
+    # +0.0 canonicalizes any -0.0 produced by rounding
+    rounded = np.round(beliefs, 9) + 0.0
+    return [row.tobytes() for row in rounded]
+
+
+class JointLaw:
+    """Finitely supported joint law of (agent state, observer belief).
+
+    Atoms are grouped by belief: ``mass[g, x]`` is the probability that the
+    agent is in state ``x`` while the observer holds ``beliefs[g]``. Every
+    state in a group shares the observer's filter step, so one batched
+    :func:`posterior_table` call serves the whole law. ``support`` is the
+    model's full :func:`emission_support` table, computed once and passed
+    from law to law.
+    """
+
+    def __init__(self, model: MdpModel, obs: ObservationModel, pa: np.ndarray,
+                 support: np.ndarray, beliefs: np.ndarray, mass: np.ndarray):
+        self.model = model
+        self.obs = obs
+        self.pa = pa
+        self.support = support
+        self.beliefs = beliefs
+        self.mass = mass
+        self.posteriors, _, self.open_y = posterior_table(
+            pa, obs.likelihood, beliefs
+        )
+
+    @classmethod
+    def from_atoms(cls, model: MdpModel, obs: ObservationModel, pa: np.ndarray,
+                   states: np.ndarray, beliefs: np.ndarray, probs: np.ndarray,
+                   support: np.ndarray | None = None) -> "JointLaw":
+        """Group atoms ``(states[i], beliefs[i], probs[i])`` by belief.
+
+        Beliefs within the EPS_MERGE radius share a group, which keeps the
+        first occurrence's belief vector.
+        """
+        if support is None:
+            support = emission_support(model, obs)
+        index: dict[bytes, int] = {}
+        reps: list[int] = []
+        groups: list[int] = []
+        for i, key in enumerate(_belief_keys(beliefs)):
+            if key not in index:
+                index[key] = len(reps)
+                reps.append(i)
+            groups.append(index[key])
+        n = model.num_states
+        mass = np.bincount(
+            np.asarray(groups) * n + states, weights=probs, minlength=len(reps) * n
+        ).reshape(len(reps), n)
+        return cls(model, obs, pa, support, beliefs[reps], mass)
+
+    @classmethod
+    def point(cls, model: MdpModel, obs: ObservationModel, pa: np.ndarray,
+              x: int, o: np.ndarray) -> "JointLaw":
+        """The law that puts all mass on the pair ``(x, o)``."""
+        return cls.from_atoms(
+            model, obs, pa, np.array([x]), np.asarray(o, dtype=float)[None, :],
+            np.array([1.0]),
+        )
+
+    def blocked(self) -> np.ndarray:
+        """``blocked[u]``: some pair the law occupies can emit, under ``u``,
+        an observation that its belief's predictive rules out."""
+        # ruled_out[x, y]: a group holding state x rules out observation y
+        ruled_out = (self.mass > 0.0).T @ ~self.open_y
+        num_u = len(self.support)
+        return blocked_actions(self.support.reshape(num_u, -1), ruled_out.ravel())
+
+    def push(self, u: int) -> "JointLaw":
+        """The law one step later under action ``u``, which must not be
+        blocked. Each atom branches over (successor state, observation) and
+        its belief follows the observer's filter."""
+        flows = self.model.transition[:, :, u] @ self.mass.T  # (n, G)
+        branch = self.obs.likelihood * flows.T[:, None, :]  # (G, Y, n)
+        branch[~self.open_y] = 0.0
+        g, y, xp = np.nonzero(branch)
+        return JointLaw.from_atoms(
+            self.model, self.obs, self.pa, xp, self.posteriors[g, y],
+            branch[g, y, xp], self.support,
+        )
+
+    def exposure(self) -> float:
+        """Mean observer belief in the agent's true state."""
+        return float(np.sum(self.beliefs * self.mass))
 
 
 @dataclass(frozen=True)
@@ -201,42 +295,6 @@ class AugmentedSupport:
         object.__setattr__(self, "beliefs", _readonly(self.beliefs))
         object.__setattr__(self, "probs", _readonly(self.probs))
 
-    @property
-    def atoms(self) -> list[tuple[int, np.ndarray, float]]:
-        return [
-            (int(s), b, float(p))
-            for s, b, p in zip(self.states, self.beliefs, self.probs)
-        ]
-
-
-def _merge_keys(states: np.ndarray, beliefs: np.ndarray) -> list[tuple[int, bytes]]:
-    # +0.0 canonicalizes any -0.0 produced by rounding
-    rounded = np.round(beliefs, 9) + 0.0
-    return [(int(s), rounded[i].tobytes()) for i, s in enumerate(states)]
-
-
-def merge_atoms(
-    states: np.ndarray, beliefs: np.ndarray, probs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sum probabilities of atoms that share (state, belief) up to EPS_MERGE.
-
-    The first occurrence's belief vector is kept for each merged group, so
-    merged beliefs differ from any constituent by at most the merge radius.
-    """
-    order: dict[tuple[int, bytes], int] = {}
-    keep_idx: list[int] = []
-    acc: list[float] = []
-    for i, key in enumerate(_merge_keys(states, beliefs)):
-        j = order.get(key)
-        if j is None:
-            order[key] = len(keep_idx)
-            keep_idx.append(i)
-            acc.append(float(probs[i]))
-        else:
-            acc[j] += float(probs[i])
-    sel = np.asarray(keep_idx, dtype=np.int64)
-    return states[sel], beliefs[sel], np.asarray(acc)
-
 
 def augmented_transition_support(
     model: MdpModel,
@@ -248,28 +306,20 @@ def augmented_transition_support(
 ) -> AugmentedSupport:
     """Closed-form support of the joint (state, belief) transition.
 
-    Enumerates one atom per (successor state, observation) pair with
-    positive probability; the successor belief for observation ``y`` is the
-    filter update, shared across successor states. Raises
-    :class:`ProhibitedAction` when ``u`` is not admissible at ``(x, o)``.
+    One atom per (successor state, observation posterior) pair with positive
+    probability. Raises :class:`ProhibitedAction` when ``u`` is not
+    admissible at ``(x, o)``.
     """
-    q = obs.likelihood
-    posteriors, predictive = posterior_table(pa, q, o)
-    succ = model.transition[:, x, u]
-    mass = q * succ[None, :]  # (Y, X'): q(y|x') p(x'|x,u)
-    realizable = mass.sum(axis=1) > EPS_ZERO
-    blocked = realizable & (predictive <= EPS_ZERO)
-    if np.any(blocked):
-        y = int(np.flatnonzero(blocked)[0])
+    law = JointLaw.point(model, obs, pa, x, o)
+    if law.blocked()[u]:
+        y = int(np.flatnonzero(law.support[u, x] & ~law.open_y[0])[0])
         raise ProhibitedAction(
             f"action u={u} at state x={x} can emit observation y={y} "
             f"which the observer's predictive rules out"
         )
-    ys, xps = np.nonzero(mass > 0.0)
-    usable = realizable[ys]
-    ys, xps = ys[usable], xps[usable]
-    states, beliefs, probs = merge_atoms(xps, posteriors[ys], mass[ys, xps])
-    return AugmentedSupport(states, beliefs, probs)
+    step = law.push(u)
+    g, xp = np.nonzero(step.mass)
+    return AugmentedSupport(xp, step.beliefs[g], step.mass[g, xp])
 
 
 # ---------------------------------------------------------------------------

@@ -165,20 +165,6 @@ def extract_nominal_policy(model: MdpModel, values: np.ndarray) -> Policy:
     return Policy(actions, tie_flags)
 
 
-def policy_evaluation_exact(model: MdpModel, policy: Policy) -> np.ndarray:
-    """Value of a fixed policy via the linear fixed-point system.
-
-    Well-posed for any discount below 1; used as the exact oracle against
-    which the iterative solver is checked.
-    """
-    n = model.num_states
-    idx = np.arange(n)
-    # row-stochastic P[s, d] = p(d | s, policy(s))
-    chain = model.transition[:, idx, policy.actions].T
-    rewards = model.reward[idx, policy.actions]
-    return np.linalg.solve(np.eye(n) - model.discount * chain, rewards)
-
-
 def induced_chain(model: MdpModel, policy: Policy) -> np.ndarray:
     """Markov chain the model follows under a fixed policy.
 

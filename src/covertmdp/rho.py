@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import EPS_ZERO, ObservationModel, merge_atoms, posterior_table
-from .errors import NoAdmissibleSequence, ProhibitedAction
-from .mdp import MdpModel, _readonly
+from .belief import JointLaw, ObservationModel
+from .errors import NoAdmissibleSequence
+from .mdp import MdpModel
 
 DEFAULT_HORIZON = 3
 
@@ -41,190 +41,6 @@ class PlannerConfig:
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {self.horizon}")
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Finitely supported joint law of (state, observer belief)."""
-
-    states: np.ndarray
-    beliefs: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", _readonly(self.states, dtype=np.int64))
-        object.__setattr__(self, "beliefs", _readonly(self.beliefs))
-        object.__setattr__(self, "probs", _readonly(self.probs))
-
-    @classmethod
-    def point(cls, x: int, o: np.ndarray) -> "JointDistribution":
-        return cls(np.array([x]), np.asarray(o, dtype=float)[None, :], np.array([1.0]))
-
-
-def expected_exposure(joint: JointDistribution) -> float:
-    """Mean observer belief in the true state under the joint law."""
-    picked = joint.beliefs[np.arange(joint.states.size), joint.states]
-    return float(picked @ joint.probs)
-
-
-def _belief_groups(joint: JointDistribution, num_states: int):
-    """Atoms bucketed by belief: list of (belief, source-state mass vector)."""
-    groups: dict[bytes, int] = {}
-    masses: list[np.ndarray] = []
-    reps: list[np.ndarray] = []
-    keys = np.round(joint.beliefs, 9) + 0.0
-    for i in range(joint.states.size):
-        key = keys[i].tobytes()
-        j = groups.get(key)
-        if j is None:
-            j = len(masses)
-            groups[key] = j
-            masses.append(np.zeros(num_states))
-            reps.append(joint.beliefs[i])
-        masses[j][joint.states[i]] += joint.probs[i]
-    return list(zip(reps, masses))
-
-
-def _blocked_pair(
-    model: MdpModel,
-    obs: ObservationModel,
-    open_y: np.ndarray,
-    occupied: np.ndarray,
-    u: int,
-) -> tuple[int, int] | None:
-    """First (x, y) where an occupied source can emit an observation the
-    observer's predictive rules out, or None."""
-    agent_obs = obs.likelihood @ model.transition[:, :, u]  # (Y, X)
-    bad = (agent_obs > EPS_ZERO) & ~open_y[:, None]
-    bad[:, ~occupied] = False
-    hits = np.argwhere(bad)
-    if hits.size == 0:
-        return None
-    y, x = hits[0]
-    return int(x), int(y)
-
-
-def joint_admissible(
-    model: MdpModel,
-    obs: ObservationModel,
-    pa: np.ndarray,
-    joint: JointDistribution,
-    u: int,
-) -> bool:
-    """True when ``u`` is admissible at every atom of the joint law."""
-    for o, mass in _belief_groups(joint, model.num_states):
-        _, predictive = posterior_table(pa, obs.likelihood, o)
-        if _blocked_pair(model, obs, predictive > EPS_ZERO, mass > 0.0, u):
-            return False
-    return True
-
-
-def propagate_joint(
-    model: MdpModel,
-    obs: ObservationModel,
-    pa: np.ndarray,
-    joint: JointDistribution,
-    u: int,
-) -> JointDistribution:
-    """Push the joint law through one step of action ``u``.
-
-    Each atom branches over (successor state, observation); the belief
-    component follows the observer's filter. Atoms landing on the same
-    (state, belief) are merged. Raises :class:`ProhibitedAction` if ``u``
-    is prohibited at any atom with positive probability.
-    """
-    q = obs.likelihood
-    kernel = model.transition[:, :, u]
-    states: list[np.ndarray] = []
-    beliefs: list[np.ndarray] = []
-    probs: list[np.ndarray] = []
-    for o, mass in _belief_groups(joint, model.num_states):
-        posteriors, predictive = posterior_table(pa, q, o)
-        open_y = predictive > EPS_ZERO
-        hit = _blocked_pair(model, obs, open_y, mass > 0.0, u)
-        if hit:
-            x, y = hit
-            raise ProhibitedAction(
-                f"action u={u} at state x={x} can emit observation y={y} "
-                f"which the observer's predictive rules out"
-            )
-        flow = kernel @ mass
-        branch = q * flow[None, :]  # (Y, X'): joint mass on (y, x')
-        for y in np.flatnonzero(open_y & (branch.sum(axis=1) > 0.0)):
-            xps = np.flatnonzero(branch[y])
-            states.append(xps)
-            beliefs.append(np.broadcast_to(posteriors[y], (xps.size, o.size)))
-            probs.append(branch[y, xps])
-    s, b, p = merge_atoms(
-        np.concatenate(states), np.vstack(beliefs), np.concatenate(probs)
-    )
-    return JointDistribution(s, b, p)
-
-
-def open_loop_reward(model: MdpModel, x: int, actions) -> float:
-    """Expected discounted reward of an action sequence from a known state."""
-    marginal = np.zeros(model.num_states)
-    marginal[x] = 1.0
-    total = 0.0
-    scale = 1.0
-    for u in actions:
-        total += scale * float(model.reward[:, u] @ marginal)
-        marginal = model.transition[:, :, u] @ marginal
-        scale *= model.discount
-    return total
-
-
-def terminal_tail_value(model: MdpModel, values: np.ndarray, x: int, actions) -> float:
-    """Discounted expected no-observer value at the end of the sequence."""
-    actions = list(actions)
-    marginal = np.zeros(model.num_states)
-    marginal[x] = 1.0
-    for u in actions:
-        marginal = model.transition[:, :, u] @ marginal
-    return model.discount ** len(actions) * float(np.asarray(values) @ marginal)
-
-
-def detection_exposure(
-    model: MdpModel,
-    obs: ObservationModel,
-    pa: np.ndarray,
-    x: int,
-    o: np.ndarray,
-    actions,
-) -> float:
-    """Discounted expected exposure at times 1 .. len(actions) - 1.
-
-    The current exposure is not counted (it is already paid) and neither is
-    exposure at the end of the horizon, which the tail weight stands in for.
-    """
-    actions = list(actions)
-    joint = JointDistribution.point(x, o)
-    total = 0.0
-    scale = model.discount
-    for u in actions[: len(actions) - 1]:
-        joint = propagate_joint(model, obs, pa, joint, u)
-        total += scale * expected_exposure(joint)
-        scale *= model.discount
-    return total
-
-
-def sequence_objective(
-    model: MdpModel,
-    obs: ObservationModel,
-    pa: np.ndarray,
-    values: np.ndarray,
-    x: int,
-    o: np.ndarray,
-    actions,
-    config: PlannerConfig,
-) -> float:
-    """Score of one open-loop sequence under the planner's objective."""
-    r_inside = open_loop_reward(model, x, actions)
-    r_tail = terminal_tail_value(model, values, x, actions)
-    r_exposed = detection_exposure(model, obs, pa, x, o, actions)
-    return config.reward_weight * (r_inside + r_tail) - (
-        config.exposure_weight + config.tail_exposure_weight
-    ) * r_exposed
 
 
 @dataclass(frozen=True)
@@ -261,22 +77,6 @@ def suggested_tail_weight_bound(config: PlannerConfig, discount: float) -> float
     return dn / (1.0 - dn) * config.exposure_weight
 
 
-@dataclass
-class _PreparedJoint:
-    """Per-node cache: unique beliefs with batch-computed filter algebra.
-
-    ``mass[g, x]`` is the probability of (belief g, state x); ``open_y`` and
-    ``pred_states`` come from one batched predict step over all beliefs.
-    """
-
-    beliefs: np.ndarray      # (G, n)
-    mass: np.ndarray         # (G, n)
-    occupied: np.ndarray     # (G, n) float 0/1
-    pred_states: np.ndarray  # (n, G)
-    predictive: np.ndarray   # (Y, G)
-    open_y: np.ndarray       # (Y, G) bool
-
-
 def plan(
     model: MdpModel,
     obs: ObservationModel,
@@ -305,74 +105,18 @@ def plan(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    q = obs.likelihood
     n, num_u = model.num_states, model.num_actions
     horizon = config.horizon
     lam = model.discount
     values = np.asarray(values, dtype=float)
     penalty_weight = config.exposure_weight + config.tail_exposure_weight
     kernels = [model.transition[:, :, u] for u in range(num_u)]
-    # emission[u][y, x]: can the agent in state x produce y by playing u
-    emission = [((q @ kernels[u]) > EPS_ZERO).astype(float) for u in range(num_u)]
-
-    def prepare(states, beliefs, probs) -> _PreparedJoint:
-        keys = np.round(beliefs, 9) + 0.0
-        index: dict[bytes, int] = {}
-        reps: list[int] = []
-        for i in range(states.size):
-            key = keys[i].tobytes()
-            if key not in index:
-                index[key] = len(reps)
-                reps.append(i)
-        uniq = beliefs[reps]
-        mass = np.zeros((len(reps), n))
-        for i in range(states.size):
-            mass[index[keys[i].tobytes()], states[i]] += probs[i]
-        pred_states = pa @ uniq.T
-        predictive = q @ pred_states
-        return _PreparedJoint(
-            beliefs=uniq,
-            mass=mass,
-            occupied=(mass > 0.0).astype(float),
-            pred_states=pred_states,
-            predictive=predictive,
-            open_y=predictive > EPS_ZERO,
-        )
-
-    def admissible(prep: _PreparedJoint, u: int) -> bool:
-        reach = emission[u] @ prep.occupied.T  # (Y, G) counts of emitting sources
-        return not np.any((reach > 0.0) & ~prep.open_y)
-
-    def push(prep: _PreparedJoint, u: int):
-        """One step of the joint law; returns (atoms, exposure)."""
-        flows = kernels[u] @ prep.mass.T  # (n, G)
-        states_l: list[np.ndarray] = []
-        beliefs_l: list[np.ndarray] = []
-        probs_l: list[np.ndarray] = []
-        for g in range(prep.mass.shape[0]):
-            branch = q * flows[:, g][None, :]  # (Y, n)
-            ys = np.flatnonzero(prep.open_y[:, g] & (branch.sum(axis=1) > 0.0))
-            if ys.size == 0:
-                continue
-            posts = (
-                q[ys] * prep.pred_states[:, g][None, :]
-            ) / prep.predictive[ys, g][:, None]
-            for j, y in enumerate(ys):
-                xps = np.flatnonzero(branch[y])
-                states_l.append(xps)
-                beliefs_l.append(np.broadcast_to(posts[j], (xps.size, n)))
-                probs_l.append(branch[y, xps])
-        s, b, p = merge_atoms(
-            np.concatenate(states_l), np.vstack(beliefs_l), np.concatenate(probs_l)
-        )
-        exposure = float(b[np.arange(s.size), s] @ p)
-        return (s, b, p), exposure
 
     best = {"objective": -np.inf, "result": None, "tied": False}
     scored: list[SequenceScore] = []
     pruned: list[tuple[tuple[int, ...], int]] = []
 
-    def descend(depth, prep, marginal, r_inside, r_exposed, prefix):
+    def descend(depth, law, marginal, r_inside, r_exposed, prefix):
         if depth == horizon:
             r_tail = lam ** horizon * float(values @ marginal)
             objective = (
@@ -389,22 +133,22 @@ def plan(
             elif objective == best["objective"]:
                 best["tied"] = True
             return
+        blocked = law.blocked()
         for u in range(num_u):
-            if not admissible(prep, u):
+            if blocked[u]:
                 pruned.append((prefix, u))
                 continue
             step_reward = lam ** depth * float(model.reward[:, u] @ marginal)
             next_marginal = kernels[u] @ marginal
             if depth < horizon - 1:
-                (s, b, p), exposure = push(prep, u)
-                next_prep = prepare(s, b, p)
-                step_exposed = lam ** (depth + 1) * exposure
+                next_law = law.push(u)
+                step_exposed = lam ** (depth + 1) * next_law.exposure()
             else:
-                next_prep = prep  # final action: the joint is not needed further
+                next_law = law  # final action: the joint is not needed further
                 step_exposed = 0.0
             descend(
                 depth + 1,
-                next_prep,
+                next_law,
                 next_marginal,
                 r_inside + step_reward,
                 r_exposed + step_exposed,
@@ -413,8 +157,7 @@ def plan(
 
     marginal0 = np.zeros(n)
     marginal0[x] = 1.0
-    o = np.asarray(o, dtype=float)
-    descend(0, prepare(np.array([x]), o[None, :], np.array([1.0])), marginal0,
+    descend(0, JointLaw.point(model, obs, pa, x, o), marginal0,
             0.0, 0.0, ())
     if log_path is not None:
         _write_plan_log(log_path, x, config, scored, pruned)

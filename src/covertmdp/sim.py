@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -113,9 +113,19 @@ class RecedingHorizonController:
         )
 
     def decide(self, x: int, o: np.ndarray) -> int:
-        return plan(
-            self.model, self.obs, self.pa, self.values, x, o, self.config
-        ).first_action
+        """First action of the best sequence. When no sequence of the full
+        horizon is admissible, replans at horizons N-1, ..., 1 and raises
+        only when a single step fails too."""
+        config = self.config
+        while True:
+            try:
+                return plan(
+                    self.model, self.obs, self.pa, self.values, x, o, config
+                ).first_action
+            except NoAdmissibleSequence:
+                if config.horizon == 1:
+                    raise
+                config = replace(config, horizon=config.horizon - 1)
 
 
 # ---------------------------------------------------------------------------

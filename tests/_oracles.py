@@ -152,3 +152,52 @@ def random_sane_model(rng, num_states, num_actions, num_obs, sharp=False):
     for s in range(num_states):
         likelihood[:, s] = rng.dirichlet(np.full(num_obs, alpha))
     return transition, reward, likelihood
+
+
+def random_sparse_model(rng, num_states, num_actions, num_obs):
+    """A random MDP, sensor and observer chain with exact zeros.
+
+    Every column is stochastic; roughly half its entries are exactly zero and
+    the rest lie in [0.1, 1] before normalization, so every product of a few
+    entries is either exactly zero or far above the library's zero threshold.
+    That keeps "can this observation occur" an unambiguous question.
+    Returns (transition, reward, likelihood, observer_chain).
+    """
+
+    def columns(rows, cols):
+        w = rng.uniform(0.1, 1.0, size=(rows, cols))
+        w *= rng.random((rows, cols)) < 0.5
+        keep = rng.integers(rows, size=cols)
+        w[keep, np.arange(cols)] = rng.uniform(0.1, 1.0, size=cols)
+        return w / w.sum(axis=0)
+
+    transition = np.stack(
+        [columns(num_states, num_states) for _ in range(num_actions)], axis=2
+    )
+    reward = rng.uniform(0.0, 1.0, size=(num_states, num_actions))
+    likelihood = columns(num_obs, num_states)
+    chain = columns(num_states, num_states)
+    return transition, reward, likelihood, chain
+
+
+def admissible_by_definition(transition, likelihood, chain, x, belief):
+    """Actions at (x, belief) that cannot produce an observation the
+    observer's one-step predictive gives zero probability, by explicit loops."""
+    n = len(belief)
+    num_obs = likelihood.shape[0]
+    predicted = [
+        sum(chain[d, s] * belief[s] for s in range(n)) for d in range(n)
+    ]
+    ruled_out = [
+        sum(likelihood[y, d] * predicted[d] for d in range(n)) == 0.0
+        for y in range(num_obs)
+    ]
+    allowed = []
+    for u in range(transition.shape[2]):
+        possible = [
+            any(transition[d, x, u] * likelihood[y, d] > 0.0 for d in range(n))
+            for y in range(num_obs)
+        ]
+        if not any(p and r for p, r in zip(possible, ruled_out)):
+            allowed.append(u)
+    return allowed

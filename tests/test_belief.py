@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covertmdp import (
     IllDefinedUpdate,
@@ -16,25 +17,29 @@ from covertmdp import (
     nominal_value_iteration,
     point_belief,
     example1_model,
-    prohibited_actions,
     stage_penalty,
     uniform_belief,
 )
 from covertmdp.belief import (
     EPS_ZERO,
+    JointLaw,
+    emission_support,
     observation_predictive,
     load_observation_file,
-    merge_atoms,
     observation_from_dict,
     posterior_table,
-    predicted_obs_prob,
     save_observation_file,
     validate_observation_model,
 )
-from covertmdp.belief import ego_observation_table
 from covertmdp.mdp import MdpModel
 
-from _oracles import forward_filter, forward_filter_step, random_sane_model
+from _oracles import (
+    admissible_by_definition,
+    forward_filter,
+    forward_filter_step,
+    random_sane_model,
+    random_sparse_model,
+)
 
 
 def identity_chain(n):
@@ -83,7 +88,7 @@ def test_bayes_update_two_state_exact_fractions():
     o = uniform_belief(2)
     post = bayes_update(pa, q, o, 0)
     np.testing.assert_allclose(post, [8.0 / 13.0, 5.0 / 13.0], atol=1e-15)
-    assert abs(predicted_obs_prob(pa, q, o, 0) - 0.65) < 1e-15
+    assert abs(observation_predictive(pa, q, o)[0] - 0.65) < 1e-15
 
 
 def test_bayes_update_matches_forward_filter_oracle():
@@ -123,10 +128,11 @@ def test_posterior_table_matches_single_updates():
         model, obs = random_pair(rng, n, 2, k)
         pa = model.transition[:, :, 1]
         o = make_belief(rng.dirichlet(np.ones(n)))
-        posts, pred = posterior_table(pa, obs.likelihood, o)
+        posts, pred, open_y = posterior_table(pa, obs.likelihood, o)
         np.testing.assert_allclose(
             pred, observation_predictive(pa, obs.likelihood, o), atol=1e-14
         )
+        np.testing.assert_array_equal(open_y, pred > EPS_ZERO)
         for y in range(k):
             if pred[y] > EPS_ZERO:
                 np.testing.assert_allclose(
@@ -134,11 +140,24 @@ def test_posterior_table_matches_single_updates():
                 )
             else:
                 np.testing.assert_array_equal(posts[y], 0.0)
+        # a batch of beliefs gives each belief's table
+        batch = np.stack([o, uniform_belief(n)])
+        b_posts, b_pred, b_open = posterior_table(pa, obs.likelihood, batch)
+        for g, belief in enumerate(batch):
+            one = posterior_table(pa, obs.likelihood, belief)
+            np.testing.assert_allclose(b_posts[g], one[0], atol=1e-14)
+            np.testing.assert_allclose(b_pred[g], one[1], atol=1e-14)
+            np.testing.assert_array_equal(b_open[g], one[2])
 
 
 def test_ego_observation_table_matches_loops():
-    model, obs = example1_model()
-    table = ego_observation_table(model, obs)
+    rng = np.random.default_rng(5)
+    transition, reward, likelihood, _ = random_sparse_model(rng, 4, 3, 3)
+    model = MdpModel(4, 3, transition, reward, 0.9)
+    obs = ObservationModel(3, likelihood)
+    table = emission_support(model, obs)
+    assert table.shape == (3, 4, 3)
+    assert 0 < table.sum() < table.size
     for y in range(obs.num_observations):
         for x in range(model.num_states):
             for u in range(model.num_actions):
@@ -146,7 +165,9 @@ def test_ego_observation_table_matches_loops():
                     obs.likelihood[y, d] * model.transition[d, x, u]
                     for d in range(model.num_states)
                 )
-                assert abs(table[y, x, u] - direct) < 1e-14
+                assert table[u, x, y] == (direct > 0.0)
+    for x in range(model.num_states):
+        np.testing.assert_array_equal(emission_support(model, obs, x), table[:, x])
 
 
 def two_state_trap_setup():
@@ -166,15 +187,14 @@ def two_state_trap_setup():
 def test_prohibited_actions_flags_surprising_move():
     model, obs, pa = two_state_trap_setup()
     o = point_belief(2, 0)
-    assert prohibited_actions(model, obs, pa, 0, o) == {1}
     assert admissible_actions(model, obs, pa, 0, o) == [0]
+    assert admissible_actions(model, obs, pa, 1, o) == []
 
 
 def test_nothing_prohibited_under_uninformative_sensor():
     model, _, pa = two_state_trap_setup()
     flat = ObservationModel(2, np.full((2, 2), 0.5))
     o = point_belief(2, 0)
-    assert prohibited_actions(model, flat, pa, 0, o) == set()
     assert admissible_actions(model, flat, pa, 0, o) == [0, 1]
 
 
@@ -199,8 +219,7 @@ def test_support_mass_and_atom_count_random_models():
             assert len(sup.probs) <= n * k
             # state marginal recovers the plain transition column
             marg = np.zeros(n)
-            for s, _, p in sup.atoms:
-                marg[s] += p
+            np.add.at(marg, sup.states, sup.probs)
             np.testing.assert_allclose(
                 marg, model.transition[:, x, u], atol=1e-9
             )
@@ -211,8 +230,8 @@ def test_support_atoms_carry_filter_posteriors():
     pa = nominal_chain(model)
     o = uniform_belief(3)
     sup = augmented_transition_support(model, obs, pa, 0, o, 0)
-    posts, pred = posterior_table(pa, obs.likelihood, o)
-    for s, b, p in sup.atoms:
+    posts, pred, _ = posterior_table(pa, obs.likelihood, o)
+    for b in sup.beliefs:
         hits = [
             y
             for y in range(obs.num_observations)
@@ -241,28 +260,30 @@ def test_support_raises_on_prohibited_action():
     with pytest.raises(ProhibitedAction) as err:
         augmented_transition_support(model, obs, pa, 0, o, 1)
     msg = str(err.value)
-    assert "u=1" in msg and "y=1" in msg
+    assert "u=1" in msg and "x=0" in msg and "y=1" in msg
 
 
 def test_merge_atoms_sums_duplicate_pairs():
+    model, obs, pa = two_state_trap_setup()
     states = np.array([0, 0, 1])
     beliefs = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
     probs = np.array([0.25, 0.25, 0.5])
-    s, b, p = merge_atoms(states, beliefs, probs)
-    assert s.tolist() == [0, 1]
-    np.testing.assert_allclose(p, [0.5, 0.5])
+    law = JointLaw.from_atoms(model, obs, pa, states, beliefs, probs)
+    np.testing.assert_array_equal(law.beliefs, [[0.5, 0.5]])
+    np.testing.assert_allclose(law.mass, [[0.5, 0.5]])
 
 
 def test_merge_atoms_distinguishes_separated_beliefs():
+    model, obs, pa = two_state_trap_setup()
     states = np.array([0, 0, 0])
     beliefs = np.array(
         [[0.5, 0.5], [0.5 + 1e-12, 0.5 - 1e-12], [0.5 + 1e-6, 0.5 - 1e-6]]
     )
     probs = np.array([0.3, 0.3, 0.4])
-    s, b, p = merge_atoms(states, beliefs, probs)
+    law = JointLaw.from_atoms(model, obs, pa, states, beliefs, probs)
     # the 1e-12 twin collapses into the first atom, the 1e-6 one survives
-    assert len(s) == 2
-    np.testing.assert_allclose(p, [0.6, 0.4])
+    np.testing.assert_array_equal(law.beliefs, beliefs[[0, 2]])
+    np.testing.assert_allclose(law.mass, [[0.6, 0.0], [0.4, 0.0]])
 
 
 def test_validate_observation_model_diagnostics():
@@ -303,9 +324,30 @@ def test_filter_step_oracle_agrees_on_example1():
     pa = nominal_chain(model)
     o = uniform_belief(3)
     for y in range(obs.num_observations):
-        pred = predicted_obs_prob(pa, obs.likelihood, o, y)
+        pred = observation_predictive(pa, obs.likelihood, o)[y]
         if pred <= EPS_ZERO:
             continue
         ours = bayes_update(pa, obs.likelihood, o, y)
         oracle = forward_filter_step(pa, obs.likelihood, o, y)
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    m=st.integers(1, 4),
+    k=st.integers(2, 4),
+)
+def test_admissible_actions_match_definition(seed, n, m, k):
+    rng = np.random.default_rng(seed)
+    transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
+    model = MdpModel(n, m, transition, reward, 0.9)
+    obs = ObservationModel(k, likelihood)
+    x = int(rng.integers(n))
+    # a belief with exact zeros, its positive entries bounded away from zero
+    weights = rng.uniform(0.1, 1.0, size=n) * (rng.random(n) < 0.5)
+    weights[x] = rng.uniform(0.1, 1.0)
+    o = make_belief(weights / weights.sum())
+    expected = admissible_by_definition(transition, likelihood, chain, x, o)
+    assert admissible_actions(model, obs, chain, x, o) == expected

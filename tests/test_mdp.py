@@ -10,7 +10,6 @@ from covertmdp import (
     extract_nominal_policy,
     induced_chain,
     nominal_value_iteration,
-    policy_evaluation_exact,
     validate_model,
 )
 from covertmdp.mdp import (
@@ -122,20 +121,6 @@ def test_example1_policy_has_no_ties():
     model, _ = example1_model()
     policy = extract_nominal_policy(model, nominal_value_iteration(model).values)
     assert not policy.tie_flags.any()
-
-
-def test_policy_evaluation_matches_linear_solve():
-    rng = np.random.default_rng(11)
-    transition, reward, _ = _oracles.random_sane_model(rng, 4, 3, 2)
-    model = MdpModel(4, 3, transition, reward, 0.85)
-    policy = extract_nominal_policy(
-        model, nominal_value_iteration(model).values
-    )
-    mine = policy_evaluation_exact(model, policy)
-    oracle = _oracles.policy_value_linear_solve(
-        transition, reward, 0.85, tuple(policy.actions)
-    )
-    np.testing.assert_allclose(mine, oracle, atol=1e-10)
 
 
 def test_induced_chain_is_column_stochastic_and_consistent():

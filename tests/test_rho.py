@@ -6,34 +6,31 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covertmdp import (
-    JointDistribution,
     MdpModel,
     NoAdmissibleSequence,
     ObservationModel,
     PlannerConfig,
     ProhibitedAction,
-    detection_exposure,
+    augmented_transition_support,
     example1_model,
     extract_nominal_policy,
     induced_chain,
     nominal_value_iteration,
-    open_loop_reward,
     plan,
     point_belief,
-    propagate_joint,
-    sequence_objective,
-    terminal_tail_value,
     uniform_belief,
 )
-from covertmdp.rho import (
-    expected_exposure,
-    joint_admissible,
-    suggested_tail_weight_bound,
-)
+from covertmdp.belief import JointLaw
+from covertmdp.rho import suggested_tail_weight_bound
 
-from _oracles import random_sane_model, sequence_terms_by_path_enumeration
+from _oracles import (
+    random_sane_model,
+    random_sparse_model,
+    sequence_terms_by_path_enumeration,
+)
 
 
 def nominal_setup(model):
@@ -54,12 +51,30 @@ def random_pair(rng, n, m, k, discount=0.9):
     return model, ObservationModel(k, likelihood)
 
 
+def scores_by_sequence(model, obs, pa, values, x, o, config):
+    """Every scored sequence of one planner call, keyed by its actions."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        result = plan(model, obs, pa, values, x, o, config)
+    return {score.actions: score for score in result.sequences}
+
+
+def deterministic_cycle():
+    """Two states swapping every step, an identity sensor and an observer
+    that expects the cycle: the filter pins the agent at every step."""
+    transition = np.zeros((2, 2, 1))
+    transition[1, 0, 0] = 1.0
+    transition[0, 1, 0] = 1.0
+    model = MdpModel(2, 1, transition, np.zeros((2, 1)), 0.9)
+    return model, ObservationModel(2, np.eye(2)), transition[:, :, 0]
+
+
 # ---------------------------------------------------------------------------
 # open-loop reward
 
 
 def test_open_loop_reward_constant_reward_closed_form():
-    model, _ = example1_model()
+    model, obs = example1_model()
     flat = MdpModel(
         model.num_states,
         model.num_actions,
@@ -67,22 +82,28 @@ def test_open_loop_reward_constant_reward_closed_form():
         np.full((3, 2), 0.37),
         model.discount,
     )
+    pa, _, _ = nominal_setup(model)
     lam = model.discount
     for length in range(1, 6):
-        actions = [0] * length
+        cfg = PlannerConfig(length, 1.0, 0.0, 0.0)
+        scores = scores_by_sequence(flat, obs, pa, np.zeros(3), 1, uniform_belief(3), cfg)
         expected = 0.37 * (1.0 - lam**length) / (1.0 - lam)
-        assert abs(open_loop_reward(flat, 1, actions) - expected) < 1e-12
+        assert abs(scores[(0,) * length].reward_term - expected) < 1e-12
 
 
 def test_open_loop_reward_single_action_is_stage_reward():
-    model, _ = example1_model()
+    model, obs = example1_model()
+    pa, values, _ = nominal_setup(model)
+    cfg = PlannerConfig(1, 1.0, 0.0, 0.0)
     for x in range(3):
+        scores = scores_by_sequence(model, obs, pa, values, x, uniform_belief(3), cfg)
         for u in range(2):
-            assert open_loop_reward(model, x, [u]) == model.reward[x, u]
+            assert scores[(u,)].reward_term == model.reward[x, u]
 
 
 def test_open_loop_reward_matches_monte_carlo():
-    model, _ = example1_model()
+    model, obs = example1_model()
+    pa, values, _ = nominal_setup(model)
     rng = np.random.default_rng(42)
     actions = [1, 0, 1, 0]
     paths = 200_000
@@ -94,55 +115,61 @@ def test_open_loop_reward_matches_monte_carlo():
         cum = model.transition[:, xs, u].T.cumsum(axis=1)
         xs = (rng.random(paths)[:, None] < cum).argmax(axis=1)
         scale *= model.discount
-    exact = open_loop_reward(model, 0, actions)
+    cfg = PlannerConfig(4, 1.0, 0.0, 0.0)
+    scores = scores_by_sequence(model, obs, pa, values, 0, uniform_belief(3), cfg)
+    exact = scores[tuple(actions)].reward_term
     stderr = totals.std() / np.sqrt(paths)
     assert abs(totals.mean() - exact) < 5.0 * stderr + 1e-6
 
 
 def test_terminal_tail_value_deterministic_and_constant_cases():
     # Deterministic two-state cycle: the endpoint is known exactly.
-    transition = np.zeros((2, 2, 1))
-    transition[1, 0, 0] = 1.0
-    transition[0, 1, 0] = 1.0
-    model = MdpModel(2, 1, transition, np.zeros((2, 1)), 0.9)
+    model, obs, pa = deterministic_cycle()
     values = np.array([3.0, 7.0])
-    assert abs(terminal_tail_value(model, values, 0, [0]) - 0.9 * 7.0) < 1e-15
-    assert abs(terminal_tail_value(model, values, 0, [0, 0]) - 0.81 * 3.0) < 1e-15
+    start = point_belief(2, 0)
+    one = scores_by_sequence(model, obs, pa, values, 0, start, PlannerConfig(1))
+    assert abs(one[(0,)].tail_term - 0.9 * 7.0) < 1e-15
+    two = scores_by_sequence(model, obs, pa, values, 0, start, PlannerConfig(2))
+    assert abs(two[(0, 0)].tail_term - 0.81 * 3.0) < 1e-15
     # Constant values: the endpoint distribution is irrelevant.
-    ex1, _ = example1_model()
+    ex1, ex1_obs = example1_model()
+    ex1_pa, _, _ = nominal_setup(ex1)
     flat = np.full(3, 2.5)
-    for seq in itertools.product(range(2), repeat=3):
-        expected = ex1.discount**3 * 2.5
-        assert abs(terminal_tail_value(ex1, flat, 0, seq) - expected) < 1e-12
+    scores = scores_by_sequence(
+        ex1, ex1_obs, ex1_pa, flat, 0, uniform_belief(3), PlannerConfig(3)
+    )
+    assert sorted(scores) == list(itertools.product(range(2), repeat=3))
+    for score in scores.values():
+        assert abs(score.tail_term - ex1.discount**3 * 2.5) < 1e-12
 
 
 def test_detection_exposure_single_action_is_zero():
     model, obs = smoothed_example1()
-    pa, _, _ = nominal_setup(model)
+    pa, values, _ = nominal_setup(model)
+    cfg = PlannerConfig(1, 0.5, 0.5, 0.0)
     for x in range(3):
-        for u in range(2):
-            assert detection_exposure(model, obs, pa, x, uniform_belief(3), [u]) == 0.0
+        scores = scores_by_sequence(model, obs, pa, values, x, uniform_belief(3), cfg)
+        assert sorted(scores) == [(0,), (1,)]
+        for score in scores.values():
+            assert score.detection_term == 0.0
 
 
 def test_detection_exposure_perfect_tracking_closed_form():
-    # Deterministic cycle, identity sensor, observer expecting that cycle:
-    # the filter pins the agent every step, so each counted stage pays 1.
-    transition = np.zeros((2, 2, 1))
-    transition[1, 0, 0] = 1.0
-    transition[0, 1, 0] = 1.0
-    model = MdpModel(2, 1, transition, np.zeros((2, 1)), 0.9)
-    obs = ObservationModel(2, np.eye(2))
-    pa = transition[:, :, 0]
+    # Each counted stage of the pinned cycle pays exposure 1.
+    model, obs, pa = deterministic_cycle()
     lam = model.discount
     for length in range(1, 6):
-        got = detection_exposure(model, obs, pa, 0, point_belief(2, 0), [0] * length)
+        scores = scores_by_sequence(
+            model, obs, pa, np.zeros(2), 0, point_belief(2, 0),
+            PlannerConfig(length, 0.0, 1.0, 0.0),
+        )
         expected = sum(lam**t for t in range(1, length))
-        assert abs(got - expected) < 1e-12
+        assert abs(scores[(0,) * length].detection_term - expected) < 1e-12
 
 
 def test_detection_exposure_matches_monte_carlo():
     model, obs = smoothed_example1()
-    pa, _, _ = nominal_setup(model)
+    pa, values, _ = nominal_setup(model)
     o0 = uniform_belief(3)
     actions = [1, 0, 1]
     rng = np.random.default_rng(7)
@@ -161,7 +188,9 @@ def test_detection_exposure_matches_monte_carlo():
             beliefs = numer / numer.sum(axis=1, keepdims=True)
             totals += model.discount * scale * beliefs[np.arange(paths), xs]
         scale *= model.discount
-    exact = detection_exposure(model, obs, pa, 0, o0, actions)
+    cfg = PlannerConfig(3, 0.5, 0.5, 0.0)
+    scores = scores_by_sequence(model, obs, pa, values, 0, o0, cfg)
+    exact = scores[tuple(actions)].detection_term
     stderr = totals.std() / np.sqrt(paths)
     assert abs(totals.mean() - exact) < 5.0 * stderr + 1e-6
 
@@ -170,7 +199,11 @@ def test_all_terms_match_path_enumeration():
     model, obs = smoothed_example1()
     pa, values, _ = nominal_setup(model)
     o0 = uniform_belief(3)
-    for seq in itertools.product(range(2), repeat=3):
+    scores = scores_by_sequence(
+        model, obs, pa, values, 0, o0, PlannerConfig(3, 0.5, 0.5, 0.0)
+    )
+    assert sorted(scores) == list(itertools.product(range(2), repeat=3))
+    for seq, score in scores.items():
         r1, r2, r3 = sequence_terms_by_path_enumeration(
             model.transition,
             model.reward,
@@ -182,49 +215,64 @@ def test_all_terms_match_path_enumeration():
             o0,
             list(seq),
         )
-        assert abs(open_loop_reward(model, 0, seq) - r1) < 1e-10
-        assert abs(terminal_tail_value(model, values, 0, seq) - r2) < 1e-10
-        assert abs(detection_exposure(model, obs, pa, 0, o0, seq) - r3) < 1e-10
+        assert abs(score.reward_term - r1) < 1e-10
+        assert abs(score.tail_term - r2) < 1e-10
+        assert abs(score.detection_term - r3) < 1e-10
 
 
-def test_all_terms_match_path_enumeration_random_models():
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        model, obs = random_pair(rng, 3, 2, 3)
-        pa, values, _ = nominal_setup(model)
-        o0 = np.asarray(rng.dirichlet(np.ones(3)))
-        x0 = int(rng.integers(3))
-        seq = [int(rng.integers(2)) for _ in range(3)]
-        r1, r2, r3 = sequence_terms_by_path_enumeration(
-            model.transition,
-            model.reward,
-            model.discount,
-            obs.likelihood,
-            pa,
-            values,
-            x0,
-            o0,
-            seq,
-        )
-        assert abs(open_loop_reward(model, x0, seq) - r1) < 1e-10
-        assert abs(terminal_tail_value(model, values, x0, seq) - r2) < 1e-10
-        assert abs(detection_exposure(model, obs, pa, x0, o0, seq) - r3) < 1e-10
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    k=st.integers(2, 3),
+    horizon=st.integers(1, 3),
+)
+def test_all_terms_match_path_enumeration_random_models(seed, n, m, k, horizon):
+    # Sparse models prune sequences: the planner must score exactly those
+    # along which every possible observation has a defined filter update,
+    # and score each of them as brute-force path enumeration does.
+    rng = np.random.default_rng(seed)
+    transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
+    model = MdpModel(n, m, transition, reward, 0.9)
+    obs = ObservationModel(k, likelihood)
+    values = rng.uniform(0.0, 5.0, size=n)
+    x0 = int(rng.integers(n))
+    o0 = rng.dirichlet(np.ones(n))
+    cfg = PlannerConfig(horizon, 0.5, 0.5, 0.0)
+    try:
+        scores = scores_by_sequence(model, obs, chain, values, x0, o0, cfg)
+    except NoAdmissibleSequence:
+        scores = {}
+    for seq in itertools.product(range(m), repeat=horizon):
+        try:
+            r1, r2, r3 = sequence_terms_by_path_enumeration(
+                transition, reward, 0.9, likelihood, chain, values, x0, o0,
+                list(seq),
+            )
+        except ZeroDivisionError:
+            assert seq not in scores
+            continue
+        score = scores[seq]
+        assert abs(score.reward_term - r1) < 1e-10
+        assert abs(score.tail_term - r2) < 1e-10
+        assert abs(score.detection_term - r3) < 1e-10
 
 
 def test_sequence_objective_is_the_stated_combination():
     model, obs = smoothed_example1()
     pa, values, _ = nominal_setup(model)
     o0 = uniform_belief(3)
-    seq = [0, 1, 0]
-    r1 = open_loop_reward(model, 0, seq)
-    r2 = terminal_tail_value(model, values, 0, seq)
-    r3 = detection_exposure(model, obs, pa, 0, o0, seq)
+    seq = (0, 1, 0)
+    terms = None
     for wn, wa, wap in [(1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.0, 1.0, 0.3), (2.0, 0.7, 0.1)]:
         cfg = PlannerConfig(3, wn, wa, wap)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            got = sequence_objective(model, obs, pa, values, 0, o0, seq, cfg)
-        assert abs(got - (wn * (r1 + r2) - (wa + wap) * r3)) < 1e-12
+        score = scores_by_sequence(model, obs, pa, values, 0, o0, cfg)[seq]
+        r1, r2, r3 = score.reward_term, score.tail_term, score.detection_term
+        # the terms do not depend on the weights
+        terms = terms or (r1, r2, r3)
+        assert (r1, r2, r3) == terms
+        assert abs(score.objective - (wn * (r1 + r2) - (wa + wap) * r3)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -238,33 +286,39 @@ def test_propagate_joint_deterministic_single_atom():
     model = MdpModel(2, 1, transition, np.zeros((2, 1)), 0.9)
     obs = ObservationModel(2, np.eye(2))
     pa = transition[:, :, 0]
-    joint = JointDistribution.point(0, point_belief(2, 0))
-    out = propagate_joint(model, obs, pa, joint, 0)
-    assert out.states.tolist() == [1]
-    np.testing.assert_allclose(out.beliefs[0], [0.0, 1.0], atol=1e-12)
-    assert out.probs[0] == pytest.approx(1.0, abs=1e-12)
-    assert expected_exposure(out) == pytest.approx(1.0, abs=1e-12)
+    law = JointLaw.point(model, obs, pa, 0, point_belief(2, 0)).push(0)
+    np.testing.assert_allclose(law.beliefs, [[0.0, 1.0]], atol=1e-12)
+    np.testing.assert_allclose(law.mass, [[0.0, 1.0]], atol=1e-12)
+    assert law.exposure() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_propagate_joint_conserves_mass_and_state_marginal():
-    rng = np.random.default_rng(23)
-    for _ in range(30):
-        model, obs = random_pair(rng, 4, 2, 3)
-        pa, _, _ = nominal_setup(model)
-        x0 = int(rng.integers(4))
-        joint = JointDistribution.point(x0, np.asarray(rng.dirichlet(np.ones(4))))
-        chain_marginal = np.zeros(4)
-        chain_marginal[x0] = 1.0
-        for _ in range(4):
-            u = int(rng.integers(2))
-            if not joint_admissible(model, obs, pa, joint, u):
-                break
-            joint = propagate_joint(model, obs, pa, joint, u)
-            chain_marginal = model.transition[:, :, u] @ chain_marginal
-            assert abs(joint.probs.sum() - 1.0) < 1e-9
-            marginal = np.zeros(4)
-            np.add.at(marginal, joint.states, joint.probs)
-            np.testing.assert_allclose(marginal, chain_marginal, atol=1e-9)
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    m=st.integers(1, 3),
+    k=st.integers(2, 4),
+)
+def test_propagate_joint_conserves_mass_and_state_marginal(seed, n, m, k):
+    rng = np.random.default_rng(seed)
+    transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
+    model = MdpModel(n, m, transition, reward, 0.9)
+    obs = ObservationModel(k, likelihood)
+    x0 = int(rng.integers(n))
+    law = JointLaw.point(model, obs, chain, x0, rng.dirichlet(np.ones(n)))
+    chain_marginal = np.zeros(n)
+    chain_marginal[x0] = 1.0
+    for _ in range(4):
+        open_actions = np.flatnonzero(~law.blocked())
+        if open_actions.size == 0:
+            break
+        u = int(rng.choice(open_actions))
+        law = law.push(u)
+        chain_marginal = model.transition[:, :, u] @ chain_marginal
+        assert abs(law.mass.sum() - 1.0) < 1e-9
+        np.testing.assert_allclose(law.mass.sum(axis=0), chain_marginal, atol=1e-9)
+        np.testing.assert_allclose(law.beliefs.sum(axis=1), 1.0, atol=1e-9)
+        assert len(law.beliefs) <= k ** 4
 
 
 def two_state_trap():
@@ -283,11 +337,10 @@ def two_state_trap():
 
 def test_propagate_joint_raises_with_atom_coordinates():
     model, obs, pa = two_state_trap()
-    joint = JointDistribution.point(0, point_belief(2, 0))
-    assert joint_admissible(model, obs, pa, joint, 0)
-    assert not joint_admissible(model, obs, pa, joint, 1)
+    law = JointLaw.point(model, obs, pa, 0, point_belief(2, 0))
+    assert law.blocked().tolist() == [False, True]
     with pytest.raises(ProhibitedAction) as err:
-        propagate_joint(model, obs, pa, joint, 1)
+        augmented_transition_support(model, obs, pa, 0, point_belief(2, 0), 1)
     msg = str(err.value)
     assert "u=1" in msg and "x=0" in msg and "y=1" in msg
 
@@ -303,14 +356,20 @@ def test_plan_matches_brute_force_over_all_sequences():
     cfg = PlannerConfig(3, 0.5, 0.5, 0.2)
     result = plan(model, obs, pa, values, 0, o0, cfg)
     assert result.sequences_scored == 8
-    by_hand = {
-        seq: sequence_objective(model, obs, pa, values, 0, o0, seq, cfg)
-        for seq in itertools.product(range(2), repeat=3)
-    }
-    assert abs(result.objective - max(by_hand.values())) < 1e-12
-    assert by_hand[result.actions] == pytest.approx(result.objective, abs=1e-12)
+    by_hand = {}
+    for seq in itertools.product(range(2), repeat=3):
+        r1, r2, r3 = sequence_terms_by_path_enumeration(
+            model.transition, model.reward, model.discount, obs.likelihood,
+            pa, values, 0, o0, list(seq),
+        )
+        by_hand[seq] = cfg.reward_weight * (r1 + r2) - (
+            cfg.exposure_weight + cfg.tail_exposure_weight
+        ) * r3
+    assert abs(result.objective - max(by_hand.values())) < 1e-10
+    assert by_hand[result.actions] == pytest.approx(result.objective, abs=1e-10)
+    assert result.objective == max(score.objective for score in result.sequences)
     for score in result.sequences:
-        assert abs(score.objective - by_hand[score.actions]) < 1e-12
+        assert abs(score.objective - by_hand[score.actions]) < 1e-10
         recomposed = cfg.reward_weight * (score.reward_term + score.tail_term) - (
             cfg.exposure_weight + cfg.tail_exposure_weight
         ) * score.detection_term

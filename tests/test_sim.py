@@ -17,10 +17,13 @@ from covertmdp import (
     RecedingHorizonController,
     aggregate_runs,
     bayes_update,
+    desk_gridworld,
     example1_model,
     extract_nominal_policy,
     induced_chain,
+    gridworld_model,
     nominal_value_iteration,
+    plan,
     point_belief,
     run_closed_loop,
     simulate_runs,
@@ -252,6 +255,28 @@ def test_controller_failure_reports_step_index():
     with pytest.raises(NoAdmissibleSequence) as err:
         run_closed_loop(model, obs, pa, ctrl, point_belief(2, 0), 3, 0, 0, x0=0)
     assert "controller failed at step t=0" in str(err.value)
+
+
+def test_receding_horizon_falls_back_to_shorter_horizons():
+    # Gridworld run 1 of seed base 8 reaches state 20 at t=15 holding an
+    # observer belief of 2.8e-8 there. No open-loop sequence of length 3 is
+    # admissible at that pair, while shorter ones are, so the controller
+    # must replan at a shorter horizon instead of stopping the episode.
+    spec = desk_gridworld()
+    model, obs = gridworld_model(spec)
+    pa, values, _ = nominal_setup(model)
+    ctrl = RecedingHorizonController(
+        model, obs, pa, values, PlannerConfig(3, 0.5, 0.5, 0.0)
+    )
+    trace = run_closed_loop(
+        model, obs, pa, ctrl, uniform_belief(model.num_states), 17, 8, 1,
+        x0=spec.cell_index(*spec.start),
+    )
+    assert trace.states[15] == 20
+    assert trace.beliefs[15][20] < 1e-7
+    with pytest.raises(NoAdmissibleSequence):
+        plan(model, obs, pa, values, 20, trace.beliefs[15], ctrl.config)
+    assert trace.num_steps == 17
 
 
 def test_controller_ids_describe_the_configuration():
