@@ -1,15 +1,18 @@
 """Exact solver on the joint state-belief space.
 
 The belief simplex is discretized with a regular lattice (all integer
-compositions of ``resolution``), value lookups between lattice points use
-the standard simplicial (Freudenthal) triangulation, and value iteration
-runs over the finite grid. The one-step transition support is closed form,
-so each backup is a finite weighted sum; the whole operator is compiled
-once into flat index arrays and each sweep is a single scatter-add.
+compositions of ``resolution``, indexed by their lexicographic rank), value
+lookups between lattice points use the Freudenthal triangulation (Lovejoy,
+Operations Research 1991), and value iteration runs over the finite grid.
+One batched lookahead, :class:`_Lookahead`, backs up every lattice point in
+a sweep and the single belief of a greedy decision: the observer's
+posteriors and their simplices are found once per (belief, observation),
+and the successor law meets the value table in two ``einsum`` contractions.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -23,7 +26,6 @@ from .belief import (
     blocked_actions,
     emission_support,
     posterior_table,
-    stage_penalty,
 )
 from .errors import EmptyAdmissibleSet, SizeOverflow
 from .mdp import MdpModel, _readonly
@@ -40,35 +42,48 @@ MAX_GRID_POINTS = 2_000_000
 
 @dataclass(frozen=True)
 class SimplexGrid:
-    """Regular belief lattice: row ``g`` of ``points`` is ``compositions[g] / resolution``."""
+    """Regular belief lattice: row ``g`` of ``points`` is ``compositions[g] / resolution``.
+
+    ``_offsets[i, t]`` is ``C(t + n-1-i, n-1-i)``, the number of
+    compositions of at most ``t`` into ``n-1-i`` parts.
+    """
 
     num_states: int
     resolution: int
     points: np.ndarray
     compositions: np.ndarray
-    _index: dict = field(repr=False)
+    _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", _readonly(self.points))
         object.__setattr__(
             self, "compositions", _readonly(self.compositions, dtype=np.int64)
         )
+        width = self.resolution + 1
+        offsets = [[math.comb(t + m, m) for t in range(width)]
+                   for m in range(self.num_states - 1, 0, -1)]
+        offsets = _readonly(np.reshape(offsets, (-1, width)), dtype=np.int64)
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def num_points(self) -> int:
         return self.points.shape[0]
 
+    def _rank(self, tails: np.ndarray) -> np.ndarray:
+        """Lexicographic rank of the compositions whose suffix sums are
+        ``tails[..., i]``: for each ``i``, count those that agree before
+        ``i`` and hold less at ``i``."""
+        i = np.arange(self.num_states - 1)
+        return (
+            self._offsets[i, tails[..., :-1]] - self._offsets[i, tails[..., 1:]]
+        ).sum(axis=-1)
+
     def index_of(self, composition) -> int:
-        return self._index[tuple(int(c) for c in composition)]
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+        comp = np.asarray(composition, dtype=np.int64)
+        if (comp.shape != (self.num_states,) or np.any(comp < 0)
+                or comp.sum() != self.resolution):
+            raise KeyError(f"{tuple(comp.tolist())} is not a lattice composition")
+        return int(self._rank(np.cumsum(comp[::-1])[::-1]))
 
 
 def build_simplex_grid(
@@ -85,10 +100,52 @@ def build_simplex_grid(
             f"belief grid would hold {count} points (cap {max_points}); "
             f"lower the resolution or use the receding-horizon planner"
         )
-    comps = np.array(list(_compositions(resolution, num_states)), dtype=np.int64)
-    points = comps / float(resolution)
-    index = {tuple(row.tolist()): g for g, row in enumerate(comps)}
-    return SimplexGrid(num_states, resolution, points, comps, index)
+    # stars and bars: bar positions in lexicographic order give the
+    # compositions in lexicographic order
+    slots = resolution + num_states - 1
+    bars = np.array(
+        list(itertools.combinations(range(slots), num_states - 1)), dtype=np.int64
+    ).reshape(count, num_states - 1)
+    comps = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+    return SimplexGrid(num_states, resolution, comps / float(resolution), comps)
+
+
+def _simplex_weights(
+    grid: SimplexGrid, beliefs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Freudenthal simplex of each belief in a stack ``(..., n)``.
+
+    Returns vertex indices and barycentric weights, both ``(..., n)``. In
+    the suffix-sum coordinates the lattice is the integer grid: take the
+    floor, then walk up the coordinates in order of decreasing fractional
+    part. Zero-weight vertices can fall outside the simplex on boundary
+    faces, so they are replaced by the first vertex.
+    """
+    n = grid.num_states
+    res = grid.resolution
+    if n == 1:
+        return np.zeros(beliefs.shape, dtype=np.int64), np.ones(beliefs.shape)
+    x = res * np.cumsum(beliefs[..., ::-1], axis=-1)[..., ::-1]
+    x[..., 0] = res  # exact by normalization
+    near = np.round(x)
+    x = np.where(np.abs(x - near) <= SNAP_TOL, near, x)
+    base = np.floor(x).astype(np.int64)
+    frac = x - base
+
+    order = np.argsort(-frac[..., 1:], axis=-1, kind="stable") + 1
+    d = np.take_along_axis(frac, order, axis=-1)
+    lam = np.empty(x.shape)
+    lam[..., :1] = 1.0 - d[..., :1]
+    lam[..., 1:-1] = d[..., :-1] - d[..., 1:]
+    lam[..., -1:] = d[..., -1:]
+
+    # vertex k raises the coordinates order[:k] of the floor by one
+    steps = np.zeros(x.shape + (n,), dtype=np.int64)
+    np.put_along_axis(steps[..., 1:, :], order[..., None], 1, axis=-1)
+    tails = base[..., None, :] + np.cumsum(steps, axis=-2)
+    positive = lam > 0.0
+    tails = np.where(positive[..., None], tails, base[..., None, :])
+    return grid._rank(tails), np.where(positive, lam, 0.0)
 
 
 def interpolation_weights(
@@ -97,49 +154,16 @@ def interpolation_weights(
     """Barycentric weights of ``o`` in its triangulation simplex.
 
     Returns parallel arrays of grid-point indices and strictly positive
-    weights (at most ``num_states`` of them, summing to 1). Works in the
-    cumulative-sum coordinates where the lattice is the integer grid: take
-    the floor, then walk up the coordinates in order of decreasing
-    fractional part. Zero-weight vertices are dropped because on boundary
-    faces they can fall outside the simplex.
+    weights (at most ``num_states`` of them, summing to 1).
     """
-    n = grid.num_states
-    res = grid.resolution
     o = np.asarray(o, dtype=float)
-    if o.shape != (n,):
-        raise ValueError(f"belief shape {o.shape} does not match grid over {n} states")
-    if n == 1:
-        return np.array([0], dtype=np.int64), np.array([1.0])
-
-    x = res * np.cumsum(o[::-1])[::-1]
-    x[0] = res  # exact by normalization
-    near = np.round(x)
-    snap = np.abs(x - near) <= SNAP_TOL
-    x[snap] = near[snap]
-    base = np.floor(x).astype(np.int64)
-    frac = x - base
-
-    order = np.argsort(-frac[1:], kind="stable") + 1
-    d = frac[order]
-    lam = np.empty(n)
-    lam[0] = 1.0 - d[0]
-    lam[1:-1] = d[:-1] - d[1:]
-    lam[-1] = d[-1]
-
-    vertex = base.copy()
-    indices: list[int] = []
-    weights: list[float] = []
-    comp = np.empty(n, dtype=np.int64)
-    for k in range(n):
-        if k > 0:
-            vertex[order[k - 1]] += 1
-        if lam[k] <= 0.0:
-            continue
-        comp[:-1] = vertex[:-1] - vertex[1:]
-        comp[-1] = vertex[-1]
-        indices.append(grid.index_of(comp))
-        weights.append(lam[k])
-    return np.asarray(indices, dtype=np.int64), np.asarray(weights)
+    if o.shape != (grid.num_states,):
+        raise ValueError(
+            f"belief shape {o.shape} does not match grid over {grid.num_states} states"
+        )
+    idx, w = _simplex_weights(grid, o)
+    keep = w > 0.0
+    return idx[keep], w[keep]
 
 
 def interpolate_value(grid: SimplexGrid, table: np.ndarray, o: np.ndarray) -> float:
@@ -161,8 +185,7 @@ class AugmentedValueFunction:
         object.__setattr__(self, "values", _readonly(self.values))
 
     def evaluate(self, x: int, o: np.ndarray) -> float:
-        idx, w = interpolation_weights(self.grid, o)
-        return float(np.dot(self.values[x, idx], w))
+        return interpolate_value(self.grid, self.values[x], o)
 
 
 @dataclass(frozen=True)
@@ -176,104 +199,43 @@ class AugmentedVIResult:
     fallback_points: tuple[tuple[int, int], ...]
 
 
-class _CompiledBackup:
-    """Flattened one-step operator over the grid.
+class _Lookahead:
+    """One-step backup of ``(x, o)`` for every state and a batch of beliefs.
 
-    Row ids enumerate ``(x, g, u)`` as ``(x * P + g) * U + u``; column ids
-    enumerate ``(x', g')`` as ``x' * P + g'``. A sweep is one gather, one
-    scatter-add, and a masked row max.
+    ``kernel[b, x, u, y, x']`` is ``q(y|x') p(x'|x,u)`` on the observations
+    the predictive leaves open, and the posterior after ``y`` interpolates
+    through ``vertices[b, y]`` with ``weights[b, y]``. Where no action is
+    admissible (``relaxed[b, x]``), every action with open mass is usable
+    and that mass is renormalized. ``stage`` is -inf for unusable actions.
     """
 
     def __init__(self, model: MdpModel, obs: ObservationModel, pa: np.ndarray,
-                 grid: SimplexGrid, reward_weight: float, exposure_weight: float):
-        n, num_u = model.num_states, model.num_actions
-        pts = grid.num_points
+                 grid: SimplexGrid, beliefs: np.ndarray,
+                 reward_weight: float, exposure_weight: float):
         q = obs.likelihood
-        num_rows = n * pts * num_u
+        posteriors, _, open_y = posterior_table(pa, q, beliefs)
+        self.vertices, self.weights = _simplex_weights(grid, posteriors)
 
-        stage = np.full(num_rows, -np.inf)
-        usable = np.zeros(num_rows, dtype=bool)
-        rows: list[np.ndarray] = []
-        cols: list[np.ndarray] = []
-        coefs: list[np.ndarray] = []
-        fallback: list[tuple[int, int]] = []
+        blocked = blocked_actions(emission_support(model, obs), ~open_y.T).T
+        self.relaxed = blocked.all(axis=-1)
+        kernel = np.einsum("yz,zxu->xuyz", q, model.transition)
+        kernel = kernel * open_y[:, None, None, :, None]
+        total = kernel.sum(axis=(3, 4))
+        self.usable = (~blocked | self.relaxed[..., None]) & (total > EPS_ZERO)
+        renorm = self.usable & self.relaxed[..., None]
+        kernel[renorm] /= total[renorm][:, None, None]
+        self.kernel = kernel
 
-        support = emission_support(model, obs)
-        posteriors, _, open_ys = posterior_table(pa, q, grid.points)
-        for g in range(pts):
-            o = grid.points[g]
-            open_y = open_ys[g]
-            interp = {
-                y: interpolation_weights(grid, posteriors[g, y])
-                for y in np.flatnonzero(open_y)
-            }
-            blocked = blocked_actions(support, ~open_y)  # (U, X)
-            for x in range(n):
-                penalty = exposure_weight * stage_penalty(x, o)
-                actions = np.flatnonzero(~blocked[:, x])
-                relaxed = actions.size == 0
-                if relaxed:
-                    fallback.append((x, g))
-                    actions = np.arange(num_u)
-                for u in actions:
-                    succ = model.transition[:, x, u]
-                    mass = q * succ[None, :]
-                    mass[~open_y] = 0.0
-                    total = mass.sum()
-                    if total <= EPS_ZERO:
-                        continue
-                    if relaxed:
-                        mass = mass / total
-                    row_id = (x * pts + g) * num_u + u
-                    stage[row_id] = reward_weight * model.reward[x, u] - penalty
-                    usable[row_id] = True
-                    for y in np.flatnonzero(mass.any(axis=1)):
-                        idx, w = interp[y]
-                        xps = np.flatnonzero(mass[y])
-                        c = (xps[:, None] * pts + idx[None, :]).ravel()
-                        k = (mass[y, xps][:, None] * w[None, :]).ravel()
-                        cols.append(c)
-                        coefs.append(k)
-                        rows.append(np.full(c.size, row_id, dtype=np.int64))
-                if not usable[(x * pts + g) * num_u: (x * pts + g + 1) * num_u].any():
-                    raise EmptyAdmissibleSet(
-                        f"no usable action at state x={x}, grid point g={g}"
-                    )
-
-        self.num_rows = num_rows
-        self.num_actions = num_u
-        self.rows = np.concatenate(rows)
-        self.cols = np.concatenate(cols)
-        self.coefs = np.concatenate(coefs)
-        self.stage = stage
+        penalty = exposure_weight * beliefs  # belief.stage_penalty at every x
+        stage = reward_weight * model.reward[None] - penalty[..., None]
+        self.stage = np.where(self.usable, stage, -np.inf)
         self.discount = model.discount
-        self.fallback_points = tuple(fallback)
 
-    def action_values(self, flat_values: np.ndarray) -> np.ndarray:
-        future = np.bincount(
-            self.rows,
-            weights=self.coefs * flat_values[self.cols],
-            minlength=self.num_rows,
-        )
-        with np.errstate(invalid="ignore"):
-            return self.stage + self.discount * future
-
-    def sweep(self, flat_values: np.ndarray) -> np.ndarray:
-        qvals = self.action_values(flat_values)
-        return qvals.reshape(-1, self.num_actions).max(axis=1)
-
-
-def augmented_backup(
-    model: MdpModel,
-    obs: ObservationModel,
-    pa: np.ndarray,
-    value: AugmentedValueFunction,
-) -> np.ndarray:
-    """One exact sweep; returns the updated ``(num_states, P)`` table."""
-    op = _CompiledBackup(
-        model, obs, pa, value.grid, value.reward_weight, value.exposure_weight
-    )
-    return op.sweep(value.values.ravel()).reshape(value.values.shape)
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        """Action values ``(B, X, U)`` against the table ``values[x, g]``."""
+        interp = np.einsum("zbyk,byk->byz", values[:, self.vertices], self.weights)
+        future = np.einsum("bxuyz,byz->bxu", self.kernel, interp)
+        return self.stage + self.discount * future
 
 
 def solve_augmented_vi(
@@ -290,25 +252,25 @@ def solve_augmented_vi(
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     grid = build_simplex_grid(model.num_states, resolution)
-    op = _CompiledBackup(model, obs, pa, grid, reward_weight, exposure_weight)
-    flat = np.zeros(model.num_states * grid.num_points)
+    lookahead = _Lookahead(
+        model, obs, pa, grid, grid.points, reward_weight, exposure_weight
+    )
+    hopeless = np.argwhere(~lookahead.usable.any(axis=2))
+    if hopeless.size:
+        g, x = hopeless[0]
+        raise EmptyAdmissibleSet(f"no usable action at state x={x}, grid point g={g}")
+    values = np.zeros((model.num_states, grid.num_points))
     residual = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        updated = op.sweep(flat)
-        residual = float(np.max(np.abs(updated - flat)))
-        flat = updated
+        updated = lookahead(values).max(axis=2).T
+        residual = float(np.max(np.abs(updated - values)))
+        values = updated
         if residual <= tol:
             break
-    value = AugmentedValueFunction(
-        grid,
-        flat.reshape(model.num_states, grid.num_points),
-        reward_weight,
-        exposure_weight,
-    )
-    return AugmentedVIResult(
-        value, residual, iterations, residual <= tol, op.fallback_points
-    )
+    fallback = tuple((int(x), int(g)) for g, x in np.argwhere(lookahead.relaxed))
+    value = AugmentedValueFunction(grid, values, reward_weight, exposure_weight)
+    return AugmentedVIResult(value, residual, iterations, residual <= tol, fallback)
 
 
 def action_values(
@@ -319,25 +281,18 @@ def action_values(
     x: int,
     o: np.ndarray,
 ) -> np.ndarray:
-    """Greedy lookahead at an arbitrary ``(x, o)``; inadmissible entries are -inf."""
-    q = obs.likelihood
-    posteriors, _, open_y = posterior_table(pa, q, o)
-    blocked = blocked_actions(emission_support(model, obs, x), ~open_y)
-    out = np.full(model.num_actions, -np.inf)
-    penalty = value.exposure_weight * stage_penalty(x, o)
-    for u in np.flatnonzero(~blocked):
-        mass = q * model.transition[:, x, u][None, :]
-        future = 0.0
-        for y in np.flatnonzero(mass.any(axis=1) & open_y):
-            idx, w = interpolation_weights(value.grid, posteriors[y])
-            interp = value.values[:, idx] @ w
-            future += float(mass[y] @ interp)
-        out[u] = (
-            value.reward_weight * model.reward[x, u]
-            - penalty
-            + model.discount * future
-        )
-    return out
+    """Greedy lookahead at an arbitrary ``(x, o)``; inadmissible entries are -inf.
+
+    Unlike the solver's backup, no action is relaxed here: where every
+    action is inadmissible, every entry is -inf.
+    """
+    lookahead = _Lookahead(
+        model, obs, pa, value.grid, np.asarray(o, dtype=float)[None, :],
+        value.reward_weight, value.exposure_weight,
+    )
+    if lookahead.relaxed[0, x]:
+        return np.full(model.num_actions, -np.inf)
+    return lookahead(value.values)[0, x]
 
 
 def greedy_action(

@@ -157,7 +157,8 @@ def blocked_actions(emits: np.ndarray, ruled_out: np.ndarray) -> np.ndarray:
     observer's predictive rules out.
 
     ``emits[u, ..., y]`` is an :func:`emission_support` table and
-    ``ruled_out[y]`` marks the observations whose predictive mass is at most
+    ``ruled_out[y]`` (or ``ruled_out[y, b]`` for a batch of beliefs, whose
+    axis comes last) marks the observations whose predictive mass is at most
     EPS_ZERO; the axes between ``u`` and ``y`` are batch axes and are kept.
     """
     return emits @ ruled_out

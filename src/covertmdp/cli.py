@@ -158,40 +158,43 @@ def cmd_solve_nominal(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_solve_augmented(args: argparse.Namespace) -> int:
-    scn = _load_scenario(args.model, args.obs)
-    obs = _require_obs(scn)
+def _solve_lattice(scn: Scenario, obs: bel.ObservationModel, pa: np.ndarray,
+                   args: argparse.Namespace, tol: float = aug.DEFAULT_AVI_TOL):
+    """The lattice solve behind ``solve-augmented`` and ``simulate grid-vi``."""
     if scn.model.num_states > AUGMENTED_STATE_CAP:
-        print(
-            f"refusing: {scn.model.num_states} states exceeds the "
-            f"state-belief grid cap ({AUGMENTED_STATE_CAP}); use the "
-            f"receding-horizon planner (simulate rho / plan) instead",
-            file=sys.stderr,
+        raise CovertMdpError(
+            f"refusing: {scn.model.num_states} states exceeds the state-belief "
+            f"grid cap ({AUGMENTED_STATE_CAP}); use the receding-horizon "
+            f"planner (the rho controller, or plan) instead"
         )
-        return 1
-    _, policy = _nominal(scn, mdp.DEFAULT_VI_TOL)
-    pa = mdp.induced_chain(scn.model, policy)
     result = aug.solve_augmented_vi(
         scn.model, obs, pa,
         reward_weight=args.wn, exposure_weight=args.wa,
-        resolution=args.grid_res, tol=args.tol,
+        resolution=args.grid_res, tol=tol,
     )
     if not result.converged:
-        print(
+        raise CovertMdpError(
             f"augmented value iteration did not converge "
-            f"(residual {result.residual!r} after {result.iterations} sweeps)",
-            file=sys.stderr,
+            f"(residual {result.residual!r} after {result.iterations} sweeps)"
         )
-        return 1
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    aug.save_value_file(result.value, out / "augmented_values.json")
-    if result.fallback_points and args.verbose:
+    if result.fallback_points:
         print(
             f"note: {len(result.fallback_points)} grid points had no "
             f"admissible action; backup used the full action set there",
             file=sys.stderr,
         )
+    return result
+
+
+def cmd_solve_augmented(args: argparse.Namespace) -> int:
+    scn = _load_scenario(args.model, args.obs)
+    obs = _require_obs(scn)
+    _, policy = _nominal(scn, mdp.DEFAULT_VI_TOL)
+    pa = mdp.induced_chain(scn.model, policy)
+    result = _solve_lattice(scn, obs, pa, args, args.tol)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    aug.save_value_file(result.value, out / "augmented_values.json")
     print(
         f"{scn.name}: augmented solve converged in {result.iterations} sweeps, "
         f"residual {result.residual:.3e}, grid points "
@@ -217,18 +220,7 @@ def _build_controller(kind: str, scn: Scenario, args: argparse.Namespace):
             scn.model, obs, pa, nominal.values, config
         ), pa
     if kind == "grid-vi":
-        if scn.model.num_states > AUGMENTED_STATE_CAP:
-            raise CovertMdpError(
-                f"{scn.model.num_states} states exceeds the state-belief grid "
-                f"cap ({AUGMENTED_STATE_CAP}); use the rho controller instead"
-            )
-        result = aug.solve_augmented_vi(
-            scn.model, obs, pa,
-            reward_weight=args.wn, exposure_weight=args.wa,
-            resolution=args.grid_res,
-        )
-        if not result.converged:
-            raise CovertMdpError("augmented value iteration did not converge")
+        result = _solve_lattice(scn, obs, pa, args)
         return sim.AugmentedValueController(scn.model, obs, pa, result.value), pa
     raise ValueError(f"unknown controller kind {kind!r}")
 

@@ -201,3 +201,78 @@ def admissible_by_definition(transition, likelihood, chain, x, belief):
         if not any(p and r for p, r in zip(possible, ruled_out)):
             allowed.append(u)
     return allowed
+
+
+def lattice_lookahead_by_definition(
+    transition, reward, discount, likelihood, chain, grid, values,
+    reward_weight, exposure_weight, x, belief, relax,
+):
+    """One-step lattice lookahead at (x, belief) for every action, by loops.
+
+    For action u: wn R(x, u) - wa belief[x] + lam * sum over open readings
+    y and successors x' of p(x'|x,u) q(y|x') V(x', posterior after y), with
+    V read between lattice points by interpolation. Inadmissible actions
+    score -inf. With `relax`, a point where no action is admissible uses
+    every action instead, renormalizing the mass it puts on open readings
+    (an action with none scores -inf). Readings count as open when their
+    predictive is exactly positive, which is unambiguous on
+    `random_sparse_model` models and on smooth sensors.
+    """
+    from covertmdp.augmented import interpolate_value
+
+    n = len(belief)
+    num_y = likelihood.shape[0]
+    num_u = transition.shape[2]
+    predicted = [
+        sum(chain[d, s] * belief[s] for s in range(n)) for d in range(n)
+    ]
+    open_y = [
+        sum(likelihood[y, d] * predicted[d] for d in range(n)) > 0.0
+        for y in range(num_y)
+    ]
+    allowed = admissible_by_definition(transition, likelihood, chain, x, belief)
+    relaxed = relax and not allowed
+    out = np.full(num_u, -np.inf)
+    for u in range(num_u) if relaxed else allowed:
+        total = 0.0
+        future = 0.0
+        for y in range(num_y):
+            if not open_y[y]:
+                continue
+            posterior = forward_filter_step(chain, likelihood, belief, y)
+            for d in range(n):
+                p = transition[d, x, u] * likelihood[y, d]
+                if p > 0.0:
+                    total += p
+                    future += p * interpolate_value(grid, values[d], posterior)
+        if total == 0.0:
+            continue
+        if relaxed:
+            future /= total
+        out[u] = (
+            reward_weight * reward[x, u] - exposure_weight * belief[x]
+            + discount * future
+        )
+    return out
+
+
+def lattice_sweep_by_definition(
+    transition, reward, discount, likelihood, chain, grid, values,
+    reward_weight, exposure_weight,
+):
+    """One relaxed value-iteration sweep over every (state, lattice point),
+    with `lattice_lookahead_by_definition`; also returns the (x, g) pairs
+    where no action was admissible."""
+    n, num_points = values.shape
+    updated = np.empty_like(values)
+    relaxed = []
+    for g in range(num_points):
+        for x in range(n):
+            belief = grid.points[g]
+            if not admissible_by_definition(transition, likelihood, chain, x, belief):
+                relaxed.append((x, g))
+            updated[x, g] = lattice_lookahead_by_definition(
+                transition, reward, discount, likelihood, chain, grid, values,
+                reward_weight, exposure_weight, x, belief, relax=True,
+            ).max()
+    return updated, relaxed

@@ -1,7 +1,10 @@
 """Tests for the joint (state, belief) value iteration and its belief lattice."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covertmdp import (
     EmptyAdmissibleSet,
@@ -17,8 +20,8 @@ from covertmdp import (
 )
 from covertmdp.augmented import (
     AugmentedValueFunction,
+    _simplex_weights,
     action_values,
-    augmented_backup,
     build_simplex_grid,
     greedy_action,
     interpolate_value,
@@ -29,7 +32,14 @@ from covertmdp.augmented import (
 )
 from covertmdp.mdp import bellman_backup
 
-from _oracles import composition_count
+from _oracles import (
+    composition_count,
+    lattice_lookahead_by_definition,
+    lattice_sweep_by_definition,
+    random_sparse_model,
+)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def nominal_chain(model):
@@ -58,6 +68,21 @@ def test_grid_points_are_lattice_beliefs():
     np.testing.assert_array_equal(grid.compositions.sum(axis=1), 10)
     for g in range(grid.num_points):
         assert grid.index_of(grid.compositions[g]) == g
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), res=st.integers(1, 10))
+def test_lattice_index_is_the_composition_rank(n, res):
+    grid = build_simplex_grid(n, res)
+    for g in range(grid.num_points):
+        assert grid.index_of(grid.compositions[g]) == g
+
+
+def test_index_of_rejects_non_lattice_compositions():
+    grid = build_simplex_grid(3, 4)
+    for comp in [(1, 1, 1), (5, -1, 0), (4, 0)]:
+        with pytest.raises(KeyError):
+            grid.index_of(comp)
 
 
 def test_build_grid_rejects_bad_arguments():
@@ -102,6 +127,29 @@ def test_interpolation_weights_form_a_convex_combination():
         np.testing.assert_allclose(grid.points[idx].T @ w, o, atol=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), res=st.integers(1, 10)
+)
+def test_batched_simplex_matches_per_belief_weights(seed, n, res):
+    rng = np.random.default_rng(seed)
+    grid = build_simplex_grid(n, res)
+    # off-grid beliefs, boundary beliefs with exact zeros, and lattice points
+    beliefs = rng.dirichlet(np.full(n, 0.5), size=8)
+    beliefs[4:] *= rng.random((4, n)) < 0.5
+    beliefs[4:, rng.integers(n)] += 0.25
+    beliefs /= beliefs.sum(axis=1, keepdims=True)
+    beliefs = np.vstack([beliefs, grid.points[rng.integers(grid.num_points, size=4)]])
+    vertices, weights = _simplex_weights(grid, beliefs.reshape(3, 4, n))
+    for o, row_idx, row_w in zip(beliefs, vertices.reshape(-1, n), weights.reshape(-1, n)):
+        idx, w = interpolation_weights(grid, o)
+        keep = row_w > 0.0
+        np.testing.assert_array_equal(row_idx[keep], idx)
+        np.testing.assert_array_equal(row_w[keep], w)
+        assert np.all(row_w[~keep] == 0.0)
+        np.testing.assert_allclose(grid.points[idx].T @ w, o, atol=1e-12)
+
+
 def test_interpolation_weights_reject_wrong_shape():
     grid = build_simplex_grid(3, 4)
     with pytest.raises(ValueError):
@@ -134,8 +182,103 @@ def test_backup_fixed_point_residual():
     model, obs = smoothed_example1()
     pa, _ = nominal_chain(model)
     result = solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=4, tol=1e-9)
-    again = augmented_backup(model, obs, pa, result.value)
+    again, relaxed = lattice_sweep_by_definition(
+        model.transition, model.reward, model.discount, obs.likelihood, pa,
+        result.value.grid, result.value.values, 0.5, 0.5,
+    )
+    assert relaxed == []
     assert np.max(np.abs(again - result.value.values)) < 1e-8
+
+
+def sparse_problem(seed, n, m, k):
+    rng = np.random.default_rng(seed)
+    transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
+    model = MdpModel(n, m, transition, reward, 0.9)
+    return model, ObservationModel(k, likelihood), chain
+
+
+def check_two_sweeps_against_oracle(model, obs, chain, res):
+    """Two solver sweeps from zero against two oracle sweeps; returns the
+    solver's fallback points, or None where the solver must refuse."""
+    grid = build_simplex_grid(model.num_states, res)
+    values = np.zeros((model.num_states, grid.num_points))
+    for _ in range(2):
+        values, relaxed = lattice_sweep_by_definition(
+            model.transition, model.reward, model.discount, obs.likelihood,
+            chain, grid, values, 0.6, 0.4,
+        )
+    if not np.all(np.isfinite(values)):  # some pair has no usable action
+        with pytest.raises(EmptyAdmissibleSet):
+            solve_augmented_vi(model, obs, chain, 0.6, 0.4, resolution=res)
+        return None
+    result = solve_augmented_vi(
+        model, obs, chain, 0.6, 0.4, resolution=res, tol=1e-15, max_iter=2
+    )
+    assert result.iterations == 2
+    assert list(result.fallback_points) == relaxed
+    np.testing.assert_allclose(result.value.values, values, rtol=0.0, atol=1e-12)
+    return result.fallback_points
+
+
+def test_two_sweeps_match_oracle_at_fallback_points():
+    model, obs, chain = sparse_problem(13, 3, 2, 3)
+    assert len(check_two_sweeps_against_oracle(model, obs, chain, 3)) == 12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 3),
+    k=st.integers(1, 3),
+    res=st.integers(1, 3),
+)
+def test_two_sweeps_match_oracle_on_sparse_models(seed, n, m, k, res):
+    check_two_sweeps_against_oracle(*sparse_problem(seed, n, m, k), res)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    k=st.integers(2, 3),
+)
+def test_action_values_match_oracle_off_grid(seed, n, m, k):
+    model, obs, chain = sparse_problem(seed, n, m, k)
+    rng = np.random.default_rng(seed)
+    grid = build_simplex_grid(n, 5)
+    value = AugmentedValueFunction(
+        grid, rng.normal(size=(n, grid.num_points)), 0.6, 0.4
+    )
+    for _ in range(5):
+        x = int(rng.integers(n))
+        # a belief with exact zeros, its positive entries bounded away from zero
+        weights = rng.uniform(0.1, 1.0, size=n) * (rng.random(n) < 0.5)
+        weights[int(rng.integers(n))] = rng.uniform(0.1, 1.0)
+        o = weights / weights.sum()
+        expected = lattice_lookahead_by_definition(
+            model.transition, model.reward, model.discount, obs.likelihood,
+            chain, grid, value.values, 0.6, 0.4, x, o, relax=False,
+        )
+        got = action_values(model, obs, chain, value, x, o)
+        np.testing.assert_array_equal(np.isneginf(got), np.isneginf(expected))
+        finite = np.isfinite(expected)
+        np.testing.assert_allclose(got[finite], expected[finite], rtol=0.0, atol=1e-12)
+
+
+def test_lattice_6s_seed0_matches_recorded_values(tmp_path, monkeypatch):
+    # the benchmark's seeded 6-state model at the CLI's state cap, res 10
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    wl = workloads.WORKLOADS["lattice-6s"]
+    scn, _, _ = workloads.setup(wl, workloads.write_inputs(wl, 0, tmp_path))
+    result = workloads.solve_lattice(wl, scn)
+    reference = np.load(PERFBENCH / "reference" / "lattice-6s-seed0-values.npy")
+    assert result.converged
+    assert result.value.values.shape == reference.shape
+    assert np.max(np.abs(result.value.values - reference)) <= 1e-9
 
 
 def test_greedy_action_pure_reward_matches_nominal_policy():

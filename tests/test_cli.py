@@ -5,7 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from covertmdp import MdpModel, example1_model, nominal_value_iteration
+from covertmdp import (
+    MdpModel,
+    ObservationModel,
+    example1_model,
+    nominal_value_iteration,
+)
 from covertmdp.augmented import load_value_file
 from covertmdp.belief import save_observation_file
 from covertmdp.cli import main
@@ -125,6 +130,25 @@ def test_solve_augmented_refuses_large_state_spaces(capsys):
     assert main(["solve-augmented", "--model", "gridworld"]) == 1
     err = capsys.readouterr().err
     assert "refusing" in err and "receding-horizon" in err
+
+
+def test_solve_augmented_reports_fallback_points_without_verbose(tmp_path, capsys):
+    # The nominal action stays put, so the observer expects no motion. At
+    # state 1 with the observer sure of state 0 both actions can show the
+    # reading for state 1; the half-moving one survives the relaxed backup.
+    transition = np.zeros((2, 2, 2))
+    transition[:, :, 0] = np.eye(2)
+    transition[:, :, 1] = 0.5
+    model = MdpModel(2, 2, transition, np.array([[1.0, 0.0], [1.0, 0.0]]), 0.9)
+    save_model_file(model, tmp_path / "model.json")
+    save_observation_file(ObservationModel(2, np.eye(2)), tmp_path / "obs.json")
+    code = main([
+        "solve-augmented", "--model", str(tmp_path / "model.json"),
+        "--obs", str(tmp_path / "obs.json"), "--wa", "0.5", "--grid-res", "2",
+        "--out", str(tmp_path / "aug"),
+    ])
+    assert code == 0
+    assert "2 grid points had no admissible action" in capsys.readouterr().err
 
 
 def test_simulate_writes_traces_metadata_and_summary(tmp_path, capsys):
