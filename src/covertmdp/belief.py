@@ -273,10 +273,6 @@ class JointLaw:
             branch[g, y, xp], self.support,
         )
 
-    def exposure(self) -> float:
-        """Mean observer belief in the agent's true state."""
-        return float(np.sum(self.beliefs * self.mass))
-
 
 @dataclass(frozen=True)
 class AugmentedSupport:

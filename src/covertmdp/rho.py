@@ -9,11 +9,14 @@ in the true state) accumulated inside the horizon; an extra tail weight on
 exposure compensates for exposure beyond the horizon that the score cannot
 see.
 
-The joint distribution of (state, observer belief) stays finitely supported
-along any open-loop sequence, so all terms are exact finite sums. The
-planner shares work across sequences through their common prefixes and
-batches the per-belief filter algebra, which keeps replanning cheap enough
-to run inside a simulation loop on hundred-state models.
+The observer's filter never sees actions, so its belief after an
+observation history is the same under every action sequence. The planner
+therefore builds the observer's belief tree once per decision, one node per
+observation history that carries mass, and scores all action prefixes of a
+depth at once: each prefix carries its joint law of (history, state) as a
+row of one mass tensor. Every term is an exact finite sum, and the work per
+depth is a fixed handful of array operations however many sequences there
+are.
 """
 
 from __future__ import annotations
@@ -24,11 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import JointLaw, ObservationModel
-from .errors import NoAdmissibleSequence
+from .belief import ObservationModel, blocked_actions, emission_support, posterior_table
+from .errors import NoAdmissibleSequence, SizeOverflow
 from .mdp import MdpModel
 
 DEFAULT_HORIZON = 3
+
+# Cap on one depth's branch tensor (live prefixes x histories x
+# observations x states): 2**22 float64 entries are 32 MB.
+MAX_TREE_ENTRIES = 2**22
 
 
 @dataclass(frozen=True)
@@ -87,14 +94,21 @@ def plan(
     config: PlannerConfig,
     log_path: str | None = None,
 ) -> PlanResult:
-    """Exhaustively score admissible sequences, depth-first with shared
-    prefixes, and return the best (ties go to the lexicographically first,
-    with ``tied`` set when another sequence scored exactly the same).
+    """Score every admissible sequence on the observer's belief tree and
+    return the best (ties go to the lexicographically first, with ``tied``
+    set when another sequence scored exactly the same).
+
+    The tree is built one depth at a time: its nodes are the observation
+    histories that carry mass, with one batched :func:`posterior_table`
+    call per depth, and every live action prefix advances its mass tensor
+    ``mass[prefix, history, x]`` over them at once.
 
     When ``log_path`` is given, every scored sequence and every pruned
     prefix is appended to that file as one JSON object per line.
 
-    Raises :class:`NoAdmissibleSequence` when every sequence is pruned.
+    Raises :class:`NoAdmissibleSequence` when every sequence is pruned, and
+    :class:`SizeOverflow` before a depth's tensors would exceed
+    ``MAX_TREE_ENTRIES``.
     """
     if config.exposure_weight >= 0.0:
         hi = suggested_tail_weight_bound(config, model.discount)
@@ -108,72 +122,80 @@ def plan(
     n, num_u = model.num_states, model.num_actions
     horizon = config.horizon
     lam = model.discount
-    values = np.asarray(values, dtype=float)
     penalty_weight = config.exposure_weight + config.tail_exposure_weight
-    kernels = [model.transition[:, :, u] for u in range(num_u)]
+    q = obs.likelihood
+    support = emission_support(model, obs).reshape(num_u, -1)
+    kernels = model.transition.T  # kernels[u, x, x'] = p(x' | x, u)
 
-    best = {"objective": -np.inf, "result": None, "tied": False}
-    scored: list[SequenceScore] = []
-    pruned: list[tuple[tuple[int, ...], int]] = []
-
-    def descend(depth, law, marginal, r_inside, r_exposed, prefix):
-        if depth == horizon:
-            r_tail = lam ** horizon * float(values @ marginal)
-            objective = (
-                config.reward_weight * (r_inside + r_tail)
-                - penalty_weight * r_exposed
+    prefixes: list[tuple[int, ...]] = [()]
+    mass = np.zeros((1, 1, n))
+    mass[0, 0, x] = 1.0
+    marginal = mass[0].copy()
+    beliefs = np.asarray(o, dtype=float)[None, :]
+    r_inside = np.zeros(1)
+    r_exposed = np.zeros(1)
+    pruned: list[tuple[int, ...]] = []
+    for depth in range(horizon):
+        posteriors, _, open_y = posterior_table(pa, q, beliefs)
+        # ruled_out[p, x, y]: prefix p holds state x in a history whose
+        # belief rules out observation y (mass is nonnegative, so the float
+        # product is positive exactly where the boolean one is true)
+        ruled_out = mass.transpose(0, 2, 1) @ ~open_y > 0.0
+        blocked = blocked_actions(support, ruled_out.reshape(len(mass), -1).T).T
+        bad_p, bad_u = blocked.nonzero()
+        pruned += [prefixes[p] + (u,) for p, u in zip(bad_p.tolist(), bad_u.tolist())]
+        src, act = (~blocked).nonzero()
+        r_inside = r_inside[src] + lam ** depth * (marginal @ model.reward)[src, act]
+        r_exposed = r_exposed[src]
+        prefixes = [prefixes[p] + (u,) for p, u in zip(src.tolist(), act.tolist())]
+        # the open-loop state law one step on, summed over source states in
+        # index order, so each row equals its own matrix-vector product
+        marginal = (kernels[act] * marginal[src, :, None]).sum(axis=1)
+        if depth == horizon - 1 or not len(src):
+            break
+        entries = len(src) * posteriors.size  # the size of branch below
+        if entries > MAX_TREE_ENTRIES:
+            raise SizeOverflow(
+                f"horizon {horizon} needs {entries} tree entries at depth "
+                f"{depth + 1} (cap {MAX_TREE_ENTRIES}); lower the horizon"
             )
-            scored.append(
-                SequenceScore(prefix, r_inside, r_tail, r_exposed, objective)
-            )
-            if objective > best["objective"]:
-                best["objective"] = objective
-                best["result"] = (prefix, r_inside, r_tail, r_exposed)
-                best["tied"] = False
-            elif objective == best["objective"]:
-                best["tied"] = True
-            return
-        blocked = law.blocked()
-        for u in range(num_u):
-            if blocked[u]:
-                pruned.append((prefix, u))
-                continue
-            step_reward = lam ** depth * float(model.reward[:, u] @ marginal)
-            next_marginal = kernels[u] @ marginal
-            if depth < horizon - 1:
-                next_law = law.push(u)
-                step_exposed = lam ** (depth + 1) * next_law.exposure()
-            else:
-                next_law = law  # final action: the joint is not needed further
-                step_exposed = 0.0
-            descend(
-                depth + 1,
-                next_law,
-                next_marginal,
-                r_inside + step_reward,
-                r_exposed + step_exposed,
-                prefix + (u,),
-            )
-
-    marginal0 = np.zeros(n)
-    marginal0[x] = 1.0
-    descend(0, JointLaw.point(model, obs, pa, x, o), marginal0,
-            0.0, 0.0, ())
+        # branch[k, h, y, x']: the prefix reaches x' while emitting y after
+        # history h; observations a history rules out carry no mass
+        branch = (mass[src] @ kernels[act])[:, :, None, :] * q
+        branch[:, ~open_y] = 0.0
+        branch = branch.reshape(len(src), -1, n)
+        # keep only the histories some prefix reaches; the full tree has
+        # Y**depth nodes, most of them empty on sparse models
+        live = branch.any(axis=(0, 2))
+        mass = branch[:, live]
+        beliefs = posteriors.reshape(-1, n)[live]
+        exposed = (mass * beliefs).reshape(len(src), -1).sum(axis=1)
+        r_exposed += lam ** (depth + 1) * exposed
+    r_tail = lam ** horizon * (marginal @ np.asarray(values, dtype=float))
+    objective = config.reward_weight * (r_inside + r_tail) - penalty_weight * r_exposed
+    # empty unless some prefix survived to the full horizon
+    scored = [
+        SequenceScore(*terms)
+        for terms in zip(
+            prefixes, r_inside.tolist(), r_tail.tolist(), r_exposed.tolist(),
+            objective.tolist(),
+        )
+    ]
     if log_path is not None:
-        _write_plan_log(log_path, x, config, scored, pruned)
-    if best["result"] is None:
+        _write_plan_log(log_path, x, config, scored, sorted(pruned))
+    if not scored:
         raise NoAdmissibleSequence(
             f"no admissible action sequence of length {horizon} from state x={x}"
         )
-    prefix, r_inside, r_tail, r_exposed = best["result"]
+    best = scored[int(np.argmax(objective))]
     return PlanResult(
-        prefix,
-        best["objective"],
-        r_inside,
-        r_tail,
-        r_exposed,
+        best.actions,
+        best.objective,
+        best.reward_term,
+        best.tail_term,
+        best.detection_term,
         len(scored),
-        best["tied"],
+        int(np.count_nonzero(objective == best.objective)) > 1,
         tuple(scored),
     )
 
@@ -183,7 +205,7 @@ def _write_plan_log(
     x: int,
     config: PlannerConfig,
     scored: list[SequenceScore],
-    pruned: list[tuple[tuple[int, ...], int]],
+    pruned: list[tuple[int, ...]],
 ) -> None:
     with open(log_path, "a", encoding="utf-8") as fh:
         header = {
@@ -195,8 +217,8 @@ def _write_plan_log(
             "tail_exposure_weight": config.tail_exposure_weight,
         }
         fh.write(json.dumps(header) + "\n")
-        for prefix, u in pruned:
-            entry = {"event": "pruned", "prefix": list(prefix), "action": int(u)}
+        for seq in pruned:
+            entry = {"event": "pruned", "prefix": list(seq[:-1]), "action": seq[-1]}
             fh.write(json.dumps(entry) + "\n")
         for s in scored:
             entry = {

@@ -203,6 +203,42 @@ def admissible_by_definition(transition, likelihood, chain, x, belief):
     return allowed
 
 
+
+def pruned_prefixes_by_definition(
+    transition, likelihood, chain, x0, o0, horizon
+):
+    """Minimal action prefixes (length <= horizon) whose last action can emit
+    an observation the observer's predictive rules out, by path enumeration.
+
+    Enumerates the (state, belief) pairs each prefix reaches with positive
+    probability, carrying the posterior along each observation path, and
+    flags action u after a prefix when u is inadmissible by definition at
+    one of them. Prefixes that extend a flagged one are not visited.
+    """
+    n = len(o0)
+    num_obs = likelihood.shape[0]
+    num_u = transition.shape[2]
+    pruned = set()
+
+    def visit(prefix, pairs):
+        for u in range(num_u):
+            if any(
+                u not in admissible_by_definition(transition, likelihood, chain, x, o)
+                for x, o in pairs
+            ):
+                pruned.add(prefix + (u,))
+            elif len(prefix) + 1 < horizon:
+                visit(prefix + (u,), [
+                    (x_next, forward_filter_step(chain, likelihood, o, y))
+                    for x, o in pairs
+                    for x_next in range(n)
+                    for y in range(num_obs)
+                    if transition[x_next, x, u] * likelihood[y, x_next] > 0.0
+                ])
+
+    visit((), [(x0, np.asarray(o0, dtype=float))])
+    return pruned
+
 def lattice_lookahead_by_definition(
     transition, reward, discount, likelihood, chain, grid, values,
     reward_weight, exposure_weight, x, belief, relax,

@@ -292,6 +292,12 @@ def test_plan_verbose_log_is_idempotent(tmp_path):
     assert log.read_bytes() == first
 
 
+def test_plan_refuses_an_oversized_horizon(capsys):
+    assert main(["plan", "--model", "example1", "--horizon", "40"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "horizon 40" in err
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--model", "example1"])

@@ -2,6 +2,10 @@
 
 import itertools
 import json
+import os
+import tempfile
+import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +18,7 @@ from covertmdp import (
     ObservationModel,
     PlannerConfig,
     ProhibitedAction,
+    SizeOverflow,
     augmented_transition_support,
     example1_model,
     extract_nominal_policy,
@@ -24,9 +29,10 @@ from covertmdp import (
     uniform_belief,
 )
 from covertmdp.belief import JointLaw
-from covertmdp.rho import suggested_tail_weight_bound
+from covertmdp.rho import MAX_TREE_ENTRIES, suggested_tail_weight_bound
 
 from _oracles import (
+    pruned_prefixes_by_definition,
     random_sane_model,
     random_sparse_model,
     sequence_terms_by_path_enumeration,
@@ -232,6 +238,8 @@ def test_all_terms_match_path_enumeration_random_models(seed, n, m, k, horizon):
     # Sparse models prune sequences: the planner must score exactly those
     # along which every possible observation has a defined filter update,
     # and score each of them as brute-force path enumeration does.
+    # The logged pruned prefixes are exactly the minimal ones that can emit
+    # an observation the observer's predictive rules out.
     rng = np.random.default_rng(seed)
     transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
     model = MdpModel(n, m, transition, reward, 0.9)
@@ -240,10 +248,24 @@ def test_all_terms_match_path_enumeration_random_models(seed, n, m, k, horizon):
     x0 = int(rng.integers(n))
     o0 = rng.dirichlet(np.ones(n))
     cfg = PlannerConfig(horizon, 0.5, 0.5, 0.0)
-    try:
-        scores = scores_by_sequence(model, obs, chain, values, x0, o0, cfg)
-    except NoAdmissibleSequence:
-        scores = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        log = os.path.join(tmp, "plan_log.jsonl")
+        try:
+            scores = {
+                s.actions: s
+                for s in plan(model, obs, chain, values, x0, o0, cfg, log).sequences
+            }
+        except NoAdmissibleSequence:
+            scores = {}
+        with open(log, encoding="utf-8") as fh:
+            events = [json.loads(line) for line in fh]
+    pruned = [
+        tuple(e["prefix"]) + (e["action"],) for e in events if e["event"] == "pruned"
+    ]
+    assert pruned == sorted(pruned)
+    assert set(pruned) == pruned_prefixes_by_definition(
+        transition, likelihood, chain, x0, o0, horizon
+    )
     for seq in itertools.product(range(m), repeat=horizon):
         try:
             r1, r2, r3 = sequence_terms_by_path_enumeration(
@@ -289,7 +311,8 @@ def test_propagate_joint_deterministic_single_atom():
     law = JointLaw.point(model, obs, pa, 0, point_belief(2, 0)).push(0)
     np.testing.assert_allclose(law.beliefs, [[0.0, 1.0]], atol=1e-12)
     np.testing.assert_allclose(law.mass, [[0.0, 1.0]], atol=1e-12)
-    assert law.exposure() == pytest.approx(1.0, abs=1e-12)
+    # the observer's mean belief in the agent's true state
+    assert np.sum(law.beliefs * law.mass) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -399,18 +422,54 @@ def test_plan_pure_reward_recovers_nominal_policy():
             assert result.first_action == policy.actions[x]
 
 
-def test_plan_flags_all_zero_tie_and_returns_lowest_sequence():
-    # Single step, no reward weight: every admissible action scores exactly
-    # zero (no interior stages exist to expose), so the planner must flag the
-    # tie and return the lexicographically first choice.
+@pytest.mark.parametrize(
+    "horizon, exposure_weight", [(1, 1.0), (1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0)]
+)
+def test_plan_flags_all_zero_tie_and_returns_lowest_sequence(horizon, exposure_weight):
+    # No reward weight, and either a single step (no interior stages exist
+    # to expose) or no exposure weight: every admissible sequence scores
+    # exactly zero, so the planner must flag the tie and return the
+    # lexicographically first sequence.
     model, obs = smoothed_example1()
     pa, values, _ = nominal_setup(model)
-    cfg = PlannerConfig(1, 0.0, 1.0, 0.0)
+    cfg = PlannerConfig(horizon, 0.0, exposure_weight, 0.0)
     result = plan(model, obs, pa, values, 0, uniform_belief(3), cfg)
+    assert result.sequences_scored == 2**horizon
     assert result.objective == 0.0
     assert result.tied
-    assert result.actions == (0,)
-    assert result.detection_term == 0.0
+    assert result.actions == (0,) * horizon
+    if horizon == 1:
+        assert result.detection_term == 0.0
+
+
+def test_plan_unique_best_sequence_is_not_tied():
+    model, obs = smoothed_example1()
+    pa, values, _ = nominal_setup(model)
+    cfg = PlannerConfig(3, 0.5, 0.5, 0.0)
+    result = plan(model, obs, pa, values, 0, uniform_belief(3), cfg)
+    objectives = [score.objective for score in result.sequences]
+    assert objectives.count(max(objectives)) == 1
+    assert not result.tied
+
+
+def test_plan_refuses_a_tree_beyond_the_size_cap():
+    # 2**39 sequences over 3**39 observation histories: the guard must
+    # refuse before the depth whose tensors would pass the cap is built.
+    model, obs = example1_model()
+    pa, values, _ = nominal_setup(model)
+    cfg = PlannerConfig(40, 0.5, 0.5, 0.0)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(SizeOverflow, match="horizon 40"):
+            plan(model, obs, pa, values, 0, uniform_belief(3), cfg)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    # a few tensors at most the cap's size are alive at once
+    assert peak < 3 * 8 * MAX_TREE_ENTRIES
 
 
 def test_plan_raises_when_everything_is_pruned():

@@ -15,6 +15,7 @@ from covertmdp import (
     PlannerConfig,
     ProhibitedAction,
     RecedingHorizonController,
+    SizeOverflow,
     aggregate_runs,
     bayes_update,
     desk_gridworld,
@@ -277,6 +278,18 @@ def test_receding_horizon_falls_back_to_shorter_horizons():
     with pytest.raises(NoAdmissibleSequence):
         plan(model, obs, pa, values, 20, trace.beliefs[15], ctrl.config)
     assert trace.num_steps == 17
+
+
+def test_receding_horizon_does_not_fall_back_on_size_overflow():
+    # Only NoAdmissibleSequence triggers the shorter-horizon fallback; a
+    # refused tree reaches the caller.
+    model, obs = example1_model()
+    pa, values, _ = nominal_setup(model)
+    ctrl = RecedingHorizonController(
+        model, obs, pa, values, PlannerConfig(40, 0.5, 0.5, 0.0)
+    )
+    with pytest.raises(SizeOverflow, match="horizon 40"):
+        ctrl.decide(0, uniform_belief(3))
 
 
 def test_controller_ids_describe_the_configuration():
