@@ -84,6 +84,148 @@ def suggested_tail_weight_bound(config: PlannerConfig, discount: float) -> float
     return dn / (1.0 - dn) * config.exposure_weight
 
 
+class _Node:
+    """One node of a :class:`PlanMemo`: the action prefixes alive at one
+    depth for one pruning history, with everything about them that does not
+    depend on the observer's belief.
+
+    ``src`` maps each prefix to the prefix it extends at the depth before,
+    and ``live`` picks this depth's histories out of the previous depth's
+    (history, observation) pairs. An inner node holds the prefixes' mass
+    over (history, state) and ``reach[(prefix, u), (history, y)]``: action
+    ``u`` after the prefix can make the agent emit ``y`` after the history.
+    A leaf (the full horizon, or no prefix left) holds the terms of its
+    scored sequences instead.
+    """
+
+    __slots__ = (
+        "prefixes", "pruned", "src", "r_inside", "marginal", "live", "mass",
+        "reach", "inside_terms", "tail_terms", "r_total", "children",
+    )
+
+    def __init__(self, prefixes, pruned, src, r_inside, marginal):
+        self.prefixes = prefixes
+        self.pruned = pruned
+        self.src = src
+        self.r_inside = r_inside
+        self.marginal = marginal
+        self.live = self.mass = self.reach = None
+        self.inside_terms = self.tail_terms = self.r_total = None
+        self.children: dict[bytes, _Node] = {}
+
+    def nbytes(self) -> int:
+        arrays = (
+            self.src, self.r_inside, self.marginal, self.live, self.mass,
+            self.reach, self.r_total,
+        )
+        return sum(a.nbytes for a in arrays if a is not None)
+
+
+class PlanMemo:
+    """The belief-independent half of :func:`plan`, kept across calls.
+
+    At each depth, only the node beliefs, the observations they rule out
+    and so the pruned prefixes depend on the observer's belief ``o``. The
+    prefixes, their mass over (history, state), the in-horizon reward, the
+    open-loop state law and the terminal tail depend only on the start
+    state, the horizon and which prefixes earlier depths pruned. The memo
+    keeps them in a trie: roots are keyed by ``(x, horizon)`` and each
+    node's children by the bytes of that depth's ``blocked`` table. Its
+    arrays take at most as many bytes as ``MAX_TREE_ENTRIES`` float64
+    entries; an insert past that clears it.
+
+    A memo serves one ``(model, obs, values)``; :func:`plan` refuses it for
+    others.
+    """
+
+    def __init__(self, model: MdpModel, obs: ObservationModel, values: np.ndarray):
+        self.model = model
+        self.obs = obs
+        self.values = np.asarray(values, dtype=float)
+        self.support = emission_support(model, obs)
+        self.roots: dict[tuple[int, int], _Node] = {}
+        self.nbytes = 0
+
+    def serves(self, model: MdpModel, obs: ObservationModel, values) -> bool:
+        return model is self.model and obs is self.obs and (
+            values is self.values or np.array_equal(values, self.values)
+        )
+
+    def root(self, x: int, horizon: int) -> _Node:
+        node = self.roots.get((x, horizon))
+        if node is None:
+            mass = np.zeros((1, 1, self.model.num_states))
+            mass[0, 0, x] = 1.0
+            node = _Node([()], [], None, np.zeros(1), mass[0].copy())
+            self._hold(node, None, mass)
+            self._insert(self.roots, (x, horizon), node)
+        return node
+
+    def child(
+        self, node: _Node, blocked: np.ndarray, depth: int, horizon: int
+    ) -> _Node:
+        """The node that ``blocked[prefix, u]`` leads to from ``node`` at
+        ``depth``; raises :class:`SizeOverflow` before building a mass
+        tensor beyond ``MAX_TREE_ENTRIES``."""
+        key = blocked.tobytes()
+        found = node.children.get(key)
+        if found is not None:
+            return found
+        model, lam = self.model, self.model.discount
+        kernels = model.transition.T  # kernels[u, x, x'] = p(x' | x, u)
+        bad_p, bad_u = blocked.nonzero()
+        prefixes = node.prefixes
+        pruned = [prefixes[p] + (u,) for p, u in zip(bad_p.tolist(), bad_u.tolist())]
+        src, act = (~blocked).nonzero()
+        stage = (node.marginal @ model.reward)[src, act]
+        r_inside = node.r_inside[src] + lam ** depth * stage
+        prefixes = [prefixes[p] + (u,) for p, u in zip(src.tolist(), act.tolist())]
+        # the open-loop state law one step on, summed over source states in
+        # index order, so each row equals its own matrix-vector product
+        marginal = (kernels[act] * node.marginal[src, :, None]).sum(axis=1)
+        new = _Node(prefixes, pruned, src, r_inside, marginal)
+        if depth == horizon - 1 or not len(src):
+            r_tail = lam ** horizon * (marginal @ self.values)
+            new.inside_terms, new.tail_terms = r_inside.tolist(), r_tail.tolist()
+            new.r_total = r_inside + r_tail
+        else:
+            q = self.obs.likelihood
+            entries = len(src) * node.mass.shape[1] * q.size  # the size of branch below
+            if entries > MAX_TREE_ENTRIES:
+                raise SizeOverflow(
+                    f"horizon {horizon} needs {entries} tree entries at depth "
+                    f"{depth + 1} (cap {MAX_TREE_ENTRIES}); lower the horizon"
+                )
+            # branch[k, h, y, x']: the prefix reaches x' while emitting y
+            # after history h
+            branch = (node.mass[src] @ kernels[act])[:, :, None, :] * q
+            branch = branch.reshape(len(src), -1, model.num_states)
+            # keep only the histories some prefix reaches; the full tree has
+            # Y**depth nodes, most of them empty on sparse models
+            live = branch.any(axis=(0, 2)).nonzero()[0]
+            self._hold(new, live, branch[:, live])
+        self._insert(node.children, key, new)
+        return new
+
+    def _hold(self, node: _Node, live, mass: np.ndarray) -> None:
+        node.live, node.mass = live, mass
+        # counts of emitting (state, action) pairs, positive exactly where
+        # the boolean product is true; as floats the contraction runs in BLAS
+        reach = np.einsum(
+            "phx,uxy->puhy", (mass > 0.0).astype(float), self.support.astype(float),
+            optimize=True,
+        ) > 0.0
+        node.reach = reach.reshape(reach.shape[0] * reach.shape[1], -1)
+
+    def _insert(self, table: dict, key, node: _Node) -> None:
+        size = node.nbytes()
+        if self.nbytes + size > MAX_TREE_ENTRIES * 8:
+            self.roots.clear()
+            self.nbytes = 0
+        table[key] = node
+        self.nbytes += size
+
+
 def plan(
     model: MdpModel,
     obs: ObservationModel,
@@ -93,6 +235,8 @@ def plan(
     o: np.ndarray,
     config: PlannerConfig,
     log_path: str | None = None,
+    *,
+    memo: PlanMemo | None = None,
 ) -> PlanResult:
     """Score every admissible sequence on the observer's belief tree and
     return the best (ties go to the lexicographically first, with ``tied``
@@ -101,7 +245,10 @@ def plan(
     The tree is built one depth at a time: its nodes are the observation
     histories that carry mass, with one batched :func:`posterior_table`
     call per depth, and every live action prefix advances its mass tensor
-    ``mass[prefix, history, x]`` over them at once.
+    ``mass[prefix, history, x]`` over them at once. Only the beliefs and
+    what they rule out are computed per call; the rest comes from ``memo``
+    (a :class:`PlanMemo` for the same model, sensor and values), or from a
+    fresh one when none is given.
 
     When ``log_path`` is given, every scored sequence and every pruned
     prefix is appended to that file as one JSON object per line.
@@ -119,65 +266,47 @@ def plan(
                 RuntimeWarning,
                 stacklevel=2,
             )
-    n, num_u = model.num_states, model.num_actions
+    if memo is None:
+        memo = PlanMemo(model, obs, values)
+    elif not memo.serves(model, obs, values):
+        raise ValueError("memo was built for another model, sensor or value function")
+    n = model.num_states
     horizon = config.horizon
     lam = model.discount
     penalty_weight = config.exposure_weight + config.tail_exposure_weight
     q = obs.likelihood
-    support = emission_support(model, obs).reshape(num_u, -1)
-    kernels = model.transition.T  # kernels[u, x, x'] = p(x' | x, u)
 
-    prefixes: list[tuple[int, ...]] = [()]
-    mass = np.zeros((1, 1, n))
-    mass[0, 0, x] = 1.0
-    marginal = mass[0].copy()
+    node = memo.root(x, horizon)
     beliefs = np.asarray(o, dtype=float)[None, :]
-    r_inside = np.zeros(1)
     r_exposed = np.zeros(1)
     pruned: list[tuple[int, ...]] = []
+    # True while every history is occupied. A history reached through an
+    # observation its parent rules out carries memoized mass (only where an
+    # emission probability is at most EPS_ZERO) but is unoccupied: its
+    # posterior row is zero, so it adds no exposure, and its ruled-out row
+    # is cleared, so it blocks nothing
+    occupied = True
     for depth in range(horizon):
         posteriors, _, open_y = posterior_table(pa, q, beliefs)
-        # ruled_out[p, x, y]: prefix p holds state x in a history whose
-        # belief rules out observation y (mass is nonnegative, so the float
-        # product is positive exactly where the boolean one is true)
-        ruled_out = mass.transpose(0, 2, 1) @ ~open_y > 0.0
-        blocked = blocked_actions(support, ruled_out.reshape(len(mass), -1).T).T
-        bad_p, bad_u = blocked.nonzero()
-        pruned += [prefixes[p] + (u,) for p, u in zip(bad_p.tolist(), bad_u.tolist())]
-        src, act = (~blocked).nonzero()
-        r_inside = r_inside[src] + lam ** depth * (marginal @ model.reward)[src, act]
-        r_exposed = r_exposed[src]
-        prefixes = [prefixes[p] + (u,) for p, u in zip(src.tolist(), act.tolist())]
-        # the open-loop state law one step on, summed over source states in
-        # index order, so each row equals its own matrix-vector product
-        marginal = (kernels[act] * marginal[src, :, None]).sum(axis=1)
-        if depth == horizon - 1 or not len(src):
+        ruled_out = ~open_y
+        if not occupied:
+            ruled_out &= open_y.any(axis=1)[:, None]
+        blocked = blocked_actions(node.reach, ruled_out.ravel())
+        node = memo.child(node, blocked.reshape(len(node.mass), -1), depth, horizon)
+        pruned += node.pruned
+        r_exposed = r_exposed[node.src]
+        if node.mass is None:
             break
-        entries = len(src) * posteriors.size  # the size of branch below
-        if entries > MAX_TREE_ENTRIES:
-            raise SizeOverflow(
-                f"horizon {horizon} needs {entries} tree entries at depth "
-                f"{depth + 1} (cap {MAX_TREE_ENTRIES}); lower the horizon"
-            )
-        # branch[k, h, y, x']: the prefix reaches x' while emitting y after
-        # history h; observations a history rules out carry no mass
-        branch = (mass[src] @ kernels[act])[:, :, None, :] * q
-        branch[:, ~open_y] = 0.0
-        branch = branch.reshape(len(src), -1, n)
-        # keep only the histories some prefix reaches; the full tree has
-        # Y**depth nodes, most of them empty on sparse models
-        live = branch.any(axis=(0, 2))
-        mass = branch[:, live]
-        beliefs = posteriors.reshape(-1, n)[live]
-        exposed = (mass * beliefs).reshape(len(src), -1).sum(axis=1)
+        occupied = occupied and not ruled_out.any()
+        beliefs = posteriors.reshape(-1, n)[node.live]
+        exposed = (node.mass * beliefs).reshape(len(node.mass), -1).sum(axis=1)
         r_exposed += lam ** (depth + 1) * exposed
-    r_tail = lam ** horizon * (marginal @ np.asarray(values, dtype=float))
-    objective = config.reward_weight * (r_inside + r_tail) - penalty_weight * r_exposed
+    objective = config.reward_weight * node.r_total - penalty_weight * r_exposed
     # empty unless some prefix survived to the full horizon
     scored = [
         SequenceScore(*terms)
         for terms in zip(
-            prefixes, r_inside.tolist(), r_tail.tolist(), r_exposed.tolist(),
+            node.prefixes, node.inside_terms, node.tail_terms, r_exposed.tolist(),
             objective.tolist(),
         )
     ]

@@ -32,7 +32,7 @@ from .errors import (
     ProhibitedAction,
 )
 from .mdp import MdpModel, Policy, _readonly
-from .rho import PlannerConfig, plan
+from .rho import PlanMemo, PlannerConfig, plan
 
 
 def rng_for_run(seed_base: int, run_index: int) -> np.random.Generator:
@@ -107,6 +107,8 @@ class RecedingHorizonController:
         self.pa = pa
         self.values = np.asarray(values, dtype=float)
         self.config = config
+        # shared by the fallback horizons, which the memo keys its roots by
+        self.memo = PlanMemo(model, obs, self.values)
         self.controller_id = (
             f"receding-horizon(N={config.horizon},wn={config.reward_weight!r},"
             f"wa={config.exposure_weight!r},wap={config.tail_exposure_weight!r})"
@@ -120,7 +122,8 @@ class RecedingHorizonController:
         while True:
             try:
                 return plan(
-                    self.model, self.obs, self.pa, self.values, x, o, config
+                    self.model, self.obs, self.pa, self.values, x, o, config,
+                    memo=self.memo,
                 ).first_action
             except NoAdmissibleSequence:
                 if config.horizon == 1:

@@ -150,7 +150,7 @@ def test_posterior_table_matches_single_updates():
             np.testing.assert_array_equal(b_open[g], one[2])
 
 
-def test_ego_observation_table_matches_loops():
+def test_emission_support_matches_loops():
     rng = np.random.default_rng(5)
     transition, reward, likelihood, _ = random_sparse_model(rng, 4, 3, 3)
     model = MdpModel(4, 3, transition, reward, 0.9)
@@ -184,7 +184,7 @@ def two_state_trap_setup():
     return model, obs, pa
 
 
-def test_prohibited_actions_flags_surprising_move():
+def test_admissible_actions_flags_surprising_move():
     model, obs, pa = two_state_trap_setup()
     o = point_belief(2, 0)
     assert admissible_actions(model, obs, pa, 0, o) == [0]
@@ -263,7 +263,7 @@ def test_support_raises_on_prohibited_action():
     assert "u=1" in msg and "x=0" in msg and "y=1" in msg
 
 
-def test_merge_atoms_sums_duplicate_pairs():
+def test_joint_law_from_atoms_sums_duplicate_pairs():
     model, obs, pa = two_state_trap_setup()
     states = np.array([0, 0, 1])
     beliefs = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
@@ -273,7 +273,7 @@ def test_merge_atoms_sums_duplicate_pairs():
     np.testing.assert_allclose(law.mass, [[0.5, 0.5]])
 
 
-def test_merge_atoms_distinguishes_separated_beliefs():
+def test_joint_law_from_atoms_distinguishes_separated_beliefs():
     model, obs, pa = two_state_trap_setup()
     states = np.array([0, 0, 0])
     beliefs = np.array(

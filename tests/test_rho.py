@@ -7,6 +7,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ from covertmdp import (
     uniform_belief,
 )
 from covertmdp.belief import JointLaw
-from covertmdp.rho import MAX_TREE_ENTRIES, suggested_tail_weight_bound
+from covertmdp import rho
+from covertmdp.rho import MAX_TREE_ENTRIES, PlanMemo, suggested_tail_weight_bound
 
 from _oracles import (
     pruned_prefixes_by_definition,
@@ -79,7 +81,7 @@ def deterministic_cycle():
 # open-loop reward
 
 
-def test_open_loop_reward_constant_reward_closed_form():
+def test_plan_reward_term_constant_reward_closed_form():
     model, obs = example1_model()
     flat = MdpModel(
         model.num_states,
@@ -97,7 +99,7 @@ def test_open_loop_reward_constant_reward_closed_form():
         assert abs(scores[(0,) * length].reward_term - expected) < 1e-12
 
 
-def test_open_loop_reward_single_action_is_stage_reward():
+def test_plan_reward_term_single_action_is_stage_reward():
     model, obs = example1_model()
     pa, values, _ = nominal_setup(model)
     cfg = PlannerConfig(1, 1.0, 0.0, 0.0)
@@ -107,7 +109,7 @@ def test_open_loop_reward_single_action_is_stage_reward():
             assert scores[(u,)].reward_term == model.reward[x, u]
 
 
-def test_open_loop_reward_matches_monte_carlo():
+def test_plan_reward_term_matches_monte_carlo():
     model, obs = example1_model()
     pa, values, _ = nominal_setup(model)
     rng = np.random.default_rng(42)
@@ -128,7 +130,7 @@ def test_open_loop_reward_matches_monte_carlo():
     assert abs(totals.mean() - exact) < 5.0 * stderr + 1e-6
 
 
-def test_terminal_tail_value_deterministic_and_constant_cases():
+def test_plan_tail_term_deterministic_and_constant_cases():
     # Deterministic two-state cycle: the endpoint is known exactly.
     model, obs, pa = deterministic_cycle()
     values = np.array([3.0, 7.0])
@@ -149,7 +151,7 @@ def test_terminal_tail_value_deterministic_and_constant_cases():
         assert abs(score.tail_term - ex1.discount**3 * 2.5) < 1e-12
 
 
-def test_detection_exposure_single_action_is_zero():
+def test_plan_detection_term_single_action_is_zero():
     model, obs = smoothed_example1()
     pa, values, _ = nominal_setup(model)
     cfg = PlannerConfig(1, 0.5, 0.5, 0.0)
@@ -160,7 +162,7 @@ def test_detection_exposure_single_action_is_zero():
             assert score.detection_term == 0.0
 
 
-def test_detection_exposure_perfect_tracking_closed_form():
+def test_plan_detection_term_perfect_tracking_closed_form():
     # Each counted stage of the pinned cycle pays exposure 1.
     model, obs, pa = deterministic_cycle()
     lam = model.discount
@@ -173,7 +175,7 @@ def test_detection_exposure_perfect_tracking_closed_form():
         assert abs(scores[(0,) * length].detection_term - expected) < 1e-12
 
 
-def test_detection_exposure_matches_monte_carlo():
+def test_plan_detection_term_matches_monte_carlo():
     model, obs = smoothed_example1()
     pa, values, _ = nominal_setup(model)
     o0 = uniform_belief(3)
@@ -281,7 +283,7 @@ def test_all_terms_match_path_enumeration_random_models(seed, n, m, k, horizon):
         assert abs(score.detection_term - r3) < 1e-10
 
 
-def test_sequence_objective_is_the_stated_combination():
+def test_plan_objective_is_the_stated_combination():
     model, obs = smoothed_example1()
     pa, values, _ = nominal_setup(model)
     o0 = uniform_belief(3)
@@ -301,7 +303,7 @@ def test_sequence_objective_is_the_stated_combination():
 # joint law propagation
 
 
-def test_propagate_joint_deterministic_single_atom():
+def test_joint_law_push_deterministic_single_atom():
     transition = np.zeros((2, 2, 1))
     transition[1, 0, 0] = 1.0
     transition[1, 1, 0] = 1.0
@@ -322,7 +324,7 @@ def test_propagate_joint_deterministic_single_atom():
     m=st.integers(1, 3),
     k=st.integers(2, 4),
 )
-def test_propagate_joint_conserves_mass_and_state_marginal(seed, n, m, k):
+def test_joint_law_push_conserves_mass_and_state_marginal(seed, n, m, k):
     rng = np.random.default_rng(seed)
     transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
     model = MdpModel(n, m, transition, reward, 0.9)
@@ -358,7 +360,7 @@ def two_state_trap():
     return model, obs, pa
 
 
-def test_propagate_joint_raises_with_atom_coordinates():
+def test_augmented_transition_support_raises_with_atom_coordinates():
     model, obs, pa = two_state_trap()
     law = JointLaw.point(model, obs, pa, 0, point_belief(2, 0))
     assert law.blocked().tolist() == [False, True]
@@ -527,3 +529,166 @@ def test_plan_log_records_scored_and_pruned_events(tmp_path):
     assert abs(scored[0]["objective"] - result.objective) < 1e-15
     # the jump action is pruned both at the root and after one stay
     assert {tuple(e["prefix"]) + (e["action"],) for e in pruned} == {(1,), (0, 1)}
+
+
+# ---------------------------------------------------------------------------
+# histories through ruled-out observations, and the memo
+
+
+def tiny_likelihood_model():
+    """Three states; state 1 reads 2 with probability 1e-13.
+
+    An observer with no mass on state 2 rules reading 2 out. Actions 0 and
+    1 still stay admissible (their chance of reading 2 is below EPS_ZERO),
+    so the belief tree reaches a history through an observation its parent
+    rules out, carrying about 1e-13 of mass. Action 2 is always pruned."""
+    transition = np.zeros((3, 3, 3))
+    transition[0, :, 0] = 0.5
+    transition[1, :, 0] = 0.5
+    transition[0, :, 1] = 0.1
+    transition[1, :, 1] = 0.9
+    transition[2, :, 2] = 1.0
+    reward = np.array([[1.0, 0.3, 0.0], [0.5, 0.9, 0.2], [0.0, 0.1, 0.9]])
+    model = MdpModel(3, 3, transition, reward, 0.9)
+    likelihood = np.array(
+        [[0.6, 0.0, 0.3], [0.4, 1.0 - 1e-13, 0.2], [0.0, 1e-13, 0.5]]
+    )
+    pa = np.array([[0.5, 0.5, 0.5], [0.5, 0.5, 0.0], [0.0, 0.0, 0.5]])
+    values = np.array([2.0, 1.0, 0.5])
+    return model, ObservationModel(3, likelihood), pa, values
+
+
+# (actions, reward, tail, detection, objective) of every scored sequence and
+# the pruned log from state 0 under belief (0.5, 0.5, 0), as printed by the
+# planner when it zeroed the mass of ruled-out observations in its branch
+# tensor instead of leaving their histories unoccupied
+TINY_RECORDED = {
+    2: (
+        [
+            ((0, 0), 1.675, 1.215, 0.6428571428571053, 1.1235714285714473),
+            ((0, 1), 1.54, 0.8910000000000001, 0.6428571428571053, 0.8940714285714474),
+            ((1, 0), 0.795, 1.215, 0.6428571428570693, 0.6835714285714655),
+            ((1, 1), 1.056, 0.8910000000000001, 0.6428571428570693, 0.6520714285714654),
+        ],
+        [(0, 2), (1, 2), (2,)],
+    ),
+    3: (
+        [
+            ((0, 0, 0), 2.2825, 1.0935000000000001, 1.2214285714284712, 1.0772857142857646),
+            ((0, 0, 1), 2.161, 0.8019000000000002, 1.2214285714284712, 0.8707357142857646),
+            ((0, 1, 0), 1.9855, 1.0935000000000001, 1.2214285714284387, 0.9287857142857807),
+            ((0, 1, 1), 2.2204, 0.8019000000000002, 1.2214285714284387, 0.9004357142857808),
+            ((1, 0, 0), 1.4025, 1.0935000000000001, 1.221428571428412, 0.6372857142857942),
+            ((1, 0, 1), 1.2810000000000001, 0.8019000000000002, 1.221428571428412, 0.43073571428579416),
+            ((1, 1, 0), 1.5015, 1.0935000000000001, 1.2214285714283797, 0.6867857142858103),
+            ((1, 1, 1), 1.7364000000000002, 0.8019000000000002, 1.2214285714283797, 0.6584357142858104),
+        ],
+        [(0, 0, 2), (0, 1, 2), (0, 2), (1, 0, 2), (1, 1, 2), (1, 2), (2,)],
+    ),
+}
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+def test_plan_histories_through_ruled_out_observations_block_nothing(horizon, tmp_path):
+    # Such a history holds no belief: left with an all-zero one it would
+    # rule out every observation at the next depth and prune every prefix
+    # that reaches it.
+    model, obs, pa, values = tiny_likelihood_model()
+    log = tmp_path / "plan_log.jsonl"
+    cfg = PlannerConfig(horizon, 0.5, 0.5, 0.0)
+    result = plan(model, obs, pa, values, 0, np.array([0.5, 0.5, 0.0]), cfg, str(log))
+    expected, expected_pruned = TINY_RECORDED[horizon]
+    assert [s.actions for s in result.sequences] == [e[0] for e in expected]
+    for score, (_, *terms) in zip(result.sequences, expected):
+        got = [score.reward_term, score.tail_term, score.detection_term, score.objective]
+        assert got == pytest.approx(terms, rel=1e-14, abs=0.0)
+    events = [json.loads(line) for line in log.read_text().splitlines()]
+    pruned = [tuple(e["prefix"]) + (e["action"],) for e in events if e["event"] == "pruned"]
+    assert pruned == expected_pruned
+
+
+def outcomes(model, obs, pa, values, calls, log, memo=None):
+    """repr of every call's PlanResult, or its exception's type and message;
+    each call appends to the plan log ``log``."""
+    kwargs = {} if memo is None else {"memo": memo}
+    out = []
+    for x, o, cfg in calls:
+        try:
+            out.append(repr(plan(model, obs, pa, values, x, o, cfg, str(log), **kwargs)))
+        except (NoAdmissibleSequence, SizeOverflow) as err:
+            out.append((type(err).__name__, str(err)))
+    return out
+
+
+def random_calls(rng, n, count):
+    """Planner calls from random states, beliefs with exact zeros and
+    horizons 1-4; few states, so calls share the memo's roots."""
+    calls = []
+    for _ in range(count):
+        x = int(rng.integers(n))
+        o = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+        if o.sum() == 0.0:
+            o[x] = 1.0
+        cfg = PlannerConfig(int(rng.integers(1, 5)), float(rng.random()), float(rng.random()), 0.0)
+        calls.append((x, o / o.sum(), cfg))
+    return calls
+
+
+def assert_memo_matches_fresh(model, obs, pa, values, calls, tmp):
+    memo = PlanMemo(model, obs, values)
+    shared = outcomes(model, obs, pa, values, calls, tmp / "shared.jsonl", memo)
+    fresh = outcomes(model, obs, pa, values, calls, tmp / "fresh.jsonl")
+    assert shared == fresh
+    assert (tmp / "shared.jsonl").read_bytes() == (tmp / "fresh.jsonl").read_bytes()
+    return memo, shared
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    k=st.integers(2, 3),
+    tiny=st.booleans(),
+)
+def test_shared_memo_plans_like_a_fresh_one(seed, n, m, k, tiny):
+    # Bitwise: the memo only stores what a fresh call would compute.
+    rng = np.random.default_rng(seed)
+    if tiny:
+        model, obs, pa, values = tiny_likelihood_model()
+    else:
+        transition, reward, likelihood, pa = random_sparse_model(rng, n, m, k)
+        model = MdpModel(n, m, transition, reward, 0.9)
+        obs = ObservationModel(k, likelihood)
+        values = rng.uniform(0.0, 5.0, size=n)
+    calls = random_calls(rng, model.num_states, 12)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_memo_matches_fresh(model, obs, pa, values, calls, Path(tmp))
+
+
+def test_memo_clears_when_full_and_still_plans_like_a_fresh_one(monkeypatch, tmp_path):
+    # A cap of 200 entries refuses horizon 4 on example1 and leaves room for
+    # a few nodes only, so inserts keep clearing the memo.
+    monkeypatch.setattr(rho, "MAX_TREE_ENTRIES", 200)
+    model, obs = smoothed_example1()
+    pa, values, _ = nominal_setup(model)
+    calls = random_calls(np.random.default_rng(3), 3, 60)
+    sizes = []
+    memo = PlanMemo(model, obs, values)
+    for call in calls:
+        outcomes(model, obs, pa, values, [call], tmp_path / "probe.jsonl", memo)
+        sizes.append(memo.nbytes)
+    assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was cleared
+    _, shared = assert_memo_matches_fresh(model, obs, pa, values, calls, tmp_path)
+    assert any(out[0] == "SizeOverflow" for out in shared if isinstance(out, tuple))
+
+
+def test_plan_refuses_a_memo_built_for_another_model():
+    model, obs = smoothed_example1()
+    pa, values, _ = nominal_setup(model)
+    memo = PlanMemo(model, obs, values)
+    other, other_obs = example1_model()
+    with pytest.raises(ValueError, match="memo"):
+        plan(other, other_obs, pa, values, 0, uniform_belief(3), PlannerConfig(2), memo=memo)
+    with pytest.raises(ValueError, match="memo"):
+        plan(model, obs, pa, values + 1.0, 0, uniform_belief(3), PlannerConfig(2), memo=memo)

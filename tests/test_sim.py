@@ -278,6 +278,19 @@ def test_receding_horizon_falls_back_to_shorter_horizons():
     with pytest.raises(NoAdmissibleSequence):
         plan(model, obs, pa, values, 20, trace.beliefs[15], ctrl.config)
     assert trace.num_steps == 17
+    # The controller's one memo served horizon 3 and the fallback horizons,
+    # and it chose what a fresh plan with the same fallback chooses.
+    assert {horizon for _, horizon in ctrl.memo.roots} > {3}
+    for t in range(trace.num_steps):
+        x, o = int(trace.states[t]), trace.beliefs[t]
+        for horizon in (3, 2, 1):
+            cfg = PlannerConfig(horizon, 0.5, 0.5, 0.0)
+            try:
+                first = plan(model, obs, pa, values, x, o, cfg).first_action
+                break
+            except NoAdmissibleSequence:
+                continue
+        assert trace.actions[t] == first
 
 
 def test_receding_horizon_does_not_fall_back_on_size_overflow():
