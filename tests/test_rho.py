@@ -130,7 +130,7 @@ def test_plan_reward_term_matches_monte_carlo():
     assert abs(totals.mean() - exact) < 5.0 * stderr + 1e-6
 
 
-def test_plan_tail_term_deterministic_and_constant_cases():
+def test_terminal_tail_value_deterministic_and_constant_cases():
     # Deterministic two-state cycle: the endpoint is known exactly.
     model, obs, pa = deterministic_cycle()
     values = np.array([3.0, 7.0])
@@ -283,7 +283,7 @@ def test_all_terms_match_path_enumeration_random_models(seed, n, m, k, horizon):
         assert abs(score.detection_term - r3) < 1e-10
 
 
-def test_plan_objective_is_the_stated_combination():
+def test_sequence_objective_is_the_stated_combination():
     model, obs = smoothed_example1()
     pa, values, _ = nominal_setup(model)
     o0 = uniform_belief(3)
@@ -303,7 +303,7 @@ def test_plan_objective_is_the_stated_combination():
 # joint law propagation
 
 
-def test_joint_law_push_deterministic_single_atom():
+def test_propagate_joint_deterministic_single_atom():
     transition = np.zeros((2, 2, 1))
     transition[1, 0, 0] = 1.0
     transition[1, 1, 0] = 1.0
@@ -324,7 +324,7 @@ def test_joint_law_push_deterministic_single_atom():
     m=st.integers(1, 3),
     k=st.integers(2, 4),
 )
-def test_joint_law_push_conserves_mass_and_state_marginal(seed, n, m, k):
+def test_propagate_joint_conserves_mass_and_state_marginal(seed, n, m, k):
     rng = np.random.default_rng(seed)
     transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
     model = MdpModel(n, m, transition, reward, 0.9)
@@ -360,7 +360,7 @@ def two_state_trap():
     return model, obs, pa
 
 
-def test_augmented_transition_support_raises_with_atom_coordinates():
+def test_propagate_joint_raises_with_atom_coordinates():
     model, obs, pa = two_state_trap()
     law = JointLaw.point(model, obs, pa, 0, point_belief(2, 0))
     assert law.blocked().tolist() == [False, True]
