@@ -7,6 +7,12 @@ and the likelihood table. An action of the controlled agent is *prohibited*
 at ``(x, o)`` when it could generate an observation to which the observer's
 one-step predictive assigns (numerically) zero probability; such an
 observation would make the filter update undefined and reveal the deviation.
+
+As the filter is action-blind, the observer's belief is a function of the
+observation history alone, so the joint law of (agent state, belief) is mass
+over (history, state). :func:`joint_step` is its one propagation routine:
+the planner rolls it over the horizon, and
+:func:`augmented_transition_support` is one step of it from a point law.
 """
 
 from __future__ import annotations
@@ -24,11 +30,6 @@ from .mdp import MdpModel, _readonly
 # quantities compared against it are finite sums of products of model
 # probabilities, so true zeros carry only accumulated rounding noise.
 EPS_ZERO = 1e-12
-
-# Atoms of a joint law whose beliefs agree to within this l-inf distance
-# share one belief. Implemented by matching beliefs rounded to 9 decimals,
-# which merges all exact duplicates and is conservative for near-duplicates.
-EPS_MERGE = 1e-9
 
 BELIEF_L1_TOL = 1e-9
 
@@ -187,91 +188,39 @@ def stage_penalty(x: int, o: np.ndarray) -> float:
     return float(o[x])
 
 
-def _belief_keys(beliefs: np.ndarray) -> list[bytes]:
-    """One hashable key per belief row; rows equal to 9 decimals (the
-    EPS_MERGE radius) share a key."""
-    # +0.0 canonicalizes any -0.0 produced by rounding
-    rounded = np.round(beliefs, 9) + 0.0
-    return [row.tobytes() for row in rounded]
+def joint_step(
+    mass: np.ndarray, kernels: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One step of the joint law ``mass[r, h, x]`` of (observation history,
+    agent state), one law per row ``r`` (an action prefix, say).
 
-
-class JointLaw:
-    """Finitely supported joint law of (agent state, observer belief).
-
-    Atoms are grouped by belief: ``mass[g, x]`` is the probability that the
-    agent is in state ``x`` while the observer holds ``beliefs[g]``. Every
-    state in a group shares the observer's filter step, so one batched
-    :func:`posterior_table` call serves the whole law. ``support`` is the
-    model's full :func:`emission_support` table, computed once and passed
-    from law to law.
+    Row ``r`` moves by ``kernels[r, x, x'] = p(x' | x, u_r)`` and history
+    ``h`` branches over the reading ``y`` of the successor state into
+    ``h * Y + y``. Returns ``(next_mass, live)``: ``live`` lists, ascending,
+    the branched histories that carry mass in some row, and
+    ``next_mass[r, i, x']`` is row ``r``'s mass on ``live[i]`` and ``x'``.
     """
+    branch = (mass @ kernels)[:, :, None, :] * q
+    branch = branch.reshape(len(mass), -1, mass.shape[-1])
+    # keep only the histories some row reaches; the full tree has Y**depth
+    # of them, most empty on sparse models
+    live = branch.any(axis=(0, 2)).nonzero()[0]
+    return branch[:, live], live
 
-    def __init__(self, model: MdpModel, obs: ObservationModel, pa: np.ndarray,
-                 support: np.ndarray, beliefs: np.ndarray, mass: np.ndarray):
-        self.model = model
-        self.obs = obs
-        self.pa = pa
-        self.support = support
-        self.beliefs = beliefs
-        self.mass = mass
-        self.posteriors, _, self.open_y = posterior_table(
-            pa, obs.likelihood, beliefs
-        )
 
-    @classmethod
-    def from_atoms(cls, model: MdpModel, obs: ObservationModel, pa: np.ndarray,
-                   states: np.ndarray, beliefs: np.ndarray, probs: np.ndarray,
-                   support: np.ndarray | None = None) -> "JointLaw":
-        """Group atoms ``(states[i], beliefs[i], probs[i])`` by belief.
-
-        Beliefs within the EPS_MERGE radius share a group, which keeps the
-        first occurrence's belief vector.
-        """
-        if support is None:
-            support = emission_support(model, obs)
-        index: dict[bytes, int] = {}
-        reps: list[int] = []
-        groups: list[int] = []
-        for i, key in enumerate(_belief_keys(beliefs)):
-            if key not in index:
-                index[key] = len(reps)
-                reps.append(i)
-            groups.append(index[key])
-        n = model.num_states
-        mass = np.bincount(
-            np.asarray(groups) * n + states, weights=probs, minlength=len(reps) * n
-        ).reshape(len(reps), n)
-        return cls(model, obs, pa, support, beliefs[reps], mass)
-
-    @classmethod
-    def point(cls, model: MdpModel, obs: ObservationModel, pa: np.ndarray,
-              x: int, o: np.ndarray) -> "JointLaw":
-        """The law that puts all mass on the pair ``(x, o)``."""
-        return cls.from_atoms(
-            model, obs, pa, np.array([x]), np.asarray(o, dtype=float)[None, :],
-            np.array([1.0]),
-        )
-
-    def blocked(self) -> np.ndarray:
-        """``blocked[u]``: some pair the law occupies can emit, under ``u``,
-        an observation that its belief's predictive rules out."""
-        # ruled_out[x, y]: a group holding state x rules out observation y
-        ruled_out = (self.mass > 0.0).T @ ~self.open_y
-        num_u = len(self.support)
-        return blocked_actions(self.support.reshape(num_u, -1), ruled_out.ravel())
-
-    def push(self, u: int) -> "JointLaw":
-        """The law one step later under action ``u``, which must not be
-        blocked. Each atom branches over (successor state, observation) and
-        its belief follows the observer's filter."""
-        flows = self.model.transition[:, :, u] @ self.mass.T  # (n, G)
-        branch = self.obs.likelihood * flows.T[:, None, :]  # (G, Y, n)
-        branch[~self.open_y] = 0.0
-        g, y, xp = np.nonzero(branch)
-        return JointLaw.from_atoms(
-            self.model, self.obs, self.pa, xp, self.posteriors[g, y],
-            branch[g, y, xp], self.support,
-        )
+def emitting(mass: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """``emits[(r, u), (h, y)]``: some state that row ``r`` of the joint
+    law ``mass[r, h, x]`` occupies after history ``h`` can emit ``y`` under
+    action ``u``, by the full :func:`emission_support` table ``support``.
+    The result is a batched emission table for :func:`blocked_actions`.
+    """
+    # counts of emitting (state, action) pairs, positive exactly where the
+    # boolean product is true; as floats the contraction runs in BLAS
+    reach = np.einsum(
+        "rhx,uxy->ruhy", (mass > 0.0).astype(float), support.astype(float),
+        optimize=True,
+    ) > 0.0
+    return reach.reshape(reach.shape[0] * reach.shape[1], -1)
 
 
 @dataclass(frozen=True)
@@ -301,22 +250,29 @@ def augmented_transition_support(
     o: np.ndarray,
     u: int,
 ) -> AugmentedSupport:
-    """Closed-form support of the joint (state, belief) transition.
+    """Closed-form support of the joint (state, belief) transition: one
+    :func:`joint_step` from the point law on ``(x, o)`` under ``u``.
 
-    One atom per (successor state, observation posterior) pair with positive
-    probability. Raises :class:`ProhibitedAction` when ``u`` is not
-    admissible at ``(x, o)``.
+    One atom per (observation, successor state) pair with positive
+    probability, carrying that observation's posterior; atoms with equal
+    posteriors are not merged. Raises :class:`ProhibitedAction` when ``u``
+    is not admissible at ``(x, o)``.
     """
-    law = JointLaw.point(model, obs, pa, x, o)
-    if law.blocked()[u]:
-        y = int(np.flatnonzero(law.support[u, x] & ~law.open_y[0])[0])
+    posteriors, _, open_y = posterior_table(pa, obs.likelihood, o)
+    surprising = np.flatnonzero(emission_support(model, obs, x)[u] & ~open_y)
+    if surprising.size:
         raise ProhibitedAction(
-            f"action u={u} at state x={x} can emit observation y={y} "
+            f"action u={u} at state x={x} can emit observation y={surprising[0]} "
             f"which the observer's predictive rules out"
         )
-    step = law.push(u)
-    g, xp = np.nonzero(step.mass)
-    return AugmentedSupport(xp, step.beliefs[g], step.mass[g, xp])
+    mass = np.zeros((1, 1, model.num_states))
+    mass[0, 0, x] = 1.0
+    step, ys = joint_step(mass, model.transition.T[u][None], obs.likelihood)
+    # drop the (at most EPS_ZERO) mass on observations the observer rules out
+    keep = open_y[ys]
+    step, ys = step[0, keep], ys[keep]
+    i, xp = np.nonzero(step)
+    return AugmentedSupport(xp, posteriors[ys[i]], step[i, xp])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .belief import ObservationModel, blocked_actions, emission_support, posterior_table
+from .belief import (
+    ObservationModel,
+    blocked_actions,
+    emission_support,
+    emitting,
+    joint_step,
+    posterior_table,
+)
 from .errors import NoAdmissibleSequence, SizeOverflow
 from .mdp import MdpModel
 
@@ -157,7 +164,7 @@ class PlanMemo:
             mass = np.zeros((1, 1, self.model.num_states))
             mass[0, 0, x] = 1.0
             node = _Node([()], [], None, np.zeros(1), mass[0].copy())
-            self._hold(node, None, mass)
+            node.mass, node.reach = mass, emitting(mass, self.support)
             self._insert(self.roots, (x, horizon), node)
         return node
 
@@ -190,32 +197,16 @@ class PlanMemo:
             new.r_total = r_inside + r_tail
         else:
             q = self.obs.likelihood
-            entries = len(src) * node.mass.shape[1] * q.size  # the size of branch below
+            entries = len(src) * node.mass.shape[1] * q.size  # joint_step's branch tensor
             if entries > MAX_TREE_ENTRIES:
                 raise SizeOverflow(
                     f"horizon {horizon} needs {entries} tree entries at depth "
                     f"{depth + 1} (cap {MAX_TREE_ENTRIES}); lower the horizon"
                 )
-            # branch[k, h, y, x']: the prefix reaches x' while emitting y
-            # after history h
-            branch = (node.mass[src] @ kernels[act])[:, :, None, :] * q
-            branch = branch.reshape(len(src), -1, model.num_states)
-            # keep only the histories some prefix reaches; the full tree has
-            # Y**depth nodes, most of them empty on sparse models
-            live = branch.any(axis=(0, 2)).nonzero()[0]
-            self._hold(new, live, branch[:, live])
+            new.mass, new.live = joint_step(node.mass[src], kernels[act], q)
+            new.reach = emitting(new.mass, self.support)
         self._insert(node.children, key, new)
         return new
-
-    def _hold(self, node: _Node, live, mass: np.ndarray) -> None:
-        node.live, node.mass = live, mass
-        # counts of emitting (state, action) pairs, positive exactly where
-        # the boolean product is true; as floats the contraction runs in BLAS
-        reach = np.einsum(
-            "phx,uxy->puhy", (mass > 0.0).astype(float), self.support.astype(float),
-            optimize=True,
-        ) > 0.0
-        node.reach = reach.reshape(reach.shape[0] * reach.shape[1], -1)
 
     def _insert(self, table: dict, key, node: _Node) -> None:
         size = node.nbytes()
@@ -245,10 +236,11 @@ def plan(
     The tree is built one depth at a time: its nodes are the observation
     histories that carry mass, with one batched :func:`posterior_table`
     call per depth, and every live action prefix advances its mass tensor
-    ``mass[prefix, history, x]`` over them at once. Only the beliefs and
-    what they rule out are computed per call; the rest comes from ``memo``
-    (a :class:`PlanMemo` for the same model, sensor and values), or from a
-    fresh one when none is given.
+    ``mass[prefix, history, x]`` over them at once with
+    :func:`belief.joint_step`. Only the beliefs and what they rule out are
+    computed per call; the rest comes from ``memo`` (a :class:`PlanMemo`
+    for the same model, sensor and values), or from a fresh one when none
+    is given.
 
     When ``log_path`` is given, every scored sequence and every pruned
     prefix is appended to that file as one JSON object per line.

@@ -203,6 +203,22 @@ def admissible_by_definition(transition, likelihood, chain, x, belief):
     return allowed
 
 
+def joint_support_by_definition(transition, likelihood, chain, x, belief, u):
+    """Atoms (successor state, probability, posterior) of the joint (state,
+    belief) law one step after action u at (x, belief), by explicit loops:
+    one per (observation, successor state) pair of positive probability.
+    None when u is not admissible by definition."""
+    if u not in admissible_by_definition(transition, likelihood, chain, x, belief):
+        return None
+    atoms = []
+    for y in range(likelihood.shape[0]):
+        for d in range(len(belief)):
+            p = transition[d, x, u] * likelihood[y, d]
+            if p > 0.0:
+                posterior = forward_filter_step(chain, likelihood, belief, y)
+                atoms.append((d, p, posterior))
+    return atoms
+
 
 def pruned_prefixes_by_definition(
     transition, likelihood, chain, x0, o0, horizon

@@ -22,8 +22,8 @@ from covertmdp import (
 )
 from covertmdp.belief import (
     EPS_ZERO,
-    JointLaw,
     emission_support,
+    emitting,
     observation_predictive,
     load_observation_file,
     observation_from_dict,
@@ -37,6 +37,7 @@ from _oracles import (
     admissible_by_definition,
     forward_filter,
     forward_filter_step,
+    joint_support_by_definition,
     random_sane_model,
     random_sparse_model,
 )
@@ -168,6 +169,19 @@ def test_emission_support_matches_loops():
                 assert table[u, x, y] == (direct > 0.0)
     for x in range(model.num_states):
         np.testing.assert_array_equal(emission_support(model, obs, x), table[:, x])
+    # the batched table of a joint law over (row, history, state)
+    mass = rng.uniform(0.1, 1.0, size=(2, 3, 4)) * (rng.random((2, 3, 4)) < 0.15)
+    reach = emitting(mass, table)
+    assert reach.shape == (2 * 3, 3 * 3)
+    assert 0 < reach.sum() < reach.size
+    for r in range(2):
+        for u in range(3):
+            for h in range(3):
+                for y in range(3):
+                    direct = any(
+                        mass[r, h, x] > 0.0 and table[u, x, y] for x in range(4)
+                    )
+                    assert reach[r * 3 + u, h * 3 + y] == direct
 
 
 def two_state_trap_setup():
@@ -263,29 +277,6 @@ def test_support_raises_on_prohibited_action():
     assert "u=1" in msg and "x=0" in msg and "y=1" in msg
 
 
-def test_joint_law_from_atoms_sums_duplicate_pairs():
-    model, obs, pa = two_state_trap_setup()
-    states = np.array([0, 0, 1])
-    beliefs = np.array([[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]])
-    probs = np.array([0.25, 0.25, 0.5])
-    law = JointLaw.from_atoms(model, obs, pa, states, beliefs, probs)
-    np.testing.assert_array_equal(law.beliefs, [[0.5, 0.5]])
-    np.testing.assert_allclose(law.mass, [[0.5, 0.5]])
-
-
-def test_joint_law_from_atoms_distinguishes_separated_beliefs():
-    model, obs, pa = two_state_trap_setup()
-    states = np.array([0, 0, 0])
-    beliefs = np.array(
-        [[0.5, 0.5], [0.5 + 1e-12, 0.5 - 1e-12], [0.5 + 1e-6, 0.5 - 1e-6]]
-    )
-    probs = np.array([0.3, 0.3, 0.4])
-    law = JointLaw.from_atoms(model, obs, pa, states, beliefs, probs)
-    # the 1e-12 twin collapses into the first atom, the 1e-6 one survives
-    np.testing.assert_array_equal(law.beliefs, beliefs[[0, 2]])
-    np.testing.assert_allclose(law.mass, [[0.6, 0.0], [0.4, 0.0]])
-
-
 def test_validate_observation_model_diagnostics():
     model, obs = example1_model()
     assert validate_observation_model(obs, model.num_states) == []
@@ -332,22 +323,55 @@ def test_filter_step_oracle_agrees_on_example1():
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(2, 5),
-    m=st.integers(1, 4),
-    k=st.integers(2, 4),
-)
-def test_admissible_actions_match_definition(seed, n, m, k):
+def sparse_case(seed, n, m, k):
+    """A `random_sparse_model` with a state and a belief that has exact
+    zeros, its positive entries bounded away from zero."""
     rng = np.random.default_rng(seed)
     transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
     model = MdpModel(n, m, transition, reward, 0.9)
     obs = ObservationModel(k, likelihood)
     x = int(rng.integers(n))
-    # a belief with exact zeros, its positive entries bounded away from zero
     weights = rng.uniform(0.1, 1.0, size=n) * (rng.random(n) < 0.5)
     weights[x] = rng.uniform(0.1, 1.0)
-    o = make_belief(weights / weights.sum())
-    expected = admissible_by_definition(transition, likelihood, chain, x, o)
+    return model, obs, chain, x, make_belief(weights / weights.sum())
+
+
+sparse_sizes = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    m=st.integers(1, 4),
+    k=st.integers(2, 4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(**sparse_sizes)
+def test_admissible_actions_match_definition(seed, n, m, k):
+    model, obs, chain, x, o = sparse_case(seed, n, m, k)
+    expected = admissible_by_definition(model.transition, obs.likelihood, chain, x, o)
     assert admissible_actions(model, obs, chain, x, o) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(**sparse_sizes)
+def test_support_atoms_match_definition(seed, n, m, k):
+    model, obs, chain, x, o = sparse_case(seed, n, m, k)
+    for u in range(m):
+        expected = joint_support_by_definition(
+            model.transition, obs.likelihood, chain, x, o, u
+        )
+        if expected is None:
+            with pytest.raises(ProhibitedAction):
+                augmented_transition_support(model, obs, chain, x, o, u)
+            continue
+        sup = augmented_transition_support(model, obs, chain, x, o, u)
+        # equal as multisets of (state, probability, posterior)
+        for atom in zip(sup.states, sup.probs, sup.beliefs):
+            hits = [
+                i for i, (d, p, b) in enumerate(expected)
+                if d == atom[0] and abs(p - atom[1]) <= 1e-12
+                and np.max(np.abs(b - atom[2])) <= 1e-12
+            ]
+            assert hits, f"atom {atom} is not in the support by definition"
+            del expected[hits[0]]
+        assert not expected, f"atoms {expected} are missing"

@@ -29,7 +29,13 @@ from covertmdp import (
     point_belief,
     uniform_belief,
 )
-from covertmdp.belief import JointLaw
+from covertmdp.belief import (
+    blocked_actions,
+    emission_support,
+    emitting,
+    joint_step,
+    posterior_table,
+)
 from covertmdp import rho
 from covertmdp.rho import MAX_TREE_ENTRIES, PlanMemo, suggested_tail_weight_bound
 
@@ -130,7 +136,7 @@ def test_plan_reward_term_matches_monte_carlo():
     assert abs(totals.mean() - exact) < 5.0 * stderr + 1e-6
 
 
-def test_terminal_tail_value_deterministic_and_constant_cases():
+def test_plan_tail_term_deterministic_and_constant_cases():
     # Deterministic two-state cycle: the endpoint is known exactly.
     model, obs, pa = deterministic_cycle()
     values = np.array([3.0, 7.0])
@@ -283,7 +289,7 @@ def test_all_terms_match_path_enumeration_random_models(seed, n, m, k, horizon):
         assert abs(score.detection_term - r3) < 1e-10
 
 
-def test_sequence_objective_is_the_stated_combination():
+def test_plan_objective_is_the_stated_combination():
     model, obs = smoothed_example1()
     pa, values, _ = nominal_setup(model)
     o0 = uniform_belief(3)
@@ -300,21 +306,29 @@ def test_sequence_objective_is_the_stated_combination():
 
 
 # ---------------------------------------------------------------------------
-# joint law propagation
+# the joint-law step
 
 
-def test_propagate_joint_deterministic_single_atom():
+def point_mass(n, x):
+    """The joint law of one row that puts all mass on (empty history, x)."""
+    mass = np.zeros((1, 1, n))
+    mass[0, 0, x] = 1.0
+    return mass
+
+
+def test_joint_step_deterministic_single_history():
     transition = np.zeros((2, 2, 1))
     transition[1, 0, 0] = 1.0
     transition[1, 1, 0] = 1.0
-    model = MdpModel(2, 1, transition, np.zeros((2, 1)), 0.9)
     obs = ObservationModel(2, np.eye(2))
     pa = transition[:, :, 0]
-    law = JointLaw.point(model, obs, pa, 0, point_belief(2, 0)).push(0)
-    np.testing.assert_allclose(law.beliefs, [[0.0, 1.0]], atol=1e-12)
-    np.testing.assert_allclose(law.mass, [[0.0, 1.0]], atol=1e-12)
+    mass, live = joint_step(point_mass(2, 0), transition.T[[0]], obs.likelihood)
+    posteriors, _, _ = posterior_table(pa, obs.likelihood, point_belief(2, 0))
+    beliefs = posteriors[live]
+    np.testing.assert_allclose(beliefs, [[0.0, 1.0]], atol=1e-12)
+    np.testing.assert_allclose(mass[0], [[0.0, 1.0]], atol=1e-12)
     # the observer's mean belief in the agent's true state
-    assert np.sum(law.beliefs * law.mass) == pytest.approx(1.0, abs=1e-12)
+    assert np.sum(beliefs * mass[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -324,26 +338,32 @@ def test_propagate_joint_deterministic_single_atom():
     m=st.integers(1, 3),
     k=st.integers(2, 4),
 )
-def test_propagate_joint_conserves_mass_and_state_marginal(seed, n, m, k):
+def test_joint_step_conserves_mass_and_state_marginal(seed, n, m, k):
     rng = np.random.default_rng(seed)
     transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
     model = MdpModel(n, m, transition, reward, 0.9)
-    obs = ObservationModel(k, likelihood)
+    support = emission_support(model, ObservationModel(k, likelihood))
     x0 = int(rng.integers(n))
-    law = JointLaw.point(model, obs, chain, x0, rng.dirichlet(np.ones(n)))
+    mass = point_mass(n, x0)
+    beliefs = rng.dirichlet(np.ones(n))[None, :]
     chain_marginal = np.zeros(n)
     chain_marginal[x0] = 1.0
     for _ in range(4):
-        open_actions = np.flatnonzero(~law.blocked())
+        posteriors, _, open_y = posterior_table(chain, likelihood, beliefs)
+        blocked = blocked_actions(emitting(mass, support), ~open_y.ravel())
+        open_actions = np.flatnonzero(~blocked)
         if open_actions.size == 0:
             break
         u = int(rng.choice(open_actions))
-        law = law.push(u)
-        chain_marginal = model.transition[:, :, u] @ chain_marginal
-        assert abs(law.mass.sum() - 1.0) < 1e-9
-        np.testing.assert_allclose(law.mass.sum(axis=0), chain_marginal, atol=1e-9)
-        np.testing.assert_allclose(law.beliefs.sum(axis=1), 1.0, atol=1e-9)
-        assert len(law.beliefs) <= k ** 4
+        mass, live = joint_step(mass, transition.T[[u]], likelihood)
+        # drop the histories through observations the observer rules out
+        keep = open_y.ravel()[live]
+        mass, beliefs = mass[:, keep], posteriors.reshape(-1, n)[live[keep]]
+        chain_marginal = transition[:, :, u] @ chain_marginal
+        assert abs(mass.sum() - 1.0) < 1e-9
+        np.testing.assert_allclose(mass[0].sum(axis=0), chain_marginal, atol=1e-9)
+        np.testing.assert_allclose(beliefs.sum(axis=1), 1.0, atol=1e-9)
+        assert len(beliefs) <= k ** 4
 
 
 def two_state_trap():
@@ -360,10 +380,11 @@ def two_state_trap():
     return model, obs, pa
 
 
-def test_propagate_joint_raises_with_atom_coordinates():
+def test_emitting_blocks_surprising_move_and_support_names_it():
     model, obs, pa = two_state_trap()
-    law = JointLaw.point(model, obs, pa, 0, point_belief(2, 0))
-    assert law.blocked().tolist() == [False, True]
+    _, _, open_y = posterior_table(pa, obs.likelihood, point_belief(2, 0))
+    reach = emitting(point_mass(2, 0), emission_support(model, obs))
+    assert blocked_actions(reach, ~open_y).tolist() == [False, True]
     with pytest.raises(ProhibitedAction) as err:
         augmented_transition_support(model, obs, pa, 0, point_belief(2, 0), 1)
     msg = str(err.value)
