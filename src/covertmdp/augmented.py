@@ -13,7 +13,6 @@ and the successor law meets the value table in two ``einsum`` contractions.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +27,7 @@ from .belief import (
     posterior_table,
 )
 from .errors import EmptyAdmissibleSet, SizeOverflow
-from .mdp import MdpModel, _readonly
+from .mdp import MdpModel, _check_fields, _read_json_object, _readonly, _write_json
 
 # Transformed coordinates within this distance of an integer are treated as
 # exactly on a lattice hyperplane, so grid points interpolate to themselves.
@@ -313,6 +312,9 @@ def greedy_action(
 # ---------------------------------------------------------------------------
 # value files
 
+_VALUE_KEYS = {"num_states", "resolution", "reward_weight", "exposure_weight", "values"}
+
+
 def save_value_file(value: AugmentedValueFunction, path: str | Path) -> None:
     doc = {
         "num_states": value.grid.num_states,
@@ -321,14 +323,12 @@ def save_value_file(value: AugmentedValueFunction, path: str | Path) -> None:
         "exposure_weight": value.exposure_weight,
         "values": value.values.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(doc, path)
 
 
 def load_value_file(path: str | Path) -> AugmentedValueFunction:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json_object(path)
+    _check_fields(doc, _VALUE_KEYS)
     grid = build_simplex_grid(int(doc["num_states"]), int(doc["resolution"]))
     values = np.asarray(doc["values"], dtype=float)
     if values.shape != (grid.num_states, grid.num_points):

@@ -17,14 +17,13 @@ the planner rolls it over the horizon, and
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IllDefinedUpdate, ModelFormatError, ProhibitedAction
-from .mdp import MdpModel, _readonly
+from .mdp import MdpModel, _check_fields, _read_json_object, _readonly, _write_json
 
 # Threshold below which a probability is treated as an exact zero. All
 # quantities compared against it are finite sums of products of model
@@ -134,8 +133,9 @@ def posterior_table(
     numer = q * pred_states[..., None, :]
     predictive = numer.sum(axis=-1)
     open_y = predictive > EPS_ZERO
-    posteriors = np.zeros_like(numer)
-    posteriors[open_y] = numer[open_y] / predictive[open_y][:, None]
+    posteriors = np.divide(
+        numer, predictive[..., None], out=np.zeros_like(numer), where=open_y[..., None]
+    )
     return posteriors, predictive, open_y
 
 
@@ -282,12 +282,7 @@ _OBS_KEYS = {"num_observations", "likelihood"}
 
 
 def observation_from_dict(doc: dict, num_states: int | None = None) -> ObservationModel:
-    missing = _OBS_KEYS - doc.keys()
-    if missing:
-        raise ModelFormatError([f"missing field {k!r}" for k in sorted(missing)])
-    unknown = doc.keys() - _OBS_KEYS
-    if unknown:
-        raise ModelFormatError([f"unknown field {k!r}" for k in sorted(unknown)])
+    _check_fields(doc, _OBS_KEYS)
     try:
         likelihood = np.asarray(doc["likelihood"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -305,18 +300,11 @@ def observation_from_dict(doc: dict, num_states: int | None = None) -> Observati
 
 
 def load_observation_file(path: str | Path, num_states: int | None = None) -> ObservationModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ModelFormatError(["top-level document must be an object"])
-    return observation_from_dict(doc, num_states)
+    return observation_from_dict(_read_json_object(path), num_states)
 
 
 def save_observation_file(obs: ObservationModel, path: str | Path) -> None:
-    doc = {
-        "num_observations": obs.num_observations,
-        "likelihood": obs.likelihood.tolist(),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(
+        {"num_observations": obs.num_observations, "likelihood": obs.likelihood.tolist()},
+        path,
+    )

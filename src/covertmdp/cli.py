@@ -11,6 +11,7 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -42,42 +43,27 @@ class Scenario:
 
 
 def _load_scenario(model_arg: str, obs_arg: str | None) -> Scenario:
+    name, obs, spec = model_arg, None, None
     if model_arg == "example1":
         model, obs = models.example1_model()
-        start = bel.uniform_belief(model.num_states)
-        return Scenario("example1", model, obs, start, None, None)
-    if model_arg == "gridworld":
+    elif model_arg == "gridworld":
         spec = models.desk_gridworld()
+    else:
+        name = str(Path(model_arg))
+        doc = mdp._read_json_object(name)
+        if "width" in doc and "height" in doc:
+            spec = models.gridworld_spec_from_dict(doc)
+        else:
+            model = mdp.model_from_dict(doc)
+            if obs_arg:
+                obs = bel.load_observation_file(obs_arg, model.num_states)
+    start_state = None
+    if spec is not None:
         model, obs = models.gridworld_model(spec)
-        start = bel.uniform_belief(model.num_states)
-        return Scenario(
-            "gridworld", model, obs, start, spec.cell_index(*spec.start), spec
-        )
-    path = Path(model_arg)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ModelFormatError(["top-level document must be an object"])
-    if "width" in doc and "height" in doc:
-        spec = models.gridworld_spec_from_dict(doc)
-        model, obs = models.gridworld_model(spec)
-        start = bel.uniform_belief(model.num_states)
-        return Scenario(
-            str(path), model, obs, start, spec.cell_index(*spec.start), spec
-        )
-    model = mdp.model_from_dict(doc)
-    obs = bel.load_observation_file(obs_arg, model.num_states) if obs_arg else None
+        start_state = spec.cell_index(*spec.start)
     return Scenario(
-        str(path), model, obs, bel.uniform_belief(model.num_states), None, None
+        name, model, obs, bel.uniform_belief(model.num_states), start_state, spec
     )
-
-
-def _require_obs(scn: Scenario) -> bel.ObservationModel:
-    if scn.obs is None:
-        raise FileNotFoundError(
-            "this command needs an observation model; pass --obs for file models"
-        )
-    return scn.obs
 
 
 def _nominal(scn: Scenario, tol: float):
@@ -89,6 +75,27 @@ def _nominal(scn: Scenario, tol: float):
         )
     policy = mdp.extract_nominal_policy(scn.model, result.values)
     return result, policy
+
+
+def _observed_scenario(args: argparse.Namespace):
+    """The scenario with its observation model, the nominal solve and the
+    chain the observer filters against: ``(scn, obs, nominal, policy, pa)``."""
+    scn = _load_scenario(args.model, args.obs)
+    if scn.obs is None:
+        raise FileNotFoundError(
+            "this command needs an observation model; pass --obs for file models"
+        )
+    nominal, policy = _nominal(scn, mdp.DEFAULT_VI_TOL)
+    return scn, scn.obs, nominal, policy, mdp.induced_chain(scn.model, policy)
+
+
+def _planner_config(args: argparse.Namespace) -> rho.PlannerConfig:
+    return rho.PlannerConfig(
+        horizon=args.horizon,
+        reward_weight=args.wn,
+        exposure_weight=args.wa,
+        tail_exposure_weight=args.wap,
+    )
 
 
 def _echo(args: argparse.Namespace, keys: list[str]) -> dict:
@@ -125,34 +132,30 @@ def cmd_solve_nominal(args: argparse.Namespace) -> int:
         print(f"warning: maximizer ties at states {ties.tolist()}", file=sys.stderr)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "nominal_values.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "model": scn.name,
-                "tol": args.tol,
-                "values": result.values.tolist(),
-                "residual": result.residual,
-                "iterations": result.iterations,
-            },
-            fh, indent=1,
-        )
-        fh.write("\n")
-    with open(out / "nominal_policy.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "model": scn.name,
-                "actions": policy.actions.tolist(),
-                "ties": policy.tie_flags.tolist(),
-            },
-            fh, indent=1,
-        )
-        fh.write("\n")
+    mdp._write_json(
+        {
+            "model": scn.name,
+            "tol": args.tol,
+            "values": result.values.tolist(),
+            "residual": result.residual,
+            "iterations": result.iterations,
+        },
+        out / "nominal_values.json",
+    )
+    mdp._write_json(
+        {
+            "model": scn.name,
+            "actions": policy.actions.tolist(),
+            "ties": policy.tie_flags.tolist(),
+        },
+        out / "nominal_policy.json",
+    )
     if scn.grid_spec is not None:
         grid = result.values.reshape(scn.grid_spec.height, scn.grid_spec.width)
-        lines = [",".join(repr(float(v)) for v in row) for row in grid]
-        with open(out / "nominal_value_grid.csv", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
+        mdp._write_lines(
+            [",".join(repr(float(v)) for v in row) for row in grid],
+            out / "nominal_value_grid.csv",
+        )
     print(f"{scn.name}: solved in {result.iterations} sweeps, "
           f"residual {result.residual:.3e}, files in {out}")
     return 0
@@ -187,10 +190,7 @@ def _solve_lattice(scn: Scenario, obs: bel.ObservationModel, pa: np.ndarray,
 
 
 def cmd_solve_augmented(args: argparse.Namespace) -> int:
-    scn = _load_scenario(args.model, args.obs)
-    obs = _require_obs(scn)
-    _, policy = _nominal(scn, mdp.DEFAULT_VI_TOL)
-    pa = mdp.induced_chain(scn.model, policy)
+    scn, obs, _, _, pa = _observed_scenario(args)
     result = _solve_lattice(scn, obs, pa, args, args.tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -203,49 +203,28 @@ def cmd_solve_augmented(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_controller(kind: str, scn: Scenario, args: argparse.Namespace):
-    obs = _require_obs(scn)
-    nominal, policy = _nominal(scn, mdp.DEFAULT_VI_TOL)
-    pa = mdp.induced_chain(scn.model, policy)
-    if kind == "nominal":
-        return sim.NominalController(policy), pa
-    if kind == "rho":
-        config = rho.PlannerConfig(
-            horizon=args.horizon,
-            reward_weight=args.wn,
-            exposure_weight=args.wa,
-            tail_exposure_weight=args.wap,
-        )
-        return sim.RecedingHorizonController(
-            scn.model, obs, pa, nominal.values, config
-        ), pa
-    if kind == "grid-vi":
-        result = _solve_lattice(scn, obs, pa, args)
-        return sim.AugmentedValueController(scn.model, obs, pa, result.value), pa
-    raise ValueError(f"unknown controller kind {kind!r}")
-
-
-def _simulate_one(payload) -> sim.Trace:
-    model, obs, pa, controller, o0, steps, seed_base, index, x0 = payload
-    return sim.run_closed_loop(
-        model, obs, pa, controller, o0, steps, seed_base, index, x0=x0
-    )
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    scn = _load_scenario(args.model, args.obs)
-    obs = _require_obs(scn)
-    controller, pa = _build_controller(args.controller, scn, args)
-    payloads = [
-        (scn.model, obs, pa, controller, scn.start_belief,
-         args.steps, args.seed_base, i, scn.start_state)
-        for i in range(args.seeds)
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            traces = list(pool.map(_simulate_one, payloads))
+    scn, obs, nominal, policy, pa = _observed_scenario(args)
+    if args.controller == "nominal":
+        controller = sim.NominalController(policy)
+    elif args.controller == "rho":
+        controller = sim.RecedingHorizonController(
+            scn.model, obs, pa, nominal.values, _planner_config(args)
+        )
     else:
-        traces = [_simulate_one(p) for p in payloads]
+        value = _solve_lattice(scn, obs, pa, args).value
+        controller = sim.AugmentedValueController(scn.model, obs, pa, value)
+    run = functools.partial(
+        sim.run_closed_loop, scn.model, obs, pa, controller, scn.start_belief,
+        args.steps, args.seed_base, x0=scn.start_state,
+    )
+    # a pool starts all its workers at once, so never ask for more than runs
+    workers = min(args.jobs, args.seeds)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            traces = list(pool.map(run, range(args.seeds)))
+    else:
+        traces = list(map(run, range(args.seeds)))
     summary = sim.aggregate_runs(traces)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -264,9 +243,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         },
         "summary": sim.summary_to_dict(summary),
     }
-    with open(out / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    mdp._write_json(doc, out / "summary.json")
     if args.verbose:
         for trace in traces:
             print(
@@ -284,17 +261,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    scn = _load_scenario(args.model, args.obs)
-    obs = _require_obs(scn)
-    nominal, policy = _nominal(scn, mdp.DEFAULT_VI_TOL)
-    pa = mdp.induced_chain(scn.model, policy)
-    config = rho.PlannerConfig(
-        horizon=args.horizon,
-        reward_weight=args.wn,
-        exposure_weight=args.wa,
-        tail_exposure_weight=args.wap,
-    )
-    o0 = scn.start_belief
+    scn, obs, nominal, _, pa = _observed_scenario(args)
+    config = _planner_config(args)
     log_path = None
     if args.verbose:
         log_dir = Path(args.out) if args.out else Path(".")
@@ -305,7 +273,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     rows = []
     for x in range(scn.model.num_states):
         result = rho.plan(
-            scn.model, obs, pa, nominal.values, x, o0, config, log_path=log_path
+            scn.model, obs, pa, nominal.values, x, scn.start_belief, config,
+            log_path=log_path,
         )
         rows.append(
             {
@@ -337,9 +306,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             },
             "plans": rows,
         }
-        with open(out / "plan.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        mdp._write_json(doc, out / "plan.json")
     return 0
 
 
@@ -360,6 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="observation model file (file models only)")
         p.add_argument("--verbose", action="store_true")
 
+    def add_weights(p: argparse.ArgumentParser, planner: bool, lattice: bool):
+        p.add_argument("--wn", type=float, default=1.0, help="reward weight")
+        p.add_argument("--wa", type=float, default=0.0, help="exposure weight")
+        if planner:
+            p.add_argument("--wap", type=float, default=0.0, help="tail exposure weight")
+            p.add_argument("--horizon", type=int, default=rho.DEFAULT_HORIZON)
+        if lattice:
+            p.add_argument("--grid-res", type=int, default=aug.DEFAULT_RESOLUTION)
+
     p = sub.add_parser("validate", help="check model invariants")
     add_common(p)
     p.set_defaults(func=cmd_validate)
@@ -372,9 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-augmented", help="value iteration on the state-belief grid")
     add_common(p)
-    p.add_argument("--wn", type=float, default=1.0, help="reward weight")
-    p.add_argument("--wa", type=float, default=0.0, help="exposure weight")
-    p.add_argument("--grid-res", type=int, default=aug.DEFAULT_RESOLUTION)
+    add_weights(p, planner=False, lattice=True)
     p.add_argument("--tol", type=float, default=aug.DEFAULT_AVI_TOL)
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_solve_augmented)
@@ -382,11 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="closed-loop runs against the observer")
     p.add_argument("controller", choices=["nominal", "rho", "grid-vi"])
     add_common(p)
-    p.add_argument("--wn", type=float, default=1.0, help="reward weight")
-    p.add_argument("--wa", type=float, default=0.0, help="exposure weight")
-    p.add_argument("--wap", type=float, default=0.0, help="tail exposure weight")
-    p.add_argument("--horizon", type=int, default=rho.DEFAULT_HORIZON)
-    p.add_argument("--grid-res", type=int, default=aug.DEFAULT_RESOLUTION)
+    add_weights(p, planner=True, lattice=True)
     p.add_argument("--steps", type=int, default=2000)
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--seed-base", type=int, default=0)
@@ -398,10 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="one planner solve per state, with diagnostics")
     add_common(p)
-    p.add_argument("--wn", type=float, default=1.0, help="reward weight")
-    p.add_argument("--wa", type=float, default=0.0, help="exposure weight")
-    p.add_argument("--wap", type=float, default=0.0, help="tail exposure weight")
-    p.add_argument("--horizon", type=int, default=rho.DEFAULT_HORIZON)
+    add_weights(p, planner=True, lattice=False)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_plan)
 

@@ -27,6 +27,40 @@ def _readonly(a, dtype=float) -> np.ndarray:
     return arr
 
 
+# The one on-disk convention: UTF-8 JSON objects written with ``indent=1`` and
+# a trailing newline, and ``\n``-terminated text lines (CSV) written as-is.
+
+def _read_json_object(path: str | Path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ModelFormatError(["top-level document must be an object"])
+    return doc
+
+
+def _write_json(doc: dict, path: str | Path, sort_keys: bool = False) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=sort_keys)
+        fh.write("\n")
+
+
+def _write_lines(lines: list[str], path: str | Path) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
+        fh.write("\n")
+
+
+def _check_fields(doc: dict, allowed: set[str], required: set[str] | None = None) -> None:
+    """Reject a document missing a required field (all of ``allowed`` by
+    default) or carrying one outside ``allowed``, naming each in sorted order."""
+    missing = (allowed if required is None else required) - doc.keys()
+    if missing:
+        raise ModelFormatError([f"missing field {k!r}" for k in sorted(missing)])
+    unknown = doc.keys() - allowed
+    if unknown:
+        raise ModelFormatError([f"unknown field {k!r}" for k in sorted(unknown)])
+
+
 @dataclass(frozen=True)
 class MdpModel:
     """Finite MDP with states and actions identified by 0-based indices.
@@ -185,12 +219,7 @@ _MODEL_KEYS = {"num_states", "num_actions", "discount", "transition", "reward"}
 
 def model_from_dict(doc: dict) -> MdpModel:
     """Build a model from the on-disk dict layout, validating invariants."""
-    missing = _MODEL_KEYS - doc.keys()
-    if missing:
-        raise ModelFormatError([f"missing field {k!r}" for k in sorted(missing)])
-    unknown = doc.keys() - _MODEL_KEYS
-    if unknown:
-        raise ModelFormatError([f"unknown field {k!r}" for k in sorted(unknown)])
+    _check_fields(doc, _MODEL_KEYS)
     try:
         file_kernel = np.asarray(doc["transition"], dtype=float)
         reward = np.asarray(doc["reward"], dtype=float)
@@ -224,14 +253,8 @@ def model_to_dict(model: MdpModel) -> dict:
 
 
 def load_model_file(path: str | Path) -> MdpModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ModelFormatError(["top-level document must be an object"])
-    return model_from_dict(doc)
+    return model_from_dict(_read_json_object(path))
 
 
 def save_model_file(model: MdpModel, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+    _write_json(model_to_dict(model), path)

@@ -11,7 +11,6 @@ distance between the agent and a fixed sensor cell.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .belief import ObservationModel
 from .errors import ModelFormatError
-from .mdp import MdpModel
+from .mdp import MdpModel, _check_fields, _read_json_object
 
 # ---------------------------------------------------------------------------
 # three-state example
@@ -171,12 +170,7 @@ _SPEC_REQUIRED = {"width", "height", "start", "target", "sensor"}
 
 
 def gridworld_spec_from_dict(doc: dict) -> GridWorldSpec:
-    missing = _SPEC_REQUIRED - doc.keys()
-    if missing:
-        raise ModelFormatError([f"missing field {k!r}" for k in sorted(missing)])
-    unknown = doc.keys() - _SPEC_KEYS
-    if unknown:
-        raise ModelFormatError([f"unknown field {k!r}" for k in sorted(unknown)])
+    _check_fields(doc, _SPEC_KEYS, _SPEC_REQUIRED)
     base = desk_gridworld()
     try:
         spec = replace(
@@ -200,8 +194,4 @@ def gridworld_spec_from_dict(doc: dict) -> GridWorldSpec:
 
 
 def load_gridworld_spec(path: str | Path) -> GridWorldSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ModelFormatError(["top-level document must be an object"])
-    return gridworld_spec_from_dict(doc)
+    return gridworld_spec_from_dict(_read_json_object(path))

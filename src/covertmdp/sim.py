@@ -15,7 +15,6 @@ formatting, so identical seeds give byte-identical files.
 from __future__ import annotations
 
 import hashlib
-import json
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -31,7 +30,7 @@ from .errors import (
     NoAdmissibleSequence,
     ProhibitedAction,
 )
-from .mdp import MdpModel, Policy, _readonly
+from .mdp import MdpModel, Policy, _readonly, _write_json, _write_lines
 from .rho import PlanMemo, PlannerConfig, plan
 
 
@@ -377,9 +376,7 @@ def summary_to_dict(summary: RunSummary) -> dict:
 
 
 def write_summary_file(summary: RunSummary, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary_to_dict(summary), fh, indent=1)
-        fh.write("\n")
+    _write_json(summary_to_dict(summary), path)
 
 
 def write_trace_csv(trace: Trace, path: str | Path) -> None:
@@ -398,9 +395,7 @@ def write_trace_csv(trace: Trace, path: str | Path) -> None:
             repr(float(trace.mean_penalties[t])),
         ]
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    _write_lines(lines, path)
 
 
 def write_belief_csv(trace: Trace, path: str | Path) -> None:
@@ -410,9 +405,7 @@ def write_belief_csv(trace: Trace, path: str | Path) -> None:
     for t in range(trace.num_steps):
         row = [str(t)] + [repr(float(v)) for v in trace.beliefs[t]]
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    _write_lines(lines, path)
 
 
 def trace_metadata(trace: Trace) -> dict:
@@ -430,6 +423,4 @@ def trace_metadata(trace: Trace) -> dict:
 
 def write_trace_metadata(trace: Trace, path: str | Path) -> None:
     """Sidecar for a trace CSV: who ran, on what model, from which seed."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(trace_metadata(trace), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    _write_json(trace_metadata(trace), path, sort_keys=True)

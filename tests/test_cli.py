@@ -207,6 +207,39 @@ def test_simulate_parallel_jobs_match_serial(tmp_path):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
+def test_simulate_caps_jobs_at_the_number_of_runs(tmp_path, monkeypatch):
+    requested = []
+
+    class InlinePool:
+        """Records the worker count a pool is asked for; maps in-process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr("covertmdp.cli.ProcessPoolExecutor", InlinePool)
+    base = [
+        "simulate", "rho", "--model", "example1", "--wn", "0.5", "--wa", "0.5",
+        "--horizon", "2", "--steps", "20", "--seeds", "2", "--seed-base", "5",
+    ]
+    wide, serial = tmp_path / "wide", tmp_path / "serial"
+    assert main(base + ["--jobs", "64", "--out", str(wide)]) == 0
+    assert requested == [2]
+    assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
+    assert requested == [2]  # one worker runs serially, without a pool
+    for i in range(2):
+        name = f"trace_{i:03d}.csv"
+        assert (wide / name).read_bytes() == (serial / name).read_bytes()
+
+
 def test_simulate_belief_csv_flag(tmp_path):
     out = tmp_path / "runs"
     code = main([

@@ -1,5 +1,7 @@
 """Nominal MDP solving: value iteration, policies, induced chain, files."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,12 +14,29 @@ from covertmdp import (
     nominal_value_iteration,
     validate_model,
 )
+from covertmdp.augmented import (
+    AugmentedValueFunction,
+    build_simplex_grid,
+    load_value_file,
+    save_value_file,
+)
+from covertmdp.belief import load_observation_file, save_observation_file, uniform_belief
 from covertmdp.mdp import (
     bellman_backup,
     load_model_file,
     model_from_dict,
     model_to_dict,
     save_model_file,
+)
+from covertmdp.models import load_gridworld_spec
+from covertmdp.sim import (
+    NominalController,
+    aggregate_runs,
+    run_closed_loop,
+    summary_to_dict,
+    trace_metadata,
+    write_summary_file,
+    write_trace_metadata,
 )
 
 import _oracles
@@ -159,3 +178,93 @@ def test_model_from_dict_rejects_bad_columns():
     with pytest.raises(ModelFormatError) as err:
         model_from_dict(doc)
     assert any("x=0" in line for line in err.value.diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# the file convention shared by every writer and loader
+
+def _example1_trace(run_index):
+    model, obs = example1_model()
+    policy = extract_nominal_policy(model, nominal_value_iteration(model).values)
+    pa = induced_chain(model, policy)
+    return run_closed_loop(
+        model, obs, pa, NominalController(policy), uniform_belief(3), 6, 2, run_index
+    )
+
+
+def _model_case():
+    model, _ = example1_model()
+    return save_model_file, model, model_to_dict(model), False
+
+
+def _observation_case():
+    _, obs = example1_model()
+    doc = {"num_observations": obs.num_observations, "likelihood": obs.likelihood.tolist()}
+    return save_observation_file, obs, doc, False
+
+
+def _value_case():
+    grid = build_simplex_grid(3, 2)
+    table = np.linspace(0.0, 1.0, 3 * grid.num_points).reshape(3, -1)
+    value = AugmentedValueFunction(grid, table, 0.7, 0.3)
+    doc = {
+        "num_states": 3,
+        "resolution": 2,
+        "reward_weight": 0.7,
+        "exposure_weight": 0.3,
+        "values": table.tolist(),
+    }
+    return save_value_file, value, doc, False
+
+
+def _summary_case():
+    summary = aggregate_runs([_example1_trace(i) for i in range(2)])
+    return write_summary_file, summary, summary_to_dict(summary), False
+
+
+def _metadata_case():
+    trace = _example1_trace(1)
+    return write_trace_metadata, trace, trace_metadata(trace), True
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_model_case, _observation_case, _value_case, _summary_case, _metadata_case],
+    ids=["model", "observation", "value", "summary", "trace_metadata"],
+)
+def test_json_writers_write_indent_one_with_a_trailing_newline(tmp_path, case):
+    write, obj, doc, sort_keys = case()
+    path = tmp_path / "doc.json"
+    write(obj, path)
+    expected = json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "load, doc, field",
+    [
+        (load_model_file, model_to_dict(example1_model()[0]), "reward"),
+        (load_observation_file, {"num_observations": 2, "likelihood": [[1.0], [0.0]]},
+         "likelihood"),
+        (load_gridworld_spec,
+         {"width": 3, "height": 3, "start": [0, 0], "target": [2, 2], "sensor": [1, 1]},
+         "target"),
+        (load_value_file,
+         {"num_states": 2, "resolution": 1, "reward_weight": 1.0,
+          "exposure_weight": 0.0, "values": [[0.0, 0.0], [0.0, 0.0]]},
+         "values"),
+    ],
+    ids=["model", "observation", "gridworld_spec", "value"],
+)
+def test_loaders_reject_non_objects_and_missing_fields(tmp_path, load, doc, field):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    load(path)  # the complete document is valid
+    path.write_text(json.dumps(list(doc.values())))
+    with pytest.raises(ModelFormatError) as err:
+        load(path)
+    assert err.value.diagnostics == ["top-level document must be an object"]
+    path.write_text(json.dumps({k: v for k, v in doc.items() if k != field}))
+    with pytest.raises(ModelFormatError) as err:
+        load(path)
+    assert err.value.diagnostics == [f"missing field {field!r}"]
