@@ -4,10 +4,16 @@ The belief simplex is discretized with a regular lattice (all integer
 compositions of ``resolution``, indexed by their lexicographic rank), value
 lookups between lattice points use the Freudenthal triangulation (Lovejoy,
 Operations Research 1991), and value iteration runs over the finite grid.
+The rank is a sum of per-coordinate terms of the composition's suffix sums,
+so the ranks of a Freudenthal simplex's vertices are the floor's rank plus a
+running sum of one-coordinate gains.
+
 One batched lookahead, :class:`_Lookahead`, backs up every lattice point in
-a sweep and the single belief of a greedy decision: the observer's
+a sweep and the single (state, belief) pair of a greedy decision. Its
+kernel ``q(y|x') p(x'|x,u)`` is built once per model; the observer's
 posteriors and their simplices are found once per (belief, observation),
-and the successor law meets the value table in two ``einsum`` contractions.
+and only the 0/1 mask of the observations each belief leaves open depends
+on the belief.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from .belief import (
     emission_support,
     posterior_table,
 )
-from .errors import EmptyAdmissibleSet, SizeOverflow
+from .errors import EmptyAdmissibleSet, ModelFormatError, SizeOverflow
 from .mdp import MdpModel, _check_fields, _read_json_object, _readonly, _write_json
 
 # Transformed coordinates within this distance of an integer are treated as
@@ -43,46 +49,48 @@ MAX_GRID_POINTS = 2_000_000
 class SimplexGrid:
     """Regular belief lattice: row ``g`` of ``points`` is ``compositions[g] / resolution``.
 
-    ``_offsets[i, t]`` is ``C(t + n-1-i, n-1-i)``, the number of
-    compositions of at most ``t`` into ``n-1-i`` parts.
+    A composition's lexicographic rank is ``sum_j _gains[j, t_j]`` over its
+    suffix sums ``t_j``. With ``C[i, t] = C(t + n-1-i, n-1-i)``, the number
+    of compositions of at most ``t`` into ``n-1-i`` parts, the rank counts
+    for each ``i`` those that agree before ``i`` and hold less at ``i``:
+    ``C[i, t_i] - C[i, t_{i+1}]``, for ``i < n-1``. Collecting the terms of
+    each ``t_j`` gives ``_gains[j] = C[j] - C[j-1]``, with the rows ``C[-1]``
+    and ``C[n-1]`` taken as zero. The extra column ``t = resolution + 1``
+    is read only for coordinates already at ``resolution``: the first, which
+    is never raised, and others whose raised vertices carry zero weight.
     """
 
     num_states: int
     resolution: int
     points: np.ndarray
     compositions: np.ndarray
-    _offsets: np.ndarray = field(init=False, repr=False)
+    _gains: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", _readonly(self.points))
         object.__setattr__(
             self, "compositions", _readonly(self.compositions, dtype=np.int64)
         )
-        width = self.resolution + 1
-        offsets = [[math.comb(t + m, m) for t in range(width)]
-                   for m in range(self.num_states - 1, 0, -1)]
-        offsets = _readonly(np.reshape(offsets, (-1, width)), dtype=np.int64)
-        object.__setattr__(self, "_offsets", offsets)
+        n = self.num_states
+        width = self.resolution + 2
+        counts = np.array([[math.comb(t + m, m) for t in range(width)]
+                           for m in range(n - 1, 0, -1)], dtype=np.int64)
+        gains = np.zeros((n, width), dtype=np.int64)
+        gains[:-1] += counts.reshape(n - 1, width)
+        gains[1:] -= counts.reshape(n - 1, width)
+        object.__setattr__(self, "_gains", _readonly(gains, dtype=np.int64))
 
     @property
     def num_points(self) -> int:
         return self.points.shape[0]
-
-    def _rank(self, tails: np.ndarray) -> np.ndarray:
-        """Lexicographic rank of the compositions whose suffix sums are
-        ``tails[..., i]``: for each ``i``, count those that agree before
-        ``i`` and hold less at ``i``."""
-        i = np.arange(self.num_states - 1)
-        return (
-            self._offsets[i, tails[..., :-1]] - self._offsets[i, tails[..., 1:]]
-        ).sum(axis=-1)
 
     def index_of(self, composition) -> int:
         comp = np.asarray(composition, dtype=np.int64)
         if (comp.shape != (self.num_states,) or np.any(comp < 0)
                 or comp.sum() != self.resolution):
             raise KeyError(f"{tuple(comp.tolist())} is not a lattice composition")
-        return int(self._rank(np.cumsum(comp[::-1])[::-1]))
+        tails = np.cumsum(comp[::-1])[::-1]
+        return int(self._gains[np.arange(self.num_states), tails].sum())
 
 
 def build_simplex_grid(
@@ -138,13 +146,16 @@ def _simplex_weights(
     lam[..., 1:-1] = d[..., :-1] - d[..., 1:]
     lam[..., -1:] = d[..., -1:]
 
-    # vertex k raises the coordinates order[:k] of the floor by one
-    steps = np.zeros(x.shape + (n,), dtype=np.int64)
-    np.put_along_axis(steps[..., 1:, :], order[..., None], 1, axis=-1)
-    tails = base[..., None, :] + np.cumsum(steps, axis=-2)
+    # vertex k raises the coordinates order[:k] of the floor by one, and
+    # the rank is separable, so each raise adds that coordinate's gain
+    gains = grid._gains
+    coords = np.arange(n)
+    floor_rank = gains[coords, base].sum(axis=-1, keepdims=True)
+    rise = gains[coords, base + 1] - gains[coords, base]
+    climb = np.cumsum(np.take_along_axis(rise, order, axis=-1), axis=-1)
+    ranks = np.concatenate([floor_rank, floor_rank + climb], axis=-1)
     positive = lam > 0.0
-    tails = np.where(positive[..., None], tails, base[..., None, :])
-    return grid._rank(tails), np.where(positive, lam, 0.0)
+    return np.where(positive, ranks, floor_rank), np.where(positive, lam, 0.0)
 
 
 def interpolation_weights(
@@ -199,41 +210,50 @@ class AugmentedVIResult:
 
 
 class _Lookahead:
-    """One-step backup of ``(x, o)`` for every state and a batch of beliefs.
+    """One-step backup of ``(x, o)`` for the source states ``sources`` and
+    a batch of beliefs.
 
-    ``kernel[b, x, u, y, x']`` is ``q(y|x') p(x'|x,u)`` on the observations
-    the predictive leaves open, and the posterior after ``y`` interpolates
-    through ``vertices[b, y]`` with ``weights[b, y]``. Where no action is
-    admissible (``relaxed[b, x]``), every action with open mass is usable
-    and that mass is renormalized. ``stage`` is -inf for unusable actions.
+    ``kernel[x, u, y, x']`` is ``q(y|x') p(x'|x,u)``, the same for every
+    belief. The posterior after ``y`` interpolates through
+    ``vertices[b, y]`` with ``weights[b, y]``, and its value counts only
+    where the predictive leaves ``y`` open (``open_y[b, y]``). Where no
+    action is admissible (``relaxed[b, x]``), every action with open mass
+    is usable, and at those ``renorm`` entries the contracted future is
+    divided by that mass (``open_mass``). ``stage`` is -inf for unusable
+    actions.
     """
 
     def __init__(self, model: MdpModel, obs: ObservationModel, pa: np.ndarray,
                  grid: SimplexGrid, beliefs: np.ndarray,
-                 reward_weight: float, exposure_weight: float):
+                 reward_weight: float, exposure_weight: float,
+                 sources=slice(None)):
         q = obs.likelihood
         posteriors, _, open_y = posterior_table(pa, q, beliefs)
         self.vertices, self.weights = _simplex_weights(grid, posteriors)
+        self.open_y = open_y.astype(float)
 
-        blocked = blocked_actions(emission_support(model, obs), ~open_y.T).T
+        emits = emission_support(model, obs, sources)
+        blocked = blocked_actions(emits, ~open_y.T).T
         self.relaxed = blocked.all(axis=-1)
-        kernel = np.einsum("yz,zxu->xuyz", q, model.transition)
-        kernel = kernel * open_y[:, None, None, :, None]
-        total = kernel.sum(axis=(3, 4))
+        self.kernel = np.einsum("yz,zxu->xuyz", q, model.transition[:, sources])
+        total = np.einsum("xuy,by->bxu", self.kernel.sum(axis=-1), self.open_y)
         self.usable = (~blocked | self.relaxed[..., None]) & (total > EPS_ZERO)
         renorm = self.usable & self.relaxed[..., None]
-        kernel[renorm] /= total[renorm][:, None, None]
-        self.kernel = kernel
+        self.renorm = np.nonzero(renorm)
+        self.open_mass = total[renorm]
 
-        penalty = exposure_weight * beliefs  # belief.stage_penalty at every x
-        stage = reward_weight * model.reward[None] - penalty[..., None]
+        penalty = exposure_weight * beliefs[..., sources]  # belief.stage_penalty
+        stage = reward_weight * model.reward[sources] - penalty[..., None]
         self.stage = np.where(self.usable, stage, -np.inf)
         self.discount = model.discount
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        """Action values ``(B, X, U)`` against the table ``values[x, g]``."""
+        """Action values ``(B, X, U)`` against the table ``values[x', g]``."""
         interp = np.einsum("zbyk,byk->byz", values[:, self.vertices], self.weights)
-        future = np.einsum("bxuyz,byz->bxu", self.kernel, interp)
+        interp *= self.open_y[..., None]
+        future = np.einsum("xuyz,byz->bxu", self.kernel, interp)
+        if self.open_mass.size:
+            future[self.renorm] /= self.open_mass
         return self.stage + self.discount * future
 
 
@@ -287,11 +307,11 @@ def action_values(
     """
     lookahead = _Lookahead(
         model, obs, pa, value.grid, np.asarray(o, dtype=float)[None, :],
-        value.reward_weight, value.exposure_weight,
+        value.reward_weight, value.exposure_weight, sources=slice(x, x + 1),
     )
-    if lookahead.relaxed[0, x]:
+    if lookahead.relaxed[0, 0]:
         return np.full(model.num_actions, -np.inf)
-    return lookahead(value.values)[0, x]
+    return lookahead(value.values)[0, 0]
 
 
 def greedy_action(
@@ -326,16 +346,31 @@ def save_value_file(value: AugmentedValueFunction, path: str | Path) -> None:
     _write_json(doc, path)
 
 
+def _value_field(doc: dict, key: str, kind: type):
+    try:
+        return kind(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError([f"non-numeric {key}: {doc[key]!r}"]) from exc
+
+
 def load_value_file(path: str | Path) -> AugmentedValueFunction:
     doc = _read_json_object(path)
     _check_fields(doc, _VALUE_KEYS)
-    grid = build_simplex_grid(int(doc["num_states"]), int(doc["resolution"]))
-    values = np.asarray(doc["values"], dtype=float)
+    num_states = _value_field(doc, "num_states", int)
+    resolution = _value_field(doc, "resolution", int)
+    reward_weight = _value_field(doc, "reward_weight", float)
+    exposure_weight = _value_field(doc, "exposure_weight", float)
+    try:
+        values = np.asarray(doc["values"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError([f"non-numeric values: {exc}"]) from exc
+    try:
+        grid = build_simplex_grid(num_states, resolution)
+    except ValueError as exc:
+        raise ModelFormatError([str(exc)]) from exc
     if values.shape != (grid.num_states, grid.num_points):
-        raise ValueError(
+        raise ModelFormatError([
             f"value table shape {values.shape} does not match "
             f"{(grid.num_states, grid.num_points)}"
-        )
-    return AugmentedValueFunction(
-        grid, values, float(doc["reward_weight"]), float(doc["exposure_weight"])
-    )
+        ])
+    return AugmentedValueFunction(grid, values, reward_weight, exposure_weight)

@@ -129,6 +129,44 @@ def sequence_terms_by_path_enumeration(
     return reward_term, tail_term, exposure_term
 
 
+def freudenthal_by_definition(belief, resolution):
+    """Freudenthal simplex (Lovejoy 1991) of `belief` on the lattice of
+    compositions of `resolution`, by explicit loops.
+
+    Returns {composition: weight} over the vertices of positive weight. In
+    suffix-sum coordinates (x[j] = resolution * sum of belief[j:], summed
+    from the back, with x[0] = resolution) the lattice is the integer grid.
+    Coordinates within 1e-10 of an integer are snapped to it. Coordinates
+    1.. are sorted by fractional part, descending, ties by index; vertex k
+    is the floor with the first k sorted coordinates raised by one, and it
+    weighs the drop in fractional part between sorted places k-1 and k.
+    """
+    n = len(belief)
+    x = [0.0] * n
+    tail = 0.0
+    for j in reversed(range(n)):
+        tail += belief[j]
+        x[j] = resolution * tail
+    x[0] = float(resolution)
+    for j in range(n):
+        if abs(x[j] - round(x[j])) <= 1e-10:
+            x[j] = float(round(x[j]))
+    floor = [int(np.floor(v)) for v in x]
+    frac = [x[j] - floor[j] for j in range(n)]
+    order = sorted(range(1, n), key=lambda j: (-frac[j], j))
+    drops = [1.0] + [frac[j] for j in order] + [0.0]
+    out = {}
+    tails = list(floor)
+    for k in range(n):
+        if k > 0:
+            tails[order[k - 1]] += 1
+        weight = drops[k] - drops[k + 1]
+        if weight > 0.0:
+            comp = [tails[j] - tails[j + 1] for j in range(n - 1)] + [tails[-1]]
+            out[tuple(comp)] = weight
+    return out
+
+
 def composition_count(total, bins):
     """Number of ways to split `total` into `bins` ordered nonneg parts."""
     from math import comb

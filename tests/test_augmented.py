@@ -1,5 +1,6 @@
 """Tests for the joint (state, belief) value iteration and its belief lattice."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from covertmdp import (
     EmptyAdmissibleSet,
     MdpModel,
+    ModelFormatError,
     ObservationModel,
     SizeOverflow,
     example1_model,
@@ -34,6 +36,7 @@ from covertmdp.mdp import bellman_backup
 
 from _oracles import (
     composition_count,
+    freudenthal_by_definition,
     lattice_lookahead_by_definition,
     lattice_sweep_by_definition,
     random_sparse_model,
@@ -127,19 +130,40 @@ def test_interpolation_weights_form_a_convex_combination():
         np.testing.assert_allclose(grid.points[idx].T @ w, o, atol=1e-12)
 
 
+def mixed_beliefs(rng, grid):
+    """Off-grid beliefs, boundary beliefs with exact zeros, and lattice points."""
+    n = grid.num_states
+    beliefs = rng.dirichlet(np.full(n, 0.5), size=8)
+    beliefs[4:] *= rng.random((4, n)) < 0.5
+    beliefs[4:, rng.integers(n)] += 0.25
+    beliefs /= beliefs.sum(axis=1, keepdims=True)
+    return np.vstack([beliefs, grid.points[rng.integers(grid.num_points, size=4)]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), res=st.integers(1, 10)
+)
+def test_simplex_weights_match_the_freudenthal_walk(seed, n, res):
+    grid = build_simplex_grid(n, res)
+    beliefs = mixed_beliefs(np.random.default_rng(seed), grid)
+    vertices, weights = _simplex_weights(grid, beliefs)
+    for o, idx, w in zip(beliefs, vertices, weights):
+        expected = freudenthal_by_definition(o, res)
+        keep = w > 0.0
+        got = dict(zip(map(tuple, grid.compositions[idx[keep]].tolist()), w[keep]))
+        assert got.keys() == expected.keys()
+        for comp, weight in expected.items():
+            assert abs(got[comp] - weight) <= 1e-12
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), res=st.integers(1, 10)
 )
 def test_batched_simplex_matches_per_belief_weights(seed, n, res):
-    rng = np.random.default_rng(seed)
     grid = build_simplex_grid(n, res)
-    # off-grid beliefs, boundary beliefs with exact zeros, and lattice points
-    beliefs = rng.dirichlet(np.full(n, 0.5), size=8)
-    beliefs[4:] *= rng.random((4, n)) < 0.5
-    beliefs[4:, rng.integers(n)] += 0.25
-    beliefs /= beliefs.sum(axis=1, keepdims=True)
-    beliefs = np.vstack([beliefs, grid.points[rng.integers(grid.num_points, size=4)]])
+    beliefs = mixed_beliefs(np.random.default_rng(seed), grid)
     vertices, weights = _simplex_weights(grid, beliefs.reshape(3, 4, n))
     for o, row_idx, row_w in zip(beliefs, vertices.reshape(-1, n), weights.reshape(-1, n)):
         idx, w = interpolation_weights(grid, o)
@@ -274,11 +298,19 @@ def test_lattice_6s_seed0_matches_recorded_values(tmp_path, monkeypatch):
 
     wl = workloads.WORKLOADS["lattice-6s"]
     scn, _, _ = workloads.setup(wl, workloads.write_inputs(wl, 0, tmp_path))
-    result = workloads.solve_lattice(wl, scn)
+    tracemalloc.start()
+    try:
+        result = workloads.solve_lattice(wl, scn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     reference = np.load(PERFBENCH / "reference" / "lattice-6s-seed0-values.npy")
     assert result.converged
     assert result.value.values.shape == reference.shape
     assert np.max(np.abs(result.value.values - reference)) <= 1e-9
+    # one model-level kernel, not one per lattice point: a kernel per point
+    # (3003 x 288 floats) takes the solve's peak to about 17 MB
+    assert peak <= 10e6, f"solve allocated a peak of {peak / 1e6:.1f} MB"
 
 
 def test_greedy_action_pure_reward_matches_nominal_policy():
@@ -386,5 +418,5 @@ def test_load_value_file_rejects_mismatched_table(tmp_path):
         "values": [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]],  # wrong width
     }
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
+    with pytest.raises(ModelFormatError):
         load_value_file(path)

@@ -268,3 +268,31 @@ def test_loaders_reject_non_objects_and_missing_fields(tmp_path, load, doc, fiel
     with pytest.raises(ModelFormatError) as err:
         load(path)
     assert err.value.diagnostics == [f"missing field {field!r}"]
+
+
+@pytest.mark.parametrize(
+    "field, bad, diagnostic",
+    [
+        ("num_states", "x", "non-numeric num_states: 'x'"),
+        ("resolution", None, "non-numeric resolution: None"),
+        ("reward_weight", "heavy", "non-numeric reward_weight: 'heavy'"),
+        ("exposure_weight", [0.5], "non-numeric exposure_weight: [0.5]"),
+        ("values", [["a", 0.0], [0.0, 0.0]], "non-numeric values"),
+        ("values", [[0.0, 0.0], [0.0]], "non-numeric values"),
+        ("values", [[0.0]], "value table shape (1, 1) does not match (2, 2)"),
+        ("num_states", 0, "num_states must be positive, got 0"),
+        ("resolution", -1, "resolution must be positive, got -1"),
+    ],
+    ids=["num_states", "resolution", "reward_weight", "exposure_weight",
+         "values_text", "values_ragged", "values_shape", "no_states",
+         "negative_resolution"],
+)
+def test_load_value_file_reports_malformed_contents(tmp_path, field, bad, diagnostic):
+    doc = {"num_states": 2, "resolution": 1, "reward_weight": 1.0,
+           "exposure_weight": 0.0, "values": [[0.0, 0.0], [0.0, 0.0]]}
+    path = tmp_path / "value.json"
+    path.write_text(json.dumps({**doc, field: bad}))
+    with pytest.raises(ModelFormatError) as err:
+        load_value_file(path)
+    [line] = err.value.diagnostics
+    assert line.startswith(diagnostic)
