@@ -33,7 +33,14 @@ from .belief import (
     posterior_table,
 )
 from .errors import EmptyAdmissibleSet, ModelFormatError, SizeOverflow
-from .mdp import MdpModel, _check_fields, _read_json_object, _readonly, _write_json
+from .mdp import (
+    MdpModel,
+    _check_fields,
+    _read_json_object,
+    _readonly,
+    _value_field,
+    _write_json,
+)
 
 # Transformed coordinates within this distance of an integer are treated as
 # exactly on a lattice hyperplane, so grid points interpolate to themselves.
@@ -344,13 +351,6 @@ def save_value_file(value: AugmentedValueFunction, path: str | Path) -> None:
         "values": value.values.tolist(),
     }
     _write_json(doc, path)
-
-
-def _value_field(doc: dict, key: str, kind: type):
-    try:
-        return kind(doc[key])
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError([f"non-numeric {key}: {doc[key]!r}"]) from exc
 
 
 def load_value_file(path: str | Path) -> AugmentedValueFunction:

@@ -17,13 +17,20 @@ the planner rolls it over the horizon, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IllDefinedUpdate, ModelFormatError, ProhibitedAction
-from .mdp import MdpModel, _check_fields, _read_json_object, _readonly, _write_json
+from .mdp import (
+    MdpModel,
+    _check_fields,
+    _read_json_object,
+    _readonly,
+    _value_field,
+    _write_json,
+)
 
 # Threshold below which a probability is treated as an exact zero. All
 # quantities compared against it are finite sums of products of model
@@ -35,13 +42,21 @@ BELIEF_L1_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Likelihood table ``likelihood[y, x] = q(y | x)``; columns sum to 1."""
+    """Likelihood table ``likelihood[y, x] = q(y | x)``; columns sum to 1.
+
+    ``likelihood_cdf`` holds the running sums of each column, computed once
+    so the simulator draws observations without summing per draw.
+    """
 
     num_observations: int
     likelihood: np.ndarray
+    likelihood_cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "likelihood", _readonly(self.likelihood))
+        object.__setattr__(
+            self, "likelihood_cdf", _readonly(np.cumsum(self.likelihood, axis=0))
+        )
 
 
 def validate_observation_model(obs: ObservationModel, num_states: int) -> list[str]:
@@ -129,14 +144,31 @@ def posterior_table(
     (mass above EPS_ZERO). Rows of ruled-out observations are left as zeros
     and must not be used.
     """
-    pred_states = (pa @ np.asarray(beliefs, dtype=float).T).T
-    numer = q * pred_states[..., None, :]
-    predictive = numer.sum(axis=-1)
+    numer, predictive = _joint_predictive(pa, q, beliefs)
     open_y = predictive > EPS_ZERO
+    if open_y.all():
+        numer /= predictive[..., None]
+        return numer, predictive, open_y
     posteriors = np.divide(
         numer, predictive[..., None], out=np.zeros_like(numer), where=open_y[..., None]
     )
     return posteriors, predictive, open_y
+
+
+def open_observations(pa: np.ndarray, q: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
+    """:func:`posterior_table`'s ``open_y`` alone, by the same arithmetic,
+    for callers that need no posteriors."""
+    return _joint_predictive(pa, q, beliefs)[1] > EPS_ZERO
+
+
+def _joint_predictive(
+    pa: np.ndarray, q: np.ndarray, beliefs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``numer[..., y, x'] = q(y | x') (pa o)(x')`` and its sum over ``x'``,
+    the one-step predictive."""
+    pred_states = (pa @ np.asarray(beliefs, dtype=float).T).T
+    numer = q * pred_states[..., None, :]
+    return numer, numer.sum(axis=-1)
 
 
 def emission_support(
@@ -291,7 +323,7 @@ def observation_from_dict(doc: dict, num_states: int | None = None) -> Observati
         raise ModelFormatError(
             [f"likelihood must be nested [observation][state], got ndim={likelihood.ndim}"]
         )
-    obs = ObservationModel(int(doc["num_observations"]), likelihood)
+    obs = ObservationModel(_value_field(doc, "num_observations", int), likelihood)
     n = likelihood.shape[1] if num_states is None else num_states
     problems = validate_observation_model(obs, n)
     if problems:

@@ -9,7 +9,8 @@ transposed on load.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,18 @@ def _check_fields(doc: dict, allowed: set[str], required: set[str] | None = None
         raise ModelFormatError([f"unknown field {k!r}" for k in sorted(unknown)])
 
 
+def _value_field(doc: dict, key: str, kind: type):
+    """Scalar field ``key`` of a document as ``kind``: a count (``int``)
+    must be a JSON integer and a real (``float``) any JSON number. Anything
+    else, booleans included, is a :class:`ModelFormatError` naming the field."""
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelFormatError([f"non-numeric {key}: {value!r}"])
+    if kind is int and not isinstance(value, numbers.Integral):
+        raise ModelFormatError([f"{key} must be an integer, got {value!r}"])
+    return kind(value)
+
+
 @dataclass(frozen=True)
 class MdpModel:
     """Finite MDP with states and actions identified by 0-based indices.
@@ -69,7 +82,9 @@ class MdpModel:
     action ``a`` is applied in state ``s``; each ``(s, a)`` column sums to 1.
     ``reward[s, a]`` is the stage reward and ``discount`` lies in (0, 1).
     All arrays are read-only after construction and safe to share across
-    workers.
+    workers. ``transition_cdf`` holds the running sums of each ``(s, a)``
+    column, computed once so the simulator draws successors without summing
+    per draw.
     """
 
     num_states: int
@@ -77,10 +92,14 @@ class MdpModel:
     transition: np.ndarray
     reward: np.ndarray
     discount: float
+    transition_cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "transition", _readonly(self.transition))
         object.__setattr__(self, "reward", _readonly(self.reward))
+        object.__setattr__(
+            self, "transition_cdf", _readonly(np.cumsum(self.transition, axis=0))
+        )
 
 
 @dataclass(frozen=True)
@@ -230,11 +249,11 @@ def model_from_dict(doc: dict) -> MdpModel:
             [f"transition must be nested [action][source][destination], got ndim={file_kernel.ndim}"]
         )
     model = MdpModel(
-        num_states=int(doc["num_states"]),
-        num_actions=int(doc["num_actions"]),
+        num_states=_value_field(doc, "num_states", int),
+        num_actions=_value_field(doc, "num_actions", int),
         transition=file_kernel.transpose(2, 1, 0),
         reward=reward,
-        discount=float(doc["discount"]),
+        discount=_value_field(doc, "discount", float),
     )
     problems = validate_model(model)
     if problems:

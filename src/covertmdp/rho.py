@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .belief import (
     emission_support,
     emitting,
     joint_step,
+    open_observations,
     posterior_table,
 )
 from .errors import NoAdmissibleSequence, SizeOverflow
@@ -70,6 +73,11 @@ class SequenceScore:
 
 @dataclass(frozen=True)
 class PlanResult:
+    """The best sequence and its terms. ``sequences`` scores every sequence,
+    in the planner's order; it is built on first read from ``_terms``, the
+    parallel lists (actions, reward, tail, detection, objective) of the
+    :class:`SequenceScore` fields."""
+
     actions: tuple[int, ...]
     objective: float
     reward_term: float
@@ -77,11 +85,15 @@ class PlanResult:
     detection_term: float
     sequences_scored: int
     tied: bool
-    sequences: tuple[SequenceScore, ...]
+    _terms: tuple[list, ...] = field(repr=False, hash=False)
 
     @property
     def first_action(self) -> int:
         return self.actions[0]
+
+    @cached_property
+    def sequences(self) -> tuple[SequenceScore, ...]:
+        return tuple(map(SequenceScore, *self._terms))
 
 
 def suggested_tail_weight_bound(config: PlannerConfig, discount: float) -> float:
@@ -235,12 +247,14 @@ def plan(
 
     The tree is built one depth at a time: its nodes are the observation
     histories that carry mass, with one batched :func:`posterior_table`
-    call per depth, and every live action prefix advances its mass tensor
+    call per depth (the last depth needs only the open observations), and
+    every live action prefix advances its mass tensor
     ``mass[prefix, history, x]`` over them at once with
     :func:`belief.joint_step`. Only the beliefs and what they rule out are
-    computed per call; the rest comes from ``memo`` (a :class:`PlanMemo`
-    for the same model, sensor and values), or from a fresh one when none
-    is given.
+    computed per call, and admissibility only at depths where something is
+    ruled out; the rest comes from ``memo`` (a :class:`PlanMemo` for the
+    same model, sensor and values), or from a fresh one when none is given.
+    ``PlanResult.sequences`` is built only when read.
 
     When ``log_path`` is given, every scored sequence and every pruned
     prefix is appended to that file as one JSON object per line.
@@ -279,45 +293,51 @@ def plan(
     # is cleared, so it blocks nothing
     occupied = True
     for depth in range(horizon):
-        posteriors, _, open_y = posterior_table(pa, q, beliefs)
+        if depth == horizon - 1:
+            # the last depth's posteriors would be beliefs beyond the horizon
+            open_y = open_observations(pa, q, beliefs)
+        else:
+            posteriors, _, open_y = posterior_table(pa, q, beliefs)
         ruled_out = ~open_y
         if not occupied:
             ruled_out &= open_y.any(axis=1)[:, None]
-        blocked = blocked_actions(node.reach, ruled_out.ravel())
-        node = memo.child(node, blocked.reshape(len(node.mass), -1), depth, horizon)
+        if ruled_out.any():
+            occupied = False
+            blocked = blocked_actions(node.reach, ruled_out.ravel())
+            blocked = blocked.reshape(len(node.mass), -1)
+        else:
+            blocked = np.zeros((len(node.mass), model.num_actions), dtype=bool)
+        node = memo.child(node, blocked, depth, horizon)
         pruned += node.pruned
         r_exposed = r_exposed[node.src]
         if node.mass is None:
             break
-        occupied = occupied and not ruled_out.any()
         beliefs = posteriors.reshape(-1, n)[node.live]
         exposed = (node.mass * beliefs).reshape(len(node.mass), -1).sum(axis=1)
         r_exposed += lam ** (depth + 1) * exposed
     objective = config.reward_weight * node.r_total - penalty_weight * r_exposed
     # empty unless some prefix survived to the full horizon
-    scored = [
-        SequenceScore(*terms)
-        for terms in zip(
-            node.prefixes, node.inside_terms, node.tail_terms, r_exposed.tolist(),
-            objective.tolist(),
-        )
-    ]
+    terms = (
+        node.prefixes, node.inside_terms, node.tail_terms, r_exposed.tolist(),
+        objective.tolist(),
+    )
     if log_path is not None:
-        _write_plan_log(log_path, x, config, scored, sorted(pruned))
-    if not scored:
+        _write_plan_log(log_path, x, config, map(SequenceScore, *terms), sorted(pruned))
+    if not node.prefixes:
         raise NoAdmissibleSequence(
             f"no admissible action sequence of length {horizon} from state x={x}"
         )
-    best = scored[int(np.argmax(objective))]
+    best = int(np.argmax(objective))
+    actions, reward_term, tail_term, detection_term, top = (c[best] for c in terms)
     return PlanResult(
-        best.actions,
-        best.objective,
-        best.reward_term,
-        best.tail_term,
-        best.detection_term,
-        len(scored),
-        int(np.count_nonzero(objective == best.objective)) > 1,
-        tuple(scored),
+        actions,
+        top,
+        reward_term,
+        tail_term,
+        detection_term,
+        len(node.prefixes),
+        int(np.count_nonzero(objective == top)) > 1,
+        terms,
     )
 
 
@@ -325,7 +345,7 @@ def _write_plan_log(
     log_path: str,
     x: int,
     config: PlannerConfig,
-    scored: list[SequenceScore],
+    scored: Iterable[SequenceScore],
     pruned: list[tuple[int, ...]],
 ) -> None:
     with open(log_path, "a", encoding="utf-8") as fh:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -38,10 +39,11 @@ def rng_for_run(seed_base: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng([seed_base, run_index])
 
 
-def _sample(rng: np.random.Generator, probs: np.ndarray) -> int:
-    edges = np.cumsum(probs)
-    i = int(np.searchsorted(edges, rng.random() * edges[-1], side="right"))
-    return min(i, probs.size - 1)
+def _sample(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """Index drawn from the distribution with running sums ``cdf``: the
+    first whose running sum exceeds a uniform draw scaled to the total."""
+    edges = cdf.tolist()
+    return min(bisect_right(edges, rng.random() * edges[-1]), len(edges) - 1)
 
 
 def model_fingerprint(model: MdpModel, obs: ObservationModel) -> str:
@@ -149,8 +151,8 @@ def step(
     """
     if u not in admissible_actions(model, obs, pa, x, o):
         raise ProhibitedAction(f"action u={u} is prohibited at state x={x}")
-    x_next = _sample(rng, model.transition[:, x, u])
-    y = _sample(rng, obs.likelihood[:, x_next])
+    x_next = _sample(rng, model.transition_cdf[:, x, u])
+    y = _sample(rng, obs.likelihood_cdf[:, x_next])
     o_next = bayes_update(pa, obs.likelihood, o, y)
     return x_next, y, o_next
 
@@ -220,7 +222,7 @@ def run_closed_loop(
         raise ValueError(f"num_steps must be positive, got {num_steps}")
     rng = rng_for_run(seed_base, run_index)
     o0 = np.asarray(o0, dtype=float)
-    x = _sample(rng, o0) if x0 is None else int(x0)
+    x = _sample(rng, np.cumsum(o0)) if x0 is None else int(x0)
     if o0[x] <= 0.0:
         warnings.warn(
             f"initial belief puts zero mass on the start state x={x}; "

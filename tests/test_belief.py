@@ -26,6 +26,7 @@ from covertmdp.belief import (
     emitting,
     observation_predictive,
     load_observation_file,
+    open_observations,
     observation_from_dict,
     posterior_table,
     save_observation_file,
@@ -149,6 +150,49 @@ def test_posterior_table_matches_single_updates():
             np.testing.assert_allclose(b_posts[g], one[0], atol=1e-14)
             np.testing.assert_allclose(b_pred[g], one[1], atol=1e-14)
             np.testing.assert_array_equal(b_open[g], one[2])
+
+
+def masked_posteriors(pa, q, beliefs):
+    """The filter step for every observation by the masked divide, rows of
+    ruled-out observations left at zero."""
+    pred_states = (pa @ np.asarray(beliefs, dtype=float).T).T
+    numer = q * pred_states[..., None, :]
+    predictive = numer.sum(axis=-1)
+    open_y = predictive > EPS_ZERO
+    return np.divide(
+        numer, predictive[..., None], out=np.zeros_like(numer), where=open_y[..., None]
+    )
+
+
+def test_posterior_table_divides_in_place_bitwise_like_the_masked_divide():
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        n, k = rng.integers(2, 6, size=2)
+        model, obs = random_pair(rng, n, 2, k)
+        pa = nominal_chain(model)
+        beliefs = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 9)))
+        posts, pred, open_y = posterior_table(pa, obs.likelihood, beliefs)
+        assert open_y.all()  # a strictly positive sensor rules nothing out
+        np.testing.assert_array_equal(posts, masked_posteriors(pa, obs.likelihood, beliefs))
+        np.testing.assert_array_equal(
+            open_observations(pa, obs.likelihood, beliefs), open_y
+        )
+
+
+def test_posterior_table_zeros_the_rows_of_ruled_out_observations():
+    # state 0 reads 0 or 1, states 1 and 2 read 1 or 2; the observer is
+    # sure of state 0 and expects it to stay, so reading 2 is exactly
+    # impossible for the first belief, while the second allows everything
+    q = np.array([[0.5, 0.0, 0.0], [0.5, 0.5, 0.25], [0.0, 0.5, 0.75]])
+    pa = np.eye(3)
+    beliefs = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
+    posts, pred, open_y = posterior_table(pa, q, beliefs)
+    np.testing.assert_array_equal(open_y, [[True, True, False], [True, True, True]])
+    assert pred[0, 2] == 0.0
+    np.testing.assert_array_equal(posts[0, 2], 0.0)
+    np.testing.assert_array_equal(posts, masked_posteriors(pa, q, beliefs))
+    np.testing.assert_array_equal(posts[0, :2], [[1.0, 0.0, 0.0]] * 2)
+    np.testing.assert_array_equal(open_observations(pa, q, beliefs), open_y)
 
 
 def test_emission_support_matches_loops():

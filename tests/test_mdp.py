@@ -296,3 +296,42 @@ def test_load_value_file_reports_malformed_contents(tmp_path, field, bad, diagno
         load_value_file(path)
     [line] = err.value.diagnostics
     assert line.startswith(diagnostic)
+
+
+_SCALAR_DOCS = {
+    load_model_file: model_to_dict(example1_model()[0]),
+    load_observation_file: {"num_observations": 2, "likelihood": [[1.0], [0.0]]},
+    load_value_file: {"num_states": 2, "resolution": 1, "reward_weight": 1.0,
+                      "exposure_weight": 0.0, "values": [[0.0, 0.0], [0.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize(
+    "load, field, bad, diagnostic",
+    [
+        (load_model_file, "discount", "x", "non-numeric discount: 'x'"),
+        (load_model_file, "num_states", "three", "non-numeric num_states: 'three'"),
+        (load_observation_file, "num_observations", "two",
+         "non-numeric num_observations: 'two'"),
+        (load_value_file, "num_states", 2.9, "num_states must be an integer, got 2.9"),
+        (load_model_file, "num_actions", 2.9, "num_actions must be an integer, got 2.9"),
+        (load_observation_file, "num_observations", 2.0,
+         "num_observations must be an integer, got 2.0"),
+        (load_value_file, "resolution", "3", "non-numeric resolution: '3'"),
+        (load_model_file, "num_states", True, "non-numeric num_states: True"),
+        (load_value_file, "exposure_weight", False, "non-numeric exposure_weight: False"),
+    ],
+    ids=["model_discount_text", "model_states_text", "observation_count_text",
+         "value_states_fraction", "model_actions_fraction",
+         "observation_count_float", "value_resolution_string", "model_states_bool",
+         "value_weight_bool"],
+)
+def test_loaders_reject_non_numeric_and_non_integer_scalars(
+    tmp_path, load, field, bad, diagnostic
+):
+    # int() would truncate 2.9 to 2 and float() would raise a bare ValueError
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_SCALAR_DOCS[load], field: bad}))
+    with pytest.raises(ModelFormatError) as err:
+        load(path)
+    assert err.value.diagnostics == [diagnostic]

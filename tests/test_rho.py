@@ -552,6 +552,47 @@ def test_plan_log_records_scored_and_pruned_events(tmp_path):
     assert {tuple(e["prefix"]) + (e["action"],) for e in pruned} == {(1,), (0, 1)}
 
 
+def test_plan_sequences_are_the_logged_scores(tmp_path):
+    # sequences is built on first read; the log writes it on every call
+    rng = np.random.default_rng(12)
+    cases = [(*smoothed_example1(), None)]
+    for _ in range(3):
+        transition, reward, likelihood, chain = random_sparse_model(rng, 4, 2, 3)
+        cases.append(
+            (MdpModel(4, 2, transition, reward, 0.9), ObservationModel(3, likelihood), chain)
+        )
+    for model, obs, chain in cases:
+        pa, values, _ = nominal_setup(model)
+        pa = pa if chain is None else chain
+        memo = PlanMemo(model, obs, values)
+        for x, o, cfg in random_calls(rng, model.num_states, 8):
+            log = tmp_path / "plan.jsonl"
+            log.unlink(missing_ok=True)
+            try:
+                result = plan(model, obs, pa, values, x, o, cfg, str(log), memo=memo)
+            except NoAdmissibleSequence:
+                continue
+            events = [json.loads(line) for line in log.read_text().splitlines()]
+            logged = [
+                (tuple(e["actions"]), e["reward_term"], e["tail_term"],
+                 e["detection_term"], e["objective"])
+                for e in events if e["event"] == "scored"
+            ]
+            got = [
+                (s.actions, s.reward_term, s.tail_term, s.detection_term, s.objective)
+                for s in result.sequences
+            ]
+            assert got == logged
+            assert result.sequences_scored == len(logged)
+            best = max(result.sequences, key=lambda s: s.objective)  # first maximum
+            assert (result.actions, result.objective, result.reward_term,
+                    result.tail_term, result.detection_term) == (
+                best.actions, best.objective, best.reward_term, best.tail_term,
+                best.detection_term)
+            top = sum(s.objective == best.objective for s in result.sequences)
+            assert result.tied == (top > 1)
+
+
 # ---------------------------------------------------------------------------
 # histories through ruled-out observations, and the memo
 
@@ -629,13 +670,14 @@ def test_plan_histories_through_ruled_out_observations_block_nothing(horizon, tm
 
 
 def outcomes(model, obs, pa, values, calls, log, memo=None):
-    """repr of every call's PlanResult, or its exception's type and message;
-    each call appends to the plan log ``log``."""
+    """repr of every call's PlanResult and its sequences, or its exception's
+    type and message; each call appends to the plan log ``log``."""
     kwargs = {} if memo is None else {"memo": memo}
     out = []
     for x, o, cfg in calls:
         try:
-            out.append(repr(plan(model, obs, pa, values, x, o, cfg, str(log), **kwargs)))
+            result = plan(model, obs, pa, values, x, o, cfg, str(log), **kwargs)
+            out.append(repr(result) + repr(result.sequences))
         except (NoAdmissibleSequence, SizeOverflow) as err:
             out.append((type(err).__name__, str(err)))
     return out

@@ -31,8 +31,10 @@ from covertmdp import (
     uniform_belief,
     write_trace_csv,
 )
+from covertmdp import sim
 from covertmdp.sim import (
     AugmentedValueController,
+    _sample,
     model_fingerprint,
     rng_for_run,
     step,
@@ -43,6 +45,8 @@ from covertmdp.sim import (
     write_trace_metadata,
 )
 from covertmdp.augmented import solve_augmented_vi
+
+from _oracles import random_sane_model
 
 
 def nominal_setup(model):
@@ -100,6 +104,110 @@ def test_step_sampling_statistics():
     expected_obs = obs.likelihood @ expected_states
     sigma_y = np.sqrt(expected_obs * (1 - expected_obs) / draws)
     assert np.all(np.abs(obs_counts / draws - expected_obs) < 5 * sigma_y + 1e-9)
+
+
+def _cdf_cases():
+    grid_model, grid_obs = gridworld_model(desk_gridworld())
+    transition, reward, likelihood = random_sane_model(np.random.default_rng(4), 5, 3, 4)
+    return [
+        example1_model(),
+        (grid_model, grid_obs),
+        (MdpModel(5, 3, transition, reward, 0.9), ObservationModel(4, likelihood)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["example1", "gridworld", "random"])
+def test_cumulative_tables_equal_each_columns_cumsum(case):
+    model, obs = _cdf_cases()[case]
+    for x in range(model.num_states):
+        for u in range(model.num_actions):
+            np.testing.assert_array_equal(
+                model.transition_cdf[:, x, u], np.cumsum(model.transition[:, x, u])
+            )
+        np.testing.assert_array_equal(
+            obs.likelihood_cdf[:, x], np.cumsum(obs.likelihood[:, x])
+        )
+    assert not model.transition_cdf.flags.writeable
+    assert not obs.likelihood_cdf.flags.writeable
+
+
+class _Uniforms:
+    """Stands in for a generator whose uniform draws are given."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+def test_sample_picks_the_index_searchsorted_picks():
+    rng = np.random.default_rng(11)
+    model, obs = gridworld_model(desk_gridworld())
+    columns = [np.array([0.25, 0.0, 0.25, 0.5]), np.array([0.0, 1.0, 0.0])]
+    columns += [model.transition[:, x, u] for x in range(5) for u in range(5)]
+    columns += [obs.likelihood[:, x] for x in range(5)]
+    columns += [rng.dirichlet(np.ones(7)) for _ in range(5)]
+    on_edge = 0
+    for probs in columns:
+        edges = np.cumsum(probs)
+        # uniforms aimed at every edge (most land on it exactly, counted
+        # below), 0 and the largest below 1, then random ones: about 10k
+        # values over all columns
+        draws = [e / edges[-1] for e in edges[:-1]] + [0.0, 1.0 - 2.0**-53]
+        draws += rng.random(10_000 // len(columns) - len(draws)).tolist()
+        uniforms = _Uniforms(draws)
+        picked = [_sample(uniforms, edges) for _ in draws]
+        values = np.array(draws) * edges[-1]
+        expected = np.minimum(
+            np.searchsorted(edges, values, side="right"), probs.size - 1
+        )
+        np.testing.assert_array_equal(picked, expected)
+        on_edge += int(np.isin(values, edges).sum())
+    assert on_edge > 50
+
+
+def _counting(name, fn, counts, check=None):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        if check is not None:
+            check(args)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_traced_entry_points_are_called_once_per_step(monkeypatch):
+    # The benchmark's tracer times each layer by replacing these sim
+    # attributes, which the closed loop must look up at call time; one it
+    # stopped calling would read zero without failing anything else.
+    model, obs = example1_model()
+    pa, values, _ = nominal_setup(model)
+    o0 = uniform_belief(3)
+    config = PlannerConfig(3, 0.5, 0.5, 0.0)
+    value = solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=3, tol=1e-4).value
+
+    def plan_args(args):
+        # what the tracer reads of each planner call
+        assert args[0] is model
+        assert args[5].shape == (3,)
+        assert isinstance(args[6], PlannerConfig)
+
+    names = ("plan", "step", "admissible_actions", "bayes_update", "greedy_action")
+    steps = 25
+    for controller, decider in [
+        (RecedingHorizonController(model, obs, pa, values, config), "plan"),
+        (AugmentedValueController(model, obs, pa, value), "greedy_action"),
+    ]:
+        counts = dict.fromkeys(names, 0)
+        with monkeypatch.context() as patch:
+            for name in names:
+                check = plan_args if name == "plan" else None
+                patch.setattr(sim, name, _counting(name, getattr(sim, name), counts, check))
+            run_closed_loop(model, obs, pa, controller, o0, steps, 3, 0)
+        expected = {name: steps for name in names}
+        expected["greedy_action" if decider == "plan" else "plan"] = 0
+        assert counts == expected
 
 
 def test_step_rejects_prohibited_action():
