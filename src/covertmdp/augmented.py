@@ -10,10 +10,14 @@ running sum of one-coordinate gains.
 
 One batched lookahead, :class:`_Lookahead`, backs up every lattice point in
 a sweep and the single (state, belief) pair of a greedy decision. Its
-kernel ``q(y|x') p(x'|x,u)`` is built once per model; the observer's
-posteriors and their simplices are found once per (belief, observation),
-and only the 0/1 mask of the observations each belief leaves open depends
-on the belief.
+model-level half, :class:`LookaheadTables` (the kernel ``q(y|x') p(x'|x,u)``,
+its mass over ``x'`` and the emission support), is built once per solve and
+once per ``AugmentedValueController``. The rest depends on the belief: the
+observer's posteriors and their simplices, found once per (belief,
+observation), the 0/1 mask of the observations each belief leaves open, the
+blocked and relaxed actions, the stage reward and the two contractions. A
+greedy decision computes these for its one belief and reads only its own
+state's rows of the tables.
 """
 
 from __future__ import annotations
@@ -92,11 +96,12 @@ class SimplexGrid:
         return self.points.shape[0]
 
     def index_of(self, composition) -> int:
-        comp = np.asarray(composition, dtype=np.int64)
+        comp = np.asarray(composition)
+        # checked before any cast, which would truncate 1.5 to a lattice 1
         if (comp.shape != (self.num_states,) or np.any(comp < 0)
-                or comp.sum() != self.resolution):
+                or comp.sum() != self.resolution or np.any(comp % 1 != 0)):
             raise KeyError(f"{tuple(comp.tolist())} is not a lattice composition")
-        tails = np.cumsum(comp[::-1])[::-1]
+        tails = np.cumsum(comp[::-1].astype(np.int64))[::-1]
         return int(self._gains[np.arange(self.num_states), tails].sum())
 
 
@@ -139,30 +144,37 @@ def _simplex_weights(
     res = grid.resolution
     if n == 1:
         return np.zeros(beliefs.shape, dtype=np.int64), np.ones(beliefs.shape)
-    x = res * np.cumsum(beliefs[..., ::-1], axis=-1)[..., ::-1]
-    x[..., 0] = res  # exact by normalization
-    near = np.round(x)
-    x = np.where(np.abs(x - near) <= SNAP_TOL, near, x)
-    base = np.floor(x).astype(np.int64)
-    frac = x - base
+    shape = beliefs.shape
+    # one row per belief, so the walk's order gathers by plain indexing;
+    # the solve's memory peaks here, so the stack-sized steps work in place
+    frac = res * np.cumsum(beliefs.reshape(-1, n)[:, ::-1], axis=-1)[:, ::-1]
+    frac[:, 0] = res  # exact by normalization
+    near = np.round(frac)
+    np.copyto(frac, near, where=np.abs(frac - near) <= SNAP_TOL)
+    base = np.floor(frac, out=near).astype(np.int64)
+    frac -= base  # the fractional parts from here on
 
-    order = np.argsort(-frac[..., 1:], axis=-1, kind="stable") + 1
-    d = np.take_along_axis(frac, order, axis=-1)
-    lam = np.empty(x.shape)
-    lam[..., :1] = 1.0 - d[..., :1]
-    lam[..., 1:-1] = d[..., :-1] - d[..., 1:]
-    lam[..., -1:] = d[..., -1:]
+    rows = np.arange(len(frac))[:, None]
+    order = np.argsort(-frac[:, 1:], axis=-1, kind="stable") + 1
+    # weights: one difference over [1, d_1, ..., d_{n-1}, 0], with d the
+    # fractional parts in walk order; the last, d_{n-1} - 0, stays as it is
+    lam = np.empty((len(frac), n))
+    lam[:, 0] = 1.0
+    lam[:, 1:] = frac[rows, order]
+    lam[:, :-1] -= lam[:, 1:]
 
     # vertex k raises the coordinates order[:k] of the floor by one, and
     # the rank is separable, so each raise adds that coordinate's gain
     gains = grid._gains
     coords = np.arange(n)
-    floor_rank = gains[coords, base].sum(axis=-1, keepdims=True)
-    rise = gains[coords, base + 1] - gains[coords, base]
-    climb = np.cumsum(np.take_along_axis(rise, order, axis=-1), axis=-1)
+    at_floor = gains[coords, base]
+    floor_rank = at_floor.sum(axis=-1, keepdims=True)
+    rise = np.subtract(gains[coords, base + 1], at_floor, out=at_floor)
+    climb = np.cumsum(rise[rows, order], axis=-1)
     ranks = np.concatenate([floor_rank, floor_rank + climb], axis=-1)
     positive = lam > 0.0
-    return np.where(positive, ranks, floor_rank), np.where(positive, lam, 0.0)
+    vertices = np.where(positive, ranks, floor_rank)
+    return vertices.reshape(shape), np.where(positive, lam, 0.0).reshape(shape)
 
 
 def interpolation_weights(
@@ -216,34 +228,54 @@ class AugmentedVIResult:
     fallback_points: tuple[tuple[int, int], ...]
 
 
+class LookaheadTables:
+    """The model-level half of the one-step lookahead, built once per model
+    and sensor: the kernel ``kernel[x, u, y, x'] = q(y|x') p(x'|x,u)``, its
+    mass over ``x'`` and the :func:`emission_support` table ``emits[u, x, y]``.
+
+    :func:`solve_augmented_vi` builds it once per solve and
+    ``AugmentedValueController`` once per controller; :func:`greedy_action`
+    builds a fresh one when it is given none.
+    """
+
+    def __init__(self, model: MdpModel, obs: ObservationModel):
+        self.model = model
+        self.obs = obs
+        self.kernel = np.einsum("yz,zxu->xuyz", obs.likelihood, model.transition)
+        self.mass = self.kernel.sum(axis=-1)
+        self.emits = emission_support(model, obs)
+
+    def serves(self, model: MdpModel, obs: ObservationModel) -> bool:
+        return model is self.model and obs is self.obs
+
+
 class _Lookahead:
     """One-step backup of ``(x, o)`` for the source states ``sources`` and
     a batch of beliefs.
 
-    ``kernel[x, u, y, x']`` is ``q(y|x') p(x'|x,u)``, the same for every
-    belief. The posterior after ``y`` interpolates through
-    ``vertices[b, y]`` with ``weights[b, y]``, and its value counts only
-    where the predictive leaves ``y`` open (``open_y[b, y]``). Where no
-    action is admissible (``relaxed[b, x]``), every action with open mass
-    is usable, and at those ``renorm`` entries the contracted future is
-    divided by that mass (``open_mass``). ``stage`` is -inf for unusable
-    actions.
+    The kernel and what each action can emit are the same for every belief,
+    so they are read as ``sources``' rows of ``tables``. Per belief, the
+    posterior after ``y`` interpolates through ``vertices[b, y]`` with
+    ``weights[b, y]``, and its value counts only where the predictive
+    leaves ``y`` open (``open_y[b, y]``). Where no action is admissible
+    (``relaxed[b, x]``), every action with open mass is usable, and at those
+    ``renorm`` entries the contracted future is divided by that mass
+    (``open_mass``). ``stage`` is -inf for unusable actions.
     """
 
-    def __init__(self, model: MdpModel, obs: ObservationModel, pa: np.ndarray,
+    def __init__(self, tables: LookaheadTables, pa: np.ndarray,
                  grid: SimplexGrid, beliefs: np.ndarray,
                  reward_weight: float, exposure_weight: float,
                  sources=slice(None)):
-        q = obs.likelihood
-        posteriors, _, open_y = posterior_table(pa, q, beliefs)
+        model = tables.model
+        posteriors, _, open_y = posterior_table(pa, tables.obs.likelihood, beliefs)
         self.vertices, self.weights = _simplex_weights(grid, posteriors)
         self.open_y = open_y.astype(float)
 
-        emits = emission_support(model, obs, sources)
-        blocked = blocked_actions(emits, ~open_y.T).T
+        blocked = blocked_actions(tables.emits[:, sources], ~open_y.T).T
         self.relaxed = blocked.all(axis=-1)
-        self.kernel = np.einsum("yz,zxu->xuyz", q, model.transition[:, sources])
-        total = np.einsum("xuy,by->bxu", self.kernel.sum(axis=-1), self.open_y)
+        self.kernel = tables.kernel[sources]
+        total = np.einsum("xuy,by->bxu", tables.mass[sources], self.open_y)
         self.usable = (~blocked | self.relaxed[..., None]) & (total > EPS_ZERO)
         renorm = self.usable & self.relaxed[..., None]
         self.renorm = np.nonzero(renorm)
@@ -279,7 +311,8 @@ def solve_augmented_vi(
         raise ValueError(f"tol must be positive, got {tol}")
     grid = build_simplex_grid(model.num_states, resolution)
     lookahead = _Lookahead(
-        model, obs, pa, grid, grid.points, reward_weight, exposure_weight
+        LookaheadTables(model, obs), pa, grid, grid.points,
+        reward_weight, exposure_weight,
     )
     hopeless = np.argwhere(~lookahead.usable.any(axis=2))
     if hopeless.size:
@@ -306,14 +339,28 @@ def action_values(
     value: AugmentedValueFunction,
     x: int,
     o: np.ndarray,
+    *,
+    tables: LookaheadTables | None = None,
 ) -> np.ndarray:
     """Greedy lookahead at an arbitrary ``(x, o)``; inadmissible entries are -inf.
 
     Unlike the solver's backup, no action is relaxed here: where every
-    action is inadmissible, every entry is -inf.
+    action is inadmissible, every entry is -inf. Only the agent's own row
+    is backed up, against ``tables`` (a :class:`LookaheadTables` for the
+    same model and sensor), or a fresh one when none is given.
     """
+    n = model.num_states
+    if not 0 <= x < n:
+        raise ValueError(f"state x={x} outside [0, {n})")
+    o = np.asarray(o, dtype=float)
+    if o.shape != (n,):
+        raise ValueError(f"belief shape {o.shape} does not match {n} states")
+    if tables is None:
+        tables = LookaheadTables(model, obs)
+    elif not tables.serves(model, obs):
+        raise ValueError("tables were built for another model or sensor")
     lookahead = _Lookahead(
-        model, obs, pa, value.grid, np.asarray(o, dtype=float)[None, :],
+        tables, pa, value.grid, o[None, :],
         value.reward_weight, value.exposure_weight, sources=slice(x, x + 1),
     )
     if lookahead.relaxed[0, 0]:
@@ -328,9 +375,11 @@ def greedy_action(
     value: AugmentedValueFunction,
     x: int,
     o: np.ndarray,
+    *,
+    tables: LookaheadTables | None = None,
 ) -> int:
-    """Lowest-index maximizer of the greedy lookahead."""
-    vals = action_values(model, obs, pa, value, x, o)
+    """Lowest-index maximizer of the greedy lookahead (:func:`action_values`)."""
+    vals = action_values(model, obs, pa, value, x, o, tables=tables)
     if not np.any(np.isfinite(vals)):
         raise EmptyAdmissibleSet(f"no admissible action at state x={x}")
     return int(np.argmax(vals))

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augmented import AugmentedValueFunction, greedy_action
+from .augmented import AugmentedValueFunction, LookaheadTables, greedy_action
 from .belief import ObservationModel, admissible_actions, bayes_update, stage_penalty
 from .errors import (
     EmptyAdmissibleSet,
@@ -70,7 +70,11 @@ class NominalController:
 
 
 class AugmentedValueController:
-    """Greedy one-step lookahead on a solved state-belief value function."""
+    """Greedy one-step lookahead on a solved state-belief value function.
+
+    The lookahead's model-level tables are built here, once, so a decision
+    computes only what depends on the belief.
+    """
 
     def __init__(
         self,
@@ -83,13 +87,16 @@ class AugmentedValueController:
         self.obs = obs
         self.pa = pa
         self.value = value
+        self.tables = LookaheadTables(model, obs)
         self.controller_id = (
             f"grid-value(res={value.grid.resolution},"
             f"wn={value.reward_weight!r},wa={value.exposure_weight!r})"
         )
 
     def decide(self, x: int, o: np.ndarray) -> int:
-        return greedy_action(self.model, self.obs, self.pa, self.value, x, o)
+        return greedy_action(
+            self.model, self.obs, self.pa, self.value, x, o, tables=self.tables
+        )
 
 
 class RecedingHorizonController:

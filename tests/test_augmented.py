@@ -1,5 +1,7 @@
 """Tests for the joint (state, belief) value iteration and its belief lattice."""
 
+import dataclasses
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from covertmdp import (
 )
 from covertmdp.augmented import (
     AugmentedValueFunction,
+    LookaheadTables,
     _simplex_weights,
     action_values,
     build_simplex_grid,
@@ -33,6 +36,7 @@ from covertmdp.augmented import (
     solve_augmented_vi,
 )
 from covertmdp.mdp import bellman_backup
+from covertmdp.sim import AugmentedValueController
 
 from _oracles import (
     composition_count,
@@ -86,6 +90,12 @@ def test_index_of_rejects_non_lattice_compositions():
     for comp in [(1, 1, 1), (5, -1, 0), (4, 0)]:
         with pytest.raises(KeyError):
             grid.index_of(comp)
+    # non-integer entries, whether or not they sum to the resolution
+    grid = build_simplex_grid(2, 10)
+    for comp in [(1.5, 9.0), (1.5, 8.5), (np.nan, 10.0), (np.inf, -np.inf)]:
+        with pytest.raises(KeyError):
+            grid.index_of(comp)
+    assert grid.index_of((1.0, 9.0)) == grid.index_of((1, 9))
 
 
 def test_build_grid_rejects_bad_arguments():
@@ -291,19 +301,34 @@ def test_action_values_match_oracle_off_grid(seed, n, m, k):
         np.testing.assert_allclose(got[finite], expected[finite], rtol=0.0, atol=1e-12)
 
 
-def test_lattice_6s_seed0_matches_recorded_values(tmp_path, monkeypatch):
-    # the benchmark's seeded 6-state model at the CLI's state cap, res 10
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import workloads
+@pytest.fixture(scope="module")
+def workloads_module():
+    """The benchmark's workload module, from ``perfbench/``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        import workloads
+    return workloads
 
-    wl = workloads.WORKLOADS["lattice-6s"]
-    scn, _, _ = workloads.setup(wl, workloads.write_inputs(wl, 0, tmp_path))
+
+@pytest.fixture(scope="module")
+def lattice_6s_seed0(tmp_path_factory, workloads_module):
+    """The benchmark's lattice-6s scenario at seed 0, solved once for the
+    module: the scenario, the solve's result and its tracemalloc peak."""
+    wl = workloads_module.WORKLOADS["lattice-6s"]
+    inputs = workloads_module.write_inputs(wl, 0, tmp_path_factory.mktemp("lattice-6s"))
+    scn, _, _ = workloads_module.setup(wl, inputs)
     tracemalloc.start()
     try:
-        result = workloads.solve_lattice(wl, scn)
+        result = workloads_module.solve_lattice(wl, scn)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return scn, result, peak
+
+
+def test_lattice_6s_seed0_matches_recorded_values(lattice_6s_seed0):
+    # the benchmark's seeded 6-state model at the CLI's state cap, res 10
+    _, result, peak = lattice_6s_seed0
     reference = np.load(PERFBENCH / "reference" / "lattice-6s-seed0-values.npy")
     assert result.converged
     assert result.value.values.shape == reference.shape
@@ -311,6 +336,28 @@ def test_lattice_6s_seed0_matches_recorded_values(tmp_path, monkeypatch):
     # one model-level kernel, not one per lattice point: a kernel per point
     # (3003 x 288 floats) takes the solve's peak to about 17 MB
     assert peak <= 10e6, f"solve allocated a peak of {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("name", ["ex1-rho", "lattice-6s"])
+def test_benchmark_episodes_match_reference_digests(
+    name, request, tmp_path, workloads_module
+):
+    # episodes 0 and 1 of seed 0, replayed as the benchmark runs them: one
+    # flipped decision changes a trace CSV's sha256
+    wl = workloads_module.WORKLOADS[name]
+    if wl.controller == "grid-vi":
+        scn, result, _ = request.getfixturevalue("lattice_6s_seed0")
+        scn = dataclasses.replace(scn, controller=AugmentedValueController(
+            scn.model, scn.obs, scn.pa, result.value
+        ))
+    else:
+        scn, _, _ = workloads_module.setup(wl, None)
+    log = workloads_module.run_episodes(
+        wl, scn, 0, tmp_path / "episodes", stop=lambda log, _: log.attempted >= 2
+    )
+    recorded = json.loads((PERFBENCH / "reference" / f"{name}.json").read_text())
+    assert log.failed == 0
+    assert [log.digests[0], log.digests[1]] == recorded["digests"]["0"][:2]
 
 
 def test_greedy_action_pure_reward_matches_nominal_policy():
@@ -345,6 +392,38 @@ def test_action_values_mark_inadmissible_actions():
     assert np.all(np.isneginf(vals))
     with pytest.raises(EmptyAdmissibleSet):
         greedy_action(model, obs, pa, _zero_value(model, 3), 0, o)
+
+
+def test_action_values_reject_bad_state_and_belief():
+    model, obs = example1_model()
+    pa, _ = nominal_chain(model)
+    value = _zero_value(model, 3)
+    o = uniform_belief(3)
+    bad = [(3, o), (5, o), (-1, o), (0, np.array([0.5, 0.5])), (0, o[None, :])]
+    for tables in (None, LookaheadTables(model, obs)):
+        for x, belief in bad:
+            for decide in (action_values, greedy_action):
+                with pytest.raises(ValueError):
+                    decide(model, obs, pa, value, x, belief, tables=tables)
+    other, other_obs = smoothed_example1()
+    with pytest.raises(ValueError):
+        greedy_action(
+            model, obs, pa, value, 0, o, tables=LookaheadTables(other, other_obs)
+        )
+
+
+def test_action_values_do_not_depend_on_passed_tables():
+    rng = np.random.default_rng(5)
+    for model, obs in [example1_model(), smoothed_example1()]:
+        pa, _ = nominal_chain(model)
+        value = solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=4, tol=1e-6).value
+        tables = LookaheadTables(model, obs)
+        beliefs = np.vstack([rng.dirichlet(np.full(3, 0.5), size=10), value.grid.points])
+        for o in beliefs:
+            for x in range(model.num_states):
+                fresh = action_values(model, obs, pa, value, x, o)
+                kept = action_values(model, obs, pa, value, x, o, tables=tables)
+                assert fresh.tobytes() == kept.tobytes()
 
 
 def _zero_value(model, resolution):

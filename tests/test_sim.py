@@ -31,7 +31,7 @@ from covertmdp import (
     uniform_belief,
     write_trace_csv,
 )
-from covertmdp import sim
+from covertmdp import augmented, sim
 from covertmdp.sim import (
     AugmentedValueController,
     _sample,
@@ -208,6 +208,24 @@ def test_traced_entry_points_are_called_once_per_step(monkeypatch):
         expected = {name: steps for name in names}
         expected["greedy_action" if decider == "plan" else "plan"] = 0
         assert counts == expected
+
+
+def test_grid_value_decisions_build_no_model_table(monkeypatch):
+    # The controller builds the lookahead's model-level tables once; a
+    # decision computes only what depends on the belief.
+    model, obs = example1_model()
+    pa, _, _ = nominal_setup(model)
+    value = solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=3, tol=1e-4).value
+    controller = AugmentedValueController(model, obs, pa, value)
+    names = ("emission_support", "LookaheadTables")
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        monkeypatch.setattr(augmented, name, _counting(name, getattr(augmented, name), counts))
+    run_closed_loop(model, obs, pa, controller, uniform_belief(3), 25, 3, 0)
+    assert counts == dict.fromkeys(names, 0)
+    # the patches see a rebuild: a decision given no tables builds them
+    augmented.greedy_action(model, obs, pa, value, 0, uniform_belief(3))
+    assert counts == dict.fromkeys(names, 1)
 
 
 def test_step_rejects_prohibited_action():
