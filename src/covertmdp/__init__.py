@@ -19,6 +19,7 @@ from .augmented import (
 )
 from .belief import (
     ObservationModel,
+    Observer,
     admissible_actions,
     augmented_transition_support,
     bayes_update,

@@ -10,10 +10,10 @@ running sum of one-coordinate gains.
 
 One batched lookahead, :class:`_Lookahead`, backs up every lattice point in
 a sweep and the single (state, belief) pair of a greedy decision. Its
-model-level half, :class:`LookaheadTables` (the kernel ``q(y|x') p(x'|x,u)``,
-its mass over ``x'`` and the emission support), is built once per solve and
-once per ``AugmentedValueController``. The rest depends on the belief: the
-observer's posteriors and their simplices, found once per (belief,
+model-level half (the kernel ``q(y|x') p(x'|x,u)``, its mass over ``x'`` and
+the emission support) is read from a :class:`belief.Observer`, built once
+per solve and once per ``AugmentedValueController``. The rest depends on the
+belief: the observer's posteriors and their simplices, found once per (belief,
 observation), the 0/1 mask of the observations each belief leaves open, the
 blocked and relaxed actions, the stage reward and the two contractions. A
 greedy decision computes these for its one belief and reads only its own
@@ -32,8 +32,8 @@ import numpy as np
 from .belief import (
     EPS_ZERO,
     ObservationModel,
+    Observer,
     blocked_actions,
-    emission_support,
     posterior_table,
 )
 from .errors import EmptyAdmissibleSet, ModelFormatError, SizeOverflow
@@ -212,6 +212,11 @@ class AugmentedValueFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
+        expected = (self.grid.num_states, self.grid.num_points)
+        if self.values.shape != expected:
+            raise ValueError(
+                f"value table shape {self.values.shape} does not match {expected}"
+            )
 
     def evaluate(self, x: int, o: np.ndarray) -> float:
         return interpolate_value(self.grid, self.values[x], o)
@@ -228,54 +233,35 @@ class AugmentedVIResult:
     fallback_points: tuple[tuple[int, int], ...]
 
 
-class LookaheadTables:
-    """The model-level half of the one-step lookahead, built once per model
-    and sensor: the kernel ``kernel[x, u, y, x'] = q(y|x') p(x'|x,u)``, its
-    mass over ``x'`` and the :func:`emission_support` table ``emits[u, x, y]``.
-
-    :func:`solve_augmented_vi` builds it once per solve and
-    ``AugmentedValueController`` once per controller; :func:`greedy_action`
-    builds a fresh one when it is given none.
-    """
-
-    def __init__(self, model: MdpModel, obs: ObservationModel):
-        self.model = model
-        self.obs = obs
-        self.kernel = np.einsum("yz,zxu->xuyz", obs.likelihood, model.transition)
-        self.mass = self.kernel.sum(axis=-1)
-        self.emits = emission_support(model, obs)
-
-    def serves(self, model: MdpModel, obs: ObservationModel) -> bool:
-        return model is self.model and obs is self.obs
-
-
 class _Lookahead:
     """One-step backup of ``(x, o)`` for the source states ``sources`` and
     a batch of beliefs.
 
     The kernel and what each action can emit are the same for every belief,
-    so they are read as ``sources``' rows of ``tables``. Per belief, the
-    posterior after ``y`` interpolates through ``vertices[b, y]`` with
-    ``weights[b, y]``, and its value counts only where the predictive
-    leaves ``y`` open (``open_y[b, y]``). Where no action is admissible
-    (``relaxed[b, x]``), every action with open mass is usable, and at those
-    ``renorm`` entries the contracted future is divided by that mass
-    (``open_mass``). ``stage`` is -inf for unusable actions.
+    so they are read as ``sources``' rows of ``observer``'s tables. Per
+    belief, the posterior after ``y`` interpolates through
+    ``vertices[b, y]`` with ``weights[b, y]``, and its value counts only
+    where the predictive leaves ``y`` open (``open_y[b, y]``). Where no
+    action is admissible (``relaxed[b, x]``), every action with open mass
+    is usable, and at those ``renorm`` entries the contracted future is
+    divided by that mass (``open_mass``). ``stage`` is -inf for unusable
+    actions.
     """
 
-    def __init__(self, tables: LookaheadTables, pa: np.ndarray,
-                 grid: SimplexGrid, beliefs: np.ndarray,
+    def __init__(self, observer: Observer, grid: SimplexGrid, beliefs: np.ndarray,
                  reward_weight: float, exposure_weight: float,
                  sources=slice(None)):
-        model = tables.model
-        posteriors, _, open_y = posterior_table(pa, tables.obs.likelihood, beliefs)
+        model = observer.model
+        posteriors, _, open_y = posterior_table(
+            observer.pa, observer.obs.likelihood, beliefs
+        )
         self.vertices, self.weights = _simplex_weights(grid, posteriors)
         self.open_y = open_y.astype(float)
 
-        blocked = blocked_actions(tables.emits[:, sources], ~open_y.T).T
+        blocked = blocked_actions(observer.emits[:, sources], ~open_y.T).T
         self.relaxed = blocked.all(axis=-1)
-        self.kernel = tables.kernel[sources]
-        total = np.einsum("xuy,by->bxu", tables.mass[sources], self.open_y)
+        self.kernel = observer.kernel[sources]
+        total = np.einsum("xuy,by->bxu", observer.kernel_mass[sources], self.open_y)
         self.usable = (~blocked | self.relaxed[..., None]) & (total > EPS_ZERO)
         renorm = self.usable & self.relaxed[..., None]
         self.renorm = np.nonzero(renorm)
@@ -311,8 +297,7 @@ def solve_augmented_vi(
         raise ValueError(f"tol must be positive, got {tol}")
     grid = build_simplex_grid(model.num_states, resolution)
     lookahead = _Lookahead(
-        LookaheadTables(model, obs), pa, grid, grid.points,
-        reward_weight, exposure_weight,
+        Observer(model, obs, pa), grid, grid.points, reward_weight, exposure_weight
     )
     hopeless = np.argwhere(~lookahead.usable.any(axis=2))
     if hopeless.size:
@@ -332,54 +317,40 @@ def solve_augmented_vi(
     return AugmentedVIResult(value, residual, iterations, residual <= tol, fallback)
 
 
+def _check_lattice(observer: Observer, value: AugmentedValueFunction) -> None:
+    """Refuse a value function whose lattice is over another state count."""
+    lattice, model = value.grid.num_states, observer.model.num_states
+    if lattice != model:
+        raise ValueError(
+            f"value lattice over {lattice} states, model has {model} states"
+        )
+
+
 def action_values(
-    model: MdpModel,
-    obs: ObservationModel,
-    pa: np.ndarray,
-    value: AugmentedValueFunction,
-    x: int,
-    o: np.ndarray,
-    *,
-    tables: LookaheadTables | None = None,
+    observer: Observer, value: AugmentedValueFunction, x: int, o: np.ndarray
 ) -> np.ndarray:
     """Greedy lookahead at an arbitrary ``(x, o)``; inadmissible entries are -inf.
 
     Unlike the solver's backup, no action is relaxed here: where every
     action is inadmissible, every entry is -inf. Only the agent's own row
-    is backed up, against ``tables`` (a :class:`LookaheadTables` for the
-    same model and sensor), or a fresh one when none is given.
+    is backed up, against ``observer``'s tables.
     """
-    n = model.num_states
-    if not 0 <= x < n:
-        raise ValueError(f"state x={x} outside [0, {n})")
-    o = np.asarray(o, dtype=float)
-    if o.shape != (n,):
-        raise ValueError(f"belief shape {o.shape} does not match {n} states")
-    if tables is None:
-        tables = LookaheadTables(model, obs)
-    elif not tables.serves(model, obs):
-        raise ValueError("tables were built for another model or sensor")
+    o = observer.check(x, o)
+    _check_lattice(observer, value)
     lookahead = _Lookahead(
-        tables, pa, value.grid, o[None, :],
+        observer, value.grid, o[None, :],
         value.reward_weight, value.exposure_weight, sources=slice(x, x + 1),
     )
     if lookahead.relaxed[0, 0]:
-        return np.full(model.num_actions, -np.inf)
+        return np.full(observer.model.num_actions, -np.inf)
     return lookahead(value.values)[0, 0]
 
 
 def greedy_action(
-    model: MdpModel,
-    obs: ObservationModel,
-    pa: np.ndarray,
-    value: AugmentedValueFunction,
-    x: int,
-    o: np.ndarray,
-    *,
-    tables: LookaheadTables | None = None,
+    observer: Observer, value: AugmentedValueFunction, x: int, o: np.ndarray
 ) -> int:
     """Lowest-index maximizer of the greedy lookahead (:func:`action_values`)."""
-    vals = action_values(model, obs, pa, value, x, o, tables=tables)
+    vals = action_values(observer, value, x, o)
     if not np.any(np.isfinite(vals)):
         raise EmptyAdmissibleSet(f"no admissible action at state x={x}")
     return int(np.argmax(vals))
@@ -415,11 +386,6 @@ def load_value_file(path: str | Path) -> AugmentedValueFunction:
         raise ModelFormatError([f"non-numeric values: {exc}"]) from exc
     try:
         grid = build_simplex_grid(num_states, resolution)
+        return AugmentedValueFunction(grid, values, reward_weight, exposure_weight)
     except ValueError as exc:
         raise ModelFormatError([str(exc)]) from exc
-    if values.shape != (grid.num_states, grid.num_points):
-        raise ModelFormatError([
-            f"value table shape {values.shape} does not match "
-            f"{(grid.num_states, grid.num_points)}"
-        ])
-    return AugmentedValueFunction(grid, values, reward_weight, exposure_weight)

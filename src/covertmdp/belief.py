@@ -13,11 +13,16 @@ observation history alone, so the joint law of (agent state, belief) is mass
 over (history, state). :func:`joint_step` is its one propagation routine:
 the planner rolls it over the horizon, and
 :func:`augmented_transition_support` is one step of it from a point law.
+
+An :class:`Observer` is the adversary of one (model, sensor, chain): it holds
+the tables that depend on nothing else, built once and shared by the planner,
+the lattice lookahead and the simulator step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -109,11 +114,6 @@ def point_belief(num_states: int, x: int) -> np.ndarray:
     return make_belief(o)
 
 
-def observation_predictive(pa: np.ndarray, q: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """One-step predictive observation distribution, a vector over Y."""
-    return q @ (pa @ o)
-
-
 def bayes_update(pa: np.ndarray, q: np.ndarray, o: np.ndarray, y: int) -> np.ndarray:
     """One predict-update step of the observer's filter.
 
@@ -171,18 +171,54 @@ def _joint_predictive(
     return numer, numer.sum(axis=-1)
 
 
-def emission_support(
-    model: MdpModel, obs: ObservationModel, sources=slice(None)
-) -> np.ndarray:
+def emission_support(model: MdpModel, obs: ObservationModel) -> np.ndarray:
     """Which observations each action can make the agent's next state emit.
 
     ``support[u, x, y]`` is True when action ``u`` taken in state ``x``
-    produces observation ``y`` with probability above EPS_ZERO. ``sources``
-    selects the source states; a single state gives its ``(U, Y)`` table,
-    so per-step callers compute only their column.
+    produces observation ``y`` with probability above EPS_ZERO.
     """
-    emitted = np.inner(model.transition[:, sources, :].T, obs.likelihood)
-    return emitted > EPS_ZERO
+    return np.inner(model.transition.T, obs.likelihood) > EPS_ZERO
+
+
+@dataclass(frozen=True, eq=False)
+class Observer:
+    """The observer of one model, sensor ``obs`` and nominal chain ``pa``,
+    with the tables that depend on nothing else; compared by identity.
+
+    ``emits`` is the :func:`emission_support` table, built here. The lattice
+    lookahead's kernel ``kernel[x, u, y, x'] = q(y|x') p(x'|x,u)`` and its
+    mass over ``x'`` are built on first read, so callers that never read
+    them (the planner and the simulator step) never hold their X²·U·Y
+    entries.
+    """
+
+    model: MdpModel
+    obs: ObservationModel
+    pa: np.ndarray
+    emits: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "emits", emission_support(self.model, self.obs))
+
+    @cached_property
+    def kernel(self) -> np.ndarray:
+        return np.einsum("yz,zxu->xuyz", self.obs.likelihood, self.model.transition)
+
+    @cached_property
+    def kernel_mass(self) -> np.ndarray:
+        return self.kernel.sum(axis=-1)
+
+    def check(self, x: int, o) -> np.ndarray:
+        """``o`` as a float array, once state ``x`` is known to lie in
+        ``[0, n)`` (a negative one would index from the end) and ``o`` to
+        have shape ``(n,)``."""
+        n = self.model.num_states
+        if not 0 <= x < n:
+            raise ValueError(f"state x={x} outside [0, {n})")
+        o = np.asarray(o, dtype=float)
+        if o.shape != (n,):
+            raise ValueError(f"belief shape {o.shape} does not match {n} states")
+        return o
 
 
 def blocked_actions(emits: np.ndarray, ruled_out: np.ndarray) -> np.ndarray:
@@ -197,22 +233,17 @@ def blocked_actions(emits: np.ndarray, ruled_out: np.ndarray) -> np.ndarray:
     return emits @ ruled_out
 
 
-def admissible_actions(
-    model: MdpModel,
-    obs: ObservationModel,
-    pa: np.ndarray,
-    x: int,
-    o: np.ndarray,
-) -> list[int]:
+def admissible_actions(observer: Observer, x: int, o: np.ndarray) -> list[int]:
     """Actions at ``(x, o)`` that cannot surprise the observer, ascending.
 
     ``u`` is prohibited iff some observation has positive probability under
     the agent's true successor distribution but numerically zero probability
     under the observer's predictive.
     """
-    ruled_out = observation_predictive(pa, obs.likelihood, o) <= EPS_ZERO
-    blocked = blocked_actions(emission_support(model, obs, x), ruled_out)
-    return [u for u in range(model.num_actions) if not blocked[u]]
+    o = observer.check(x, o)
+    ruled_out = ~open_observations(observer.pa, observer.obs.likelihood, o)
+    blocked = blocked_actions(observer.emits[:, x], ruled_out)
+    return [u for u in range(observer.model.num_actions) if not blocked[u]]
 
 
 def stage_penalty(x: int, o: np.ndarray) -> float:
@@ -275,12 +306,7 @@ class AugmentedSupport:
 
 
 def augmented_transition_support(
-    model: MdpModel,
-    obs: ObservationModel,
-    pa: np.ndarray,
-    x: int,
-    o: np.ndarray,
-    u: int,
+    observer: Observer, x: int, o: np.ndarray, u: int
 ) -> AugmentedSupport:
     """Closed-form support of the joint (state, belief) transition: one
     :func:`joint_step` from the point law on ``(x, o)`` under ``u``.
@@ -290,8 +316,10 @@ def augmented_transition_support(
     posteriors are not merged. Raises :class:`ProhibitedAction` when ``u``
     is not admissible at ``(x, o)``.
     """
-    posteriors, _, open_y = posterior_table(pa, obs.likelihood, o)
-    surprising = np.flatnonzero(emission_support(model, obs, x)[u] & ~open_y)
+    o = observer.check(x, o)
+    model, q = observer.model, observer.obs.likelihood
+    posteriors, _, open_y = posterior_table(observer.pa, q, o)
+    surprising = np.flatnonzero(observer.emits[u, x] & ~open_y)
     if surprising.size:
         raise ProhibitedAction(
             f"action u={u} at state x={x} can emit observation y={surprising[0]} "
@@ -299,7 +327,7 @@ def augmented_transition_support(
         )
     mass = np.zeros((1, 1, model.num_states))
     mass[0, 0, x] = 1.0
-    step, ys = joint_step(mass, model.transition.T[u][None], obs.likelihood)
+    step, ys = joint_step(mass, model.transition.T[u][None], q)
     # drop the (at most EPS_ZERO) mass on observations the observer rules out
     keep = open_y[ys]
     step, ys = step[0, keep], ys[keep]

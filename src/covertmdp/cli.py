@@ -331,7 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--wn", type=float, default=1.0, help="reward weight")
         p.add_argument("--wa", type=float, default=0.0, help="exposure weight")
         if planner:
-            p.add_argument("--wap", type=float, default=0.0, help="tail exposure weight")
+            p.add_argument("--wap", type=float, default=0.0,
+                           help="tail exposure weight: only adds to --wa")
             p.add_argument("--horizon", type=int, default=rho.DEFAULT_HORIZON)
         if lattice:
             p.add_argument("--grid-res", type=int, default=aug.DEFAULT_RESOLUTION)

@@ -5,9 +5,9 @@ open-loop action sequence of length ``horizon`` from the current pair
 ``(x, o)`` and apply the first action of the best one. A sequence's score
 combines expected discounted reward over the horizon, a terminal tail from
 the no-observer value function, and the expected exposure (observer belief
-in the true state) accumulated inside the horizon; an extra tail weight on
-exposure compensates for exposure beyond the horizon that the score cannot
-see.
+in the true state) at depths 1 to N-1: ``wn * (reward + tail) - (wa + wap)
+* exposure``. The tail exposure weight ``wap`` only adds to ``wa``; no term
+sees exposure beyond the horizon.
 
 The observer's filter never sees actions, so its belief after an
 observation history is the same under every action sequence. The planner
@@ -31,8 +31,8 @@ import numpy as np
 
 from .belief import (
     ObservationModel,
+    Observer,
     blocked_actions,
-    emission_support,
     emitting,
     joint_step,
     open_observations,
@@ -97,8 +97,9 @@ class PlanResult:
 
 
 def suggested_tail_weight_bound(config: PlannerConfig, discount: float) -> float:
-    """Upper end of the recommended tail-weight range (geometric tail of the
-    exposure series, each future stage bounded by the horizon-end stage)."""
+    """Upper end, ``lam**N / (1 - lam**N) * wa``, of the ``wap`` range that
+    :func:`plan` warns outside of. ``wap`` only adds to ``wa`` on in-horizon
+    exposure; the bound is the geometric tail past the horizon, unscored."""
     dn = discount ** config.horizon
     return dn / (1.0 - dn) * config.exposure_weight
 
@@ -153,30 +154,30 @@ class PlanMemo:
     arrays take at most as many bytes as ``MAX_TREE_ENTRIES`` float64
     entries; an insert past that clears it.
 
-    A memo serves one ``(model, obs, values)``; :func:`plan` refuses it for
+    A memo serves one ``(observer, values)``; :func:`plan` refuses it for
     others.
     """
 
-    def __init__(self, model: MdpModel, obs: ObservationModel, values: np.ndarray):
-        self.model = model
-        self.obs = obs
+    def __init__(self, observer: Observer, values: np.ndarray):
+        self.observer = observer
         self.values = np.asarray(values, dtype=float)
-        self.support = emission_support(model, obs)
         self.roots: dict[tuple[int, int], _Node] = {}
         self.nbytes = 0
 
-    def serves(self, model: MdpModel, obs: ObservationModel, values) -> bool:
-        return model is self.model and obs is self.obs and (
-            values is self.values or np.array_equal(values, self.values)
+    def serves(self, model: MdpModel, obs: ObservationModel, pa, values) -> bool:
+        observer = self.observer
+        return (
+            model is observer.model and obs is observer.obs and pa is observer.pa
+            and (values is self.values or np.array_equal(values, self.values))
         )
 
     def root(self, x: int, horizon: int) -> _Node:
         node = self.roots.get((x, horizon))
         if node is None:
-            mass = np.zeros((1, 1, self.model.num_states))
+            mass = np.zeros((1, 1, self.observer.model.num_states))
             mass[0, 0, x] = 1.0
             node = _Node([()], [], None, np.zeros(1), mass[0].copy())
-            node.mass, node.reach = mass, emitting(mass, self.support)
+            node.mass, node.reach = mass, emitting(mass, self.observer.emits)
             self._insert(self.roots, (x, horizon), node)
         return node
 
@@ -190,7 +191,7 @@ class PlanMemo:
         found = node.children.get(key)
         if found is not None:
             return found
-        model, lam = self.model, self.model.discount
+        model, lam = self.observer.model, self.observer.model.discount
         kernels = model.transition.T  # kernels[u, x, x'] = p(x' | x, u)
         bad_p, bad_u = blocked.nonzero()
         prefixes = node.prefixes
@@ -208,7 +209,7 @@ class PlanMemo:
             new.inside_terms, new.tail_terms = r_inside.tolist(), r_tail.tolist()
             new.r_total = r_inside + r_tail
         else:
-            q = self.obs.likelihood
+            q = self.observer.obs.likelihood
             entries = len(src) * node.mass.shape[1] * q.size  # joint_step's branch tensor
             if entries > MAX_TREE_ENTRIES:
                 raise SizeOverflow(
@@ -216,7 +217,7 @@ class PlanMemo:
                     f"{depth + 1} (cap {MAX_TREE_ENTRIES}); lower the horizon"
                 )
             new.mass, new.live = joint_step(node.mass[src], kernels[act], q)
-            new.reach = emitting(new.mass, self.support)
+            new.reach = emitting(new.mass, self.observer.emits)
         self._insert(node.children, key, new)
         return new
 
@@ -252,8 +253,9 @@ def plan(
     ``mass[prefix, history, x]`` over them at once with
     :func:`belief.joint_step`. Only the beliefs and what they rule out are
     computed per call, and admissibility only at depths where something is
-    ruled out; the rest comes from ``memo`` (a :class:`PlanMemo` for the
-    same model, sensor and values), or from a fresh one when none is given.
+    ruled out; the rest comes from ``memo`` (a :class:`PlanMemo` whose
+    observer holds the same model, sensor and chain, and the same values),
+    or from a fresh one when none is given.
     ``PlanResult.sequences`` is built only when read.
 
     When ``log_path`` is given, every scored sequence and every pruned
@@ -273,9 +275,10 @@ def plan(
                 stacklevel=2,
             )
     if memo is None:
-        memo = PlanMemo(model, obs, values)
-    elif not memo.serves(model, obs, values):
-        raise ValueError("memo was built for another model, sensor or value function")
+        memo = PlanMemo(Observer(model, obs, pa), values)
+    elif not memo.serves(model, obs, pa, values):
+        raise ValueError("memo was built for another observer or value function")
+    o = memo.observer.check(x, o)
     n = model.num_states
     horizon = config.horizon
     lam = model.discount
@@ -283,7 +286,7 @@ def plan(
     q = obs.likelihood
 
     node = memo.root(x, horizon)
-    beliefs = np.asarray(o, dtype=float)[None, :]
+    beliefs = o[None, :]
     r_exposed = np.zeros(1)
     pruned: list[tuple[int, ...]] = []
     # True while every history is occupied. A history reached through an

@@ -22,8 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .augmented import AugmentedValueFunction, LookaheadTables, greedy_action
-from .belief import ObservationModel, admissible_actions, bayes_update, stage_penalty
+from .augmented import AugmentedValueFunction, _check_lattice, greedy_action
+from .belief import (
+    ObservationModel,
+    Observer,
+    admissible_actions,
+    bayes_update,
+    stage_penalty,
+)
 from .errors import (
     EmptyAdmissibleSet,
     IllDefinedUpdate,
@@ -72,8 +78,8 @@ class NominalController:
 class AugmentedValueController:
     """Greedy one-step lookahead on a solved state-belief value function.
 
-    The lookahead's model-level tables are built here, once, so a decision
-    computes only what depends on the belief.
+    The observer, whose tables the lookahead reads, is built here, once, so
+    a decision computes only what depends on the belief.
     """
 
     def __init__(
@@ -83,20 +89,16 @@ class AugmentedValueController:
         pa: np.ndarray,
         value: AugmentedValueFunction,
     ):
-        self.model = model
-        self.obs = obs
-        self.pa = pa
+        self.observer = Observer(model, obs, pa)
+        _check_lattice(self.observer, value)
         self.value = value
-        self.tables = LookaheadTables(model, obs)
         self.controller_id = (
             f"grid-value(res={value.grid.resolution},"
             f"wn={value.reward_weight!r},wa={value.exposure_weight!r})"
         )
 
     def decide(self, x: int, o: np.ndarray) -> int:
-        return greedy_action(
-            self.model, self.obs, self.pa, self.value, x, o, tables=self.tables
-        )
+        return greedy_action(self.observer, self.value, x, o)
 
 
 class RecedingHorizonController:
@@ -110,13 +112,10 @@ class RecedingHorizonController:
         values: np.ndarray,
         config: PlannerConfig,
     ):
-        self.model = model
-        self.obs = obs
-        self.pa = pa
         self.values = np.asarray(values, dtype=float)
         self.config = config
         # shared by the fallback horizons, which the memo keys its roots by
-        self.memo = PlanMemo(model, obs, self.values)
+        self.memo = PlanMemo(Observer(model, obs, pa), self.values)
         self.controller_id = (
             f"receding-horizon(N={config.horizon},wn={config.reward_weight!r},"
             f"wa={config.exposure_weight!r},wap={config.tail_exposure_weight!r})"
@@ -127,11 +126,12 @@ class RecedingHorizonController:
         horizon is admissible, replans at horizons N-1, ..., 1 and raises
         only when a single step fails too."""
         config = self.config
+        observer = self.memo.observer
         while True:
             try:
                 return plan(
-                    self.model, self.obs, self.pa, self.values, x, o, config,
-                    memo=self.memo,
+                    observer.model, observer.obs, observer.pa, self.values, x, o,
+                    config, memo=self.memo,
                 ).first_action
             except NoAdmissibleSequence:
                 if config.horizon == 1:
@@ -143,24 +143,19 @@ class RecedingHorizonController:
 # stepping
 
 def step(
-    model: MdpModel,
-    obs: ObservationModel,
-    pa: np.ndarray,
-    x: int,
-    o: np.ndarray,
-    u: int,
-    rng: np.random.Generator,
+    observer: Observer, x: int, o: np.ndarray, u: int, rng: np.random.Generator
 ) -> tuple[int, int, np.ndarray]:
     """Apply ``u``: returns (next state, observation, next belief).
 
     Rejects prohibited actions up front so a failure is deterministic
     rather than appearing only on the unlucky observation draw.
     """
-    if u not in admissible_actions(model, obs, pa, x, o):
+    if u not in admissible_actions(observer, x, o):
         raise ProhibitedAction(f"action u={u} is prohibited at state x={x}")
-    x_next = _sample(rng, model.transition_cdf[:, x, u])
+    obs = observer.obs
+    x_next = _sample(rng, observer.model.transition_cdf[:, x, u])
     y = _sample(rng, obs.likelihood_cdf[:, x_next])
-    o_next = bayes_update(pa, obs.likelihood, o, y)
+    o_next = bayes_update(observer.pa, obs.likelihood, o, y)
     return x_next, y, o_next
 
 
@@ -228,8 +223,9 @@ def run_closed_loop(
     if num_steps < 1:
         raise ValueError(f"num_steps must be positive, got {num_steps}")
     rng = rng_for_run(seed_base, run_index)
-    o0 = np.asarray(o0, dtype=float)
+    observer = Observer(model, obs, pa)
     x = _sample(rng, np.cumsum(o0)) if x0 is None else int(x0)
+    o0 = observer.check(x, o0)
     if o0[x] <= 0.0:
         warnings.warn(
             f"initial belief puts zero mass on the start state x={x}; "
@@ -272,7 +268,7 @@ def run_closed_loop(
         mean_rewards[t] = reward_sum / (t + 1)
         mean_penalties[t] = penalty_sum / (t + 1)
         try:
-            x, y, o = step(model, obs, pa, x, o, u, rng)
+            x, y, o = step(observer, x, o, u, rng)
         except loop_errors as e:
             raise type(e)(f"transition failed at step t={t}: {e}") from e
 

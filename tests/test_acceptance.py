@@ -17,6 +17,7 @@ from covertmdp import (
     PlannerConfig,
     RecedingHorizonController,
     NominalController,
+    Observer,
     aggregate_runs,
     admissible_actions,
     augmented_transition_support,
@@ -37,7 +38,7 @@ from covertmdp.augmented import (
     interpolation_weights,
     solve_augmented_vi,
 )
-from covertmdp.belief import make_belief, observation_predictive
+from covertmdp.belief import make_belief, posterior_table
 from covertmdp.cli import main as cli_main
 from covertmdp.sim import AugmentedValueController
 
@@ -124,7 +125,7 @@ def test_criterion_02_filter_matches_reference_forward_recursion():
         ys = []
         ours = belief
         for _ in range(8):
-            pred = observation_predictive(pa, likelihood, ours)
+            pred = posterior_table(pa, likelihood, ours)[1]
             y = int(rng.choice(k, p=pred / pred.sum()))
             ys.append(y)
             ours = bayes_update(pa, likelihood, ours, y)
@@ -152,13 +153,14 @@ def test_criterion_03_joint_support_structure():
         obs = ObservationModel(k, likelihood)
         result = nominal_value_iteration(model, tol=1e-8)
         pa = induced_chain(model, extract_nominal_policy(model, result.values))
+        observer = Observer(model, obs, pa)
         for _ in range(12):
             if checked >= 10000:
                 break
             x = int(rng.integers(n))
             o = make_belief(rng.dirichlet(np.ones(n)))
-            for u in admissible_actions(model, obs, pa, x, o):
-                support = augmented_transition_support(model, obs, pa, x, o, u)
+            for u in admissible_actions(observer, x, o):
+                support = augmented_transition_support(observer, x, o, u)
                 worst_mass = max(worst_mass, abs(float(support.probs.sum()) - 1.0))
                 assert len(support.probs) <= n * k
                 marginal = np.zeros(n)
@@ -205,12 +207,12 @@ def test_criterion_04_nominal_action_always_admissible():
         obs = ObservationModel(k, likelihood)
         result = nominal_value_iteration(model, tol=1e-8)
         policy = extract_nominal_policy(model, result.values)
-        pa = induced_chain(model, policy)
+        observer = Observer(model, obs, induced_chain(model, policy))
         x = int(rng.integers(n))
         o = make_belief(rng.dirichlet(np.ones(n)))
         while o[x] < 1e-6:
             o = make_belief(rng.dirichlet(np.ones(n)))
-        if int(policy.actions[x]) not in admissible_actions(model, obs, pa, x, o):
+        if int(policy.actions[x]) not in admissible_actions(observer, x, o):
             failures += 1
     print(f"criterion 4: {failures} failures out of 1000 (limit 0)")
     assert failures == 0

@@ -14,6 +14,7 @@ from covertmdp import (
     MdpModel,
     ModelFormatError,
     ObservationModel,
+    Observer,
     SizeOverflow,
     example1_model,
     extract_nominal_policy,
@@ -24,7 +25,6 @@ from covertmdp import (
 )
 from covertmdp.augmented import (
     AugmentedValueFunction,
-    LookaheadTables,
     _simplex_weights,
     action_values,
     build_simplex_grid,
@@ -280,6 +280,7 @@ def test_two_sweeps_match_oracle_on_sparse_models(seed, n, m, k, res):
 )
 def test_action_values_match_oracle_off_grid(seed, n, m, k):
     model, obs, chain = sparse_problem(seed, n, m, k)
+    observer = Observer(model, obs, chain)
     rng = np.random.default_rng(seed)
     grid = build_simplex_grid(n, 5)
     value = AugmentedValueFunction(
@@ -295,7 +296,7 @@ def test_action_values_match_oracle_off_grid(seed, n, m, k):
             model.transition, model.reward, model.discount, obs.likelihood,
             chain, grid, value.values, 0.6, 0.4, x, o, relax=False,
         )
-        got = action_values(model, obs, chain, value, x, o)
+        got = action_values(observer, value, x, o)
         np.testing.assert_array_equal(np.isneginf(got), np.isneginf(expected))
         finite = np.isfinite(expected)
         np.testing.assert_allclose(got[finite], expected[finite], rtol=0.0, atol=1e-12)
@@ -369,9 +370,10 @@ def test_greedy_action_pure_reward_matches_nominal_policy():
     sorted_q = np.sort(table, axis=1)
     assert np.all(sorted_q[:, -1] - sorted_q[:, -2] > 1e-3)
     result = solve_augmented_vi(model, obs, pa, 1.0, 0.0, resolution=5, tol=1e-8)
+    observer = Observer(model, obs, pa)
     for x in range(model.num_states):
         for o in [uniform_belief(3), point_belief(3, 0), point_belief(3, 2)]:
-            assert greedy_action(model, obs, pa, result.value, x, o) == policy.actions[x]
+            assert greedy_action(observer, result.value, x, o) == policy.actions[x]
 
 
 def both_actions_jump_model():
@@ -387,43 +389,44 @@ def both_actions_jump_model():
 
 def test_action_values_mark_inadmissible_actions():
     model, obs, pa = both_actions_jump_model()
+    observer = Observer(model, obs, pa)
     o = point_belief(2, 0)
-    vals = action_values(model, obs, pa, o=o, x=0, value=_zero_value(model, 3))
+    vals = action_values(observer, o=o, x=0, value=_zero_value(model, 3))
     assert np.all(np.isneginf(vals))
     with pytest.raises(EmptyAdmissibleSet):
-        greedy_action(model, obs, pa, _zero_value(model, 3), 0, o)
+        greedy_action(observer, _zero_value(model, 3), 0, o)
 
 
 def test_action_values_reject_bad_state_and_belief():
     model, obs = example1_model()
     pa, _ = nominal_chain(model)
+    observer = Observer(model, obs, pa)
     value = _zero_value(model, 3)
     o = uniform_belief(3)
     bad = [(3, o), (5, o), (-1, o), (0, np.array([0.5, 0.5])), (0, o[None, :])]
-    for tables in (None, LookaheadTables(model, obs)):
-        for x, belief in bad:
-            for decide in (action_values, greedy_action):
-                with pytest.raises(ValueError):
-                    decide(model, obs, pa, value, x, belief, tables=tables)
-    other, other_obs = smoothed_example1()
-    with pytest.raises(ValueError):
-        greedy_action(
-            model, obs, pa, value, 0, o, tables=LookaheadTables(other, other_obs)
-        )
+    for x, belief in bad:
+        for decide in (action_values, greedy_action):
+            with pytest.raises(ValueError):
+                decide(observer, value, x, belief)
 
 
-def test_action_values_do_not_depend_on_passed_tables():
-    rng = np.random.default_rng(5)
-    for model, obs in [example1_model(), smoothed_example1()]:
-        pa, _ = nominal_chain(model)
-        value = solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=4, tol=1e-6).value
-        tables = LookaheadTables(model, obs)
-        beliefs = np.vstack([rng.dirichlet(np.full(3, 0.5), size=10), value.grid.points])
-        for o in beliefs:
-            for x in range(model.num_states):
-                fresh = action_values(model, obs, pa, value, x, o)
-                kept = action_values(model, obs, pa, value, x, o, tables=tables)
-                assert fresh.tobytes() == kept.tobytes()
+def test_value_function_rejects_a_table_of_the_wrong_shape():
+    grid = build_simplex_grid(3, 2)
+    for shape in [(2, grid.num_points), (3, grid.num_points + 1), (grid.num_points,)]:
+        with pytest.raises(ValueError, match="does not match"):
+            AugmentedValueFunction(grid, np.zeros(shape), 1.0, 1.0)
+
+
+def test_lattice_over_another_state_count_is_refused():
+    model, obs = example1_model()
+    pa, _ = nominal_chain(model)
+    grid = build_simplex_grid(4, 2)
+    value = AugmentedValueFunction(grid, np.zeros((4, grid.num_points)), 1.0, 1.0)
+    counts = "value lattice over 4 states, model has 3 states"
+    with pytest.raises(ValueError, match=counts):
+        AugmentedValueController(model, obs, pa, value)
+    with pytest.raises(ValueError, match=counts):
+        action_values(Observer(model, obs, pa), value, 0, uniform_belief(3))
 
 
 def _zero_value(model, resolution):
@@ -497,5 +500,6 @@ def test_load_value_file_rejects_mismatched_table(tmp_path):
         "values": [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]],  # wrong width
     }
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError):
+    mismatch = r"shape \(3, 2\) does not match \(3, 6\)"
+    with pytest.raises(ModelFormatError, match=mismatch):
         load_value_file(path)

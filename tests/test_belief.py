@@ -8,6 +8,7 @@ from covertmdp import (
     IllDefinedUpdate,
     extract_nominal_policy,
     ObservationModel,
+    Observer,
     ProhibitedAction,
     admissible_actions,
     augmented_transition_support,
@@ -24,7 +25,6 @@ from covertmdp.belief import (
     EPS_ZERO,
     emission_support,
     emitting,
-    observation_predictive,
     load_observation_file,
     open_observations,
     observation_from_dict,
@@ -90,7 +90,7 @@ def test_bayes_update_two_state_exact_fractions():
     o = uniform_belief(2)
     post = bayes_update(pa, q, o, 0)
     np.testing.assert_allclose(post, [8.0 / 13.0, 5.0 / 13.0], atol=1e-15)
-    assert abs(observation_predictive(pa, q, o)[0] - 0.65) < 1e-15
+    assert abs(posterior_table(pa, q, o)[1][0] - 0.65) < 1e-15
 
 
 def test_bayes_update_matches_forward_filter_oracle():
@@ -104,7 +104,7 @@ def test_bayes_update_matches_forward_filter_oracle():
         ys = []
         cur = o
         for _ in range(6):
-            pred = observation_predictive(pa, obs.likelihood, cur)
+            pred = posterior_table(pa, obs.likelihood, cur)[1]
             y = int(rng.choice(k, p=pred / pred.sum()))
             ys.append(y)
             cur = bayes_update(pa, obs.likelihood, cur, y)
@@ -131,9 +131,7 @@ def test_posterior_table_matches_single_updates():
         pa = model.transition[:, :, 1]
         o = make_belief(rng.dirichlet(np.ones(n)))
         posts, pred, open_y = posterior_table(pa, obs.likelihood, o)
-        np.testing.assert_allclose(
-            pred, observation_predictive(pa, obs.likelihood, o), atol=1e-14
-        )
+        np.testing.assert_allclose(pred, obs.likelihood @ (pa @ o), atol=1e-14)
         np.testing.assert_array_equal(open_y, pred > EPS_ZERO)
         for y in range(k):
             if pred[y] > EPS_ZERO:
@@ -211,8 +209,6 @@ def test_emission_support_matches_loops():
                     for d in range(model.num_states)
                 )
                 assert table[u, x, y] == (direct > 0.0)
-    for x in range(model.num_states):
-        np.testing.assert_array_equal(emission_support(model, obs, x), table[:, x])
     # the batched table of a joint law over (row, history, state)
     mass = rng.uniform(0.1, 1.0, size=(2, 3, 4)) * (rng.random((2, 3, 4)) < 0.15)
     reach = emitting(mass, table)
@@ -243,17 +239,17 @@ def two_state_trap_setup():
 
 
 def test_admissible_actions_flags_surprising_move():
-    model, obs, pa = two_state_trap_setup()
+    observer = Observer(*two_state_trap_setup())
     o = point_belief(2, 0)
-    assert admissible_actions(model, obs, pa, 0, o) == [0]
-    assert admissible_actions(model, obs, pa, 1, o) == []
+    assert admissible_actions(observer, 0, o) == [0]
+    assert admissible_actions(observer, 1, o) == []
 
 
 def test_nothing_prohibited_under_uninformative_sensor():
     model, _, pa = two_state_trap_setup()
     flat = ObservationModel(2, np.full((2, 2), 0.5))
     o = point_belief(2, 0)
-    assert admissible_actions(model, flat, pa, 0, o) == [0, 1]
+    assert admissible_actions(Observer(model, flat, pa), 0, o) == [0, 1]
 
 
 def test_stage_penalty_reads_true_state_mass():
@@ -268,11 +264,11 @@ def test_support_mass_and_atom_count_random_models():
         n = rng.integers(2, 5)
         k = rng.integers(2, 5)
         model, obs = random_pair(rng, n, 3, k)
-        pa = nominal_chain(model)
+        observer = Observer(model, obs, nominal_chain(model))
         o = make_belief(rng.dirichlet(np.ones(n)))
         x = int(rng.integers(n))
-        for u in admissible_actions(model, obs, pa, x, o):
-            sup = augmented_transition_support(model, obs, pa, x, o, u)
+        for u in admissible_actions(observer, x, o):
+            sup = augmented_transition_support(observer, x, o, u)
             assert abs(sup.probs.sum() - 1.0) < 1e-9
             assert len(sup.probs) <= n * k
             # state marginal recovers the plain transition column
@@ -287,7 +283,7 @@ def test_support_atoms_carry_filter_posteriors():
     model, obs = example1_model()
     pa = nominal_chain(model)
     o = uniform_belief(3)
-    sup = augmented_transition_support(model, obs, pa, 0, o, 0)
+    sup = augmented_transition_support(Observer(model, obs, pa), 0, o, 0)
     posts, pred, _ = posterior_table(pa, obs.likelihood, o)
     for b in sup.beliefs:
         hits = [
@@ -304,8 +300,8 @@ def test_support_single_atom_when_everything_deterministic():
     transition[1, 1, 0] = 1.0
     model = MdpModel(2, 1, transition, np.zeros((2, 1)), 0.9)
     obs = ObservationModel(2, np.eye(2))
-    pa = transition[:, :, 0]
-    sup = augmented_transition_support(model, obs, pa, 0, point_belief(2, 0), 0)
+    observer = Observer(model, obs, transition[:, :, 0])
+    sup = augmented_transition_support(observer, 0, point_belief(2, 0), 0)
     assert len(sup.probs) == 1
     assert sup.states[0] == 1
     assert sup.probs[0] == pytest.approx(1.0, abs=1e-12)
@@ -313,10 +309,10 @@ def test_support_single_atom_when_everything_deterministic():
 
 
 def test_support_raises_on_prohibited_action():
-    model, obs, pa = two_state_trap_setup()
+    observer = Observer(*two_state_trap_setup())
     o = point_belief(2, 0)
     with pytest.raises(ProhibitedAction) as err:
-        augmented_transition_support(model, obs, pa, 0, o, 1)
+        augmented_transition_support(observer, 0, o, 1)
     msg = str(err.value)
     assert "u=1" in msg and "x=0" in msg and "y=1" in msg
 
@@ -359,7 +355,7 @@ def test_filter_step_oracle_agrees_on_example1():
     pa = nominal_chain(model)
     o = uniform_belief(3)
     for y in range(obs.num_observations):
-        pred = observation_predictive(pa, obs.likelihood, o)[y]
+        pred = posterior_table(pa, obs.likelihood, o)[1][y]
         if pred <= EPS_ZERO:
             continue
         ours = bayes_update(pa, obs.likelihood, o, y)
@@ -393,22 +389,23 @@ sparse_sizes = dict(
 def test_admissible_actions_match_definition(seed, n, m, k):
     model, obs, chain, x, o = sparse_case(seed, n, m, k)
     expected = admissible_by_definition(model.transition, obs.likelihood, chain, x, o)
-    assert admissible_actions(model, obs, chain, x, o) == expected
+    assert admissible_actions(Observer(model, obs, chain), x, o) == expected
 
 
 @settings(max_examples=200, deadline=None)
 @given(**sparse_sizes)
 def test_support_atoms_match_definition(seed, n, m, k):
     model, obs, chain, x, o = sparse_case(seed, n, m, k)
+    observer = Observer(model, obs, chain)
     for u in range(m):
         expected = joint_support_by_definition(
             model.transition, obs.likelihood, chain, x, o, u
         )
         if expected is None:
             with pytest.raises(ProhibitedAction):
-                augmented_transition_support(model, obs, chain, x, o, u)
+                augmented_transition_support(observer, x, o, u)
             continue
-        sup = augmented_transition_support(model, obs, chain, x, o, u)
+        sup = augmented_transition_support(observer, x, o, u)
         # equal as multisets of (state, probability, posterior)
         for atom in zip(sup.states, sup.probs, sup.beliefs):
             hits = [

@@ -17,6 +17,7 @@ from covertmdp import (
     MdpModel,
     NoAdmissibleSequence,
     ObservationModel,
+    Observer,
     PlannerConfig,
     ProhibitedAction,
     SizeOverflow,
@@ -386,7 +387,7 @@ def test_emitting_blocks_surprising_move_and_support_names_it():
     reach = emitting(point_mass(2, 0), emission_support(model, obs))
     assert blocked_actions(reach, ~open_y).tolist() == [False, True]
     with pytest.raises(ProhibitedAction) as err:
-        augmented_transition_support(model, obs, pa, 0, point_belief(2, 0), 1)
+        augmented_transition_support(Observer(model, obs, pa), 0, point_belief(2, 0), 1)
     msg = str(err.value)
     assert "u=1" in msg and "x=0" in msg and "y=1" in msg
 
@@ -564,7 +565,7 @@ def test_plan_sequences_are_the_logged_scores(tmp_path):
     for model, obs, chain in cases:
         pa, values, _ = nominal_setup(model)
         pa = pa if chain is None else chain
-        memo = PlanMemo(model, obs, values)
+        memo = PlanMemo(Observer(model, obs, pa), values)
         for x, o, cfg in random_calls(rng, model.num_states, 8):
             log = tmp_path / "plan.jsonl"
             log.unlink(missing_ok=True)
@@ -698,7 +699,7 @@ def random_calls(rng, n, count):
 
 
 def assert_memo_matches_fresh(model, obs, pa, values, calls, tmp):
-    memo = PlanMemo(model, obs, values)
+    memo = PlanMemo(Observer(model, obs, pa), values)
     shared = outcomes(model, obs, pa, values, calls, tmp / "shared.jsonl", memo)
     fresh = outcomes(model, obs, pa, values, calls, tmp / "fresh.jsonl")
     assert shared == fresh
@@ -737,7 +738,7 @@ def test_memo_clears_when_full_and_still_plans_like_a_fresh_one(monkeypatch, tmp
     pa, values, _ = nominal_setup(model)
     calls = random_calls(np.random.default_rng(3), 3, 60)
     sizes = []
-    memo = PlanMemo(model, obs, values)
+    memo = PlanMemo(Observer(model, obs, pa), values)
     for call in calls:
         outcomes(model, obs, pa, values, [call], tmp_path / "probe.jsonl", memo)
         sizes.append(memo.nbytes)
@@ -749,9 +750,12 @@ def test_memo_clears_when_full_and_still_plans_like_a_fresh_one(monkeypatch, tmp
 def test_plan_refuses_a_memo_built_for_another_model():
     model, obs = smoothed_example1()
     pa, values, _ = nominal_setup(model)
-    memo = PlanMemo(model, obs, values)
+    memo = PlanMemo(Observer(model, obs, pa), values)
     other, other_obs = example1_model()
     with pytest.raises(ValueError, match="memo"):
         plan(other, other_obs, pa, values, 0, uniform_belief(3), PlannerConfig(2), memo=memo)
     with pytest.raises(ValueError, match="memo"):
         plan(model, obs, pa, values + 1.0, 0, uniform_belief(3), PlannerConfig(2), memo=memo)
+    with pytest.raises(ValueError, match="memo"):
+        plan(model, obs, pa.copy(), values, 0, uniform_belief(3), PlannerConfig(2),
+             memo=memo)

@@ -12,11 +12,14 @@ from covertmdp import (
     NoAdmissibleSequence,
     NominalController,
     ObservationModel,
+    Observer,
     PlannerConfig,
     ProhibitedAction,
     RecedingHorizonController,
     SizeOverflow,
+    admissible_actions,
     aggregate_runs,
+    augmented_transition_support,
     bayes_update,
     desk_gridworld,
     example1_model,
@@ -31,7 +34,7 @@ from covertmdp import (
     uniform_belief,
     write_trace_csv,
 )
-from covertmdp import augmented, sim
+from covertmdp import belief, sim
 from covertmdp.sim import (
     AugmentedValueController,
     _sample,
@@ -44,7 +47,13 @@ from covertmdp.sim import (
     write_summary_file,
     write_trace_metadata,
 )
-from covertmdp.augmented import solve_augmented_vi
+from covertmdp.augmented import (
+    AugmentedValueFunction,
+    action_values,
+    build_simplex_grid,
+    greedy_action,
+    solve_augmented_vi,
+)
 
 from _oracles import random_sane_model
 
@@ -88,13 +97,14 @@ def test_rng_for_run_is_reproducible_and_run_specific():
 def test_step_sampling_statistics():
     model, obs = smoothed_example1()
     pa, _, _ = nominal_setup(model)
+    observer = Observer(model, obs, pa)
     o = uniform_belief(3)
     rng = np.random.default_rng(5)
     draws = 20_000
     state_counts = np.zeros(3)
     obs_counts = np.zeros(obs.num_observations)
     for _ in range(draws):
-        x_next, y, _ = step(model, obs, pa, 0, o, 1, rng)
+        x_next, y, _ = step(observer, 0, o, 1, rng)
         state_counts[x_next] += 1
         obs_counts[y] += 1
     state_freq = state_counts / draws
@@ -210,22 +220,29 @@ def test_traced_entry_points_are_called_once_per_step(monkeypatch):
         assert counts == expected
 
 
-def test_grid_value_decisions_build_no_model_table(monkeypatch):
-    # The controller builds the lookahead's model-level tables once; a
-    # decision computes only what depends on the belief.
+def test_observer_tables_are_built_once_per_controller_and_episode(monkeypatch):
+    # Each controller builds its observer once and each episode one for the
+    # simulator step; a decision or a step builds no model table.
     model, obs = example1_model()
-    pa, _, _ = nominal_setup(model)
+    pa, values, policy = nominal_setup(model)
     value = solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=3, tol=1e-4).value
-    controller = AugmentedValueController(model, obs, pa, value)
-    names = ("emission_support", "LookaheadTables")
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        monkeypatch.setattr(augmented, name, _counting(name, getattr(augmented, name), counts))
-    run_closed_loop(model, obs, pa, controller, uniform_belief(3), 25, 3, 0)
-    assert counts == dict.fromkeys(names, 0)
-    # the patches see a rebuild: a decision given no tables builds them
-    augmented.greedy_action(model, obs, pa, value, 0, uniform_belief(3))
-    assert counts == dict.fromkeys(names, 1)
+    counts = {"emission_support": 0}
+    monkeypatch.setattr(
+        belief, "emission_support",
+        _counting("emission_support", belief.emission_support, counts),
+    )
+    receding = RecedingHorizonController(
+        model, obs, pa, values, PlannerConfig(3, 0.5, 0.5, 0.0)
+    )
+    grid_value = AugmentedValueController(model, obs, pa, value)
+    assert counts["emission_support"] == 2
+    for controller in (NominalController(policy), receding, grid_value):
+        counts["emission_support"] = 0
+        run_closed_loop(model, obs, pa, controller, uniform_belief(3), 25, 3, 0)
+        assert counts["emission_support"] == 1
+    # the planner never reads the lattice kernel, so it is never built
+    assert "kernel" not in vars(receding.memo.observer)
+    assert "kernel" in vars(grid_value.observer)
 
 
 def test_step_rejects_prohibited_action():
@@ -235,12 +252,41 @@ def test_step_rejects_prohibited_action():
     transition[1, 0, 1] = 1.0
     transition[1, 1, 1] = 1.0
     model = MdpModel(2, 2, transition, np.zeros((2, 2)), 0.9)
-    obs = ObservationModel(2, np.eye(2))
-    pa = np.eye(2)
+    observer = Observer(model, ObservationModel(2, np.eye(2)), np.eye(2))
     rng = np.random.default_rng(0)
     with pytest.raises(ProhibitedAction) as err:
-        step(model, obs, pa, 0, point_belief(2, 0), 1, rng)
+        step(observer, 0, point_belief(2, 0), 1, rng)
     assert "u=1" in str(err.value) and "x=0" in str(err.value)
+
+
+def _state_entry_points():
+    """Each entry point that takes the agent's state, as a call on it."""
+    model, obs = example1_model()
+    pa, values, policy = nominal_setup(model)
+    observer = Observer(model, obs, pa)
+    grid = build_simplex_grid(3, 2)
+    value = AugmentedValueFunction(grid, np.zeros((3, grid.num_points)), 1.0, 1.0)
+    o = uniform_belief(3)
+    return {
+        "admissible_actions": lambda x: admissible_actions(observer, x, o),
+        "augmented_transition_support":
+            lambda x: augmented_transition_support(observer, x, o, 0),
+        "action_values": lambda x: action_values(observer, value, x, o),
+        "greedy_action": lambda x: greedy_action(observer, value, x, o),
+        "plan": lambda x: plan(model, obs, pa, values, x, o, PlannerConfig(2)),
+        "run_closed_loop": lambda x: run_closed_loop(
+            model, obs, pa, NominalController(policy), o, 3, 0, 0, x0=x
+        ),
+    }
+
+
+@pytest.mark.parametrize("x", [-1, 3])
+@pytest.mark.parametrize("entry", sorted(_state_entry_points()))
+def test_entry_points_reject_out_of_range_states(entry, x):
+    # a negative state would otherwise index from the end and answer for
+    # another state
+    with pytest.raises(ValueError, match=rf"state x={x} outside \[0, 3\)"):
+        _state_entry_points()[entry](x)
 
 
 def test_same_seed_reproduces_the_whole_trace():
