@@ -105,18 +105,16 @@ class SimplexGrid:
         return int(self._gains[np.arange(self.num_states), tails].sum())
 
 
-def build_simplex_grid(
-    num_states: int, resolution: int, max_points: int = MAX_GRID_POINTS
-) -> SimplexGrid:
+def build_simplex_grid(num_states: int, resolution: int) -> SimplexGrid:
     """Enumerate the lattice in lexicographic composition order."""
     if num_states < 1:
         raise ValueError(f"num_states must be positive, got {num_states}")
     if resolution < 1:
         raise ValueError(f"resolution must be positive, got {resolution}")
     count = math.comb(resolution + num_states - 1, num_states - 1)
-    if count > max_points:
+    if count > MAX_GRID_POINTS:
         raise SizeOverflow(
-            f"belief grid would hold {count} points (cap {max_points}); "
+            f"belief grid would hold {count} points (cap {MAX_GRID_POINTS}); "
             f"lower the resolution or use the receding-horizon planner"
         )
     # stars and bars: bar positions in lexicographic order give the
@@ -142,8 +140,6 @@ def _simplex_weights(
     """
     n = grid.num_states
     res = grid.resolution
-    if n == 1:
-        return np.zeros(beliefs.shape, dtype=np.int64), np.ones(beliefs.shape)
     shape = beliefs.shape
     # one row per belief, so the walk's order gathers by plain indexing;
     # the solve's memory peaks here, so the stack-sized steps work in place

@@ -59,7 +59,11 @@ def _load_scenario(model_arg: str, obs_arg: str | None) -> Scenario:
                 obs = bel.load_observation_file(obs_arg, model.num_states)
     start_state = None
     if spec is not None:
+        # the spec loader checks field types; the model's invariants are checked here
         model, obs = models.gridworld_model(spec)
+        problems = mdp.validate_model(model)
+        if problems:
+            raise ModelFormatError(problems)
         start_state = spec.cell_index(*spec.start)
     return Scenario(
         name, model, obs, bel.uniform_belief(model.num_states), start_state, spec
@@ -111,13 +115,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except ModelFormatError as exc:
         for line in exc.diagnostics:
             print(f"invalid: {line}", file=sys.stderr)
-        return 1
-    problems = mdp.validate_model(scn.model)
-    if scn.obs is not None:
-        problems += bel.validate_observation_model(scn.obs, scn.model.num_states)
-    for line in problems:
-        print(f"invalid: {line}", file=sys.stderr)
-    if problems:
         return 1
     print(f"{scn.name}: model ok ({scn.model.num_states} states, "
           f"{scn.model.num_actions} actions)")
@@ -325,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="builtin name (example1, gridworld) or model file")
         p.add_argument("--obs", default=None,
                        help="observation model file (file models only)")
-        p.add_argument("--verbose", action="store_true")
 
     def add_weights(p: argparse.ArgumentParser, planner: bool, lattice: bool):
         p.add_argument("--wn", type=float, default=1.0, help="reward weight")
@@ -364,12 +360,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--beliefs", action="store_true",
                    help="also write per-run belief CSVs (wide)")
+    p.add_argument("--verbose", action="store_true",
+                   help="print each run's reward and exposure rates")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("plan", help="one planner solve per state, with diagnostics")
     add_common(p)
     add_weights(p, planner=True, lattice=False)
+    p.add_argument("--verbose", action="store_true",
+                   help="log every scored and pruned sequence to plan_log.jsonl")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_plan)
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .belief import ObservationModel
 from .errors import ModelFormatError
-from .mdp import MdpModel, _check_fields, _read_json_object
+from .mdp import MdpModel, _check_fields, _read_json_object, _value_field
 
 # ---------------------------------------------------------------------------
 # three-state example
@@ -162,35 +162,30 @@ def gridworld_model(spec: GridWorldSpec) -> tuple[MdpModel, ObservationModel]:
 # ---------------------------------------------------------------------------
 # gridworld spec files
 
-_SPEC_KEYS = {
-    "width", "height", "start", "target", "sensor",
-    "slip_prob", "target_reward", "noise_sigma", "discount",
-}
-_SPEC_REQUIRED = {"width", "height", "start", "target", "sensor"}
+_SPEC_CELLS = ("start", "target", "sensor")
+_SPEC_REALS = ("slip_prob", "target_reward", "noise_sigma", "discount")
+_SPEC_REQUIRED = {"width", "height", *_SPEC_CELLS}
+
+
+def _spec_cell(doc: dict, name: str) -> tuple[int, int]:
+    pair = doc[name]
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ModelFormatError([f"{name} must be a [row, col] pair"])
+    cell = {f"{name} row": pair[0], f"{name} col": pair[1]}
+    return tuple(_value_field(cell, key, int) for key in cell)
 
 
 def gridworld_spec_from_dict(doc: dict) -> GridWorldSpec:
-    _check_fields(doc, _SPEC_KEYS, _SPEC_REQUIRED)
-    base = desk_gridworld()
-    try:
-        spec = replace(
-            base,
-            width=int(doc["width"]),
-            height=int(doc["height"]),
-            start=tuple(int(v) for v in doc["start"]),
-            target=tuple(int(v) for v in doc["target"]),
-            sensor=tuple(int(v) for v in doc["sensor"]),
-            slip_prob=float(doc.get("slip_prob", base.slip_prob)),
-            target_reward=float(doc.get("target_reward", base.target_reward)),
-            noise_sigma=float(doc.get("noise_sigma", base.noise_sigma)),
-            discount=float(doc.get("discount", base.discount)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError([f"malformed gridworld spec: {exc}"]) from exc
-    for name in ("start", "target", "sensor"):
-        if len(getattr(spec, name)) != 2:
-            raise ModelFormatError([f"{name} must be a [row, col] pair"])
-    return spec
+    """Counts and cell coordinates must be JSON integers and the optional
+    reals JSON numbers, as in every other model file."""
+    _check_fields(doc, _SPEC_REQUIRED | set(_SPEC_REALS), _SPEC_REQUIRED)
+    return replace(
+        desk_gridworld(),
+        width=_value_field(doc, "width", int),
+        height=_value_field(doc, "height", int),
+        **{name: _spec_cell(doc, name) for name in _SPEC_CELLS},
+        **{name: _value_field(doc, name, float) for name in _SPEC_REALS if name in doc},
+    )
 
 
 def load_gridworld_spec(path: str | Path) -> GridWorldSpec:

@@ -2,10 +2,10 @@
 
 One step: the controller picks an action from the current (state, belief)
 pair, the state transitions, the observer draws an observation of the new
-state and updates its belief with the action-blind filter. Traces record
-per-step reward and exposure (observer belief in the true state) together
-with their running means, which are the quantities compared across
-controllers.
+state and updates its belief with the action-blind filter. The loop records
+only (state, action, observation, belief) per step; the per-step reward and
+exposure (observer belief in the true state) and their running means, the
+quantities compared across controllers, are read off that record after it.
 
 Runs are reproducible: run ``i`` of a batch uses the generator seeded with
 ``[seed_base, i]``, and trace files are written with round-trippable float
@@ -23,13 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .augmented import AugmentedValueFunction, _check_lattice, greedy_action
-from .belief import (
-    ObservationModel,
-    Observer,
-    admissible_actions,
-    bayes_update,
-    stage_penalty,
-)
+from .belief import ObservationModel, Observer, admissible_actions, bayes_update
 from .errors import (
     EmptyAdmissibleSet,
     IllDefinedUpdate,
@@ -212,7 +206,6 @@ def run_closed_loop(
     seed_base: int,
     run_index: int,
     x0: int | None = None,
-    model_id: str | None = None,
 ) -> Trace:
     """Simulate ``num_steps`` controller decisions from belief ``o0``.
 
@@ -235,46 +228,34 @@ def run_closed_loop(
         )
     o = o0
 
-    t_n = num_steps
-    states = np.empty(t_n, dtype=np.int64)
-    actions = np.empty(t_n, dtype=np.int64)
-    observations = np.empty(t_n, dtype=np.int64)
-    beliefs = np.empty((t_n, model.num_states))
-    rewards = np.empty(t_n)
-    penalties = np.empty(t_n)
-    mean_rewards = np.empty(t_n)
-    mean_penalties = np.empty(t_n)
+    states = np.empty(num_steps, dtype=np.int64)
+    actions = np.empty(num_steps, dtype=np.int64)
+    observations = np.empty(num_steps, dtype=np.int64)
+    beliefs = np.empty((num_steps, model.num_states))
 
     y = -1  # the prior belief is given, not produced by an observation
-    reward_sum = 0.0
-    penalty_sum = 0.0
     loop_errors = (
         EmptyAdmissibleSet, IllDefinedUpdate, NoAdmissibleSequence,
         ProhibitedAction,
     )
-    for t in range(t_n):
+    for t in range(num_steps):
         try:
             u = controller.decide(x, o)
         except loop_errors as e:
             raise type(e)(f"controller failed at step t={t}: {e}") from e
-        states[t] = x
-        actions[t] = u
-        observations[t] = y
-        beliefs[t] = o
-        rewards[t] = model.reward[x, u]
-        penalties[t] = stage_penalty(x, o)
-        reward_sum += rewards[t]
-        penalty_sum += penalties[t]
-        mean_rewards[t] = reward_sum / (t + 1)
-        mean_penalties[t] = penalty_sum / (t + 1)
+        states[t], actions[t], observations[t], beliefs[t] = x, u, y, o
         try:
             x, y, o = step(observer, x, o, u, rng)
         except loop_errors as e:
             raise type(e)(f"transition failed at step t={t}: {e}") from e
 
+    rewards = model.reward[states, actions]
+    penalties = beliefs[np.arange(num_steps), states]  # belief.stage_penalty
+    # cumsum adds in step order, as a running sum would
+    steps = np.arange(1, num_steps + 1)
     return Trace(
         controller_id=controller.controller_id,
-        model_id=model_fingerprint(model, obs) if model_id is None else model_id,
+        model_id=model_fingerprint(model, obs),
         seed_base=seed_base,
         run_index=run_index,
         states=states,
@@ -283,8 +264,8 @@ def run_closed_loop(
         beliefs=beliefs,
         rewards=rewards,
         penalties=penalties,
-        mean_rewards=mean_rewards,
-        mean_penalties=mean_penalties,
+        mean_rewards=np.cumsum(rewards) / steps,
+        mean_penalties=np.cumsum(penalties) / steps,
         final_state=x,
         final_belief=o,
     )

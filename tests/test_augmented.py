@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from covertmdp import (
     EmptyAdmissibleSet,
@@ -154,6 +154,7 @@ def mixed_beliefs(rng, grid):
 @given(
     seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), res=st.integers(1, 10)
 )
+@example(seed=0, n=1, res=4)  # one state: every belief is the single vertex
 def test_simplex_weights_match_the_freudenthal_walk(seed, n, res):
     grid = build_simplex_grid(n, res)
     beliefs = mixed_beliefs(np.random.default_rng(seed), grid)
@@ -171,6 +172,7 @@ def test_simplex_weights_match_the_freudenthal_walk(seed, n, res):
 @given(
     seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), res=st.integers(1, 10)
 )
+@example(seed=0, n=1, res=4)
 def test_batched_simplex_matches_per_belief_weights(seed, n, res):
     grid = build_simplex_grid(n, res)
     beliefs = mixed_beliefs(np.random.default_rng(seed), grid)

@@ -1,5 +1,6 @@
 """Tests for the command-line front-end."""
 
+import functools
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from covertmdp import (
     example1_model,
     nominal_value_iteration,
 )
+from covertmdp import mdp
 from covertmdp.augmented import load_value_file
 from covertmdp.belief import save_observation_file
 from covertmdp.cli import main
@@ -55,6 +57,22 @@ def test_validate_rejects_bad_model_file(tmp_path, capsys):
     assert main(["validate", "--model", str(path)]) == 1
     err = capsys.readouterr().err
     assert "invalid:" in err and "not 1" in err
+
+
+def test_gridworld_spec_file_is_validated_where_it_is_loaded(tmp_path, capsys):
+    spec = {"width": 3, "height": 3, "start": [0, 0], "target": [2, 2], "sensor": [1, 1]}
+    path = tmp_path / "board.json"
+    path.write_text(json.dumps({**spec, "discount": 0.9}))
+    assert main(["validate", "--model", str(path)]) == 0
+    assert "model ok (9 states, 5 actions)" in capsys.readouterr().out
+    # a unit discount would have solve-nominal run out its 100,000 sweeps
+    path.write_text(json.dumps({**spec, "discount": 1.0}))
+    assert main(["validate", "--model", str(path)]) == 1
+    assert "invalid: discount 1.0 not strictly inside (0, 1)" in capsys.readouterr().err
+    out = tmp_path / "results"
+    assert main(["solve-nominal", "--model", str(path), "--out", str(out)]) == 1
+    assert "error: discount 1.0 not strictly inside (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_file_is_a_config_error(capsys):
@@ -109,6 +127,21 @@ def test_solve_nominal_warns_about_ties(tmp_path, capsys):
     out = tmp_path / "results"
     assert main(["solve-nominal", "--model", str(path), "--out", str(out)]) == 0
     assert "maximizer ties at states [0, 1]" in capsys.readouterr().err
+
+
+def test_solve_nominal_reports_non_convergence(tmp_path, capsys, monkeypatch):
+    # example1 reaches an exact floating-point fixed point, so no positive
+    # tolerance keeps it from converging; a three-sweep budget does
+    monkeypatch.setattr(
+        mdp, "nominal_value_iteration",
+        functools.partial(mdp.nominal_value_iteration, max_iter=3),
+    )
+    out = tmp_path / "results"
+    assert main(["solve-nominal", "--model", "example1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: nominal value iteration did not converge")
+    assert err.rstrip().endswith("after 3 sweeps)")
+    assert not out.exists()
 
 
 def test_solve_augmented_pure_reward_matches_nominal(tmp_path):
@@ -252,6 +285,22 @@ def test_simulate_belief_csv_flag(tmp_path):
     assert len(lines) == 5
 
 
+def test_simulate_verbose_prints_each_runs_rates(tmp_path, capsys):
+    out = tmp_path / "runs"
+    code = main([
+        "simulate", "nominal", "--model", "example1",
+        "--steps", "4", "--seeds", "2", "--verbose", "--out", str(out),
+    ])
+    assert code == 0
+    printed = capsys.readouterr().out.splitlines()
+    for i in range(2):
+        meta = json.loads((out / f"trace_{i:03d}.meta.json").read_text())
+        assert printed[i] == (
+            f"run {i}: reward rate {meta['reward_rate']!r}, "
+            f"exposure rate {meta['exposure_rate']!r}"
+        )
+
+
 def test_simulate_file_model_requires_observation_model(tmp_path, capsys):
     model_path, _ = write_example1_files(tmp_path)
     code = main([
@@ -335,3 +384,11 @@ def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--model", "example1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "solve-nominal", "solve-augmented"])
+def test_only_simulate_and_plan_take_verbose(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--model", "example1", "--verbose"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err

@@ -335,3 +335,29 @@ def test_loaders_reject_non_numeric_and_non_integer_scalars(
     with pytest.raises(ModelFormatError) as err:
         load(path)
     assert err.value.diagnostics == [diagnostic]
+
+
+@pytest.mark.parametrize(
+    "load, field, bad, diagnostic",
+    [
+        (load_model_file, "reward", [["a", 0.0], [0.0, 0.0], [0.0, 0.0]],
+         "non-numeric table: "),
+        (load_model_file, "transition", [[[1.0, 0.0], [0.0]]], "non-numeric table: "),
+        (load_model_file, "transition", [[1.0, 0.0], [0.0, 1.0]],
+         "transition must be nested [action][source][destination], got ndim=2"),
+        (load_observation_file, "likelihood", [["a"], [0.0]], "non-numeric likelihood: "),
+        (load_observation_file, "likelihood", [1.0, 0.0],
+         "likelihood must be nested [observation][state], got ndim=1"),
+    ],
+    ids=["model_reward_text", "model_transition_ragged", "model_transition_flat",
+         "observation_text", "observation_flat"],
+)
+def test_loaders_reject_non_numeric_and_misnested_tables(
+    tmp_path, load, field, bad, diagnostic
+):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_SCALAR_DOCS[load], field: bad}))
+    with pytest.raises(ModelFormatError) as err:
+        load(path)
+    [line] = err.value.diagnostics
+    assert line.startswith(diagnostic)

@@ -248,6 +248,19 @@ def test_gridworld_spec_from_dict_rejects_malformed_documents():
     with pytest.raises(ModelFormatError) as err:
         gridworld_spec_from_dict({**base, "sensor": [1, 2, 3]})
     assert any("pair" in line for line in err.value.diagnostics)
+    # int() and float() would truncate, parse strings and read booleans
+    for field, bad, diagnostic in [
+        ("width", 3.9, "width must be an integer, got 3.9"),
+        ("height", True, "non-numeric height: True"),
+        ("width", "7", "non-numeric width: '7'"),
+        ("slip_prob", "0.1", "non-numeric slip_prob: '0.1'"),
+        ("discount", True, "non-numeric discount: True"),
+        ("start", [0.5, 0], "start row must be an integer, got 0.5"),
+        ("target", "ab", "target must be a [row, col] pair"),
+    ]:
+        with pytest.raises(ModelFormatError) as err:
+            gridworld_spec_from_dict({**base, field: bad})
+        assert err.value.diagnostics == [diagnostic]
 
 
 def test_gridworld_spec_file_loading(tmp_path):
