@@ -74,11 +74,13 @@ def validate_observation_model(obs: ObservationModel, num_states: int) -> list[s
             f"likelihood shape {obs.likelihood.shape} != expected {(k, num_states)}"
         ]
     q = obs.likelihood
-    if np.any(q < 0.0) or np.any(q > 1.0):
-        y, x = np.argwhere((q < 0.0) | (q > 1.0))[0]
+    # written so that NaN, for which every comparison is False, fails them
+    outside = ~((q >= 0.0) & (q <= 1.0))
+    if outside.any():
+        y, x = np.argwhere(outside)[0]
         out.append(f"likelihood q({y}|{x}) = {q[y, x]!r} outside [0, 1]")
     sums = q.sum(axis=0)
-    for x in np.flatnonzero(np.abs(sums - 1.0) > 1e-12):
+    for x in np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-12)):
         out.append(f"likelihood column x={x} sums to {sums[x]!r}, not 1")
     return out
 
@@ -190,15 +192,45 @@ class Observer:
     mass over ``x'`` are built on first read, so callers that never read
     them (the planner and the simulator step) never hold their X²·U·Y
     entries.
+
+    ``rules_out_nothing`` is True when no belief that :meth:`leaves_all_open`
+    accepts can rule an observation out: every entry of ``pa`` lies in
+    ``[0, 1]``, every likelihood is at most 1, and ``min q`` times the
+    smallest column sum of ``pa`` exceeds ``4 * EPS_ZERO``. Proof: for a
+    belief ``b >= 0``, ``predictive(y) = sum_x' q(y|x') sum_x pa[x', x] b[x]
+    >= min q * sum_x colsum(pa)[x] b[x] >= min q * min colsum * sum(b)``,
+    which is above ``2 * EPS_ZERO`` once ``sum(b) >= 1/2``. Every term of
+    those sums is nonnegative and, with ``sum(b) <= 2``, at most ``2n``, so
+    nothing overflows, rounding moves the computed predictive by a
+    relative ``(2n + 2) * 2**-53`` at most and underflow by far less than
+    ``EPS_ZERO``: it stays above ``EPS_ZERO``. A NaN anywhere in the
+    sensor or the chain makes a comparison False, and so the flag.
     """
 
     model: MdpModel
     obs: ObservationModel
     pa: np.ndarray
     emits: np.ndarray = field(init=False, repr=False)
+    rules_out_nothing: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "emits", emission_support(self.model, self.obs))
+        pa, q = self.pa, self.obs.likelihood
+        object.__setattr__(self, "rules_out_nothing", bool(
+            ((pa >= 0.0) & (pa <= 1.0)).all() and q.max() <= 1.0
+            and q.min() * pa.sum(axis=0).min() > 4 * EPS_ZERO
+        ))
+
+    def leaves_all_open(self, o: np.ndarray) -> bool:
+        """True when belief ``o`` is known, without computing its predictive,
+        to leave every observation open: the observer rules out nothing
+        and ``o`` is nonnegative with mass in ``[1/2, 2]`` (the bound of
+        ``rules_out_nothing``'s proof). False says only that the test must
+        be made."""
+        if not self.rules_out_nothing:
+            return False
+        mass = o.tolist()
+        return min(mass) >= 0.0 and 0.5 <= sum(mass) <= 2.0
 
     @cached_property
     def kernel(self) -> np.ndarray:
@@ -241,6 +273,8 @@ def admissible_actions(observer: Observer, x: int, o: np.ndarray) -> list[int]:
     under the observer's predictive.
     """
     o = observer.check(x, o)
+    if observer.leaves_all_open(o):
+        return list(range(observer.model.num_actions))
     ruled_out = ~open_observations(observer.pa, observer.obs.likelihood, o)
     blocked = blocked_actions(observer.emits[:, x], ruled_out)
     return [u for u in range(observer.model.num_actions) if not blocked[u]]

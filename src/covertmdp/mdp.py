@@ -157,14 +157,15 @@ def validate_model(model: MdpModel) -> list[str]:
         return out
 
     p = model.transition
-    if np.any(p < 0.0) or np.any(p > 1.0):
-        bad = np.argwhere((p < 0.0) | (p > 1.0))
-        d, s, a = bad[0]
+    # written so that NaN, for which every comparison is False, fails them
+    outside = ~((p >= 0.0) & (p <= 1.0))
+    if outside.any():
+        d, s, a = np.argwhere(outside)[0]
         out.append(
             f"transition entry p({d}|{s},{a}) = {p[d, s, a]!r} outside [0, 1]"
         )
     sums = p.sum(axis=0)
-    bad = np.argwhere(np.abs(sums - 1.0) > STOCHASTIC_TOL)
+    bad = np.argwhere(~(np.abs(sums - 1.0) <= STOCHASTIC_TOL))
     for s, a in bad:
         out.append(
             f"transition column (x={s}, u={a}) sums to {sums[s, a]!r}, not 1"

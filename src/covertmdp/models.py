@@ -123,8 +123,13 @@ def gridworld_model(spec: GridWorldSpec) -> tuple[MdpModel, ObservationModel]:
         raise ValueError("start and target must be different cells")
     if not 0.0 <= spec.slip_prob < 1.0:
         raise ValueError(f"slip_prob must be in [0, 1), got {spec.slip_prob}")
-    if spec.noise_sigma <= 0.0:
-        raise ValueError(f"noise_sigma must be positive, got {spec.noise_sigma}")
+    # the reading's Gaussian divides by 2 * noise_sigma**2, which must be a
+    # positive finite float: a square that underflows to 0 makes a 0/0
+    # likelihood, and one that overflows raises. The range also refuses NaN.
+    if not 1e-150 < spec.noise_sigma < 1e150:
+        raise ValueError(
+            f"noise_sigma must lie in (1e-150, 1e150), got {spec.noise_sigma!r}"
+        )
 
     target = spec.cell_index(*spec.target)
     transition = np.zeros((n, n, num_u))

@@ -115,12 +115,14 @@ class _Node:
     over (history, state) and ``reach[(prefix, u), (history, y)]``: action
     ``u`` after the prefix can make the agent emit ``y`` after the history.
     A leaf (the full horizon, or no prefix left) holds the terms of its
-    scored sequences instead.
+    scored sequences instead. ``open_child`` is the child reached when the
+    depth rules nothing out, also held in ``children``.
     """
 
     __slots__ = (
         "prefixes", "pruned", "src", "r_inside", "marginal", "live", "mass",
         "reach", "inside_terms", "tail_terms", "r_total", "children",
+        "open_child",
     )
 
     def __init__(self, prefixes, pruned, src, r_inside, marginal):
@@ -132,6 +134,7 @@ class _Node:
         self.live = self.mass = self.reach = None
         self.inside_terms = self.tail_terms = self.r_total = None
         self.children: dict[bytes, _Node] = {}
+        self.open_child: _Node | None = None
 
     def nbytes(self) -> int:
         arrays = (
@@ -221,6 +224,14 @@ class PlanMemo:
         self._insert(node.children, key, new)
         return new
 
+    def open_child(self, node: _Node, depth: int, horizon: int) -> _Node:
+        """:meth:`child` for a depth that blocks nothing, kept on ``node``
+        so that following it builds no table and hashes no key."""
+        if node.open_child is None:
+            blocked = np.zeros((len(node.mass), self.observer.model.num_actions), bool)
+            node.open_child = self.child(node, blocked, depth, horizon)
+        return node.open_child
+
     def _insert(self, table: dict, key, node: _Node) -> None:
         size = node.nbytes()
         if self.nbytes + size > MAX_TREE_ENTRIES * 8:
@@ -248,14 +259,17 @@ def plan(
 
     The tree is built one depth at a time: its nodes are the observation
     histories that carry mass, with one batched :func:`posterior_table`
-    call per depth (the last depth needs only the open observations), and
-    every live action prefix advances its mass tensor
+    call per depth but the last (which needs only the open observations),
+    and every live action prefix advances its mass tensor
     ``mass[prefix, history, x]`` over them at once with
     :func:`belief.joint_step`. Only the beliefs and what they rule out are
     computed per call, and admissibility only at depths where something is
     ruled out; the rest comes from ``memo`` (a :class:`PlanMemo` whose
     observer holds the same model, sensor and chain, and the same values),
-    or from a fresh one when none is given.
+    or from a fresh one when none is given. When the observer rules
+    nothing out from ``o`` (:meth:`Observer.leaves_all_open`), it rules
+    nothing out from any posterior either, so no depth makes the test and
+    the last depth computes nothing at all; the result is the same.
     ``PlanResult.sequences`` is built only when read.
 
     When ``log_path`` is given, every scored sequence and every pruned
@@ -286,6 +300,9 @@ def plan(
     q = obs.likelihood
 
     node = memo.root(x, horizon)
+    # a distribution, and so every posterior below it, leaves every
+    # observation open under such an observer
+    all_open = memo.observer.leaves_all_open(o)
     beliefs = o[None, :]
     r_exposed = np.zeros(1)
     pruned: list[tuple[int, ...]] = []
@@ -296,26 +313,32 @@ def plan(
     # is cleared, so it blocks nothing
     occupied = True
     for depth in range(horizon):
-        if depth == horizon - 1:
-            # the last depth's posteriors would be beliefs beyond the horizon
-            open_y = open_observations(pa, q, beliefs)
-        else:
+        last = depth == horizon - 1
+        if not last:
             posteriors, _, open_y = posterior_table(pa, q, beliefs)
-        ruled_out = ~open_y
-        if not occupied:
-            ruled_out &= open_y.any(axis=1)[:, None]
-        if ruled_out.any():
-            occupied = False
-            blocked = blocked_actions(node.reach, ruled_out.ravel())
-            blocked = blocked.reshape(len(node.mass), -1)
+        if all_open:
+            node = memo.open_child(node, depth, horizon)
         else:
-            blocked = np.zeros((len(node.mass), model.num_actions), dtype=bool)
-        node = memo.child(node, blocked, depth, horizon)
+            if last:
+                # the last depth's posteriors would be beliefs beyond the horizon
+                open_y = open_observations(pa, q, beliefs)
+            ruled_out = ~open_y
+            if not occupied:
+                ruled_out &= open_y.any(axis=1)[:, None]
+            if ruled_out.any():
+                occupied = False
+                blocked = blocked_actions(node.reach, ruled_out.ravel())
+                blocked = blocked.reshape(len(node.mass), -1)
+                node = memo.child(node, blocked, depth, horizon)
+            else:
+                node = memo.open_child(node, depth, horizon)
         pruned += node.pruned
         r_exposed = r_exposed[node.src]
         if node.mass is None:
             break
-        beliefs = posteriors.reshape(-1, n)[node.live]
+        beliefs = posteriors.reshape(-1, n)
+        if len(node.live) < len(beliefs):
+            beliefs = beliefs[node.live]
         exposed = (node.mass * beliefs).reshape(len(node.mass), -1).sum(axis=1)
         r_exposed += lam ** (depth + 1) * exposed
     objective = config.reward_weight * node.r_total - penalty_weight * r_exposed

@@ -341,7 +341,7 @@ def test_lattice_6s_seed0_matches_recorded_values(lattice_6s_seed0):
     assert peak <= 10e6, f"solve allocated a peak of {peak / 1e6:.1f} MB"
 
 
-@pytest.mark.parametrize("name", ["ex1-rho", "lattice-6s"])
+@pytest.mark.parametrize("name", ["ex1-rho", "lattice-6s", "grid-rho"])
 def test_benchmark_episodes_match_reference_digests(
     name, request, tmp_path, workloads_module
 ):

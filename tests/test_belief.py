@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from covertmdp import (
     IllDefinedUpdate,
@@ -32,7 +32,10 @@ from covertmdp.belief import (
     save_observation_file,
     validate_observation_model,
 )
+from covertmdp.augmented import build_simplex_grid
 from covertmdp.mdp import MdpModel
+from covertmdp.models import desk_gridworld, gridworld_model
+from covertmdp.sim import step
 
 from _oracles import (
     admissible_by_definition,
@@ -416,3 +419,82 @@ def test_support_atoms_match_definition(seed, n, m, k):
             assert hits, f"atom {atom} is not in the support by definition"
             del expected[hits[0]]
         assert not expected, f"atoms {expected} are missing"
+
+
+# ---------------------------------------------------------------------------
+# an observer that rules nothing out
+
+def general_twin(observer):
+    """An observer of the same tables with ``rules_out_nothing`` cleared,
+    so that every admissibility test takes the general path."""
+    twin = Observer(observer.model, observer.obs, observer.pa)
+    object.__setattr__(twin, "rules_out_nothing", False)
+    return twin
+
+
+def test_rules_out_nothing_only_for_strictly_positive_sensors():
+    model, obs = example1_model()
+    pa = nominal_chain(model)
+    assert Observer(model, obs, pa).rules_out_nothing  # smallest q is 0.05
+    grid_model, grid_obs = gridworld_model(desk_gridworld())
+    # the range sensor's truncated tails are exact zeros, which clear the flag
+    assert not Observer(grid_model, grid_obs, nominal_chain(grid_model)).rules_out_nothing
+    # so does a likelihood entry too small for the margin, or NaN, or a
+    # NaN or out-of-range chain entry (the flag does not read column sums)
+    for entry in (1e-13, np.nan):
+        likelihood = obs.likelihood.copy()
+        likelihood[0, 2] = entry
+        assert not Observer(model, ObservationModel(3, likelihood), pa).rules_out_nothing
+    for entry in (np.nan, -0.1, 1.1):
+        chain = pa.copy()
+        chain[0, 0] = entry
+        assert not Observer(model, obs, chain).rules_out_nothing
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 5),
+    m=st.integers(1, 3),
+    k=st.integers(2, 4),
+)
+def test_an_observer_that_rules_out_nothing_leaves_every_observation_open(seed, n, m, k):
+    rng = np.random.default_rng(seed)
+    model, obs = random_pair(rng, n, m, k)
+    observer = Observer(model, obs, nominal_chain(model))
+    assume(observer.rules_out_nothing)
+    twin = general_twin(observer)
+    with_zeros = rng.uniform(0.1, 1.0, (5, n)) * (rng.random((5, n)) < 0.5)
+    with_zeros[:, 0] += 0.1
+    beliefs = [
+        # normalized, concentrated ones with tiny entries among them
+        *rng.dirichlet(np.full(n, 0.2), size=10),
+        # lattice points, which have exact zeros
+        *build_simplex_grid(n, {2: 8, 3: 6, 4: 4, 5: 3}[n]).points,
+        # random beliefs with exact zeros
+        *(w / w.sum() for w in with_zeros),
+    ]
+    for o in beliefs:
+        assert observer.leaves_all_open(o)
+        assert open_observations(observer.pa, obs.likelihood, o).all()
+        for x in range(n):
+            assert admissible_actions(observer, x, o) == list(range(m))
+            assert admissible_actions(twin, x, o) == list(range(m))
+
+
+def test_beliefs_that_are_not_distributions_take_the_general_path():
+    model, obs = example1_model()
+    observer = Observer(model, obs, nominal_chain(model))
+    twin = general_twin(observer)
+    for o in ([0.0, 0.0, 0.0], [3.0, -2.0, 0.0], [0.2, 0.2, 0.0], [2.0, 1.0, 0.0],
+              [np.nan, 1.0, 0.0]):
+        o = np.array(o)
+        assert not observer.leaves_all_open(o)
+        for x in range(3):
+            assert admissible_actions(observer, x, o) == admissible_actions(twin, x, o)
+    # nothing is admissible from a belief with no mass
+    assert admissible_actions(observer, 0, np.zeros(3)) == []
+    with pytest.raises(ProhibitedAction):
+        augmented_transition_support(observer, 0, np.zeros(3), 0)
+    with pytest.raises(ProhibitedAction):
+        step(observer, 0, np.zeros(3), 0, np.random.default_rng(0))

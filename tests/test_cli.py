@@ -57,6 +57,20 @@ def test_validate_rejects_bad_model_file(tmp_path, capsys):
     assert main(["validate", "--model", str(path)]) == 1
     err = capsys.readouterr().err
     assert "invalid:" in err and "not 1" in err
+    # Python's json reads and writes NaN; every comparison with it is False
+    doc["transition"] = [[[float("nan"), 1.0], [0.5, 0.5]]]
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--model", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid: transition entry p(0|0,0) =" in err and "nan" in err
+    model_path, _ = write_example1_files(tmp_path)
+    likelihood = example1_model()[1].likelihood.tolist()
+    likelihood[0][0] = float("nan")
+    obs_path = tmp_path / "nan_obs.json"
+    obs_path.write_text(json.dumps({"num_observations": 3, "likelihood": likelihood}))
+    assert main(["validate", "--model", model_path, "--obs", str(obs_path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid: likelihood q(0|0) =" in err and "nan" in err
 
 
 def test_gridworld_spec_file_is_validated_where_it_is_loaded(tmp_path, capsys):
@@ -73,6 +87,13 @@ def test_gridworld_spec_file_is_validated_where_it_is_loaded(tmp_path, capsys):
     assert main(["solve-nominal", "--model", str(path), "--out", str(out)]) == 1
     assert "error: discount 1.0 not strictly inside (0, 1)" in capsys.readouterr().err
     assert not out.exists()
+    # 1e-200 squared underflows to 0 (a NaN likelihood column); 1e300
+    # squared overflows the Python float
+    for sigma in (1e-200, 1e300):
+        path.write_text(json.dumps({**spec, "noise_sigma": sigma}))
+        assert main(["validate", "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: noise_sigma must lie in (1e-150, 1e150), got {sigma!r}" in err
 
 
 def test_missing_file_is_a_config_error(capsys):

@@ -20,7 +20,13 @@ from covertmdp.augmented import (
     load_value_file,
     save_value_file,
 )
-from covertmdp.belief import load_observation_file, save_observation_file, uniform_belief
+from covertmdp.belief import (
+    ObservationModel,
+    load_observation_file,
+    save_observation_file,
+    uniform_belief,
+    validate_observation_model,
+)
 from covertmdp.mdp import (
     bellman_backup,
     load_model_file,
@@ -79,6 +85,23 @@ def test_validate_model_flags_negative_probability():
     transition[1, 0, 0] += 0.9  # column still sums to one
     bad = MdpModel(3, 2, transition, model.reward, model.discount)
     assert any("outside [0, 1]" in line for line in validate_model(bad))
+
+
+def test_validate_model_and_observation_model_refuse_nan():
+    # every comparison with NaN is False, so a test written as "p < 0" or
+    # "|sum - 1| > tol" lets it through
+    model, obs = example1_model()
+    transition = model.transition.copy()
+    transition[0, 1, 0] = np.nan
+    problems = validate_model(MdpModel(3, 2, transition, model.reward, model.discount))
+    assert any("p(0|1,0) =" in line and "nan" in line for line in problems)
+    assert any("(x=1, u=0) sums to" in line and "nan" in line for line in problems)
+    assert validate_model(MdpModel(1, 1, [[[np.nan]]], [[0.0]], 0.9))
+    likelihood = obs.likelihood.copy()
+    likelihood[2, 0] = np.nan
+    problems = validate_observation_model(ObservationModel(3, likelihood), 3)
+    assert any("q(2|0) =" in line and "nan" in line for line in problems)
+    assert any("column x=0 sums to" in line and "nan" in line for line in problems)
 
 
 def test_validate_model_flags_discount_out_of_range():

@@ -194,8 +194,11 @@ def test_gridworld_rejects_degenerate_setups():
         gridworld_model(GridWorldSpec(3, 3, (1, 1), (1, 1), (0, 0)))
     with pytest.raises(ValueError, match="slip_prob"):
         gridworld_model(GridWorldSpec(3, 3, (0, 0), (2, 2), (1, 1), slip_prob=1.0))
-    with pytest.raises(ValueError, match="noise_sigma"):
-        gridworld_model(GridWorldSpec(3, 3, (0, 0), (2, 2), (1, 1), noise_sigma=0.0))
+    # 1e-200 squared underflows to 0 (a 0/0 likelihood column of NaN) and
+    # 1e300 squared overflows (OverflowError from the Python float)
+    for sigma in (0.0, 1e-200, 1e300, np.nan, np.inf):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            gridworld_model(GridWorldSpec(3, 3, (0, 0), (2, 2), (1, 1), noise_sigma=sigma))
 
 
 def test_gridworld_spec_from_dict_applies_defaults():

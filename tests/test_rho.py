@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from covertmdp import (
     MdpModel,
@@ -759,3 +759,57 @@ def test_plan_refuses_a_memo_built_for_another_model():
     with pytest.raises(ValueError, match="memo"):
         plan(model, obs, pa.copy(), values, 0, uniform_belief(3), PlannerConfig(2),
              memo=memo)
+
+
+def planner_calls_with_and_without_distributions(rng, n):
+    """Calls at horizons 1-3 from every state: normalized beliefs (one with
+    exact zeros) and roots that are not distributions (a negative entry,
+    no mass), which must take the general path."""
+    # mass 1, but a predictive that is negative for some observations
+    negative = np.zeros(n)
+    negative[0], negative[1] = 3.0, -2.0
+    beliefs = [
+        rng.dirichlet(np.ones(n)), rng.dirichlet(np.full(n, 0.2)),
+        np.eye(n)[int(rng.integers(n))], negative, np.zeros(n),
+    ]
+    return [
+        (x, o, PlannerConfig(horizon, float(rng.random()), float(rng.random()), 0.0))
+        for horizon in (1, 2, 3) for x in range(n) for o in beliefs
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    k=st.integers(2, 3),
+    example1=st.booleans(),
+)
+def test_plan_on_an_observer_that_rules_out_nothing_equals_the_general_path(
+    seed, n, m, k, example1
+):
+    # Skipping a test whose answer is all-open changes no float; the twin
+    # observer, its flag cleared, makes every test.
+    rng = np.random.default_rng(seed)
+    model, obs = example1_model() if example1 else random_pair(rng, n, m, k)
+    pa, values, _ = nominal_setup(model)
+    observer = Observer(model, obs, pa)
+    assume(observer.rules_out_nothing)
+    twin = Observer(model, obs, pa)
+    object.__setattr__(twin, "rules_out_nothing", False)
+    fast_memo, general_memo = PlanMemo(observer, values), PlanMemo(twin, values)
+    raised = 0
+    for x, o, cfg in planner_calls_with_and_without_distributions(rng, model.num_states):
+        try:
+            fast = plan(model, obs, pa, values, x, o, cfg, memo=fast_memo)
+        except NoAdmissibleSequence:
+            with pytest.raises(NoAdmissibleSequence):
+                plan(model, obs, pa, values, x, o, cfg, memo=general_memo)
+            raised += 1
+            continue
+        general = plan(model, obs, pa, values, x, o, cfg, memo=general_memo)
+        assert fast == general
+        assert fast.sequences == general.sequences
+    # every call from a belief with no mass prunes everything
+    assert raised >= 3 * model.num_states
