@@ -25,7 +25,6 @@ from .belief import (
     bayes_update,
     make_belief,
     point_belief,
-    stage_penalty,
     uniform_belief,
 )
 from .errors import (

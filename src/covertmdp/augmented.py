@@ -40,10 +40,13 @@ from .errors import EmptyAdmissibleSet, ModelFormatError, SizeOverflow
 from .mdp import (
     MdpModel,
     _check_fields,
+    _check_tol,
     _read_json_object,
     _readonly,
+    _table_field,
     _value_field,
     _write_json,
+    value_iteration,
 )
 
 # Transformed coordinates within this distance of an integer are treated as
@@ -214,9 +217,6 @@ class AugmentedValueFunction:
                 f"value table shape {self.values.shape} does not match {expected}"
             )
 
-    def evaluate(self, x: int, o: np.ndarray) -> float:
-        return interpolate_value(self.grid, self.values[x], o)
-
 
 @dataclass(frozen=True)
 class AugmentedVIResult:
@@ -248,9 +248,7 @@ class _Lookahead:
                  reward_weight: float, exposure_weight: float,
                  sources=slice(None)):
         model = observer.model
-        posteriors, _, open_y = posterior_table(
-            observer.pa, observer.obs.likelihood, beliefs
-        )
+        posteriors, _, open_y = posterior_table(observer, beliefs)
         self.vertices, self.weights = _simplex_weights(grid, posteriors)
         self.open_y = open_y.astype(float)
 
@@ -263,7 +261,8 @@ class _Lookahead:
         self.renorm = np.nonzero(renorm)
         self.open_mass = total[renorm]
 
-        penalty = exposure_weight * beliefs[..., sources]  # belief.stage_penalty
+        # the stage's exposure is the belief's mass on the source state
+        penalty = exposure_weight * beliefs[..., sources]
         stage = reward_weight * model.reward[sources] - penalty[..., None]
         self.stage = np.where(self.usable, stage, -np.inf)
         self.discount = model.discount
@@ -288,9 +287,8 @@ def solve_augmented_vi(
     tol: float = DEFAULT_AVI_TOL,
     max_iter: int = DEFAULT_AVI_MAX_ITER,
 ) -> AugmentedVIResult:
-    """Value iteration from zero over the lattice, sup-norm stopping rule."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    """:func:`mdp.value_iteration` from zero over the lattice."""
+    _check_tol(tol)  # before the lattice is built
     grid = build_simplex_grid(model.num_states, resolution)
     lookahead = _Lookahead(
         Observer(model, obs, pa), grid, grid.points, reward_weight, exposure_weight
@@ -299,18 +297,13 @@ def solve_augmented_vi(
     if hopeless.size:
         g, x = hopeless[0]
         raise EmptyAdmissibleSet(f"no usable action at state x={x}, grid point g={g}")
-    values = np.zeros((model.num_states, grid.num_points))
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        updated = lookahead(values).max(axis=2).T
-        residual = float(np.max(np.abs(updated - values)))
-        values = updated
-        if residual <= tol:
-            break
+    vi = value_iteration(
+        lambda values: lookahead(values).max(axis=2).T,
+        np.zeros((model.num_states, grid.num_points)), tol, max_iter,
+    )
     fallback = tuple((int(x), int(g)) for g, x in np.argwhere(lookahead.relaxed))
-    value = AugmentedValueFunction(grid, values, reward_weight, exposure_weight)
-    return AugmentedVIResult(value, residual, iterations, residual <= tol, fallback)
+    value = AugmentedValueFunction(grid, vi.values, reward_weight, exposure_weight)
+    return AugmentedVIResult(value, vi.residual, vi.iterations, vi.converged, fallback)
 
 
 def _check_lattice(observer: Observer, value: AugmentedValueFunction) -> None:
@@ -376,10 +369,7 @@ def load_value_file(path: str | Path) -> AugmentedValueFunction:
     resolution = _value_field(doc, "resolution", int)
     reward_weight = _value_field(doc, "reward_weight", float)
     exposure_weight = _value_field(doc, "exposure_weight", float)
-    try:
-        values = np.asarray(doc["values"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError([f"non-numeric values: {exc}"]) from exc
+    values = _table_field(doc, "values")
     try:
         grid = build_simplex_grid(num_states, resolution)
         return AugmentedValueFunction(grid, values, reward_weight, exposure_weight)

@@ -33,6 +33,8 @@ from .mdp import (
     _check_fields,
     _read_json_object,
     _readonly,
+    _stochastic_problems,
+    _table_field,
     _value_field,
     _write_json,
 )
@@ -65,7 +67,6 @@ class ObservationModel:
 
 
 def validate_observation_model(obs: ObservationModel, num_states: int) -> list[str]:
-    out: list[str] = []
     k = obs.num_observations
     if k < 1:
         return [f"num_observations must be positive, got {k}"]
@@ -73,16 +74,9 @@ def validate_observation_model(obs: ObservationModel, num_states: int) -> list[s
         return [
             f"likelihood shape {obs.likelihood.shape} != expected {(k, num_states)}"
         ]
-    q = obs.likelihood
-    # written so that NaN, for which every comparison is False, fails them
-    outside = ~((q >= 0.0) & (q <= 1.0))
-    if outside.any():
-        y, x = np.argwhere(outside)[0]
-        out.append(f"likelihood q({y}|{x}) = {q[y, x]!r} outside [0, 1]")
-    sums = q.sum(axis=0)
-    for x in np.flatnonzero(~(np.abs(sums - 1.0) <= 1e-12)):
-        out.append(f"likelihood column x={x} sums to {sums[x]!r}, not 1")
-    return out
+    return _stochastic_problems(
+        obs.likelihood, "likelihood q({}|{})", "likelihood column x={}"
+    )
 
 
 def make_belief(probs) -> np.ndarray:
@@ -116,14 +110,15 @@ def point_belief(num_states: int, x: int) -> np.ndarray:
     return make_belief(o)
 
 
-def bayes_update(pa: np.ndarray, q: np.ndarray, o: np.ndarray, y: int) -> np.ndarray:
-    """One predict-update step of the observer's filter.
+def bayes_update(observer: Observer, o: np.ndarray, y: int) -> np.ndarray:
+    """One predict-update step of ``observer``'s filter: row ``y`` of
+    :func:`posterior_table`, by the same arithmetic.
 
     Raises :class:`IllDefinedUpdate` when the predictive probability of ``y``
     is numerically zero; callers prevent that by restricting the agent to
     admissible actions.
     """
-    numer = q[y] * (pa @ o)
+    numer = observer.obs.likelihood[y] * (observer.pa @ o)
     denom = numer.sum()
     if denom <= EPS_ZERO:
         raise IllDefinedUpdate(
@@ -135,9 +130,10 @@ def bayes_update(pa: np.ndarray, q: np.ndarray, o: np.ndarray, y: int) -> np.nda
 
 
 def posterior_table(
-    pa: np.ndarray, q: np.ndarray, beliefs: np.ndarray
+    observer: Observer, beliefs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The filter step for every observation at once, batched over beliefs.
+    """``observer``'s filter step for every observation at once, batched
+    over beliefs.
 
     ``beliefs`` is one belief ``(n,)`` or a stack ``(G, n)``. Returns
     ``(posteriors, predictive, open_y)`` shaped ``(..., Y, n)``, ``(..., Y)``
@@ -146,7 +142,7 @@ def posterior_table(
     (mass above EPS_ZERO). Rows of ruled-out observations are left as zeros
     and must not be used.
     """
-    numer, predictive = _joint_predictive(pa, q, beliefs)
+    numer, predictive = _joint_predictive(observer, beliefs)
     open_y = predictive > EPS_ZERO
     if open_y.all():
         numer /= predictive[..., None]
@@ -157,19 +153,19 @@ def posterior_table(
     return posteriors, predictive, open_y
 
 
-def open_observations(pa: np.ndarray, q: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
+def open_observations(observer: Observer, beliefs: np.ndarray) -> np.ndarray:
     """:func:`posterior_table`'s ``open_y`` alone, by the same arithmetic,
     for callers that need no posteriors."""
-    return _joint_predictive(pa, q, beliefs)[1] > EPS_ZERO
+    return _joint_predictive(observer, beliefs)[1] > EPS_ZERO
 
 
 def _joint_predictive(
-    pa: np.ndarray, q: np.ndarray, beliefs: np.ndarray
+    observer: Observer, beliefs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``numer[..., y, x'] = q(y | x') (pa o)(x')`` and its sum over ``x'``,
     the one-step predictive."""
-    pred_states = (pa @ np.asarray(beliefs, dtype=float).T).T
-    numer = q * pred_states[..., None, :]
+    pred_states = (observer.pa @ np.asarray(beliefs, dtype=float).T).T
+    numer = observer.obs.likelihood * pred_states[..., None, :]
     return numer, numer.sum(axis=-1)
 
 
@@ -275,14 +271,9 @@ def admissible_actions(observer: Observer, x: int, o: np.ndarray) -> list[int]:
     o = observer.check(x, o)
     if observer.leaves_all_open(o):
         return list(range(observer.model.num_actions))
-    ruled_out = ~open_observations(observer.pa, observer.obs.likelihood, o)
+    ruled_out = ~open_observations(observer, o)
     blocked = blocked_actions(observer.emits[:, x], ruled_out)
     return [u for u in range(observer.model.num_actions) if not blocked[u]]
-
-
-def stage_penalty(x: int, o: np.ndarray) -> float:
-    """Observer's current belief in the agent's true state."""
-    return float(o[x])
 
 
 def joint_step(
@@ -351,8 +342,8 @@ def augmented_transition_support(
     is not admissible at ``(x, o)``.
     """
     o = observer.check(x, o)
-    model, q = observer.model, observer.obs.likelihood
-    posteriors, _, open_y = posterior_table(observer.pa, q, o)
+    model = observer.model
+    posteriors, _, open_y = posterior_table(observer, o)
     surprising = np.flatnonzero(observer.emits[u, x] & ~open_y)
     if surprising.size:
         raise ProhibitedAction(
@@ -361,7 +352,7 @@ def augmented_transition_support(
         )
     mass = np.zeros((1, 1, model.num_states))
     mass[0, 0, x] = 1.0
-    step, ys = joint_step(mass, model.transition.T[u][None], q)
+    step, ys = joint_step(mass, model.transition.T[u][None], observer.obs.likelihood)
     # drop the (at most EPS_ZERO) mass on observations the observer rules out
     keep = open_y[ys]
     step, ys = step[0, keep], ys[keep]
@@ -377,14 +368,7 @@ _OBS_KEYS = {"num_observations", "likelihood"}
 
 def observation_from_dict(doc: dict, num_states: int | None = None) -> ObservationModel:
     _check_fields(doc, _OBS_KEYS)
-    try:
-        likelihood = np.asarray(doc["likelihood"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError([f"non-numeric likelihood: {exc}"]) from exc
-    if likelihood.ndim != 2:
-        raise ModelFormatError(
-            [f"likelihood must be nested [observation][state], got ndim={likelihood.ndim}"]
-        )
+    likelihood = _table_field(doc, "likelihood", "[observation][state]")
     obs = ObservationModel(_value_field(doc, "num_observations", int), likelihood)
     n = likelihood.shape[1] if num_states is None else num_states
     problems = validate_observation_model(obs, n)

@@ -70,13 +70,18 @@ def _load_scenario(model_arg: str, obs_arg: str | None) -> Scenario:
     )
 
 
-def _nominal(scn: Scenario, tol: float):
-    result = mdp.nominal_value_iteration(scn.model, tol=tol)
+def _converged(result, solver: str):
+    """``result``, or the error that ``solver``'s value iteration did not converge."""
     if not result.converged:
         raise CovertMdpError(
-            f"nominal value iteration did not converge "
+            f"{solver} value iteration did not converge "
             f"(residual {result.residual!r} after {result.iterations} sweeps)"
         )
+    return result
+
+
+def _nominal(scn: Scenario, tol: float):
+    result = _converged(mdp.nominal_value_iteration(scn.model, tol=tol), "nominal")
     policy = mdp.extract_nominal_policy(scn.model, result.values)
     return result, policy
 
@@ -167,16 +172,11 @@ def _solve_lattice(scn: Scenario, obs: bel.ObservationModel, pa: np.ndarray,
             f"grid cap ({AUGMENTED_STATE_CAP}); use the receding-horizon "
             f"planner (the rho controller, or plan) instead"
         )
-    result = aug.solve_augmented_vi(
+    result = _converged(aug.solve_augmented_vi(
         scn.model, obs, pa,
         reward_weight=args.wn, exposure_weight=args.wa,
         resolution=args.grid_res, tol=tol,
-    )
-    if not result.converged:
-        raise CovertMdpError(
-            f"augmented value iteration did not converge "
-            f"(residual {result.residual!r} after {result.iterations} sweeps)"
-        )
+    ), "augmented")
     if result.fallback_points:
         print(
             f"note: {len(result.fallback_points)} grid points had no "

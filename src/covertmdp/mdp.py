@@ -74,6 +74,22 @@ def _value_field(doc: dict, key: str, kind: type):
     return kind(value)
 
 
+def _table_field(doc: dict, key: str, nesting: str = "", name: str = "") -> np.ndarray:
+    """Table field ``key`` of a document as a float array. Entries that are
+    not numbers, or ragged rows, are a :class:`ModelFormatError` naming
+    ``name`` (``key`` by default); so is a depth other than the number of
+    levels in ``nesting``, when given."""
+    try:
+        table = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError([f"non-numeric {name or key}: {exc}"]) from exc
+    if nesting and table.ndim != nesting.count("["):
+        raise ModelFormatError(
+            [f"{key} must be nested {nesting}, got ndim={table.ndim}"]
+        )
+    return table
+
+
 @dataclass(frozen=True)
 class MdpModel:
     """Finite MDP with states and actions identified by 0-based indices.
@@ -132,6 +148,22 @@ class VIResult:
         object.__setattr__(self, "values", _readonly(self.values))
 
 
+def _stochastic_problems(table: np.ndarray, entry: str, column: str) -> list[str]:
+    """Diagnostics for a table whose columns (axis 0) must be distributions:
+    the first entry outside [0, 1], named by ``entry.format(*index)``, and
+    every column whose sum is off 1 by more than ``STOCHASTIC_TOL``, named by
+    ``column.format(*index)``. Both tests fail NaN."""
+    out = []
+    outside = np.argwhere(~((table >= 0.0) & (table <= 1.0)))
+    if outside.size:
+        i = tuple(outside[0])
+        out.append(f"{entry.format(*i)} = {float(table[i])!r} outside [0, 1]")
+    sums = table.sum(axis=0)
+    for i in np.argwhere(~(np.abs(sums - 1.0) <= STOCHASTIC_TOL)):
+        out.append(f"{column.format(*i)} sums to {float(sums[tuple(i)])!r}, not 1")
+    return out
+
+
 def validate_model(model: MdpModel) -> list[str]:
     """Return a list of invariant violations; empty means the model is valid.
 
@@ -156,23 +188,14 @@ def validate_model(model: MdpModel) -> list[str]:
     if out:
         return out
 
-    p = model.transition
-    # written so that NaN, for which every comparison is False, fails them
-    outside = ~((p >= 0.0) & (p <= 1.0))
-    if outside.any():
-        d, s, a = np.argwhere(outside)[0]
-        out.append(
-            f"transition entry p({d}|{s},{a}) = {p[d, s, a]!r} outside [0, 1]"
-        )
-    sums = p.sum(axis=0)
-    bad = np.argwhere(~(np.abs(sums - 1.0) <= STOCHASTIC_TOL))
-    for s, a in bad:
-        out.append(
-            f"transition column (x={s}, u={a}) sums to {sums[s, a]!r}, not 1"
-        )
+    out += _stochastic_problems(
+        model.transition,
+        "transition entry p({}|{},{})",
+        "transition column (x={}, u={})",
+    )
     if not np.all(np.isfinite(model.reward)):
         s, a = np.argwhere(~np.isfinite(model.reward))[0]
-        out.append(f"reward R({s},{a}) = {model.reward[s, a]!r} is not finite")
+        out.append(f"reward R({s},{a}) = {float(model.reward[s, a])!r} is not finite")
     if not (0.0 < model.discount < 1.0):
         out.append(f"discount {model.discount!r} not strictly inside (0, 1)")
     return out
@@ -184,30 +207,39 @@ def bellman_backup(model: MdpModel, values: np.ndarray) -> np.ndarray:
     return model.reward + model.discount * future
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:  # NaN too, which would run every sweep and never stop
+        raise ValueError(f"tol must be positive, got {tol}")
+
+
+def value_iteration(backup, values: np.ndarray, tol: float, max_iter: int) -> VIResult:
+    """Iterate ``values = backup(values)`` until the sup-norm of successive
+    iterates drops to ``tol``, for at most ``max_iter`` sweeps.
+    Non-convergence is reported via ``converged``, not raised."""
+    _check_tol(tol)
+    residual = np.inf
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        updated = backup(values)
+        residual = float(np.max(np.abs(updated - values)))
+        values = updated
+        if residual <= tol:
+            break
+    return VIResult(values, residual, iterations, residual <= tol)
+
+
 def nominal_value_iteration(
     model: MdpModel,
     tol: float = DEFAULT_VI_TOL,
     max_iter: int = DEFAULT_VI_MAX_ITER,
 ) -> VIResult:
-    """Solve the discounted MDP by value iteration from the zero table.
-
-    Stops when the sup-norm of successive iterates drops to ``tol``; the
-    geometric contraction makes the Bellman residual of the returned table at
-    most ``tol`` as well. Non-convergence within ``max_iter`` is reported via
-    ``converged``, not raised.
-    """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    values = np.zeros(model.num_states)
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        new_values = bellman_backup(model, values).max(axis=1)
-        residual = float(np.max(np.abs(new_values - values)))
-        values = new_values
-        if residual <= tol:
-            return VIResult(values, residual, iterations, True)
-    return VIResult(values, residual, iterations, False)
+    """Solve the discounted MDP by :func:`value_iteration` from the zero
+    table; the geometric contraction makes the Bellman residual of the
+    returned table at most ``tol`` as well."""
+    return value_iteration(
+        lambda values: bellman_backup(model, values).max(axis=1),
+        np.zeros(model.num_states), tol, max_iter,
+    )
 
 
 def extract_nominal_policy(model: MdpModel, values: np.ndarray) -> Policy:
@@ -224,11 +256,7 @@ def induced_chain(model: MdpModel, policy: Policy) -> np.ndarray:
 
     Returns ``chain[d, s] = p(d | s, policy(s))``; columns sum to 1.
     """
-    idx = np.arange(model.num_states)
-    chain = model.transition[:, idx, policy.actions]
-    chain = np.ascontiguousarray(chain)
-    chain.setflags(write=False)
-    return chain
+    return _readonly(model.transition[:, np.arange(model.num_states), policy.actions])
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +268,10 @@ _MODEL_KEYS = {"num_states", "num_actions", "discount", "transition", "reward"}
 def model_from_dict(doc: dict) -> MdpModel:
     """Build a model from the on-disk dict layout, validating invariants."""
     _check_fields(doc, _MODEL_KEYS)
-    try:
-        file_kernel = np.asarray(doc["transition"], dtype=float)
-        reward = np.asarray(doc["reward"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError([f"non-numeric table: {exc}"]) from exc
-    if file_kernel.ndim != 3:
-        raise ModelFormatError(
-            [f"transition must be nested [action][source][destination], got ndim={file_kernel.ndim}"]
-        )
+    file_kernel = _table_field(
+        doc, "transition", "[action][source][destination]", name="table"
+    )
+    reward = _table_field(doc, "reward", name="table")
     model = MdpModel(
         num_states=_value_field(doc, "num_states", int),
         num_actions=_value_field(doc, "num_actions", int),

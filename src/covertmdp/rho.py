@@ -292,17 +292,17 @@ def plan(
         memo = PlanMemo(Observer(model, obs, pa), values)
     elif not memo.serves(model, obs, pa, values):
         raise ValueError("memo was built for another observer or value function")
-    o = memo.observer.check(x, o)
+    observer = memo.observer
+    o = observer.check(x, o)
     n = model.num_states
     horizon = config.horizon
     lam = model.discount
     penalty_weight = config.exposure_weight + config.tail_exposure_weight
-    q = obs.likelihood
 
     node = memo.root(x, horizon)
     # a distribution, and so every posterior below it, leaves every
     # observation open under such an observer
-    all_open = memo.observer.leaves_all_open(o)
+    all_open = observer.leaves_all_open(o)
     beliefs = o[None, :]
     r_exposed = np.zeros(1)
     pruned: list[tuple[int, ...]] = []
@@ -315,13 +315,13 @@ def plan(
     for depth in range(horizon):
         last = depth == horizon - 1
         if not last:
-            posteriors, _, open_y = posterior_table(pa, q, beliefs)
+            posteriors, _, open_y = posterior_table(observer, beliefs)
         if all_open:
             node = memo.open_child(node, depth, horizon)
         else:
             if last:
                 # the last depth's posteriors would be beliefs beyond the horizon
-                open_y = open_observations(pa, q, beliefs)
+                open_y = open_observations(observer, beliefs)
             ruled_out = ~open_y
             if not occupied:
                 ruled_out &= open_y.any(axis=1)[:, None]

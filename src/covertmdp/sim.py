@@ -146,11 +146,9 @@ def step(
     """
     if u not in admissible_actions(observer, x, o):
         raise ProhibitedAction(f"action u={u} is prohibited at state x={x}")
-    obs = observer.obs
     x_next = _sample(rng, observer.model.transition_cdf[:, x, u])
-    y = _sample(rng, obs.likelihood_cdf[:, x_next])
-    o_next = bayes_update(observer.pa, obs.likelihood, o, y)
-    return x_next, y, o_next
+    y = _sample(rng, observer.obs.likelihood_cdf[:, x_next])
+    return x_next, y, bayes_update(observer, o, y)
 
 
 @dataclass(frozen=True)
@@ -250,7 +248,8 @@ def run_closed_loop(
             raise type(e)(f"transition failed at step t={t}: {e}") from e
 
     rewards = model.reward[states, actions]
-    penalties = beliefs[np.arange(num_steps), states]  # belief.stage_penalty
+    # exposure: the observer's belief in the agent's true state
+    penalties = beliefs[np.arange(num_steps), states]
     # cumsum adds in step order, as a running sum would
     steps = np.arange(1, num_steps + 1)
     return Trace(

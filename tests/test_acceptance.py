@@ -121,14 +121,17 @@ def test_criterion_02_filter_matches_reference_forward_recursion():
         k = int(rng.integers(2, 6))
         transition, reward, likelihood = random_sane_model(rng, n, 2, k)
         pa = transition[:, :, int(rng.integers(2))]
+        observer = Observer(
+            MdpModel(n, 2, transition, reward, 0.9), ObservationModel(k, likelihood), pa
+        )
         belief = make_belief(rng.dirichlet(np.ones(n)))
         ys = []
         ours = belief
         for _ in range(8):
-            pred = posterior_table(pa, likelihood, ours)[1]
+            pred = posterior_table(observer, ours)[1]
             y = int(rng.choice(k, p=pred / pred.sum()))
             ys.append(y)
-            ours = bayes_update(pa, likelihood, ours, y)
+            ours = bayes_update(observer, ours, y)
         reference = forward_filter(pa, likelihood, belief, ys)
         worst = max(worst, float(np.max(np.abs(ours - reference[-1]))))
     elapsed = time.perf_counter() - start

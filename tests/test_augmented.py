@@ -465,17 +465,6 @@ def test_solver_reports_fallback_points():
     assert result.converged
 
 
-def test_evaluate_matches_manual_interpolation():
-    rng = np.random.default_rng(5)
-    grid = build_simplex_grid(3, 6)
-    values = rng.normal(size=(3, grid.num_points))
-    vf = AugmentedValueFunction(grid, values, 1.0, 0.5)
-    for _ in range(100):
-        o = rng.dirichlet(np.ones(3))
-        x = int(rng.integers(3))
-        assert abs(vf.evaluate(x, o) - interpolate_value(grid, values[x], o)) < 1e-15
-
-
 def test_value_file_roundtrip(tmp_path):
     model, obs = smoothed_example1()
     pa, _ = nominal_chain(model)

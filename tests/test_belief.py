@@ -18,7 +18,6 @@ from covertmdp import (
     nominal_value_iteration,
     point_belief,
     example1_model,
-    stage_penalty,
     uniform_belief,
 )
 from covertmdp.belief import (
@@ -49,6 +48,14 @@ from _oracles import (
 
 def identity_chain(n):
     return np.eye(n)
+
+
+def chain_observer(pa, q):
+    """The observer of chain ``pa`` and likelihood ``q``, on the one-action
+    model that follows ``pa``."""
+    n = len(pa)
+    model = MdpModel(n, 1, pa[:, :, None], np.zeros((n, 1)), 0.9)
+    return Observer(model, ObservationModel(len(q), q), pa)
 
 
 def random_pair(rng, n, m, k, discount=0.9):
@@ -91,9 +98,10 @@ def test_bayes_update_two_state_exact_fractions():
     pa = identity_chain(2)
     q = np.array([[0.8, 0.5], [0.2, 0.5]])
     o = uniform_belief(2)
-    post = bayes_update(pa, q, o, 0)
+    observer = chain_observer(pa, q)
+    post = bayes_update(observer, o, 0)
     np.testing.assert_allclose(post, [8.0 / 13.0, 5.0 / 13.0], atol=1e-15)
-    assert abs(posterior_table(pa, q, o)[1][0] - 0.65) < 1e-15
+    assert abs(posterior_table(observer, o)[1][0] - 0.65) < 1e-15
 
 
 def test_bayes_update_matches_forward_filter_oracle():
@@ -103,14 +111,15 @@ def test_bayes_update_matches_forward_filter_oracle():
         k = rng.integers(2, 6)
         model, obs = random_pair(rng, n, 2, k)
         pa = model.transition[:, :, 0]
+        observer = Observer(model, obs, pa)
         o = make_belief(rng.dirichlet(np.ones(n)))
         ys = []
         cur = o
         for _ in range(6):
-            pred = posterior_table(pa, obs.likelihood, cur)[1]
+            pred = posterior_table(observer, cur)[1]
             y = int(rng.choice(k, p=pred / pred.sum()))
             ys.append(y)
-            cur = bayes_update(pa, obs.likelihood, cur, y)
+            cur = bayes_update(observer, cur, y)
         oracle = forward_filter(pa, obs.likelihood, o, ys)
         np.testing.assert_allclose(cur, oracle[-1], atol=1e-10)
 
@@ -122,7 +131,7 @@ def test_bayes_update_rejects_zero_predictive_mass():
     q = np.array([[1.0, 0.0], [0.0, 1.0]])
     o = point_belief(2, 0)
     with pytest.raises(IllDefinedUpdate):
-        bayes_update(pa, q, o, 1)
+        bayes_update(chain_observer(pa, q), o, 1)
 
 
 def test_posterior_table_matches_single_updates():
@@ -132,22 +141,22 @@ def test_posterior_table_matches_single_updates():
         k = rng.integers(2, 5)
         model, obs = random_pair(rng, n, 2, k)
         pa = model.transition[:, :, 1]
+        observer = Observer(model, obs, pa)
         o = make_belief(rng.dirichlet(np.ones(n)))
-        posts, pred, open_y = posterior_table(pa, obs.likelihood, o)
+        posts, pred, open_y = posterior_table(observer, o)
         np.testing.assert_allclose(pred, obs.likelihood @ (pa @ o), atol=1e-14)
         np.testing.assert_array_equal(open_y, pred > EPS_ZERO)
         for y in range(k):
             if pred[y] > EPS_ZERO:
-                np.testing.assert_allclose(
-                    posts[y], bayes_update(pa, obs.likelihood, o, y), atol=1e-14
-                )
+                # one filter arithmetic: the single update is the table's row
+                np.testing.assert_array_equal(posts[y], bayes_update(observer, o, y))
             else:
                 np.testing.assert_array_equal(posts[y], 0.0)
         # a batch of beliefs gives each belief's table
         batch = np.stack([o, uniform_belief(n)])
-        b_posts, b_pred, b_open = posterior_table(pa, obs.likelihood, batch)
+        b_posts, b_pred, b_open = posterior_table(observer, batch)
         for g, belief in enumerate(batch):
-            one = posterior_table(pa, obs.likelihood, belief)
+            one = posterior_table(observer, belief)
             np.testing.assert_allclose(b_posts[g], one[0], atol=1e-14)
             np.testing.assert_allclose(b_pred[g], one[1], atol=1e-14)
             np.testing.assert_array_equal(b_open[g], one[2])
@@ -171,13 +180,12 @@ def test_posterior_table_divides_in_place_bitwise_like_the_masked_divide():
         n, k = rng.integers(2, 6, size=2)
         model, obs = random_pair(rng, n, 2, k)
         pa = nominal_chain(model)
+        observer = Observer(model, obs, pa)
         beliefs = rng.dirichlet(np.ones(n), size=int(rng.integers(1, 9)))
-        posts, pred, open_y = posterior_table(pa, obs.likelihood, beliefs)
+        posts, pred, open_y = posterior_table(observer, beliefs)
         assert open_y.all()  # a strictly positive sensor rules nothing out
         np.testing.assert_array_equal(posts, masked_posteriors(pa, obs.likelihood, beliefs))
-        np.testing.assert_array_equal(
-            open_observations(pa, obs.likelihood, beliefs), open_y
-        )
+        np.testing.assert_array_equal(open_observations(observer, beliefs), open_y)
 
 
 def test_posterior_table_zeros_the_rows_of_ruled_out_observations():
@@ -187,13 +195,14 @@ def test_posterior_table_zeros_the_rows_of_ruled_out_observations():
     q = np.array([[0.5, 0.0, 0.0], [0.5, 0.5, 0.25], [0.0, 0.5, 0.75]])
     pa = np.eye(3)
     beliefs = np.array([[1.0, 0.0, 0.0], [0.2, 0.3, 0.5]])
-    posts, pred, open_y = posterior_table(pa, q, beliefs)
+    observer = chain_observer(pa, q)
+    posts, pred, open_y = posterior_table(observer, beliefs)
     np.testing.assert_array_equal(open_y, [[True, True, False], [True, True, True]])
     assert pred[0, 2] == 0.0
     np.testing.assert_array_equal(posts[0, 2], 0.0)
     np.testing.assert_array_equal(posts, masked_posteriors(pa, q, beliefs))
     np.testing.assert_array_equal(posts[0, :2], [[1.0, 0.0, 0.0]] * 2)
-    np.testing.assert_array_equal(open_observations(pa, q, beliefs), open_y)
+    np.testing.assert_array_equal(open_observations(observer, beliefs), open_y)
 
 
 def test_emission_support_matches_loops():
@@ -255,12 +264,6 @@ def test_nothing_prohibited_under_uninformative_sensor():
     assert admissible_actions(Observer(model, flat, pa), 0, o) == [0, 1]
 
 
-def test_stage_penalty_reads_true_state_mass():
-    o = make_belief([0.2, 0.5, 0.3])
-    assert stage_penalty(1, o) == 0.5
-    assert stage_penalty(2, o) == pytest.approx(0.3)
-
-
 def test_support_mass_and_atom_count_random_models():
     rng = np.random.default_rng(11)
     for _ in range(100):
@@ -286,8 +289,9 @@ def test_support_atoms_carry_filter_posteriors():
     model, obs = example1_model()
     pa = nominal_chain(model)
     o = uniform_belief(3)
-    sup = augmented_transition_support(Observer(model, obs, pa), 0, o, 0)
-    posts, pred, _ = posterior_table(pa, obs.likelihood, o)
+    observer = Observer(model, obs, pa)
+    sup = augmented_transition_support(observer, 0, o, 0)
+    posts, pred, _ = posterior_table(observer, o)
     for b in sup.beliefs:
         hits = [
             y
@@ -357,11 +361,12 @@ def test_filter_step_oracle_agrees_on_example1():
     model, obs = example1_model()
     pa = nominal_chain(model)
     o = uniform_belief(3)
+    observer = Observer(model, obs, pa)
     for y in range(obs.num_observations):
-        pred = posterior_table(pa, obs.likelihood, o)[1][y]
+        pred = posterior_table(observer, o)[1][y]
         if pred <= EPS_ZERO:
             continue
-        ours = bayes_update(pa, obs.likelihood, o, y)
+        ours = bayes_update(observer, o, y)
         oracle = forward_filter_step(pa, obs.likelihood, o, y)
         np.testing.assert_allclose(ours, oracle, atol=1e-12)
 
@@ -476,7 +481,7 @@ def test_an_observer_that_rules_out_nothing_leaves_every_observation_open(seed, 
     ]
     for o in beliefs:
         assert observer.leaves_all_open(o)
-        assert open_observations(observer.pa, obs.likelihood, o).all()
+        assert open_observations(observer, o).all()
         for x in range(n):
             assert admissible_actions(observer, x, o) == list(range(m))
             assert admissible_actions(twin, x, o) == list(range(m))

@@ -2,6 +2,8 @@
 
 import functools
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from covertmdp import (
 from covertmdp import mdp
 from covertmdp.augmented import load_value_file
 from covertmdp.belief import save_observation_file
-from covertmdp.cli import main
+from covertmdp.cli import build_parser, main
 from covertmdp.mdp import save_model_file
 
 
@@ -71,6 +73,49 @@ def test_validate_rejects_bad_model_file(tmp_path, capsys):
     assert main(["validate", "--model", model_path, "--obs", str(obs_path)]) == 1
     err = capsys.readouterr().err
     assert "invalid: likelihood q(0|0) =" in err and "nan" in err
+
+
+def test_validate_prints_plain_numbers_for_bad_entries(tmp_path, capsys):
+    doc = {
+        "num_states": 2,
+        "num_actions": 1,
+        "discount": 0.9,
+        # [action][source][destination]: a NaN entry, and a row summing to 1.1
+        "transition": [[[float("nan"), 1.0], [0.6, 0.5]]],
+        "reward": [[0.0], [float("nan")]],
+    }
+    path = tmp_path / "nan_model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", "--model", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid: transition entry p(0|0,0) = nan outside [0, 1]" in err
+    assert "invalid: transition column (x=1, u=0) sums to 1.1, not 1" in err
+    assert "invalid: reward R(1,0) = nan is not finite" in err
+    assert "np.float64(" not in err
+    model_path, _ = write_example1_files(tmp_path)
+    likelihood = example1_model()[1].likelihood.tolist()
+    likelihood[0][0] = float("nan")
+    likelihood[0][1] += 0.1
+    obs_path = tmp_path / "nan_obs.json"
+    obs_path.write_text(json.dumps({"num_observations": 3, "likelihood": likelihood}))
+    assert main(["validate", "--model", model_path, "--obs", str(obs_path)]) == 1
+    err = capsys.readouterr().err
+    assert "invalid: likelihood q(0|0) = nan outside [0, 1]" in err
+    assert "invalid: likelihood column x=1 sums to 1.1, not 1" in err
+    assert "np.float64(" not in err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [
+        line.strip() for line in block.replace("\\\n", " ").splitlines()
+        if line.strip().startswith("covertmdp ")
+    ]
+    assert len(lines) == 6
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 def test_gridworld_spec_file_is_validated_where_it_is_loaded(tmp_path, capsys):

@@ -14,11 +14,13 @@ from covertmdp import (
     nominal_value_iteration,
     validate_model,
 )
+from covertmdp import augmented
 from covertmdp.augmented import (
     AugmentedValueFunction,
     build_simplex_grid,
     load_value_file,
     save_value_file,
+    solve_augmented_vi,
 )
 from covertmdp.belief import (
     ObservationModel,
@@ -34,7 +36,7 @@ from covertmdp.mdp import (
     model_to_dict,
     save_model_file,
 )
-from covertmdp.models import load_gridworld_spec
+from covertmdp.models import desk_gridworld, gridworld_model, load_gridworld_spec
 from covertmdp.sim import (
     NominalController,
     aggregate_runs,
@@ -144,6 +146,46 @@ def test_fixed_point_residual():
     result = nominal_value_iteration(model, tol=1e-10)
     backed = bellman_backup(model, result.values).max(axis=1)
     assert np.max(np.abs(backed - result.values)) < 1e-9
+
+
+def _example1_lattice(**kwargs):
+    model, obs = example1_model()
+    policy = extract_nominal_policy(model, nominal_value_iteration(model).values)
+    return solve_augmented_vi(
+        model, obs, induced_chain(model, policy), reward_weight=1.0,
+        exposure_weight=0.5, resolution=4, **{"tol": 1e-6, **kwargs},
+    )
+
+
+@pytest.mark.parametrize(
+    "solve, sweeps, residual",
+    [
+        (lambda **kw: nominal_value_iteration(example1_model()[0], **kw),
+         447, 9.672618261902244e-11),
+        (lambda **kw: nominal_value_iteration(
+            gridworld_model(desk_gridworld())[0], **kw), 450, 9.952394464107783e-11),
+        (_example1_lattice, 258, 9.581975657368957e-07),
+    ],
+    ids=["example1_nominal", "gridworld_nominal", "example1_lattice"],
+)
+def test_nominal_and_lattice_solves_share_one_sweep(
+    solve, sweeps, residual, monkeypatch
+):
+    # sweep counts and residuals as the two solvers' own loops gave them
+    result = solve()
+    assert (result.iterations, result.residual, result.converged) == (
+        sweeps, residual, True
+    )
+    none = solve(max_iter=0)
+    assert (none.iterations, none.residual, none.converged) == (0, np.inf, False)
+
+    def no_lattice(*args):
+        raise AssertionError("the lattice was built before tol was checked")
+
+    monkeypatch.setattr(augmented, "build_simplex_grid", no_lattice)
+    for tol in (0.0, -1e-9, np.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            solve(tol=tol)
 
 
 def test_policy_extraction_prefers_lowest_action_on_ties():

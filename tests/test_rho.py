@@ -322,9 +322,10 @@ def test_joint_step_deterministic_single_history():
     transition[1, 0, 0] = 1.0
     transition[1, 1, 0] = 1.0
     obs = ObservationModel(2, np.eye(2))
-    pa = transition[:, :, 0]
+    observer = Observer(MdpModel(2, 1, transition, np.zeros((2, 1)), 0.9), obs,
+                        transition[:, :, 0])
     mass, live = joint_step(point_mass(2, 0), transition.T[[0]], obs.likelihood)
-    posteriors, _, _ = posterior_table(pa, obs.likelihood, point_belief(2, 0))
+    posteriors, _, _ = posterior_table(observer, point_belief(2, 0))
     beliefs = posteriors[live]
     np.testing.assert_allclose(beliefs, [[0.0, 1.0]], atol=1e-12)
     np.testing.assert_allclose(mass[0], [[0.0, 1.0]], atol=1e-12)
@@ -343,14 +344,15 @@ def test_joint_step_conserves_mass_and_state_marginal(seed, n, m, k):
     rng = np.random.default_rng(seed)
     transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
     model = MdpModel(n, m, transition, reward, 0.9)
-    support = emission_support(model, ObservationModel(k, likelihood))
+    observer = Observer(model, ObservationModel(k, likelihood), chain)
+    support = emission_support(model, observer.obs)
     x0 = int(rng.integers(n))
     mass = point_mass(n, x0)
     beliefs = rng.dirichlet(np.ones(n))[None, :]
     chain_marginal = np.zeros(n)
     chain_marginal[x0] = 1.0
     for _ in range(4):
-        posteriors, _, open_y = posterior_table(chain, likelihood, beliefs)
+        posteriors, _, open_y = posterior_table(observer, beliefs)
         blocked = blocked_actions(emitting(mass, support), ~open_y.ravel())
         open_actions = np.flatnonzero(~blocked)
         if open_actions.size == 0:
@@ -383,11 +385,12 @@ def two_state_trap():
 
 def test_emitting_blocks_surprising_move_and_support_names_it():
     model, obs, pa = two_state_trap()
-    _, _, open_y = posterior_table(pa, obs.likelihood, point_belief(2, 0))
+    observer = Observer(model, obs, pa)
+    _, _, open_y = posterior_table(observer, point_belief(2, 0))
     reach = emitting(point_mass(2, 0), emission_support(model, obs))
     assert blocked_actions(reach, ~open_y).tolist() == [False, True]
     with pytest.raises(ProhibitedAction) as err:
-        augmented_transition_support(Observer(model, obs, pa), 0, point_belief(2, 0), 1)
+        augmented_transition_support(observer, 0, point_belief(2, 0), 1)
     msg = str(err.value)
     assert "u=1" in msg and "x=0" in msg and "y=1" in msg
 

@@ -343,9 +343,10 @@ def test_trace_beliefs_follow_the_observer_filter():
     )
     assert trace.observations[0] == -1
     np.testing.assert_array_equal(trace.beliefs[0], o0)
+    observer = Observer(model, obs, pa)
     for t in range(1, trace.num_steps):
         expected = bayes_update(
-            pa, obs.likelihood, trace.beliefs[t - 1], int(trace.observations[t])
+            observer, trace.beliefs[t - 1], int(trace.observations[t])
         )
         np.testing.assert_allclose(trace.beliefs[t], expected, atol=1e-15)
 
