@@ -17,7 +17,10 @@ belief: the observer's posteriors and their simplices, found once per (belief,
 observation), the 0/1 mask of the observations each belief leaves open, the
 blocked and relaxed actions, the stage reward and the two contractions. A
 greedy decision computes these for its one belief and reads only its own
-state's rows of the tables.
+state's rows of the tables. When the observer rules nothing out
+(``Observer.rules_out_nothing``) and every belief of the batch is a
+distribution, nothing is blocked, relaxed or without mass, so the masks
+are not built and the solver has no fallback or hopeless point to look for.
 """
 
 from __future__ import annotations
@@ -242,6 +245,12 @@ class _Lookahead:
     is usable, and at those ``renorm`` entries the contracted future is
     divided by that mass (``open_mass``). ``stage`` is -inf for unusable
     actions.
+
+    When the observer is known to leave every observation open from every
+    belief of the batch (``all_open``, by :meth:`Observer.leaves_all_open`),
+    none of those masks is built: nothing is blocked or relaxed, every
+    action has mass, and the masked backup would multiply by 1.0 and
+    divide nowhere, so skipping it changes no bit.
     """
 
     def __init__(self, observer: Observer, grid: SimplexGrid, beliefs: np.ndarray,
@@ -250,29 +259,32 @@ class _Lookahead:
         model = observer.model
         posteriors, _, open_y = posterior_table(observer, beliefs)
         self.vertices, self.weights = _simplex_weights(grid, posteriors)
-        self.open_y = open_y.astype(float)
+        self.kernel = observer.kernel[sources]
+        self.discount = model.discount
+        # the stage's exposure is the belief's mass on the source state
+        penalty = exposure_weight * beliefs[..., sources]
+        self.stage = reward_weight * model.reward[sources] - penalty[..., None]
+        self.all_open = observer.leaves_all_open(beliefs)
+        if self.all_open:
+            return
 
+        self.open_y = open_y.astype(float)
         blocked = blocked_actions(observer.emits[:, sources], ~open_y.T).T
         self.relaxed = blocked.all(axis=-1)
-        self.kernel = observer.kernel[sources]
         total = np.einsum("xuy,by->bxu", observer.kernel_mass[sources], self.open_y)
         self.usable = (~blocked | self.relaxed[..., None]) & (total > EPS_ZERO)
         renorm = self.usable & self.relaxed[..., None]
         self.renorm = np.nonzero(renorm)
         self.open_mass = total[renorm]
-
-        # the stage's exposure is the belief's mass on the source state
-        penalty = exposure_weight * beliefs[..., sources]
-        stage = reward_weight * model.reward[sources] - penalty[..., None]
-        self.stage = np.where(self.usable, stage, -np.inf)
-        self.discount = model.discount
+        self.stage = np.where(self.usable, self.stage, -np.inf)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
         """Action values ``(B, X, U)`` against the table ``values[x', g]``."""
         interp = np.einsum("zbyk,byk->byz", values[:, self.vertices], self.weights)
-        interp *= self.open_y[..., None]
+        if not self.all_open:
+            interp *= self.open_y[..., None]
         future = np.einsum("xuyz,byz->bxu", self.kernel, interp)
-        if self.open_mass.size:
+        if not self.all_open and self.open_mass.size:
             future[self.renorm] /= self.open_mass
         return self.stage + self.discount * future
 
@@ -293,15 +305,19 @@ def solve_augmented_vi(
     lookahead = _Lookahead(
         Observer(model, obs, pa), grid, grid.points, reward_weight, exposure_weight
     )
-    hopeless = np.argwhere(~lookahead.usable.any(axis=2))
-    if hopeless.size:
-        g, x = hopeless[0]
-        raise EmptyAdmissibleSet(f"no usable action at state x={x}, grid point g={g}")
+    fallback = ()  # all open: no point is relaxed, none is hopeless
+    if not lookahead.all_open:
+        hopeless = np.argwhere(~lookahead.usable.any(axis=2))
+        if hopeless.size:
+            g, x = hopeless[0]
+            raise EmptyAdmissibleSet(
+                f"no usable action at state x={x}, grid point g={g}"
+            )
+        fallback = tuple((int(x), int(g)) for g, x in np.argwhere(lookahead.relaxed))
     vi = value_iteration(
         lambda values: lookahead(values).max(axis=2).T,
         np.zeros((model.num_states, grid.num_points)), tol, max_iter,
     )
-    fallback = tuple((int(x), int(g)) for g, x in np.argwhere(lookahead.relaxed))
     value = AugmentedValueFunction(grid, vi.values, reward_weight, exposure_weight)
     return AugmentedVIResult(value, vi.residual, vi.iterations, vi.converged, fallback)
 
@@ -330,7 +346,7 @@ def action_values(
         observer, value.grid, o[None, :],
         value.reward_weight, value.exposure_weight, sources=slice(x, x + 1),
     )
-    if lookahead.relaxed[0, 0]:
+    if not lookahead.all_open and lookahead.relaxed[0, 0]:
         return np.full(observer.model.num_actions, -np.inf)
     return lookahead(value.values)[0, 0]
 

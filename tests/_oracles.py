@@ -366,3 +366,66 @@ def lattice_sweep_by_definition(
                 reward_weight, exposure_weight, x, belief, relax=True,
             ).max()
     return updated, relaxed
+
+
+def closed_loop_by_definition(
+    transition, likelihood, chain, scores, o0, num_steps, seed_base, run_index,
+    tie_gap=1e-9, near_zero=1e-9,
+):
+    """One closed-loop episode by definition, from the simulator's seeds.
+
+    The start state, each successor and each reading are drawn by
+    `searchsorted` on the running sums of their distribution, one uniform
+    per draw from the generator seeded `[seed_base, run_index]`. At each
+    step `scores(x, belief)` rates every action (-inf: not allowed) and the
+    first maximum is played; the move is refused unless admissible by
+    definition, and the belief follows the forward algorithm.
+
+    Returns `(states, actions, observations, beliefs, stop)`, the records of
+    the steps before `stop`. `stop` is None for a whole episode, or
+    `(reason, t)` where step t ends it: "controller" when no action has a
+    finite score, "transition" when the played action is not admissible,
+    "near tie" when the two best scores are within `tie_gap`, so that
+    rounding may pick either, and "near zero" when the belief gives some
+    reading a positive predictive of at most `near_zero`, which a zero
+    threshold may count as no mass (a belief entry can decay that far).
+    """
+    rng = np.random.default_rng([seed_base, run_index])
+
+    def draw(probs):
+        edges = np.cumsum(probs)
+        index = np.searchsorted(edges, rng.random() * edges[-1], side="right")
+        return min(int(index), len(edges) - 1)
+
+    x, y, belief = draw(o0), -1, np.asarray(o0, dtype=float)
+    states, actions, observations, beliefs = [], [], [], []
+    stop = None
+    n = len(belief)
+    for t in range(num_steps):
+        predicted = [sum(chain[d, s] * belief[s] for s in range(n)) for d in range(n)]
+        if any(
+            0.0 < sum(likelihood[y, d] * predicted[d] for d in range(n)) <= near_zero
+            for y in range(likelihood.shape[0])
+        ):
+            stop = ("near zero", t)
+            break
+        rated = np.asarray(scores(x, belief), dtype=float)
+        ranked = np.argsort(-rated, kind="stable")
+        if not np.isfinite(rated[ranked[0]]):
+            stop = ("controller", t)
+            break
+        if len(ranked) > 1 and rated[ranked[0]] - rated[ranked[1]] < tie_gap:
+            stop = ("near tie", t)
+            break
+        u = int(ranked[0])
+        if u not in admissible_by_definition(transition, likelihood, chain, x, belief):
+            stop = ("transition", t)
+            break
+        states.append(x)
+        actions.append(u)
+        observations.append(y)
+        beliefs.append(belief)
+        x = draw(transition[:, x, u])
+        y = draw(likelihood[:, x])
+        belief = forward_filter_step(chain, likelihood, belief, y)
+    return states, actions, observations, beliefs, stop

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from covertmdp import (
     EmptyAdmissibleSet,
@@ -23,8 +23,10 @@ from covertmdp import (
     point_belief,
     uniform_belief,
 )
+from covertmdp import augmented
 from covertmdp.augmented import (
     AugmentedValueFunction,
+    _Lookahead,
     _simplex_weights,
     action_values,
     build_simplex_grid,
@@ -43,6 +45,7 @@ from _oracles import (
     freudenthal_by_definition,
     lattice_lookahead_by_definition,
     lattice_sweep_by_definition,
+    random_sane_model,
     random_sparse_model,
 )
 
@@ -302,6 +305,100 @@ def test_action_values_match_oracle_off_grid(seed, n, m, k):
         np.testing.assert_array_equal(np.isneginf(got), np.isneginf(expected))
         finite = np.isfinite(expected)
         np.testing.assert_allclose(got[finite], expected[finite], rtol=0.0, atol=1e-12)
+
+
+def outcome(call):
+    """``call()``'s result, or the type and message of what it raised."""
+    try:
+        return call()
+    except (IndexError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    k=st.integers(2, 3),
+    res=st.integers(2, 4),
+    example1=st.booleans(),
+)
+def test_lattice_on_an_observer_that_rules_out_nothing_equals_the_masked_path(
+    seed, n, m, k, res, example1
+):
+    # Skipping masks that are all open changes no float; the twin observer,
+    # its flag cleared, builds every mask.
+    rng = np.random.default_rng(seed)
+    if example1:
+        model, obs = example1_model()
+    else:
+        transition, reward, likelihood = random_sane_model(rng, n, m, k)
+        model = MdpModel(n, m, transition, reward, 0.9)
+        obs = ObservationModel(k, likelihood)
+    n = model.num_states
+    pa, _ = nominal_chain(model)
+    observer = Observer(model, obs, pa)
+    assume(observer.rules_out_nothing)
+    twin = Observer(model, obs, pa)
+    object.__setattr__(twin, "rules_out_nothing", False)
+    grid = build_simplex_grid(n, res)
+    value = AugmentedValueFunction(grid, rng.normal(size=(n, grid.num_points)), 0.6, 0.4)
+
+    beliefs = [*rng.dirichlet(np.full(n, 0.3), size=4),
+               *grid.points[rng.integers(grid.num_points, size=4)]]
+    for o in beliefs:
+        assert _Lookahead(observer, grid, o[None], 0.6, 0.4).all_open
+        for x in range(n):
+            np.testing.assert_array_equal(
+                action_values(observer, value, x, o), action_values(twin, value, x, o)
+            )
+
+    solved = []
+    for chosen in (observer, twin):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(augmented, "Observer", lambda *_: chosen)
+            solved.append(solve_augmented_vi(model, obs, pa, 0.6, 0.4, resolution=res))
+    fast, general = solved
+    assert fast.value.values.tobytes() == general.value.values.tobytes()
+    assert (fast.residual, fast.iterations, fast.fallback_points) == (
+        general.residual, general.iterations, general.fallback_points
+    )
+
+    # one row that is not a distribution sends the whole stack down the
+    # masked path: a negative entry, or no mass
+    negative = np.zeros(n)
+    negative[0], negative[1] = 3.0, -2.0
+    for row in (negative, np.zeros(n)):
+        stack = np.vstack([grid.points, row])
+        assert not observer.leaves_all_open(stack)
+        got, expected = (
+            outcome(lambda: _Lookahead(chosen, grid, stack, 0.6, 0.4)(value.values))
+            for chosen in (observer, twin)
+        )
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            np.testing.assert_array_equal(got, expected)
+
+
+def test_a_transition_column_with_no_mass_keeps_its_action_out():
+    # Nothing checks a hand-built model's columns; where action 0 leaves
+    # state 1 with no mass, the flag is down and the lookahead keeps that
+    # action at -inf, which skipping the masks would make finite.
+    model, obs = example1_model()
+    pa, _ = nominal_chain(model)
+    transition = model.transition.copy()
+    transition[:, 1, 0] = 0.0
+    model = MdpModel(3, model.num_actions, transition, model.reward, model.discount)
+    observer = Observer(model, obs, pa)
+    assert not observer.rules_out_nothing
+    value = _zero_value(model, 3)
+    vals = action_values(observer, value, 1, uniform_belief(3))
+    assert np.isneginf(vals[0]) and np.all(np.isfinite(vals[1:]))
+    forced = Observer(model, obs, pa)
+    object.__setattr__(forced, "rules_out_nothing", True)
+    assert np.all(np.isfinite(action_values(forced, value, 1, uniform_belief(3))))
 
 
 @pytest.fixture(scope="module")

@@ -83,6 +83,10 @@ def test_make_belief_rejects_bad_vectors():
         make_belief([1.2, -0.2])
     with pytest.raises(ValueError):
         make_belief([[0.5, 0.5]])
+    # every range and mass comparison is False for NaN
+    for bad in ([np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [-np.inf, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="not finite"):
+            make_belief(bad)
 
 
 def test_uniform_and_point_beliefs():
@@ -454,6 +458,13 @@ def test_rules_out_nothing_only_for_strictly_positive_sensors():
         chain = pa.copy()
         chain[0, 0] = entry
         assert not Observer(model, obs, chain).rules_out_nothing
+    # and, as the lattice reads the transition's mass, so does a NaN or
+    # out-of-range transition entry, or an (x, u) column with no mass
+    for column in ([np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [1.1, 0.0, -0.1], [0.0] * 3):
+        transition = model.transition.copy()
+        transition[:, 1, 0] = column
+        other = MdpModel(3, model.num_actions, transition, model.reward, model.discount)
+        assert not Observer(other, obs, pa).rules_out_nothing
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,8 +5,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from covertmdp import (
+    EmptyAdmissibleSet,
     MdpModel,
     MixedConfig,
     NoAdmissibleSequence,
@@ -55,7 +57,13 @@ from covertmdp.augmented import (
     solve_augmented_vi,
 )
 
-from _oracles import random_sane_model
+from _oracles import (
+    closed_loop_by_definition,
+    lattice_lookahead_by_definition,
+    lattice_sweep_by_definition,
+    random_sane_model,
+    random_sparse_model,
+)
 
 
 def nominal_setup(model):
@@ -429,6 +437,106 @@ def test_controller_failure_reports_step_index():
     with pytest.raises(NoAdmissibleSequence) as err:
         run_closed_loop(model, obs, pa, ctrl, point_belief(2, 0), 3, 0, 0, x0=0)
     assert "controller failed at step t=0" in str(err.value)
+
+
+def check_episode_by_definition(model, obs, chain, controller, scores, o0, steps, seed):
+    """``run_closed_loop`` against :func:`closed_loop_by_definition` from
+    the same seeds, up to the oracle's first near tie or near-zero reading.
+    A lattice controller's action values at every recorded step must also
+    match the oracle's."""
+    rated = []
+
+    def rate(x, o):
+        rated.append(scores(x, o))
+        return rated[-1]
+
+    states, actions, observations, beliefs, stop = closed_loop_by_definition(
+        model.transition, obs.likelihood, chain, rate, o0, steps, seed, 0
+    )
+    event(f"{controller.controller_id.split('(')[0]}: "
+          f"{'whole episode' if stop is None else stop[0]}")
+    if stop is not None and stop[0] not in ("near tie", "near zero"):
+        reason, t = stop
+        error = {"controller": EmptyAdmissibleSet, "transition": ProhibitedAction}
+        with pytest.raises(error[reason], match=f"{reason} failed at step t={t}:"):
+            run_closed_loop(model, obs, chain, controller, o0, steps, seed, 0)
+    if not states:
+        return
+    trace = run_closed_loop(model, obs, chain, controller, o0, len(states), seed, 0)
+    np.testing.assert_array_equal(trace.states, states)
+    np.testing.assert_array_equal(trace.actions, actions)
+    np.testing.assert_array_equal(trace.observations, observations)
+    np.testing.assert_allclose(trace.beliefs, beliefs, rtol=0.0, atol=1e-12)
+    if isinstance(controller, AugmentedValueController):
+        for x, o, expected in zip(trace.states, trace.beliefs, rated):
+            got = action_values(controller.observer, controller.value, x, o)
+            np.testing.assert_array_equal(np.isneginf(got), np.isneginf(expected))
+            finite = np.isfinite(expected)
+            np.testing.assert_allclose(got[finite], expected[finite], rtol=0.0, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(2, 3),  # a choice, and readings that can rule a state out
+    k=st.integers(2, 3),
+    res=st.integers(1, 3),
+    steps=st.integers(20, 40),
+    sparse=st.booleans(),
+)
+def test_closed_loop_follows_its_definition(seed, n, m, k, res, steps, sparse):
+    # A sane model's observer rules nothing out, so the lattice lookahead
+    # builds no masks; a sparse one's exact zeros make every mask count.
+    rng = np.random.default_rng(seed)
+    if sparse:
+        transition, reward, likelihood, surprised = random_sparse_model(rng, n, m, k)
+    else:
+        transition, reward, likelihood = random_sane_model(rng, n, m, k)
+    model = MdpModel(n, m, transition, reward, 0.9)
+    obs = ObservationModel(k, likelihood)
+    pa, _, policy = nominal_setup(model)
+    # a prior with exact zeros, so that the observer rules readings out
+    o0 = rng.uniform(0.1, 1.0, size=n) * (rng.random(n) < 0.5)
+    o0[int(rng.integers(n))] = rng.uniform(0.1, 1.0)
+    o0 /= o0.sum()
+
+    def plays_the_policy(x, o):
+        return np.where(np.arange(m) == policy.actions[x], 0.0, -np.inf)
+
+    # the policy can surprise only an observer that expects another chain
+    nominal_chain = surprised if sparse else pa
+    check_episode_by_definition(model, obs, nominal_chain, NominalController(policy),
+                                plays_the_policy, o0, steps, seed)
+
+    # grid-vi against the nominal chain, on two sweeps from zero, each side
+    # its own; the table it plays from is checked too
+    grid = build_simplex_grid(n, res)
+    values = np.zeros((n, grid.num_points))
+    for _ in range(2):
+        values, relaxed = lattice_sweep_by_definition(
+            transition, reward, 0.9, likelihood, pa, grid, values, 0.6, 0.4
+        )
+    if not np.all(np.isfinite(values)):  # some pair has no usable action
+        with pytest.raises(EmptyAdmissibleSet):
+            solve_augmented_vi(model, obs, pa, 0.6, 0.4, resolution=res)
+        return
+    solved = solve_augmented_vi(
+        model, obs, pa, 0.6, 0.4, resolution=res, tol=1e-15, max_iter=2
+    )
+    np.testing.assert_allclose(solved.value.values, values, rtol=0.0, atol=1e-12)
+    assert list(solved.fallback_points) == relaxed
+
+    def lattice_lookahead(x, o):
+        return lattice_lookahead_by_definition(
+            transition, reward, 0.9, likelihood, pa, grid, values, 0.6, 0.4, x, o,
+            relax=False,
+        )
+
+    check_episode_by_definition(
+        model, obs, pa, AugmentedValueController(model, obs, pa, solved.value),
+        lattice_lookahead, o0, steps, seed,
+    )
 
 
 def test_receding_horizon_falls_back_to_shorter_horizons():
