@@ -13,7 +13,6 @@ from .augmented import (
     SimplexGrid,
     build_simplex_grid,
     greedy_action,
-    interpolate_value,
     interpolation_weights,
     solve_augmented_vi,
 )

@@ -17,10 +17,17 @@ belief: the observer's posteriors and their simplices, found once per (belief,
 observation), the 0/1 mask of the observations each belief leaves open, the
 blocked and relaxed actions, the stage reward and the two contractions. A
 greedy decision computes these for its one belief and reads only its own
-state's rows of the tables. When the observer rules nothing out
-(``Observer.rules_out_nothing``) and every belief of the batch is a
-distribution, nothing is blocked, relaxed or without mass, so the masks
-are not built and the solver has no fallback or hopeless point to look for.
+state's rows of the tables. Every belief the lookahead sees is a
+distribution (a lattice point, or a belief that ``Observer.check``
+accepted), so when the observer rules nothing out
+(``Observer.rules_out_nothing``), nothing is blocked, relaxed or without
+mass: the masks are not built and the solver has no fallback or hopeless
+point to look for.
+
+A sweep gathers ``X·G·Y·n`` interpolation values (states, lattice points,
+observations, simplex vertices) at once, and its memory peaks there, at
+12.5–16 bytes per entry. ``solve_augmented_vi`` refuses a lattice above
+``MAX_LATTICE_ENTRIES`` of them before it builds anything.
 """
 
 from __future__ import annotations
@@ -39,18 +46,8 @@ from .belief import (
     blocked_actions,
     posterior_table,
 )
-from .errors import EmptyAdmissibleSet, ModelFormatError, SizeOverflow
-from .mdp import (
-    MdpModel,
-    _check_fields,
-    _check_tol,
-    _read_json_object,
-    _readonly,
-    _table_field,
-    _value_field,
-    _write_json,
-    value_iteration,
-)
+from .errors import EmptyAdmissibleSet, SizeOverflow
+from .mdp import MdpModel, _check_tol, _readonly, _write_json, value_iteration
 
 # Transformed coordinates within this distance of an integer are treated as
 # exactly on a lattice hyperplane, so grid points interpolate to themselves.
@@ -59,7 +56,9 @@ SNAP_TOL = 1e-10
 DEFAULT_RESOLUTION = 10
 DEFAULT_AVI_TOL = 1e-6
 DEFAULT_AVI_MAX_ITER = 2000
-MAX_GRID_POINTS = 2_000_000
+# Cap on a sweep's gather of X·G·Y·n interpolation values: about 270 MB at
+# the measured peak of 16 bytes per entry.
+MAX_LATTICE_ENTRIES = 2**24
 
 
 @dataclass(frozen=True)
@@ -111,17 +110,24 @@ class SimplexGrid:
         return int(self._gains[np.arange(self.num_states), tails].sum())
 
 
-def build_simplex_grid(num_states: int, resolution: int) -> SimplexGrid:
-    """Enumerate the lattice in lexicographic composition order."""
+def _grid_size(num_states: int, resolution: int) -> int:
+    """Points of the lattice, once its arguments are known to be positive."""
     if num_states < 1:
         raise ValueError(f"num_states must be positive, got {num_states}")
     if resolution < 1:
         raise ValueError(f"resolution must be positive, got {resolution}")
-    count = math.comb(resolution + num_states - 1, num_states - 1)
-    if count > MAX_GRID_POINTS:
+    return math.comb(resolution + num_states - 1, num_states - 1)
+
+
+def build_simplex_grid(num_states: int, resolution: int) -> SimplexGrid:
+    """Enumerate the lattice in lexicographic composition order; refuses a
+    lattice whose ``G·n`` coordinates exceed ``MAX_LATTICE_ENTRIES``."""
+    count = _grid_size(num_states, resolution)
+    if count * num_states > MAX_LATTICE_ENTRIES:
         raise SizeOverflow(
-            f"belief grid would hold {count} points (cap {MAX_GRID_POINTS}); "
-            f"lower the resolution or use the receding-horizon planner"
+            f"refusing: a belief grid of {count} points over {num_states} "
+            f"states exceeds the cap of {MAX_LATTICE_ENTRIES} entries; lower "
+            f"the resolution or use the receding-horizon planner"
         )
     # stars and bars: bar positions in lexicographic order give the
     # compositions in lexicographic order
@@ -197,12 +203,6 @@ def interpolation_weights(
     return idx[keep], w[keep]
 
 
-def interpolate_value(grid: SimplexGrid, table: np.ndarray, o: np.ndarray) -> float:
-    """Interpolate a per-grid-point table at an arbitrary belief."""
-    idx, w = interpolation_weights(grid, o)
-    return float(np.dot(np.asarray(table)[idx], w))
-
-
 @dataclass(frozen=True)
 class AugmentedValueFunction:
     """Joint value function: ``values[x, g]`` at state ``x``, lattice belief ``g``."""
@@ -246,11 +246,11 @@ class _Lookahead:
     divided by that mass (``open_mass``). ``stage`` is -inf for unusable
     actions.
 
-    When the observer is known to leave every observation open from every
-    belief of the batch (``all_open``, by :meth:`Observer.leaves_all_open`),
-    none of those masks is built: nothing is blocked or relaxed, every
-    action has mass, and the masked backup would multiply by 1.0 and
-    divide nowhere, so skipping it changes no bit.
+    ``beliefs`` must be distributions. When the observer rules nothing out
+    (``all_open``, by ``Observer.rules_out_nothing``), none of those masks
+    is built: nothing is blocked or relaxed, every action has mass, and the
+    masked backup would multiply by 1.0 and divide nowhere, so skipping it
+    changes no bit.
     """
 
     def __init__(self, observer: Observer, grid: SimplexGrid, beliefs: np.ndarray,
@@ -264,7 +264,7 @@ class _Lookahead:
         # the stage's exposure is the belief's mass on the source state
         penalty = exposure_weight * beliefs[..., sources]
         self.stage = reward_weight * model.reward[sources] - penalty[..., None]
-        self.all_open = observer.leaves_all_open(beliefs)
+        self.all_open = observer.rules_out_nothing
         if self.all_open:
             return
 
@@ -299,9 +299,23 @@ def solve_augmented_vi(
     tol: float = DEFAULT_AVI_TOL,
     max_iter: int = DEFAULT_AVI_MAX_ITER,
 ) -> AugmentedVIResult:
-    """:func:`mdp.value_iteration` from zero over the lattice."""
+    """:func:`mdp.value_iteration` from zero over the lattice.
+
+    Raises :class:`SizeOverflow`, before anything is built, when a sweep
+    would gather more than ``MAX_LATTICE_ENTRIES`` values.
+    """
     _check_tol(tol)  # before the lattice is built
-    grid = build_simplex_grid(model.num_states, resolution)
+    n = model.num_states
+    points = _grid_size(n, resolution)
+    entries = n * points * obs.num_observations * n
+    if entries > MAX_LATTICE_ENTRIES:
+        raise SizeOverflow(
+            f"refusing: the state-belief lattice ({n} states, {points} belief "
+            f"points) needs {entries} entries per sweep (cap "
+            f"{MAX_LATTICE_ENTRIES}); lower the resolution or use the "
+            f"receding-horizon planner (the rho controller, or plan) instead"
+        )
+    grid = build_simplex_grid(n, resolution)
     lookahead = _Lookahead(
         Observer(model, obs, pa), grid, grid.points, reward_weight, exposure_weight
     )
@@ -362,10 +376,7 @@ def greedy_action(
 
 
 # ---------------------------------------------------------------------------
-# value files
-
-_VALUE_KEYS = {"num_states", "resolution", "reward_weight", "exposure_weight", "values"}
-
+# value file
 
 def save_value_file(value: AugmentedValueFunction, path: str | Path) -> None:
     doc = {
@@ -377,17 +388,3 @@ def save_value_file(value: AugmentedValueFunction, path: str | Path) -> None:
     }
     _write_json(doc, path)
 
-
-def load_value_file(path: str | Path) -> AugmentedValueFunction:
-    doc = _read_json_object(path)
-    _check_fields(doc, _VALUE_KEYS)
-    num_states = _value_field(doc, "num_states", int)
-    resolution = _value_field(doc, "resolution", int)
-    reward_weight = _value_field(doc, "reward_weight", float)
-    exposure_weight = _value_field(doc, "exposure_weight", float)
-    values = _table_field(doc, "values")
-    try:
-        grid = build_simplex_grid(num_states, resolution)
-        return AugmentedValueFunction(grid, values, reward_weight, exposure_weight)
-    except ValueError as exc:
-        raise ModelFormatError([str(exc)]) from exc

@@ -192,12 +192,12 @@ class Observer:
     them (the planner and the simulator step) never hold their X²·U·Y
     entries.
 
-    ``rules_out_nothing`` is True when no belief that :meth:`leaves_all_open`
-    accepts can rule an observation out, and the lattice lookahead finds
-    mass behind every action: every entry of ``pa`` and of the transition
-    ``p`` lies in ``[0, 1]``, every likelihood is at most 1, and ``min q``
-    times the smallest column sum of ``pa``, and times that of ``p``,
-    exceeds ``4 * EPS_ZERO``. Proof: for a belief ``b >= 0``,
+    ``rules_out_nothing`` is True when no belief that :meth:`check` accepts
+    can rule an observation out, and the lattice lookahead finds mass behind
+    every action: every entry of ``pa`` and of the transition ``p`` lies in
+    ``[0, 1]``, every likelihood is at most 1, and ``min q`` times the
+    smallest column sum of ``pa``, and times that of ``p``, exceeds
+    ``4 * EPS_ZERO``. Proof: for a belief ``b >= 0``,
     ``predictive(y) = sum_x' q(y|x') sum_x pa[x', x] b[x] >= min q *
     sum_x colsum(pa)[x] b[x] >= min q * min colsum * sum(b)``, which is
     above ``2 * EPS_ZERO`` once ``sum(b) >= 1/2``. Every term of those sums
@@ -228,21 +228,6 @@ class Observer:
             and q.min() * p.sum(axis=0).min() > 4 * EPS_ZERO
         ))
 
-    def leaves_all_open(self, o: np.ndarray) -> bool:
-        """True when belief ``o``, or every row of a stack ``(G, n)``, is
-        known, without computing its predictive, to leave every observation
-        open: the observer rules out nothing and each belief is nonnegative
-        with mass in ``[1/2, 2]`` (the bound of ``rules_out_nothing``'s
-        proof). False says only that the test must be made."""
-        if not self.rules_out_nothing:
-            return False
-        if o.ndim > 1:
-            # a row at a time: the whole stack as Python floats would take
-            # 0.8 MB at 3,003 six-state lattice points
-            return all(map(self.leaves_all_open, o))
-        mass = o.tolist()
-        return min(mass) >= 0.0 and 0.5 <= sum(mass) <= 2.0
-
     @cached_property
     def kernel(self) -> np.ndarray:
         return np.einsum("yz,zxu->xuyz", self.obs.likelihood, self.model.transition)
@@ -251,16 +236,23 @@ class Observer:
     def kernel_mass(self) -> np.ndarray:
         return self.kernel.sum(axis=-1)
 
-    def check(self, x: int, o) -> np.ndarray:
+    def check(self, x: int | None, o) -> np.ndarray:
         """``o`` as a float array, once state ``x`` is known to lie in
-        ``[0, n)`` (a negative one would index from the end) and ``o`` to
-        have shape ``(n,)``."""
+        ``[0, n)`` (a negative one would index from the end; None skips the
+        test) and ``o`` to be a distribution over the ``n`` states: shaped
+        ``(n,)``, no entry negative and its mass within ``BELIEF_L1_TOL`` of
+        1. It is not renormalized."""
         n = self.model.num_states
-        if not 0 <= x < n:
+        if x is not None and not 0 <= x < n:
             raise ValueError(f"state x={x} outside [0, {n})")
         o = np.asarray(o, dtype=float)
         if o.shape != (n,):
             raise ValueError(f"belief shape {o.shape} does not match {n} states")
+        mass = o.tolist()
+        # the sum is NaN when any entry is, and no comparison holds for NaN;
+        # min alone would pass a NaN that is not first
+        if min(mass) < 0.0 or not abs(sum(mass) - 1.0) <= BELIEF_L1_TOL:
+            raise ValueError(f"belief {mass} is not a distribution")
         return o
 
 
@@ -284,7 +276,7 @@ def admissible_actions(observer: Observer, x: int, o: np.ndarray) -> list[int]:
     under the observer's predictive.
     """
     o = observer.check(x, o)
-    if observer.leaves_all_open(o):
+    if observer.rules_out_nothing:
         return list(range(observer.model.num_actions))
     ruled_out = ~open_observations(observer, o)
     blocked = blocked_actions(observer.emits[:, x], ruled_out)

@@ -28,7 +28,6 @@ from . import rho
 from . import sim
 from .errors import CovertMdpError, ModelFormatError
 
-AUGMENTED_STATE_CAP = 6
 BUILTIN_NAMES = ("example1", "gridworld")
 
 
@@ -166,12 +165,6 @@ def cmd_solve_nominal(args: argparse.Namespace) -> int:
 def _solve_lattice(scn: Scenario, obs: bel.ObservationModel, pa: np.ndarray,
                    args: argparse.Namespace, tol: float = aug.DEFAULT_AVI_TOL):
     """The lattice solve behind ``solve-augmented`` and ``simulate grid-vi``."""
-    if scn.model.num_states > AUGMENTED_STATE_CAP:
-        raise CovertMdpError(
-            f"refusing: {scn.model.num_states} states exceeds the state-belief "
-            f"grid cap ({AUGMENTED_STATE_CAP}); use the receding-horizon "
-            f"planner (the rho controller, or plan) instead"
-        )
     result = _converged(aug.solve_augmented_vi(
         scn.model, obs, pa,
         reward_weight=args.wn, exposure_weight=args.wa,

@@ -266,10 +266,11 @@ def plan(
     computed per call, and admissibility only at depths where something is
     ruled out; the rest comes from ``memo`` (a :class:`PlanMemo` whose
     observer holds the same model, sensor and chain, and the same values),
-    or from a fresh one when none is given. When the observer rules
-    nothing out from ``o`` (:meth:`Observer.leaves_all_open`), it rules
-    nothing out from any posterior either, so no depth makes the test and
-    the last depth computes nothing at all; the result is the same.
+    or from a fresh one when none is given. ``o`` must be a distribution
+    (:meth:`Observer.check`). When the observer rules nothing out
+    (``Observer.rules_out_nothing``), it rules nothing out from ``o`` or
+    from any posterior, so no depth makes the test and the last depth
+    computes nothing at all; the result is the same.
     ``PlanResult.sequences`` is built only when read.
 
     When ``log_path`` is given, every scored sequence and every pruned
@@ -300,9 +301,6 @@ def plan(
     penalty_weight = config.exposure_weight + config.tail_exposure_weight
 
     node = memo.root(x, horizon)
-    # a distribution, and so every posterior below it, leaves every
-    # observation open under such an observer
-    all_open = observer.leaves_all_open(o)
     beliefs = o[None, :]
     r_exposed = np.zeros(1)
     pruned: list[tuple[int, ...]] = []
@@ -316,7 +314,7 @@ def plan(
         last = depth == horizon - 1
         if not last:
             posteriors, _, open_y = posterior_table(observer, beliefs)
-        if all_open:
+        if observer.rules_out_nothing:
             node = memo.open_child(node, depth, horizon)
         else:
             if last:

@@ -209,14 +209,16 @@ def run_closed_loop(
 
     When ``x0`` is None the initial state is drawn from ``o0``, so the
     observer's prior is calibrated; passing ``x0`` fixes the start (the
-    belief then measures where the observer *thinks* the agent is).
+    belief then measures where the observer *thinks* the agent is). ``o0``
+    must be a distribution (:meth:`Observer.check`), and is checked before
+    the start is drawn from it.
     """
     if num_steps < 1:
         raise ValueError(f"num_steps must be positive, got {num_steps}")
     rng = rng_for_run(seed_base, run_index)
     observer = Observer(model, obs, pa)
+    o0 = observer.check(x0, o0)
     x = _sample(rng, np.cumsum(o0)) if x0 is None else int(x0)
-    o0 = observer.check(x, o0)
     if o0[x] <= 0.0:
         warnings.warn(
             f"initial belief puts zero mass on the start state x={x}; "

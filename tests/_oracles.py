@@ -79,13 +79,14 @@ def stationary_reward_rate(transition, reward, discount, assignment):
 
 
 def sequence_terms_by_path_enumeration(
-    transition, reward, discount, q, pa, values, x0, o0, actions
+    transition, reward, discount, q, pa, values, x0, o0, actions, posteriors=None
 ):
     """Score one open-loop action sequence by brute force.
 
     Enumerates every joint path (x_1..x_N, y_1..y_N) with its exact
     probability, carrying the observer posterior along each observation
-    prefix, and accumulates the three objective pieces:
+    prefix (the filter never sees actions or states, so the posterior is
+    computed once per prefix), and accumulates the three objective pieces:
 
       inside-horizon reward  sum_{tau<N}  lam^tau R(x_tau, u_tau)
       terminal tail          lam^N E[values(x_N)]
@@ -93,6 +94,8 @@ def sequence_terms_by_path_enumeration(
 
     Exposure at tau=0 and tau=N is deliberately not counted, matching the
     planner's objective. Returns (reward_term, tail_term, exposure_term).
+    `posteriors`, when given, is a dict of the posteriors by history from
+    `o0`, filled in here and shared by calls that score from the same root.
     """
     n = len(o0)
     num_y = q.shape[0]
@@ -102,11 +105,14 @@ def sequence_terms_by_path_enumeration(
     tail_term = 0.0
     exposure_term = 0.0
 
-    paths = [(1.0, x0, np.asarray(o0, dtype=float))]
+    if posteriors is None:
+        posteriors = {}
+    posteriors.setdefault((), np.asarray(o0, dtype=float))
+    paths = [(1.0, x0, ())]
     for tau in range(1, horizon + 1):
         u_prev = actions[tau - 1]
         grown = []
-        for prob, x, o in paths:
+        for prob, x, history in paths:
             for x_next in range(n):
                 p_x = transition[x_next, x, u_prev]
                 if p_x == 0.0:
@@ -115,15 +121,19 @@ def sequence_terms_by_path_enumeration(
                     p_y = q[y, x_next]
                     if p_y == 0.0:
                         continue
-                    o_next = forward_filter_step(pa, q, o, y)
-                    grown.append((prob * p_x * p_y, x_next, o_next))
+                    longer = history + (y,)
+                    if longer not in posteriors:
+                        posteriors[longer] = forward_filter_step(
+                            pa, q, posteriors[history], y
+                        )
+                    grown.append((prob * p_x * p_y, x_next, longer))
         paths = grown
         scale = discount ** tau
         if tau < horizon:
             reward_term += scale * sum(
                 p * reward[x, actions[tau]] for p, x, _ in paths
             )
-            exposure_term += scale * sum(p * o[x] for p, x, o in paths)
+            exposure_term += scale * sum(p * posteriors[h][x] for p, x, h in paths)
         else:
             tail_term = scale * sum(p * values[x] for p, x, _ in paths)
     return reward_term, tail_term, exposure_term
@@ -273,24 +283,36 @@ def pruned_prefixes_by_definition(
     num_obs = likelihood.shape[0]
     num_u = transition.shape[2]
     pruned = set()
+    # the filter never sees actions or states: one posterior per history
+    posteriors = {(): np.asarray(o0, dtype=float)}
+    allowed = {}
+
+    def admissible(x, history):
+        if (x, history) not in allowed:
+            allowed[x, history] = admissible_by_definition(
+                transition, likelihood, chain, x, posteriors[history]
+            )
+        return allowed[x, history]
 
     def visit(prefix, pairs):
         for u in range(num_u):
-            if any(
-                u not in admissible_by_definition(transition, likelihood, chain, x, o)
-                for x, o in pairs
-            ):
+            if any(u not in admissible(x, h) for x, h in pairs):
                 pruned.add(prefix + (u,))
             elif len(prefix) + 1 < horizon:
-                visit(prefix + (u,), [
-                    (x_next, forward_filter_step(chain, likelihood, o, y))
-                    for x, o in pairs
-                    for x_next in range(n)
-                    for y in range(num_obs)
-                    if transition[x_next, x, u] * likelihood[y, x_next] > 0.0
-                ])
+                reached = {}
+                for x, h in pairs:
+                    for x_next in range(n):
+                        for y in range(num_obs):
+                            if transition[x_next, x, u] * likelihood[y, x_next] > 0.0:
+                                longer = h + (y,)
+                                if longer not in posteriors:
+                                    posteriors[longer] = forward_filter_step(
+                                        chain, likelihood, posteriors[h], y
+                                    )
+                                reached[x_next, longer] = None
+                visit(prefix + (u,), list(reached))
 
-    visit((), [(x0, np.asarray(o0, dtype=float))])
+    visit((), [(x0, ())])
     return pruned
 
 def lattice_lookahead_by_definition(
@@ -301,16 +323,22 @@ def lattice_lookahead_by_definition(
 
     For action u: wn R(x, u) - wa belief[x] + lam * sum over open readings
     y and successors x' of p(x'|x,u) q(y|x') V(x', posterior after y), with
-    V read between lattice points by interpolation. Inadmissible actions
-    score -inf. With `relax`, a point where no action is admissible uses
-    every action instead, renormalizing the mass it puts on open readings
-    (an action with none scores -inf). Readings count as open when their
-    predictive is exactly positive, which is unambiguous on
-    `random_sparse_model` models and on smooth sensors.
+    V read between lattice points on the simplex that
+    `freudenthal_by_definition` finds, each vertex looked up by its
+    composition in `grid.compositions`. Inadmissible actions score -inf.
+    With `relax`, a point where no action is admissible uses every action
+    instead, renormalizing the mass it puts on open readings (an action
+    with none scores -inf). Readings count as open when their predictive is
+    exactly positive, which is unambiguous on `random_sparse_model` models
+    and on smooth sensors.
     """
-    from covertmdp.augmented import interpolate_value
-
     n = len(belief)
+    index = {tuple(c): g for g, c in enumerate(grid.compositions.tolist())}
+
+    def interpolate(table, posterior):
+        simplex = freudenthal_by_definition(posterior, grid.resolution)
+        return sum(w * table[index[c]] for c, w in simplex.items())
+
     num_y = likelihood.shape[0]
     num_u = transition.shape[2]
     predicted = [
@@ -334,7 +362,7 @@ def lattice_lookahead_by_definition(
                 p = transition[d, x, u] * likelihood[y, d]
                 if p > 0.0:
                     total += p
-                    future += p * interpolate_value(grid, values[d], posterior)
+                    future += p * interpolate(values[d], posterior)
         if total == 0.0:
             continue
         if relaxed:

@@ -34,7 +34,6 @@ from covertmdp import (
 )
 from covertmdp.augmented import (
     build_simplex_grid,
-    interpolate_value,
     interpolation_weights,
     solve_augmented_vi,
 )
@@ -349,7 +348,8 @@ def test_criterion_10_interpolation_properties():
     grid = build_simplex_grid(3, 10)
     table = rng.normal(size=grid.num_points)
     for g in range(grid.num_points):
-        assert interpolate_value(grid, table, grid.points[g]) == table[g]
+        idx, w = interpolation_weights(grid, grid.points[g])
+        assert table[idx] @ w == table[g]
     direction = rng.normal(size=3)
     linear = grid.points @ direction
     constant = np.full(grid.num_points, -1.25)
@@ -362,13 +362,8 @@ def test_criterion_10_interpolation_properties():
         assert np.all(w >= 0.0)
         assert len(w) <= 3
         worst_weight_sum = max(worst_weight_sum, abs(float(w.sum()) - 1.0))
-        worst_constant = max(
-            worst_constant, abs(interpolate_value(grid, constant, o) + 1.25)
-        )
-        worst_linear = max(
-            worst_linear,
-            abs(interpolate_value(grid, linear, o) - float(direction @ o)),
-        )
+        worst_constant = max(worst_constant, abs(constant[idx] @ w + 1.25))
+        worst_linear = max(worst_linear, abs(linear[idx] @ w - float(direction @ o)))
     print(
         f"criterion 10: weight-sum gap {worst_weight_sum:.2e}, constant gap "
         f"{worst_constant:.2e}, linear gap {worst_linear:.2e} (limits 1e-12), "

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +14,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from covertmdp import (
     EmptyAdmissibleSet,
     MdpModel,
-    ModelFormatError,
     ObservationModel,
     Observer,
     SizeOverflow,
@@ -31,9 +32,7 @@ from covertmdp.augmented import (
     action_values,
     build_simplex_grid,
     greedy_action,
-    interpolate_value,
     interpolation_weights,
-    load_value_file,
     save_value_file,
     solve_augmented_vi,
 )
@@ -110,12 +109,58 @@ def test_build_grid_rejects_bad_arguments():
         build_simplex_grid(20, 50)
 
 
+def test_build_grid_refuses_coordinates_beyond_the_lattice_cap(monkeypatch):
+    # 21 points of 3 coordinates at resolution 5: 63 entries
+    monkeypatch.setattr(augmented, "MAX_LATTICE_ENTRIES", 63)
+    assert build_simplex_grid(3, 5).num_points == 21
+    monkeypatch.setattr(augmented, "MAX_LATTICE_ENTRIES", 62)
+    with pytest.raises(SizeOverflow, match="cap of 62 entries"):
+        build_simplex_grid(3, 5)
+
+
+def test_solve_refuses_a_lattice_beyond_the_entry_cap_before_building_it():
+    # 12 states at resolution 10: 352,716 lattice points and about 2e8
+    # gathered entries per sweep, gigabytes that must never be allocated
+    transition, reward, likelihood = random_sane_model(np.random.default_rng(12), 12, 2, 4)
+    model = MdpModel(12, 2, transition, reward, 0.9)
+    obs = ObservationModel(4, likelihood)
+    pa = np.full((12, 12), 1.0 / 12)
+    entries = 12 * math.comb(21, 11) * 4 * 12
+    assert entries > augmented.MAX_LATTICE_ENTRIES
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(SizeOverflow) as err:
+            solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=10)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = str(err.value)
+    assert f"{entries} entries" in message and "rho controller" in message
+    assert elapsed < 1.0
+    assert peak < 1e6
+
+
+def test_solve_admits_a_lattice_at_the_entry_cap(monkeypatch):
+    model, obs = example1_model()
+    pa, _ = nominal_chain(model)
+    entries = 3 * 10 * 3 * 3  # X * G * Y * n at resolution 3
+    monkeypatch.setattr(augmented, "MAX_LATTICE_ENTRIES", entries)
+    assert solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=3).converged
+    monkeypatch.setattr(augmented, "MAX_LATTICE_ENTRIES", entries - 1)
+    with pytest.raises(SizeOverflow, match=f"needs {entries} entries"):
+        solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=3)
+
+
 def test_interpolation_reproduces_vertices_exactly():
     rng = np.random.default_rng(0)
     grid = build_simplex_grid(3, 10)
     table = rng.normal(size=grid.num_points)
     for g in range(grid.num_points):
-        assert interpolate_value(grid, table, grid.points[g]) == table[g]
+        idx, w = interpolation_weights(grid, grid.points[g])
+        assert idx.tolist() == [g] and w.tolist() == [1.0]
+        assert table[idx] @ w == table[g]
 
 
 def test_interpolation_is_exact_on_constants_and_linear_forms():
@@ -126,8 +171,9 @@ def test_interpolation_is_exact_on_constants_and_linear_forms():
     constant = np.full(grid.num_points, 0.8315)
     for _ in range(500):
         o = rng.dirichlet(np.ones(3))
-        assert abs(interpolate_value(grid, constant, o) - 0.8315) < 1e-12
-        assert abs(interpolate_value(grid, linear, o) - a @ o) < 1e-12
+        idx, w = interpolation_weights(grid, o)
+        assert abs(constant[idx] @ w - 0.8315) < 1e-12
+        assert abs(linear[idx] @ w - a @ o) < 1e-12
 
 
 def test_interpolation_weights_form_a_convex_combination():
@@ -307,14 +353,6 @@ def test_action_values_match_oracle_off_grid(seed, n, m, k):
         np.testing.assert_allclose(got[finite], expected[finite], rtol=0.0, atol=1e-12)
 
 
-def outcome(call):
-    """``call()``'s result, or the type and message of what it raised."""
-    try:
-        return call()
-    except (IndexError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -365,21 +403,14 @@ def test_lattice_on_an_observer_that_rules_out_nothing_equals_the_masked_path(
         general.residual, general.iterations, general.fallback_points
     )
 
-    # one row that is not a distribution sends the whole stack down the
-    # masked path: a negative entry, or no mass
+    # a belief that is not a distribution is refused on either path: a
+    # negative entry, no mass, or NaN
     negative = np.zeros(n)
     negative[0], negative[1] = 3.0, -2.0
-    for row in (negative, np.zeros(n)):
-        stack = np.vstack([grid.points, row])
-        assert not observer.leaves_all_open(stack)
-        got, expected = (
-            outcome(lambda: _Lookahead(chosen, grid, stack, 0.6, 0.4)(value.values))
-            for chosen in (observer, twin)
-        )
-        if isinstance(expected, tuple):
-            assert got == expected
-        else:
-            np.testing.assert_array_equal(got, expected)
+    for o in (negative, np.zeros(n), np.full(n, np.nan)):
+        for chosen in (observer, twin):
+            with pytest.raises(ValueError, match="not a distribution"):
+                action_values(chosen, value, 0, o)
 
 
 def test_a_transition_column_with_no_mass_keeps_its_action_out():
@@ -427,7 +458,8 @@ def lattice_6s_seed0(tmp_path_factory, workloads_module):
 
 
 def test_lattice_6s_seed0_matches_recorded_values(lattice_6s_seed0):
-    # the benchmark's seeded 6-state model at the CLI's state cap, res 10
+    # the benchmark's seeded 6-state model at res 10: 432,432 entries per
+    # sweep, well under the lattice cap
     _, result, peak = lattice_6s_seed0
     reference = np.load(PERFBENCH / "reference" / "lattice-6s-seed0-values.npy")
     assert result.converged
@@ -568,26 +600,10 @@ def test_value_file_roundtrip(tmp_path):
     result = solve_augmented_vi(model, obs, pa, 0.7, 0.3, resolution=3, tol=1e-6)
     path = tmp_path / "value.json"
     save_value_file(result.value, path)
-    back = load_value_file(path)
-    assert back.grid.num_states == 3
-    assert back.grid.resolution == 3
-    assert back.reward_weight == 0.7
-    assert back.exposure_weight == 0.3
-    np.testing.assert_allclose(back.values, result.value.values, atol=1e-15)
-
-
-def test_load_value_file_rejects_mismatched_table(tmp_path):
-    import json
-
-    path = tmp_path / "value.json"
-    doc = {
-        "num_states": 3,
-        "resolution": 2,
-        "reward_weight": 1.0,
-        "exposure_weight": 0.0,
-        "values": [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]],  # wrong width
+    doc = json.loads(path.read_text())
+    assert doc.keys() == {
+        "num_states", "resolution", "reward_weight", "exposure_weight", "values"
     }
-    path.write_text(json.dumps(doc))
-    mismatch = r"shape \(3, 2\) does not match \(3, 6\)"
-    with pytest.raises(ModelFormatError, match=mismatch):
-        load_value_file(path)
+    assert (doc["num_states"], doc["resolution"]) == (3, 3)
+    assert (doc["reward_weight"], doc["exposure_weight"]) == (0.7, 0.3)
+    assert np.array(doc["values"]).tobytes() == result.value.values.tobytes()

@@ -7,8 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 from covertmdp import (
     IllDefinedUpdate,
     extract_nominal_policy,
+    NominalController,
     ObservationModel,
     Observer,
+    PlannerConfig,
     ProhibitedAction,
     admissible_actions,
     augmented_transition_support,
@@ -16,8 +18,10 @@ from covertmdp import (
     induced_chain,
     make_belief,
     nominal_value_iteration,
+    plan,
     point_belief,
     example1_model,
+    run_closed_loop,
     uniform_belief,
 )
 from covertmdp.belief import (
@@ -31,7 +35,12 @@ from covertmdp.belief import (
     save_observation_file,
     validate_observation_model,
 )
-from covertmdp.augmented import build_simplex_grid
+from covertmdp.augmented import (
+    AugmentedValueFunction,
+    action_values,
+    build_simplex_grid,
+    greedy_action,
+)
 from covertmdp.mdp import MdpModel
 from covertmdp.models import desk_gridworld, gridworld_model
 from covertmdp.sim import step
@@ -491,26 +500,61 @@ def test_an_observer_that_rules_out_nothing_leaves_every_observation_open(seed, 
         *(w / w.sum() for w in with_zeros),
     ]
     for o in beliefs:
-        assert observer.leaves_all_open(o)
         assert open_observations(observer, o).all()
         for x in range(n):
             assert admissible_actions(observer, x, o) == list(range(m))
             assert admissible_actions(twin, x, o) == list(range(m))
 
 
-def test_beliefs_that_are_not_distributions_take_the_general_path():
+NOT_DISTRIBUTIONS = [
+    [np.nan, 0.5, 0.5],  # NaN first: min would pass it, the sum does not
+    [0.5, 0.5, np.nan],  # NaN last
+    [np.inf, 0.0, 0.0],
+    [1.2, -0.2, 0.0],  # mass 1 with a negative entry
+    [-0.2, 1.2, 0.0],
+    [0.0, 0.0, 0.0],  # no mass
+    [0.5, 0.5, 0.5],  # mass 1.5
+]
+
+
+def test_beliefs_that_are_not_distributions_are_refused_at_every_entry_point():
+    # Observer.check refuses them before any path is chosen, with the flag
+    # up or cleared, so no caller reads a belief that is not a distribution.
+    model, obs = example1_model()
+    pa = nominal_chain(model)
+    values = nominal_value_iteration(model).values
+    grid = build_simplex_grid(3, 2)
+    table = AugmentedValueFunction(grid, np.zeros((3, grid.num_points)), 0.6, 0.4)
+    controller = NominalController(extract_nominal_policy(model, values))
+    observer = Observer(model, obs, pa)
+    assert observer.rules_out_nothing
+    for o in map(np.array, NOT_DISTRIBUTIONS):
+        for chosen in (observer, general_twin(observer)):
+            for call, args in (
+                (chosen.check, (0, o)),
+                (admissible_actions, (chosen, 0, o)),
+                (augmented_transition_support, (chosen, 0, o, 0)),
+                (step, (chosen, 0, o, 0, np.random.default_rng(0))),
+                (action_values, (chosen, table, 0, o)),
+                (greedy_action, (chosen, table, 0, o)),
+            ):
+                with pytest.raises(ValueError, match="not a distribution"):
+                    call(*args)
+        with pytest.raises(ValueError, match="not a distribution"):
+            plan(model, obs, pa, values, 0, o, PlannerConfig(2, 0.5, 0.5))
+        for x0 in (None, 0):
+            with pytest.raises(ValueError, match="not a distribution"):
+                run_closed_loop(model, obs, pa, controller, o, 5, 0, 0, x0=x0)
+
+
+def test_check_accepts_drift_within_tolerance_and_leaves_it():
     model, obs = example1_model()
     observer = Observer(model, obs, nominal_chain(model))
-    twin = general_twin(observer)
-    for o in ([0.0, 0.0, 0.0], [3.0, -2.0, 0.0], [0.2, 0.2, 0.0], [2.0, 1.0, 0.0],
-              [np.nan, 1.0, 0.0]):
-        o = np.array(o)
-        assert not observer.leaves_all_open(o)
-        for x in range(3):
-            assert admissible_actions(observer, x, o) == admissible_actions(twin, x, o)
-    # nothing is admissible from a belief with no mass
-    assert admissible_actions(observer, 0, np.zeros(3)) == []
-    with pytest.raises(ProhibitedAction):
-        augmented_transition_support(observer, 0, np.zeros(3), 0)
-    with pytest.raises(ProhibitedAction):
-        step(observer, 0, np.zeros(3), 0, np.random.default_rng(0))
+    o = np.array([0.5, 0.5 + 5e-10, 0.0])
+    assert observer.check(1, o).tobytes() == o.tobytes()
+    with pytest.raises(ValueError, match="not a distribution"):
+        observer.check(1, [0.5, 0.5 + 5e-9, 0.0])
+    with pytest.raises(ValueError, match="outside"):
+        observer.check(-1, o)
+    with pytest.raises(ValueError, match="shape"):
+        observer.check(0, [0.5, 0.5])

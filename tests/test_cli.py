@@ -15,10 +15,11 @@ from covertmdp import (
     nominal_value_iteration,
 )
 from covertmdp import mdp
-from covertmdp.augmented import load_value_file
 from covertmdp.belief import save_observation_file
 from covertmdp.cli import build_parser, main
 from covertmdp.mdp import save_model_file
+
+from _oracles import random_sane_model
 
 
 def write_example1_files(tmp_path):
@@ -217,12 +218,10 @@ def test_solve_augmented_pure_reward_matches_nominal(tmp_path):
         "--wn", "1", "--wa", "0", "--grid-res", "5", "--out", str(out),
     ])
     assert code == 0
-    value = load_value_file(out / "augmented_values.json")
+    values = json.loads((out / "augmented_values.json").read_text())["values"]
     exact = nominal_value_iteration(example1_model()[0])
     for x in range(3):
-        np.testing.assert_allclose(
-            value.values[x], exact.values[x], atol=1e-4
-        )
+        np.testing.assert_allclose(values[x], exact.values[x], atol=1e-4)
 
 
 def test_solve_augmented_refuses_large_state_spaces(capsys):
@@ -386,6 +385,26 @@ def test_simulate_grid_vi_controller_on_small_models(tmp_path):
     ])
     assert code == 0
     meta = json.loads((out / "trace_000.meta.json").read_text())
+    assert "grid-value" in meta["controller"]
+
+
+def test_lattice_commands_solve_a_seven_state_file_model(tmp_path):
+    # The lattice cap bounds the sweep's entries, not the state count: seven
+    # states at resolution 2 are 7 * 28 * 3 * 7 entries.
+    transition, reward, likelihood = random_sane_model(np.random.default_rng(7), 7, 2, 3)
+    model_path, obs_path = tmp_path / "model.json", tmp_path / "obs.json"
+    save_model_file(MdpModel(7, 2, transition, reward, 0.9), model_path)
+    save_observation_file(ObservationModel(3, likelihood), obs_path)
+    files = ["--model", str(model_path), "--obs", str(obs_path),
+             "--wn", "0.5", "--wa", "0.5", "--grid-res", "2"]
+    out = tmp_path / "aug"
+    assert main(["solve-augmented", *files, "--out", str(out)]) == 0
+    values = json.loads((out / "augmented_values.json").read_text())["values"]
+    assert np.shape(values) == (7, 28)
+    runs = tmp_path / "runs"
+    assert main(["simulate", "grid-vi", *files, "--steps", "5", "--seeds", "1",
+                 "--out", str(runs)]) == 0
+    meta = json.loads((runs / "trace_000.meta.json").read_text())
     assert "grid-value" in meta["controller"]
 
 

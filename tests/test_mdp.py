@@ -18,7 +18,6 @@ from covertmdp import augmented
 from covertmdp.augmented import (
     AugmentedValueFunction,
     build_simplex_grid,
-    load_value_file,
     save_value_file,
     solve_augmented_vi,
 )
@@ -314,12 +313,8 @@ def test_json_writers_write_indent_one_with_a_trailing_newline(tmp_path, case):
         (load_gridworld_spec,
          {"width": 3, "height": 3, "start": [0, 0], "target": [2, 2], "sensor": [1, 1]},
          "target"),
-        (load_value_file,
-         {"num_states": 2, "resolution": 1, "reward_weight": 1.0,
-          "exposure_weight": 0.0, "values": [[0.0, 0.0], [0.0, 0.0]]},
-         "values"),
     ],
-    ids=["model", "observation", "gridworld_spec", "value"],
+    ids=["model", "observation", "gridworld_spec"],
 )
 def test_loaders_reject_non_objects_and_missing_fields(tmp_path, load, doc, field):
     path = tmp_path / "doc.json"
@@ -335,39 +330,9 @@ def test_loaders_reject_non_objects_and_missing_fields(tmp_path, load, doc, fiel
     assert err.value.diagnostics == [f"missing field {field!r}"]
 
 
-@pytest.mark.parametrize(
-    "field, bad, diagnostic",
-    [
-        ("num_states", "x", "non-numeric num_states: 'x'"),
-        ("resolution", None, "non-numeric resolution: None"),
-        ("reward_weight", "heavy", "non-numeric reward_weight: 'heavy'"),
-        ("exposure_weight", [0.5], "non-numeric exposure_weight: [0.5]"),
-        ("values", [["a", 0.0], [0.0, 0.0]], "non-numeric values"),
-        ("values", [[0.0, 0.0], [0.0]], "non-numeric values"),
-        ("values", [[0.0]], "value table shape (1, 1) does not match (2, 2)"),
-        ("num_states", 0, "num_states must be positive, got 0"),
-        ("resolution", -1, "resolution must be positive, got -1"),
-    ],
-    ids=["num_states", "resolution", "reward_weight", "exposure_weight",
-         "values_text", "values_ragged", "values_shape", "no_states",
-         "negative_resolution"],
-)
-def test_load_value_file_reports_malformed_contents(tmp_path, field, bad, diagnostic):
-    doc = {"num_states": 2, "resolution": 1, "reward_weight": 1.0,
-           "exposure_weight": 0.0, "values": [[0.0, 0.0], [0.0, 0.0]]}
-    path = tmp_path / "value.json"
-    path.write_text(json.dumps({**doc, field: bad}))
-    with pytest.raises(ModelFormatError) as err:
-        load_value_file(path)
-    [line] = err.value.diagnostics
-    assert line.startswith(diagnostic)
-
-
 _SCALAR_DOCS = {
     load_model_file: model_to_dict(example1_model()[0]),
     load_observation_file: {"num_observations": 2, "likelihood": [[1.0], [0.0]]},
-    load_value_file: {"num_states": 2, "resolution": 1, "reward_weight": 1.0,
-                      "exposure_weight": 0.0, "values": [[0.0, 0.0], [0.0, 0.0]]},
 }
 
 
@@ -378,18 +343,13 @@ _SCALAR_DOCS = {
         (load_model_file, "num_states", "three", "non-numeric num_states: 'three'"),
         (load_observation_file, "num_observations", "two",
          "non-numeric num_observations: 'two'"),
-        (load_value_file, "num_states", 2.9, "num_states must be an integer, got 2.9"),
         (load_model_file, "num_actions", 2.9, "num_actions must be an integer, got 2.9"),
         (load_observation_file, "num_observations", 2.0,
          "num_observations must be an integer, got 2.0"),
-        (load_value_file, "resolution", "3", "non-numeric resolution: '3'"),
         (load_model_file, "num_states", True, "non-numeric num_states: True"),
-        (load_value_file, "exposure_weight", False, "non-numeric exposure_weight: False"),
     ],
     ids=["model_discount_text", "model_states_text", "observation_count_text",
-         "value_states_fraction", "model_actions_fraction",
-         "observation_count_float", "value_resolution_string", "model_states_bool",
-         "value_weight_bool"],
+         "model_actions_fraction", "observation_count_float", "model_states_bool"],
 )
 def test_loaders_reject_non_numeric_and_non_integer_scalars(
     tmp_path, load, field, bad, diagnostic

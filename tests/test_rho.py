@@ -764,16 +764,12 @@ def test_plan_refuses_a_memo_built_for_another_model():
              memo=memo)
 
 
-def planner_calls_with_and_without_distributions(rng, n):
-    """Calls at horizons 1-3 from every state: normalized beliefs (one with
-    exact zeros) and roots that are not distributions (a negative entry,
-    no mass), which must take the general path."""
-    # mass 1, but a predictive that is negative for some observations
-    negative = np.zeros(n)
-    negative[0], negative[1] = 3.0, -2.0
+def planner_calls(rng, n):
+    """Calls at horizons 1-3 from every state and normalized beliefs, one
+    with exact zeros."""
     beliefs = [
         rng.dirichlet(np.ones(n)), rng.dirichlet(np.full(n, 0.2)),
-        np.eye(n)[int(rng.integers(n))], negative, np.zeros(n),
+        np.eye(n)[int(rng.integers(n))],
     ]
     return [
         (x, o, PlannerConfig(horizon, float(rng.random()), float(rng.random()), 0.0))
@@ -793,7 +789,8 @@ def test_plan_on_an_observer_that_rules_out_nothing_equals_the_general_path(
     seed, n, m, k, example1
 ):
     # Skipping a test whose answer is all-open changes no float; the twin
-    # observer, its flag cleared, makes every test.
+    # observer, its flag cleared, makes every test. Roots that are not
+    # distributions are refused on both paths.
     rng = np.random.default_rng(seed)
     model, obs = example1_model() if example1 else random_pair(rng, n, m, k)
     pa, values, _ = nominal_setup(model)
@@ -802,17 +799,16 @@ def test_plan_on_an_observer_that_rules_out_nothing_equals_the_general_path(
     twin = Observer(model, obs, pa)
     object.__setattr__(twin, "rules_out_nothing", False)
     fast_memo, general_memo = PlanMemo(observer, values), PlanMemo(twin, values)
-    raised = 0
-    for x, o, cfg in planner_calls_with_and_without_distributions(rng, model.num_states):
-        try:
-            fast = plan(model, obs, pa, values, x, o, cfg, memo=fast_memo)
-        except NoAdmissibleSequence:
-            with pytest.raises(NoAdmissibleSequence):
-                plan(model, obs, pa, values, x, o, cfg, memo=general_memo)
-            raised += 1
-            continue
+    for x, o, cfg in planner_calls(rng, model.num_states):
+        fast = plan(model, obs, pa, values, x, o, cfg, memo=fast_memo)
         general = plan(model, obs, pa, values, x, o, cfg, memo=general_memo)
         assert fast == general
         assert fast.sequences == general.sequences
-    # every call from a belief with no mass prunes everything
-    assert raised >= 3 * model.num_states
+        # nothing is pruned where nothing is ruled out
+        assert fast.sequences_scored == model.num_actions ** cfg.horizon
+    negative = np.zeros(model.num_states)
+    negative[0], negative[1] = 3.0, -2.0
+    for o in (negative, np.zeros(model.num_states), np.full(model.num_states, np.nan)):
+        for memo in (fast_memo, general_memo):
+            with pytest.raises(ValueError, match="not a distribution"):
+                plan(model, obs, pa, values, 0, o, PlannerConfig(2), memo=memo)

@@ -1,7 +1,9 @@
 """Tests for closed-loop simulation, aggregation, and trace files."""
 
+import itertools
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,8 +63,10 @@ from _oracles import (
     closed_loop_by_definition,
     lattice_lookahead_by_definition,
     lattice_sweep_by_definition,
+    pruned_prefixes_by_definition,
     random_sane_model,
     random_sparse_model,
+    sequence_terms_by_path_enumeration,
 )
 
 
@@ -406,6 +410,28 @@ def test_fixed_start_with_zero_prior_mass_warns():
         )
 
 
+def test_closed_loop_checks_the_start_belief_before_drawing_from_it():
+    # A start drawn from a 4-entry belief lands on the fourth entry, which
+    # must be reported as the belief's shape, not as a state out of range.
+    model, obs = example1_model()
+    pa, _, policy = nominal_setup(model)
+    ctrl = NominalController(policy)
+    with pytest.raises(ValueError, match=r"belief shape \(4,\) does not match 3 states"):
+        run_closed_loop(model, obs, pa, ctrl, [0.0, 0.0, 0.0, 1.0], 5, 0, 0)
+
+
+@pytest.mark.parametrize("o0", [[0.5, 0.5, 0.5], [1.5, -0.5, 0.0]],
+                         ids=["mass_1.5", "negative"])
+def test_closed_loop_refuses_a_start_belief_that_is_not_a_distribution(o0):
+    # Either would run to completion and record exposures that are not
+    # probabilities.
+    model, obs = example1_model()
+    pa, _, policy = nominal_setup(model)
+    for x0 in (None, 0):
+        with pytest.raises(ValueError, match="not a distribution"):
+            run_closed_loop(model, obs, pa, NominalController(policy), o0, 5, 0, 0, x0=x0)
+
+
 def test_transition_failure_reports_step_index():
     # Stay twice, then jump into a state the static observer rules out.
     transition = np.zeros((2, 2, 2))
@@ -441,7 +467,8 @@ def test_controller_failure_reports_step_index():
 
 def check_episode_by_definition(model, obs, chain, controller, scores, o0, steps, seed):
     """``run_closed_loop`` against :func:`closed_loop_by_definition` from
-    the same seeds, up to the oracle's first near tie or near-zero reading.
+    the same seeds, up to the oracle's first near tie or near-zero reading;
+    returns the trace of the steps compared (None when there are none).
     A lattice controller's action values at every recorded step must also
     match the oracle's."""
     rated = []
@@ -457,11 +484,14 @@ def check_episode_by_definition(model, obs, chain, controller, scores, o0, steps
           f"{'whole episode' if stop is None else stop[0]}")
     if stop is not None and stop[0] not in ("near tie", "near zero"):
         reason, t = stop
-        error = {"controller": EmptyAdmissibleSet, "transition": ProhibitedAction}
+        error = {
+            "controller": (EmptyAdmissibleSet, NoAdmissibleSequence),
+            "transition": ProhibitedAction,
+        }
         with pytest.raises(error[reason], match=f"{reason} failed at step t={t}:"):
             run_closed_loop(model, obs, chain, controller, o0, steps, seed, 0)
     if not states:
-        return
+        return None
     trace = run_closed_loop(model, obs, chain, controller, o0, len(states), seed, 0)
     np.testing.assert_array_equal(trace.states, states)
     np.testing.assert_array_equal(trace.actions, actions)
@@ -473,6 +503,61 @@ def check_episode_by_definition(model, obs, chain, controller, scores, o0, steps
             np.testing.assert_array_equal(np.isneginf(got), np.isneginf(expected))
             finite = np.isfinite(expected)
             np.testing.assert_allclose(got[finite], expected[finite], rtol=0.0, atol=1e-9)
+    return trace
+
+
+def planner_table(controller, x, o):
+    """The objective of every sequence that ``controller`` (a
+    :class:`RecedingHorizonController`) scores at ``(x, o)``, by ``plan``
+    through its memo, at the horizon it plays from; empty when none."""
+    observer, config = controller.memo.observer, controller.config
+    for horizon in range(config.horizon, 0, -1):
+        try:
+            result = plan(
+                observer.model, observer.obs, observer.pa, controller.values, x, o,
+                replace(config, horizon=horizon), memo=controller.memo,
+            )
+        except NoAdmissibleSequence:
+            continue
+        return {seq.actions: seq.objective for seq in result.sequences}
+    return {}
+
+
+def planner_scores_by_definition(model, obs, chain, values, config):
+    """The receding-horizon controller's scores by definition. At the first
+    horizon N, N-1, ..., 1 where some sequence starts with no pruned prefix
+    (by :func:`pruned_prefixes_by_definition`), every such sequence is
+    scored by path enumeration, and each action scores the best objective
+    of the sequences it starts (-inf where it starts none, and everywhere
+    when no horizon has a sequence). Each call's table of sequence
+    objectives is appended to ``scores.tables``."""
+    weight = config.exposure_weight + config.tail_exposure_weight
+
+    def scores(x, o):
+        table = {}
+        for horizon in range(config.horizon, 0, -1):
+            pruned = pruned_prefixes_by_definition(
+                model.transition, obs.likelihood, chain, x, o, horizon
+            )
+            posteriors = {}
+            for seq in itertools.product(range(model.num_actions), repeat=horizon):
+                if any(seq[:i] in pruned for i in range(1, horizon + 1)):
+                    continue
+                reward, tail, exposure = sequence_terms_by_path_enumeration(
+                    model.transition, model.reward, model.discount, obs.likelihood,
+                    chain, values, x, o, seq, posteriors,
+                )
+                table[seq] = config.reward_weight * (reward + tail) - weight * exposure
+            if table:
+                break
+        scores.tables.append(table)
+        best = np.full(model.num_actions, -np.inf)
+        for seq, objective in table.items():
+            best[seq[0]] = max(best[seq[0]], objective)
+        return best
+
+    scores.tables = []
+    return scores
 
 
 @settings(max_examples=40, deadline=None)
@@ -484,8 +569,9 @@ def check_episode_by_definition(model, obs, chain, controller, scores, o0, steps
     res=st.integers(1, 3),
     steps=st.integers(20, 40),
     sparse=st.booleans(),
+    horizon=st.integers(1, 3),
 )
-def test_closed_loop_follows_its_definition(seed, n, m, k, res, steps, sparse):
+def test_closed_loop_follows_its_definition(seed, n, m, k, res, steps, sparse, horizon):
     # A sane model's observer rules nothing out, so the lattice lookahead
     # builds no masks; a sparse one's exact zeros make every mask count.
     rng = np.random.default_rng(seed)
@@ -495,7 +581,7 @@ def test_closed_loop_follows_its_definition(seed, n, m, k, res, steps, sparse):
         transition, reward, likelihood = random_sane_model(rng, n, m, k)
     model = MdpModel(n, m, transition, reward, 0.9)
     obs = ObservationModel(k, likelihood)
-    pa, _, policy = nominal_setup(model)
+    pa, nominal_values, policy = nominal_setup(model)
     # a prior with exact zeros, so that the observer rules readings out
     o0 = rng.uniform(0.1, 1.0, size=n) * (rng.random(n) < 0.5)
     o0[int(rng.integers(n))] = rng.uniform(0.1, 1.0)
@@ -508,6 +594,23 @@ def test_closed_loop_follows_its_definition(seed, n, m, k, res, steps, sparse):
     nominal_chain = surprised if sparse else pa
     check_episode_by_definition(model, obs, nominal_chain, NominalController(policy),
                                 plays_the_policy, o0, steps, seed)
+
+    # rho against the nominal chain, its sequences enumerated path by path;
+    # at each step the planner must score the same sequences alike. Up to 27
+    # sequences of 1,728 paths each are scored per step, so the arm stops
+    # at 15 steps.
+    config = PlannerConfig(horizon, *rng.uniform(0.0, 1.0, size=2), 0.0)
+    receding = RecedingHorizonController(model, obs, pa, nominal_values, config)
+    oracle = planner_scores_by_definition(model, obs, pa, nominal_values, config)
+    trace = check_episode_by_definition(
+        model, obs, pa, receding, oracle, o0, min(steps, 15), seed
+    )
+    if trace is not None:
+        for x, o, expected in zip(trace.states, trace.beliefs, oracle.tables):
+            got = planner_table(receding, x, o)
+            assert got.keys() == expected.keys()
+            for seq, objective in expected.items():
+                assert abs(got[seq] - objective) <= 1e-9
 
     # grid-vi against the nominal chain, on two sweeps from zero, each side
     # its own; the table it plays from is checked too
