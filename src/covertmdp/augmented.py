@@ -5,8 +5,8 @@ compositions of ``resolution``, indexed by their lexicographic rank), value
 lookups between lattice points use the Freudenthal triangulation (Lovejoy,
 Operations Research 1991), and value iteration runs over the finite grid.
 The rank is a sum of per-coordinate terms of the composition's suffix sums,
-so the ranks of a Freudenthal simplex's vertices are the floor's rank plus a
-running sum of one-coordinate gains.
+so the ranks of a Freudenthal simplex's vertices are one running sum: the
+floor's rank, then the tabled rank step of each coordinate the walk raises.
 
 One batched lookahead, :class:`_Lookahead`, backs up every lattice point in
 a sweep and the single (state, belief) pair of a greedy decision. Its
@@ -71,9 +71,12 @@ class SimplexGrid:
     for each ``i`` those that agree before ``i`` and hold less at ``i``:
     ``C[i, t_i] - C[i, t_{i+1}]``, for ``i < n-1``. Collecting the terms of
     each ``t_j`` gives ``_gains[j] = C[j] - C[j-1]``, with the rows ``C[-1]``
-    and ``C[n-1]`` taken as zero. The extra column ``t = resolution + 1``
-    is read only for coordinates already at ``resolution``: the first, which
-    is never raised, and others whose raised vertices carry zero weight.
+    and ``C[n-1]`` taken as zero. Raising ``t_j`` by one adds the rank step
+    ``_rises[j, t] = _gains[j, t+1] - _gains[j, t]`` (0 in the last
+    column). The extra column ``t = resolution + 1`` of ``_gains`` is read
+    only through the steps of coordinates already at ``resolution``: the
+    first, which is never raised, and others whose raised vertices carry
+    zero weight.
     """
 
     num_states: int
@@ -81,6 +84,7 @@ class SimplexGrid:
     points: np.ndarray
     compositions: np.ndarray
     _gains: np.ndarray = field(init=False, repr=False)
+    _rises: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", _readonly(self.points))
@@ -94,7 +98,9 @@ class SimplexGrid:
         gains = np.zeros((n, width), dtype=np.int64)
         gains[:-1] += counts.reshape(n - 1, width)
         gains[1:] -= counts.reshape(n - 1, width)
+        rises = np.diff(gains, axis=1, append=gains[:, -1:])  # last column 0
         object.__setattr__(self, "_gains", _readonly(gains, dtype=np.int64))
+        object.__setattr__(self, "_rises", _readonly(rises, dtype=np.int64))
 
     @property
     def num_points(self) -> int:
@@ -147,41 +153,42 @@ def _simplex_weights(
     Returns vertex indices and barycentric weights, both ``(..., n)``. In
     the suffix-sum coordinates the lattice is the integer grid: take the
     floor, then walk up the coordinates in order of decreasing fractional
-    part. Zero-weight vertices can fall outside the simplex on boundary
-    faces, so they are replaced by the first vertex.
+    part. The first coordinate is ``resolution`` exactly and never walks,
+    so its fractional part is pinned to 1.0: one stable sort then puts it
+    first, the sorted fractional parts are the weights' ``[1, d_1, ...,
+    d_{n-1}]`` and the coordinates in sorted order are the walk. Vertex
+    ``k``'s rank is the floor's rank plus the rank steps (``_rises``) of the
+    first ``k`` walked coordinates. Zero-weight vertices can fall outside
+    the simplex on boundary faces, so they are replaced by the first vertex.
     """
     n = grid.num_states
     res = grid.resolution
     shape = beliefs.shape
-    # one row per belief, so the walk's order gathers by plain indexing;
+    # one row per belief, so the walk's order gathers by row-flat indices;
     # the solve's memory peaks here, so the stack-sized steps work in place
-    frac = res * np.cumsum(beliefs.reshape(-1, n)[:, ::-1], axis=-1)[:, ::-1]
+    frac = res * beliefs.reshape(-1, n)[:, ::-1].cumsum(axis=-1)[:, ::-1]
     frac[:, 0] = res  # exact by normalization
-    near = np.round(frac)
+    near = frac.round()
     np.copyto(frac, near, where=np.abs(frac - near) <= SNAP_TOL)
     base = np.floor(frac, out=near).astype(np.int64)
     frac -= base  # the fractional parts from here on
+    frac[:, 0] = 1.0  # the pinned head: sorts first, and heads the weights
 
-    rows = np.arange(len(frac))[:, None]
-    order = np.argsort(-frac[:, 1:], axis=-1, kind="stable") + 1
+    order = (-frac).argsort(axis=-1, kind="stable")
+    flat = order + np.arange(0, frac.size, n)[:, None]
     # weights: one difference over [1, d_1, ..., d_{n-1}, 0], with d the
     # fractional parts in walk order; the last, d_{n-1} - 0, stays as it is
-    lam = np.empty((len(frac), n))
-    lam[:, 0] = 1.0
-    lam[:, 1:] = frac[rows, order]
+    lam = frac.take(flat)
     lam[:, :-1] -= lam[:, 1:]
 
-    # vertex k raises the coordinates order[:k] of the floor by one, and
-    # the rank is separable, so each raise adds that coordinate's gain
-    gains = grid._gains
-    coords = np.arange(n)
-    at_floor = gains[coords, base]
-    floor_rank = at_floor.sum(axis=-1, keepdims=True)
-    rise = np.subtract(gains[coords, base + 1], at_floor, out=at_floor)
-    climb = np.cumsum(rise[rows, order], axis=-1)
-    ranks = np.concatenate([floor_rank, floor_rank + climb], axis=-1)
+    # vertex k raises the coordinates order[1:k+1] of the floor by one, and
+    # the rank is separable, so each raise adds that coordinate's rank step;
+    # the head never walks, and its column starts the sum at the floor's rank
+    steps = grid._rises[order, base.take(flat)]
+    np.add.reduce(grid._gains[np.arange(n), base], axis=-1, out=steps[:, 0])
+    ranks = steps.cumsum(axis=-1)
     positive = lam > 0.0
-    vertices = np.where(positive, ranks, floor_rank)
+    vertices = np.where(positive, ranks, ranks[:, :1])
     return vertices.reshape(shape), np.where(positive, lam, 0.0).reshape(shape)
 
 
@@ -370,9 +377,9 @@ def greedy_action(
 ) -> int:
     """Lowest-index maximizer of the greedy lookahead (:func:`action_values`)."""
     vals = action_values(observer, value, x, o)
-    if not np.any(np.isfinite(vals)):
+    if not np.isfinite(vals).any():
         raise EmptyAdmissibleSet(f"no admissible action at state x={x}")
-    return int(np.argmax(vals))
+    return int(vals.argmax())
 
 
 # ---------------------------------------------------------------------------

@@ -237,14 +237,18 @@ class Observer:
         return self.kernel.sum(axis=-1)
 
     def check(self, x: int | None, o) -> np.ndarray:
-        """``o`` as a float array, once state ``x`` is known to lie in
-        ``[0, n)`` (a negative one would index from the end; None skips the
-        test) and ``o`` to be a distribution over the ``n`` states: shaped
-        ``(n,)``, no entry negative and its mass within ``BELIEF_L1_TOL`` of
-        1. It is not renormalized."""
+        """``o`` as a float array, once state ``x`` is known to be a Python
+        int or a numpy integer (a float would index its floor or fail; a
+        bool is neither) in ``[0, n)`` (a negative one would index from the
+        end; None skips the test) and ``o`` to be a distribution over the ``n`` states:
+        shaped ``(n,)``, no entry negative and its mass within
+        ``BELIEF_L1_TOL`` of 1. It is not renormalized."""
         n = self.model.num_states
-        if x is not None and not 0 <= x < n:
-            raise ValueError(f"state x={x} outside [0, {n})")
+        if x is not None:
+            if type(x) is not int and not isinstance(x, np.integer):
+                raise ValueError(f"state x={x!r} is not an integer")
+            if not 0 <= x < n:
+                raise ValueError(f"state x={x} outside [0, {n})")
         o = np.asarray(o, dtype=float)
         if o.shape != (n,):
             raise ValueError(f"belief shape {o.shape} does not match {n} states")

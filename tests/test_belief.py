@@ -558,3 +558,30 @@ def test_check_accepts_drift_within_tolerance_and_leaves_it():
         observer.check(-1, o)
     with pytest.raises(ValueError, match="shape"):
         observer.check(0, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("setup", [example1_model, lambda: gridworld_model(desk_gridworld())],
+                         ids=["example1", "desk_gridworld"])
+def test_a_state_that_is_not_an_integer_is_refused_at_every_entry_point(setup):
+    # Unchecked, 1.5 indexes state 1 on example1, whose observer rules
+    # nothing out, and fails inside numpy on the desk gridworld's tables.
+    model, obs = setup()
+    pa = nominal_chain(model)
+    values = nominal_value_iteration(model).values
+    n = model.num_states
+    grid = build_simplex_grid(n, 1)
+    table = AugmentedValueFunction(grid, np.zeros((n, grid.num_points)), 0.6, 0.4)
+    observer = Observer(model, obs, pa)
+    o = uniform_belief(n)
+    for x in (1.5, 1.0, np.float64(1.0), True):
+        for call, args in (
+            (observer.check, (x, o)),
+            (admissible_actions, (observer, x, o)),
+            (plan, (model, obs, pa, values, x, o, PlannerConfig(1, 0.5, 0.5))),
+            (action_values, (observer, table, x, o)),
+            (greedy_action, (observer, table, x, o)),
+        ):
+            with pytest.raises(ValueError, match="is not an integer"):
+                call(*args)
+    assert observer.check(np.int64(1), o).tobytes() == o.tobytes()
+    assert admissible_actions(observer, np.int64(1), o) == admissible_actions(observer, 1, o)

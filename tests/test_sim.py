@@ -432,6 +432,18 @@ def test_closed_loop_refuses_a_start_belief_that_is_not_a_distribution(o0):
             run_closed_loop(model, obs, pa, NominalController(policy), o0, 5, 0, 0, x0=x0)
 
 
+def test_closed_loop_refuses_a_start_state_that_is_not_an_integer():
+    # 1.5 would run from state 1
+    model, obs = example1_model()
+    pa, _, policy = nominal_setup(model)
+    o0 = uniform_belief(3)
+    with pytest.raises(ValueError, match=r"state x=1\.5 is not an integer"):
+        run_closed_loop(model, obs, pa, NominalController(policy), o0, 3, 0, 0, x0=1.5)
+    trace = run_closed_loop(model, obs, pa, NominalController(policy), o0, 3, 0, 0,
+                            x0=np.int64(1))
+    assert trace.states[0] == 1
+
+
 def test_transition_failure_reports_step_index():
     # Stay twice, then jump into a state the static observer rules out.
     transition = np.zeros((2, 2, 2))
