@@ -10,8 +10,8 @@ floor's rank, then the tabled rank step of each coordinate the walk raises.
 
 One batched lookahead, :class:`_Lookahead`, backs up every lattice point in
 a sweep and the single (state, belief) pair of a greedy decision. Its
-model-level half (the kernel ``q(y|x') p(x'|x,u)``, its mass over ``x'`` and
-the emission support) is read from a :class:`belief.Observer`, built once
+model-level half (the kernel ``q(y|x') p(x'|x,u)`` and the emission table,
+its mass over ``x'``) is read from a :class:`belief.Observer`, built once
 per solve and once per ``AugmentedValueController``. The rest depends on the
 belief: the observer's posteriors and their simplices, found once per (belief,
 observation), the 0/1 mask of the observations each belief leaves open, the
@@ -47,7 +47,14 @@ from .belief import (
     posterior_table,
 )
 from .errors import EmptyAdmissibleSet, SizeOverflow
-from .mdp import MdpModel, _check_tol, _readonly, _write_json, value_iteration
+from .mdp import (
+    MdpModel,
+    _check_tol,
+    _check_weights,
+    _readonly,
+    _write_json,
+    value_iteration,
+)
 
 # Transformed coordinates within this distance of an integer are treated as
 # exactly on a lattice hyperplane, so grid points interpolate to themselves.
@@ -105,15 +112,6 @@ class SimplexGrid:
     @property
     def num_points(self) -> int:
         return self.points.shape[0]
-
-    def index_of(self, composition) -> int:
-        comp = np.asarray(composition)
-        # checked before any cast, which would truncate 1.5 to a lattice 1
-        if (comp.shape != (self.num_states,) or np.any(comp < 0)
-                or comp.sum() != self.resolution or np.any(comp % 1 != 0)):
-            raise KeyError(f"{tuple(comp.tolist())} is not a lattice composition")
-        tails = np.cumsum(comp[::-1].astype(np.int64))[::-1]
-        return int(self._gains[np.arange(self.num_states), tails].sum())
 
 
 def _grid_size(num_states: int, resolution: int) -> int:
@@ -243,8 +241,9 @@ class _Lookahead:
     """One-step backup of ``(x, o)`` for the source states ``sources`` and
     a batch of beliefs.
 
-    The kernel and what each action can emit are the same for every belief,
-    so they are read as ``sources``' rows of ``observer``'s tables. Per
+    The kernel and the emission table (what each action can emit, and how
+    likely) are the same for every belief, so they are read as ``sources``'
+    rows of ``observer``'s tables. Per
     belief, the posterior after ``y`` interpolates through
     ``vertices[b, y]`` with ``weights[b, y]``, and its value counts only
     where the predictive leaves ``y`` open (``open_y[b, y]``). Where no
@@ -278,7 +277,7 @@ class _Lookahead:
         self.open_y = open_y.astype(float)
         blocked = blocked_actions(observer.emits[:, sources], ~open_y.T).T
         self.relaxed = blocked.all(axis=-1)
-        total = np.einsum("xuy,by->bxu", observer.kernel_mass[sources], self.open_y)
+        total = np.einsum("uxy,by->bxu", observer.emission[:, sources], self.open_y)
         self.usable = (~blocked | self.relaxed[..., None]) & (total > EPS_ZERO)
         renorm = self.usable & self.relaxed[..., None]
         self.renorm = np.nonzero(renorm)
@@ -309,9 +308,12 @@ def solve_augmented_vi(
     """:func:`mdp.value_iteration` from zero over the lattice.
 
     Raises :class:`SizeOverflow`, before anything is built, when a sweep
-    would gather more than ``MAX_LATTICE_ENTRIES`` values.
+    would gather more than ``MAX_LATTICE_ENTRIES`` values, and
+    ``ValueError`` for a non-finite weight.
     """
-    _check_tol(tol)  # before the lattice is built
+    # before the lattice is built
+    _check_tol(tol)
+    _check_weights(reward_weight=reward_weight, exposure_weight=exposure_weight)
     n = model.num_states
     points = _grid_size(n, resolution)
     entries = n * points * obs.num_observations * n

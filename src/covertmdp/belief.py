@@ -145,8 +145,7 @@ def posterior_table(
     (mass above EPS_ZERO). Rows of ruled-out observations are left as zeros
     and must not be used.
     """
-    numer, predictive = _joint_predictive(observer, beliefs)
-    open_y = predictive > EPS_ZERO
+    numer, predictive, open_y = _joint_predictive(observer, beliefs)
     if open_y.all():
         numer /= predictive[..., None]
         return numer, predictive, open_y
@@ -159,26 +158,19 @@ def posterior_table(
 def open_observations(observer: Observer, beliefs: np.ndarray) -> np.ndarray:
     """:func:`posterior_table`'s ``open_y`` alone, by the same arithmetic,
     for callers that need no posteriors."""
-    return _joint_predictive(observer, beliefs)[1] > EPS_ZERO
+    return _joint_predictive(observer, beliefs)[2]
 
 
 def _joint_predictive(
     observer: Observer, beliefs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``numer[..., y, x'] = q(y | x') (pa o)(x')`` and its sum over ``x'``,
-    the one-step predictive."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``numer[..., y, x'] = q(y | x') (pa o)(x')``, its sum over ``x'`` (the
+    one-step predictive) and the observations the predictive leaves open:
+    the filter's one zero test."""
     pred_states = (observer.pa @ np.asarray(beliefs, dtype=float).T).T
     numer = observer.obs.likelihood * pred_states[..., None, :]
-    return numer, numer.sum(axis=-1)
-
-
-def emission_support(model: MdpModel, obs: ObservationModel) -> np.ndarray:
-    """Which observations each action can make the agent's next state emit.
-
-    ``support[u, x, y]`` is True when action ``u`` taken in state ``x``
-    produces observation ``y`` with probability above EPS_ZERO.
-    """
-    return np.inner(model.transition.T, obs.likelihood) > EPS_ZERO
+    predictive = numer.sum(axis=-1)
+    return numer, predictive, predictive > EPS_ZERO
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +178,12 @@ class Observer:
     """The observer of one model, sensor ``obs`` and nominal chain ``pa``,
     with the tables that depend on nothing else; compared by identity.
 
-    ``emits`` is the :func:`emission_support` table, built here. The lattice
-    lookahead's kernel ``kernel[x, u, y, x'] = q(y|x') p(x'|x,u)`` and its
-    mass over ``x'`` are built on first read, so callers that never read
-    them (the planner and the simulator step) never hold their X²·U·Y
-    entries.
+    ``emission[u, x, y] = sum_x' p(x'|x,u) q(y|x')`` is the chance that
+    action ``u`` in state ``x`` makes the next state emit ``y``, built once
+    here; ``emits`` marks where it exceeds EPS_ZERO. The lattice
+    lookahead's kernel ``kernel[x, u, y, x'] = q(y|x') p(x'|x,u)`` is built
+    on first read, so callers that never read it (the planner and the
+    simulator step) never hold its X²·U·Y entries.
 
     ``rules_out_nothing`` is True when no belief that :meth:`check` accepts
     can rule an observation out, and the lattice lookahead finds mass behind
@@ -215,12 +208,14 @@ class Observer:
     model: MdpModel
     obs: ObservationModel
     pa: np.ndarray
+    emission: np.ndarray = field(init=False, repr=False)
     emits: np.ndarray = field(init=False, repr=False)
     rules_out_nothing: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "emits", emission_support(self.model, self.obs))
         pa, q, p = self.pa, self.obs.likelihood, self.model.transition
+        object.__setattr__(self, "emission", np.inner(p.T, q))
+        object.__setattr__(self, "emits", self.emission > EPS_ZERO)
         object.__setattr__(self, "rules_out_nothing", bool(
             ((pa >= 0.0) & (pa <= 1.0)).all() and ((p >= 0.0) & (p <= 1.0)).all()
             and q.max() <= 1.0
@@ -231,10 +226,6 @@ class Observer:
     @cached_property
     def kernel(self) -> np.ndarray:
         return np.einsum("yz,zxu->xuyz", self.obs.likelihood, self.model.transition)
-
-    @cached_property
-    def kernel_mass(self) -> np.ndarray:
-        return self.kernel.sum(axis=-1)
 
     def check(self, x: int | None, o) -> np.ndarray:
         """``o`` as a float array, once state ``x`` is known to be a Python
@@ -264,7 +255,7 @@ def blocked_actions(emits: np.ndarray, ruled_out: np.ndarray) -> np.ndarray:
     """``blocked[u, ...]``: action ``u`` can produce an observation that the
     observer's predictive rules out.
 
-    ``emits[u, ..., y]`` is an :func:`emission_support` table and
+    ``emits[u, ..., y]`` is an :attr:`Observer.emits` table and
     ``ruled_out[y]`` (or ``ruled_out[y, b]`` for a batch of beliefs, whose
     axis comes last) marks the observations whose predictive mass is at most
     EPS_ZERO; the axes between ``u`` and ``y`` are batch axes and are kept.
@@ -310,7 +301,7 @@ def joint_step(
 def emitting(mass: np.ndarray, support: np.ndarray) -> np.ndarray:
     """``emits[(r, u), (h, y)]``: some state that row ``r`` of the joint
     law ``mass[r, h, x]`` occupies after history ``h`` can emit ``y`` under
-    action ``u``, by the full :func:`emission_support` table ``support``.
+    action ``u``, by the full :attr:`Observer.emits` table ``support``.
     The result is a batched emission table for :func:`blocked_actions`.
     """
     # counts of emitting (state, action) pairs, positive exactly where the

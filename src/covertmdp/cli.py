@@ -15,7 +15,7 @@ import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +107,7 @@ def _planner_config(args: argparse.Namespace) -> rho.PlannerConfig:
 
 
 def _echo(args: argparse.Namespace, keys: list[str]) -> dict:
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+    return {k: getattr(args, k) for k in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +231,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             **_echo(args, ["wn", "wa", "wap", "horizon", "grid_res",
                            "steps", "seeds", "seed_base"]),
         },
-        "summary": sim.summary_to_dict(summary),
+        "summary": asdict(summary),
     }
     mdp._write_json(doc, out / "summary.json")
     if args.verbose:
@@ -266,25 +266,24 @@ def cmd_plan(args: argparse.Namespace) -> int:
             scn.model, obs, pa, nominal.values, x, scn.start_belief, config,
             log_path=log_path,
         )
-        rows.append(
-            {
-                "state": x,
-                "actions": list(result.actions),
-                "objective": result.objective,
-                "reward_term": result.reward_term,
-                "tail_term": result.tail_term,
-                "detection_term": result.detection_term,
-                "sequences_scored": result.sequences_scored,
-                "tied": result.tied,
-            }
-        )
-        tie_note = ", tied" if result.tied else ""
+        row = {
+            "state": x,
+            "actions": list(result.actions),
+            "objective": result.objective,
+            "reward_term": result.reward_term,
+            "tail_term": result.tail_term,
+            "detection_term": result.detection_term,
+            "sequences_scored": result.sequences_scored,
+            "tied": result.tied,
+        }
+        rows.append(row)
+        tie_note = ", tied" if row["tied"] else ""
         print(
-            f"state {x}: actions {list(result.actions)}, "
-            f"objective {result.objective:.6f} "
-            f"(reward {result.reward_term:.6f}, tail {result.tail_term:.6f}, "
-            f"exposure {result.detection_term:.6f}, "
-            f"{result.sequences_scored} sequences{tie_note})"
+            f"state {x}: actions {row['actions']}, "
+            f"objective {row['objective']:.6f} "
+            f"(reward {row['reward_term']:.6f}, tail {row['tail_term']:.6f}, "
+            f"exposure {row['detection_term']:.6f}, "
+            f"{row['sequences_scored']} sequences{tie_note})"
         )
     if args.out:
         out = Path(args.out)

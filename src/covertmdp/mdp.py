@@ -9,6 +9,7 @@ transposed on load.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -210,6 +211,14 @@ def bellman_backup(model: MdpModel, values: np.ndarray) -> np.ndarray:
 def _check_tol(tol: float) -> None:
     if not tol > 0.0:  # NaN too, which would run every sweep and never stop
         raise ValueError(f"tol must be positive, got {tol}")
+
+
+def _check_weights(**weights: float) -> None:
+    """Refuse a non-finite objective weight: NaN would score every choice
+    NaN, and infinity gives NaN against a zero term. Negative ones are legal."""
+    for name, weight in weights.items():
+        if not math.isfinite(weight):
+            raise ValueError(f"{name} must be finite, got {weight!r}")
 
 
 def value_iteration(backup, values: np.ndarray, tol: float, max_iter: int) -> VIResult:

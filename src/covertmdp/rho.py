@@ -39,7 +39,7 @@ from .belief import (
     posterior_table,
 )
 from .errors import NoAdmissibleSequence, SizeOverflow
-from .mdp import MdpModel
+from .mdp import MdpModel, _check_weights
 
 DEFAULT_HORIZON = 3
 
@@ -56,8 +56,17 @@ class PlannerConfig:
     tail_exposure_weight: float = 0.0
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {self.horizon}")
+        horizon = self.horizon
+        # a float horizon would score fractional depths; a bool is no count
+        if type(horizon) is not int and not isinstance(horizon, np.integer):
+            raise ValueError(f"horizon must be an integer, got {horizon!r}")
+        if horizon < 1:
+            raise ValueError(f"horizon must be at least 1, got {horizon}")
+        _check_weights(
+            reward_weight=self.reward_weight,
+            exposure_weight=self.exposure_weight,
+            tail_exposure_weight=self.tail_exposure_weight,
+        )
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -170,15 +170,11 @@ class Trace:
     mean_rewards: np.ndarray
     mean_penalties: np.ndarray
     final_state: int
-    final_belief: np.ndarray
 
     def __post_init__(self):
         for name in ("states", "actions", "observations"):
             object.__setattr__(self, name, _readonly(getattr(self, name), dtype=np.int64))
-        for name in (
-            "beliefs", "rewards", "penalties",
-            "mean_rewards", "mean_penalties", "final_belief",
-        ):
+        for name in ("beliefs", "rewards", "penalties", "mean_rewards", "mean_penalties"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
@@ -268,7 +264,6 @@ def run_closed_loop(
         mean_rewards=np.cumsum(rewards) / steps,
         mean_penalties=np.cumsum(penalties) / steps,
         final_state=x,
-        final_belief=o,
     )
 
 
@@ -296,20 +291,19 @@ def simulate_runs(
 
 @dataclass(frozen=True)
 class RunSummary:
-    controller_id: str
-    model_id: str
+    """What ``summary.json`` holds, field for field and in its order, with
+    JSON's types: :func:`write_summary_file` writes ``asdict`` of it."""
+
+    controller: str
+    model: str
     num_runs: int
     num_steps: int
     reward_rate: float
     reward_stderr: float
     exposure_rate: float
     exposure_stderr: float
-    per_run_reward: np.ndarray
-    per_run_exposure: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "per_run_reward", _readonly(self.per_run_reward))
-        object.__setattr__(self, "per_run_exposure", _readonly(self.per_run_exposure))
+    per_run_reward: tuple[float, ...]
+    per_run_exposure: tuple[float, ...]
 
 
 def _stderr(samples: np.ndarray) -> float:
@@ -334,36 +328,21 @@ def aggregate_runs(traces: list[Trace]) -> RunSummary:
     rewards = np.array([tr.reward_rate for tr in traces])
     exposures = np.array([tr.exposure_rate for tr in traces])
     return RunSummary(
-        controller_id=key[0],
-        model_id=key[1],
+        controller=key[0],
+        model=key[1],
         num_runs=len(traces),
         num_steps=key[2],
         reward_rate=float(rewards.mean()),
         reward_stderr=_stderr(rewards),
         exposure_rate=float(exposures.mean()),
         exposure_stderr=_stderr(exposures),
-        per_run_reward=rewards,
-        per_run_exposure=exposures,
+        per_run_reward=tuple(rewards.tolist()),
+        per_run_exposure=tuple(exposures.tolist()),
     )
 
 
-def summary_to_dict(summary: RunSummary) -> dict:
-    return {
-        "controller": summary.controller_id,
-        "model": summary.model_id,
-        "num_runs": summary.num_runs,
-        "num_steps": summary.num_steps,
-        "reward_rate": summary.reward_rate,
-        "reward_stderr": summary.reward_stderr,
-        "exposure_rate": summary.exposure_rate,
-        "exposure_stderr": summary.exposure_stderr,
-        "per_run_reward": summary.per_run_reward.tolist(),
-        "per_run_exposure": summary.per_run_exposure.tolist(),
-    }
-
-
 def write_summary_file(summary: RunSummary, path: str | Path) -> None:
-    _write_json(summary_to_dict(summary), path)
+    _write_json(asdict(summary), path)
 
 
 def write_trace_csv(trace: Trace, path: str | Path) -> None:

@@ -26,7 +26,6 @@ from covertmdp import (
 )
 from covertmdp.belief import (
     EPS_ZERO,
-    emission_support,
     emitting,
     load_observation_file,
     open_observations,
@@ -220,11 +219,12 @@ def test_posterior_table_zeros_the_rows_of_ruled_out_observations():
 
 def test_emission_support_matches_loops():
     rng = np.random.default_rng(5)
-    transition, reward, likelihood, _ = random_sparse_model(rng, 4, 3, 3)
+    transition, reward, likelihood, chain = random_sparse_model(rng, 4, 3, 3)
     model = MdpModel(4, 3, transition, reward, 0.9)
     obs = ObservationModel(3, likelihood)
-    table = emission_support(model, obs)
-    assert table.shape == (3, 4, 3)
+    observer = Observer(model, obs, chain)
+    table = observer.emits
+    assert table.shape == observer.emission.shape == (3, 4, 3)
     assert 0 < table.sum() < table.size
     for y in range(obs.num_observations):
         for x in range(model.num_states):
@@ -233,6 +233,7 @@ def test_emission_support_matches_loops():
                     obs.likelihood[y, d] * model.transition[d, x, u]
                     for d in range(model.num_states)
                 )
+                assert observer.emission[u, x, y] == pytest.approx(direct, abs=1e-15)
                 assert table[u, x, y] == (direct > 0.0)
     # the batched table of a joint law over (row, history, state)
     mass = rng.uniform(0.1, 1.0, size=(2, 3, 4)) * (rng.random((2, 3, 4)) < 0.15)

@@ -465,6 +465,19 @@ def test_plan_refuses_an_oversized_horizon(capsys):
     assert err.startswith("error: ") and "horizon 40" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("plan", "--wn"), ("plan", "--wap"), ("solve-augmented", "--wa")],
+)
+def test_non_finite_weights_are_refused(command, flag, tmp_path, capsys):
+    code = main([command, "--model", "example1", flag, "nan", "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "must be finite, got nan" in captured.err
+    assert captured.out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_subcommand_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--model", "example1"])

@@ -1,6 +1,7 @@
 """Nominal MDP solving: value iteration, policies, induced chain, files."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ from covertmdp.sim import (
     NominalController,
     aggregate_runs,
     run_closed_loop,
-    summary_to_dict,
     trace_metadata,
     write_summary_file,
     write_trace_metadata,
@@ -283,7 +283,7 @@ def _value_case():
 
 def _summary_case():
     summary = aggregate_runs([_example1_trace(i) for i in range(2)])
-    return write_summary_file, summary, summary_to_dict(summary), False
+    return write_summary_file, summary, asdict(summary), False
 
 
 def _metadata_case():

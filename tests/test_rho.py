@@ -32,7 +32,6 @@ from covertmdp import (
 )
 from covertmdp.belief import (
     blocked_actions,
-    emission_support,
     emitting,
     joint_step,
     posterior_table,
@@ -345,7 +344,7 @@ def test_joint_step_conserves_mass_and_state_marginal(seed, n, m, k):
     transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
     model = MdpModel(n, m, transition, reward, 0.9)
     observer = Observer(model, ObservationModel(k, likelihood), chain)
-    support = emission_support(model, observer.obs)
+    support = observer.emits
     x0 = int(rng.integers(n))
     mass = point_mass(n, x0)
     beliefs = rng.dirichlet(np.ones(n))[None, :]
@@ -387,7 +386,7 @@ def test_emitting_blocks_surprising_move_and_support_names_it():
     model, obs, pa = two_state_trap()
     observer = Observer(model, obs, pa)
     _, _, open_y = posterior_table(observer, point_belief(2, 0))
-    reach = emitting(point_mass(2, 0), emission_support(model, obs))
+    reach = emitting(point_mass(2, 0), observer.emits)
     assert blocked_actions(reach, ~open_y).tolist() == [False, True]
     with pytest.raises(ProhibitedAction) as err:
         augmented_transition_support(observer, 0, point_belief(2, 0), 1)
@@ -536,6 +535,24 @@ def test_tail_weight_bound_and_warning():
 def test_plan_rejects_nonpositive_horizon():
     with pytest.raises(ValueError):
         PlannerConfig(0, 1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2.5, 1.0, 0.0, 0.0), (2.0,), (True,), ("2",),
+        (2, np.nan), (2, 1.0, np.inf), (2, 1.0, 0.0, -np.inf),
+    ],
+)
+def test_planner_config_refuses_fractional_horizons_and_non_finite_weights(args):
+    with pytest.raises(ValueError):
+        PlannerConfig(*args)
+
+
+def test_planner_config_accepts_numpy_horizons_and_negative_weights():
+    # criterion 7 plays wa = -1
+    config = PlannerConfig(np.int64(2), 1.0, -1.0, 0.0)
+    assert (config.horizon, config.exposure_weight) == (2, -1.0)
 
 
 def test_plan_log_records_scored_and_pruned_events(tmp_path):

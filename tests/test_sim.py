@@ -3,7 +3,7 @@
 import itertools
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from covertmdp import (
     PlannerConfig,
     ProhibitedAction,
     RecedingHorizonController,
+    RunSummary,
     SizeOverflow,
     admissible_actions,
     aggregate_runs,
@@ -45,7 +46,6 @@ from covertmdp.sim import (
     model_fingerprint,
     rng_for_run,
     step,
-    summary_to_dict,
     trace_metadata,
     write_belief_csv,
     write_summary_file,
@@ -238,20 +238,21 @@ def test_observer_tables_are_built_once_per_controller_and_episode(monkeypatch):
     model, obs = example1_model()
     pa, values, policy = nominal_setup(model)
     value = solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=3, tol=1e-4).value
-    counts = {"emission_support": 0}
+    # the observer builds its emission table in __post_init__, and only there
+    counts = {"tables": 0}
     monkeypatch.setattr(
-        belief, "emission_support",
-        _counting("emission_support", belief.emission_support, counts),
+        belief.Observer, "__post_init__",
+        _counting("tables", belief.Observer.__post_init__, counts),
     )
     receding = RecedingHorizonController(
         model, obs, pa, values, PlannerConfig(3, 0.5, 0.5, 0.0)
     )
     grid_value = AugmentedValueController(model, obs, pa, value)
-    assert counts["emission_support"] == 2
+    assert counts["tables"] == 2
     for controller in (NominalController(policy), receding, grid_value):
-        counts["emission_support"] = 0
+        counts["tables"] = 0
         run_closed_loop(model, obs, pa, controller, uniform_belief(3), 25, 3, 0)
-        assert counts["emission_support"] == 1
+        assert counts["tables"] == 1
     # the planner never reads the lattice kernel, so it is never built
     assert "kernel" not in vars(receding.memo.observer)
     assert "kernel" in vars(grid_value.observer)
@@ -824,6 +825,33 @@ def test_summary_file_round_trip(tmp_path):
     path = tmp_path / "summary.json"
     write_summary_file(summary, path)
     doc = json.loads(path.read_text())
-    assert doc == summary_to_dict(summary)
+    assert list(doc) == [f.name for f in fields(RunSummary)]
+    read = {k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()}
+    assert RunSummary(**read) == summary
     assert doc["num_runs"] == 4
     assert len(doc["per_run_reward"]) == 4
+
+
+def test_summary_file_bytes_are_pinned(tmp_path):
+    # Key order and JSON types included: three 8-step runs of a chain that a
+    # perfect sensor tracks, so every rate is exact whatever the BLAS build.
+    transition = np.zeros((2, 2, 1))
+    transition[:, 0, 0] = [0.5, 0.5]
+    transition[:, 1, 0] = [0.25, 0.75]
+    model = MdpModel(2, 1, transition, np.array([[1.0], [0.0]]), 0.9)
+    obs = ObservationModel(2, np.eye(2))
+    pa, _, policy = nominal_setup(model)
+    traces = simulate_runs(
+        model, obs, pa, NominalController(policy), uniform_belief(2), 8, 1, 3
+    )
+    path = tmp_path / "summary.json"
+    write_summary_file(aggregate_runs(traces), path)
+    assert path.read_bytes() == (
+        b'{\n "controller": "nominal",\n "model": "c5094e55b219",\n'
+        b' "num_runs": 3,\n "num_steps": 8,\n'
+        b' "reward_rate": 0.4166666666666667,\n'
+        b' "reward_stderr": 0.15023130314433292,\n'
+        b' "exposure_rate": 0.9375,\n "exposure_stderr": 0.0,\n'
+        b' "per_run_reward": [\n  0.125,\n  0.5,\n  0.625\n ],\n'
+        b' "per_run_exposure": [\n  0.9375,\n  0.9375,\n  0.9375\n ]\n}\n'
+    )
