@@ -194,6 +194,10 @@ def cmd_solve_augmented(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    # the nominal controller reads no weight, yet summary.json echoes them
+    mdp._check_weights(
+        reward_weight=args.wn, exposure_weight=args.wa, tail_exposure_weight=args.wap
+    )
     scn, obs, nominal, policy, pa = _observed_scenario(args)
     if args.controller == "nominal":
         controller = sim.NominalController(policy)

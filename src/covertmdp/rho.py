@@ -17,6 +17,13 @@ depth at once: each prefix carries its joint law of (history, state) as a
 row of one mass tensor. Every term is an exact finite sum, and the work per
 depth is a fixed handful of array operations however many sequences there
 are.
+
+When the observer rules nothing out, no prefix is ever pruned and only the
+exposure depends on the belief. The filter's posterior after history ``h``
+is ``M_h o / (1 M_h o)``, with ``M_h`` the product of ``diag(q_y) pa``
+along ``h``, so a prefix's exposure is a sum of ratios of linear functions
+of the root belief ``o``. A decision then reads two tables built once per
+root instead of walking the tree.
 """
 
 from __future__ import annotations
@@ -153,6 +160,33 @@ class _Node:
         return sum(a.nbytes for a in arrays if a is not None)
 
 
+class _ClosedForm:
+    """Every sequence's exposure from one root, as a function of the root
+    belief ``o``, for an observer that rules nothing out.
+
+    ``evidence[h] = 1 M_h`` stacks, over every history ``h`` of depths 1 to
+    N-1, the row whose product with ``o`` is the chance of reading ``h``
+    from ``o``, and ``exposure[p, (h, x)]`` is ``lam**depth(h) * mass[h] M_h``
+    for the prefixes ``p`` of the last inner depth (their mass on ``h`` at
+    its depth, carried forward through each node's ``src``). So
+    ``exposure @ (o / evidence @ o)`` is each such prefix's discounted
+    exposure, and ``leaf.src`` hands it to the scored sequences. With Y
+    readings, ``exposure`` has at most ``Y / (Y - 1)`` times the entries of
+    the last inner depth's mass tensor (N - 1 times when Y = 1).
+    """
+
+    __slots__ = ("leaf", "exposure", "evidence")
+
+    def __init__(self, leaf, exposure, evidence):
+        self.leaf = leaf
+        self.exposure = exposure
+        self.evidence = evidence
+
+    def nbytes(self) -> int:
+        # the leaf too, which outlives its trie when an insert clears it
+        return self.exposure.nbytes + self.evidence.nbytes + self.leaf.nbytes()
+
+
 class PlanMemo:
     """The belief-independent half of :func:`plan`, kept across calls.
 
@@ -162,9 +196,11 @@ class PlanMemo:
     open-loop state law and the terminal tail depend only on the start
     state, the horizon and which prefixes earlier depths pruned. The memo
     keeps them in a trie: roots are keyed by ``(x, horizon)`` and each
-    node's children by the bytes of that depth's ``blocked`` table. Its
-    arrays take at most as many bytes as ``MAX_TREE_ENTRIES`` float64
-    entries; an insert past that clears it.
+    node's children by the bytes of that depth's ``blocked`` table. For an
+    observer that rules nothing out it also keeps each root's
+    :class:`_ClosedForm`, under the same key. Its arrays take at most as
+    many bytes as ``MAX_TREE_ENTRIES`` float64 entries; an insert past that
+    clears it.
 
     A memo serves one ``(observer, values)``; :func:`plan` refuses it for
     others.
@@ -174,6 +210,7 @@ class PlanMemo:
         self.observer = observer
         self.values = np.asarray(values, dtype=float)
         self.roots: dict[tuple[int, int], _Node] = {}
+        self.closed: dict[tuple[int, int], _ClosedForm] = {}
         self.nbytes = 0
 
     def serves(self, model: MdpModel, obs: ObservationModel, pa, values) -> bool:
@@ -241,10 +278,48 @@ class PlanMemo:
             node.open_child = self.child(node, blocked, depth, horizon)
         return node.open_child
 
-    def _insert(self, table: dict, key, node: _Node) -> None:
+    def closed_form(self, x: int, horizon: int) -> _ClosedForm:
+        """The :class:`_ClosedForm` of root ``(x, horizon)``, built on first
+        use by following :meth:`open_child` to the leaf, so it raises
+        :class:`SizeOverflow` where that walk does. Only for an observer
+        that rules nothing out, which prunes nothing."""
+        found = self.closed.get((x, horizon))
+        if found is not None:
+            return found
+        q, pa = self.observer.obs.likelihood, self.observer.pa
+        lam = self.observer.model.discount
+        node = self.root(x, horizon)
+        # empty to start: at horizon 1 the root's one prefix has no exposure
+        exposure = [np.zeros((1, 0))]
+        evidence = [np.zeros((0, len(pa)))]
+        steps = []  # (parent, reading) of each depth's histories
+        for depth in range(horizon):
+            child = self.open_child(node, depth, horizon)
+            if child.mass is None:
+                break
+            node = child
+            exposure = [block[node.src] for block in exposure]
+            steps.append(np.divmod(node.live, len(q)))
+            # v M_h for each prefix's mass row v and for the ones row, one
+            # factor diag(q_y) pa at a time from the last reading back
+            rows = np.concatenate((node.mass, np.ones((1,) + node.mass.shape[1:])))
+            at = np.arange(len(node.live))
+            for parent, reading in reversed(steps):
+                rows = (rows * q[reading[at]]) @ pa
+                at = parent[at]
+            exposure.append(lam ** (depth + 1) * rows[:-1].reshape(len(node.mass), -1))
+            evidence.append(rows[-1])
+        found = _ClosedForm(
+            child, np.concatenate(exposure, axis=1), np.concatenate(evidence)
+        )
+        self._insert(self.closed, (x, horizon), found)
+        return found
+
+    def _insert(self, table: dict, key, node: _Node | _ClosedForm) -> None:
         size = node.nbytes()
         if self.nbytes + size > MAX_TREE_ENTRIES * 8:
             self.roots.clear()
+            self.closed.clear()
             self.nbytes = 0
         table[key] = node
         self.nbytes += size
@@ -267,19 +342,26 @@ def plan(
     set when another sequence scored exactly the same).
 
     The tree is built one depth at a time: its nodes are the observation
-    histories that carry mass, with one batched :func:`posterior_table`
-    call per depth but the last (which needs only the open observations),
-    and every live action prefix advances its mass tensor
-    ``mass[prefix, history, x]`` over them at once with
-    :func:`belief.joint_step`. Only the beliefs and what they rule out are
-    computed per call, and admissibility only at depths where something is
-    ruled out; the rest comes from ``memo`` (a :class:`PlanMemo` whose
-    observer holds the same model, sensor and chain, and the same values),
-    or from a fresh one when none is given. ``o`` must be a distribution
-    (:meth:`Observer.check`). When the observer rules nothing out
-    (``Observer.rules_out_nothing``), it rules nothing out from ``o`` or
-    from any posterior, so no depth makes the test and the last depth
-    computes nothing at all; the result is the same.
+    histories that carry mass, and every live action prefix advances its
+    mass tensor ``mass[prefix, history, x]`` over them at once with
+    :func:`belief.joint_step`. Everything that does not depend on ``o``
+    comes from ``memo`` (a :class:`PlanMemo` whose observer holds the same
+    model, sensor and chain, and the same values), or from a fresh one when
+    none is given. ``o`` must be a distribution (:meth:`Observer.check`).
+
+    A call computes the rest in one of two ways:
+
+    - When the observer rules nothing out (``Observer.rules_out_nothing``),
+      it rules nothing out from ``o`` or from any posterior, so nothing is
+      pruned, and the exposure of every sequence is read from the root's
+      closed-form tables (:meth:`PlanMemo.closed_form`) in a few array
+      operations. Its last digits may differ from the walk's, which divides
+      by the predictive at every depth rather than once.
+    - Otherwise the call walks the tree: one batched
+      :func:`posterior_table` call per depth but the last (which needs
+      only the open observations), with the admissibility test only at
+      depths where something is ruled out.
+
     ``PlanResult.sequences`` is built only when read.
 
     When ``log_path`` is given, every scored sequence and every pruned
@@ -304,50 +386,15 @@ def plan(
         raise ValueError("memo was built for another observer or value function")
     observer = memo.observer
     o = observer.check(x, o)
-    n = model.num_states
     horizon = config.horizon
-    lam = model.discount
     penalty_weight = config.exposure_weight + config.tail_exposure_weight
-
-    node = memo.root(x, horizon)
-    beliefs = o[None, :]
-    r_exposed = np.zeros(1)
-    pruned: list[tuple[int, ...]] = []
-    # True while every history is occupied. A history reached through an
-    # observation its parent rules out carries memoized mass (only where an
-    # emission probability is at most EPS_ZERO) but is unoccupied: its
-    # posterior row is zero, so it adds no exposure, and its ruled-out row
-    # is cleared, so it blocks nothing
-    occupied = True
-    for depth in range(horizon):
-        last = depth == horizon - 1
-        if not last:
-            posteriors, _, open_y = posterior_table(observer, beliefs)
-        if observer.rules_out_nothing:
-            node = memo.open_child(node, depth, horizon)
-        else:
-            if last:
-                # the last depth's posteriors would be beliefs beyond the horizon
-                open_y = open_observations(observer, beliefs)
-            ruled_out = ~open_y
-            if not occupied:
-                ruled_out &= open_y.any(axis=1)[:, None]
-            if ruled_out.any():
-                occupied = False
-                blocked = blocked_actions(node.reach, ruled_out.ravel())
-                blocked = blocked.reshape(len(node.mass), -1)
-                node = memo.child(node, blocked, depth, horizon)
-            else:
-                node = memo.open_child(node, depth, horizon)
-        pruned += node.pruned
-        r_exposed = r_exposed[node.src]
-        if node.mass is None:
-            break
-        beliefs = posteriors.reshape(-1, n)
-        if len(node.live) < len(beliefs):
-            beliefs = beliefs[node.live]
-        exposed = (node.mass * beliefs).reshape(len(node.mass), -1).sum(axis=1)
-        r_exposed += lam ** (depth + 1) * exposed
+    if observer.rules_out_nothing:
+        closed = memo.closed_form(x, horizon)
+        node, pruned = closed.leaf, []
+        weights = (o[None] / (closed.evidence @ o)[:, None]).ravel()
+        r_exposed = (closed.exposure @ weights)[node.src]
+    else:
+        node, r_exposed, pruned = _walk_tree(memo, x, o, horizon)
     objective = config.reward_weight * node.r_total - penalty_weight * r_exposed
     # empty unless some prefix survived to the full horizon
     terms = (
@@ -372,6 +419,53 @@ def plan(
         int(np.count_nonzero(objective == top)) > 1,
         terms,
     )
+
+
+def _walk_tree(
+    memo: PlanMemo, x: int, o: np.ndarray, horizon: int
+) -> tuple[_Node, np.ndarray, list[tuple[int, ...]]]:
+    """Follow the belief tree from ``(x, o)`` to the leaf of the prefixes
+    that survive: one :func:`posterior_table` call per depth but the last
+    (which needs only the open observations). Returns the leaf, the scored
+    sequences' discounted exposure and the pruned prefixes."""
+    observer = memo.observer
+    n, lam = len(o), observer.model.discount
+    node = memo.root(x, horizon)
+    beliefs = o[None, :]
+    r_exposed = np.zeros(1)
+    pruned: list[tuple[int, ...]] = []
+    # True while every history is occupied. A history reached through an
+    # observation its parent rules out carries memoized mass (only where an
+    # emission probability is at most EPS_ZERO) but is unoccupied: its
+    # posterior row is zero, so it adds no exposure, and its ruled-out row
+    # is cleared, so it blocks nothing
+    occupied = True
+    for depth in range(horizon):
+        if depth == horizon - 1:
+            # the last depth's posteriors would be beliefs beyond the horizon
+            open_y = open_observations(observer, beliefs)
+        else:
+            posteriors, _, open_y = posterior_table(observer, beliefs)
+        ruled_out = ~open_y
+        if not occupied:
+            ruled_out &= open_y.any(axis=1)[:, None]
+        if ruled_out.any():
+            occupied = False
+            blocked = blocked_actions(node.reach, ruled_out.ravel())
+            blocked = blocked.reshape(len(node.mass), -1)
+            node = memo.child(node, blocked, depth, horizon)
+        else:
+            node = memo.open_child(node, depth, horizon)
+        pruned += node.pruned
+        r_exposed = r_exposed[node.src]
+        if node.mass is None:
+            break
+        beliefs = posteriors.reshape(-1, n)
+        if len(node.live) < len(beliefs):
+            beliefs = beliefs[node.live]
+        exposed = (node.mass * beliefs).reshape(len(node.mass), -1).sum(axis=1)
+        r_exposed += lam ** (depth + 1) * exposed
+    return node, r_exposed, pruned
 
 
 def _write_plan_log(

@@ -492,6 +492,19 @@ def test_benchmark_episodes_match_reference_digests(
     assert [log.digests[0], log.digests[1]] == recorded["digests"]["0"][:2]
 
 
+@pytest.mark.parametrize("name, closed_form", [("ex1-rho", True), ("grid-rho", False)])
+def test_benchmark_rho_workloads_keep_their_planner_path(name, closed_form, workloads_module):
+    # example1's sensor is strictly positive, so its observer rules nothing
+    # out and ex1-rho times the planner's closed form; the desk gridworld's
+    # range sensor has exact zeros, so grid-rho's digests pin the tree walk
+    scn, _, _ = workloads_module.setup(workloads_module.WORKLOADS[name], None)
+    memo = scn.controller.memo
+    assert memo.observer.rules_out_nothing == closed_form
+    scn.controller.decide(0 if scn.x0 is None else scn.x0, scn.o0)
+    assert bool(memo.closed) == closed_form
+    assert bool(memo.roots)
+
+
 def test_greedy_action_pure_reward_matches_nominal_policy():
     model, obs = smoothed_example1()
     pa, nominal = nominal_chain(model)

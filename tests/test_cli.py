@@ -467,10 +467,15 @@ def test_plan_refuses_an_oversized_horizon(capsys):
 
 @pytest.mark.parametrize(
     "command, flag",
-    [("plan", "--wn"), ("plan", "--wap"), ("solve-augmented", "--wa")],
+    [
+        ("plan", "--wn"), ("plan", "--wap"), ("solve-augmented", "--wa"),
+        ("simulate nominal", "--wn"), ("simulate nominal", "--wa"),
+        ("simulate nominal", "--wap"),
+    ],
 )
 def test_non_finite_weights_are_refused(command, flag, tmp_path, capsys):
-    code = main([command, "--model", "example1", flag, "nan", "--out", str(tmp_path)])
+    # the nominal controller reads no weight, but summary.json would echo it
+    code = main([*command.split(), "--model", "example1", flag, "nan", "--out", str(tmp_path)])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "must be finite, got nan" in captured.err

@@ -20,6 +20,7 @@ from covertmdp import (
     Observer,
     PlannerConfig,
     ProhibitedAction,
+    RecedingHorizonController,
     SizeOverflow,
     augmented_transition_support,
     example1_model,
@@ -287,6 +288,53 @@ def test_all_terms_match_path_enumeration_random_models(seed, n, m, k, horizon):
         assert abs(score.reward_term - r1) < 1e-10
         assert abs(score.tail_term - r2) < 1e-10
         assert abs(score.detection_term - r3) < 1e-10
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 3),
+    k=st.integers(1, 3),
+    horizon=st.integers(1, 4),
+)
+def test_closed_form_terms_match_path_enumeration(seed, n, m, k, horizon):
+    # An observer that rules nothing out scores every sequence from its
+    # root's closed-form tables, with no tree walk. Every sequence must
+    # still score as brute force does, and sequences that differ only in
+    # their last action share their exposure bit for bit, as no reading
+    # after the last action is scored.
+    # The oracle walks (states x readings)**horizon paths per sequence
+    assume(m ** horizon * (n * k) ** horizon <= 150_000)
+    rng = np.random.default_rng(seed)
+    model, obs = random_pair(rng, n, m, k)
+    pa = rng.dirichlet(np.ones(n), size=n).T
+    observer = Observer(model, obs, pa)
+    assume(observer.rules_out_nothing)
+    values = rng.uniform(0.0, 5.0, size=n)
+    x0 = int(rng.integers(n))
+    o0 = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+    if o0.sum() == 0.0:
+        o0[x0] = 1.0
+    o0 /= o0.sum()
+    memo = PlanMemo(observer, values)
+    result = plan(model, obs, pa, values, x0, o0, PlannerConfig(horizon, 0.5, 0.5, 0.0),
+                  memo=memo)
+    assert list(memo.closed) == [(x0, horizon)]
+    assert [s.actions for s in result.sequences] == list(
+        itertools.product(range(m), repeat=horizon)
+    )
+    posteriors = {}
+    for score in result.sequences:
+        r1, r2, r3 = sequence_terms_by_path_enumeration(
+            model.transition, model.reward, model.discount, obs.likelihood, pa,
+            values, x0, o0, list(score.actions), posteriors,
+        )
+        assert abs(score.reward_term - r1) < 1e-10
+        assert abs(score.tail_term - r2) < 1e-10
+        assert abs(score.detection_term - r3) < 1e-10
+    for _, siblings in itertools.groupby(result.sequences, lambda s: s.actions[:-1]):
+        assert len({s.detection_term for s in siblings}) == 1
 
 
 def test_plan_objective_is_the_stated_combination():
@@ -733,38 +781,83 @@ def assert_memo_matches_fresh(model, obs, pa, values, calls, tmp):
     n=st.integers(2, 4),
     m=st.integers(1, 3),
     k=st.integers(2, 3),
-    tiny=st.booleans(),
+    kind=st.sampled_from(["sparse", "tiny", "positive"]),
 )
-def test_shared_memo_plans_like_a_fresh_one(seed, n, m, k, tiny):
-    # Bitwise: the memo only stores what a fresh call would compute.
+def test_shared_memo_plans_like_a_fresh_one(seed, n, m, k, kind):
+    # Bitwise: the memo only stores what a fresh call would compute. A
+    # positive sensor rules nothing out, so its calls read the closed-form
+    # tables; the other two walk the tree unless their draw, too, rules
+    # nothing out.
     rng = np.random.default_rng(seed)
-    if tiny:
+    if kind == "tiny":
         model, obs, pa, values = tiny_likelihood_model()
-    else:
+    elif kind == "sparse":
         transition, reward, likelihood, pa = random_sparse_model(rng, n, m, k)
         model = MdpModel(n, m, transition, reward, 0.9)
         obs = ObservationModel(k, likelihood)
         values = rng.uniform(0.0, 5.0, size=n)
+    else:
+        model, obs = random_pair(rng, n, m, k)
+        pa, values, _ = nominal_setup(model)
     calls = random_calls(rng, model.num_states, 12)
     with tempfile.TemporaryDirectory() as tmp:
-        assert_memo_matches_fresh(model, obs, pa, values, calls, Path(tmp))
+        memo, _ = assert_memo_matches_fresh(model, obs, pa, values, calls, Path(tmp))
+    assert memo.observer.rules_out_nothing or kind != "positive"
+    assert bool(memo.closed) == memo.observer.rules_out_nothing
 
 
 def test_memo_clears_when_full_and_still_plans_like_a_fresh_one(monkeypatch, tmp_path):
     # A cap of 200 entries refuses horizon 4 on example1 and leaves room for
     # a few nodes only, so inserts keep clearing the memo.
+    # The smoothed sensor rules nothing out, so the memo holds closed-form
+    # tables, which count toward the cap too.
     monkeypatch.setattr(rho, "MAX_TREE_ENTRIES", 200)
     model, obs = smoothed_example1()
     pa, values, _ = nominal_setup(model)
     calls = random_calls(np.random.default_rng(3), 3, 60)
     sizes = []
     memo = PlanMemo(Observer(model, obs, pa), values)
+    assert memo.observer.rules_out_nothing
     for call in calls:
         outcomes(model, obs, pa, values, [call], tmp_path / "probe.jsonl", memo)
         sizes.append(memo.nbytes)
     assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was cleared
     _, shared = assert_memo_matches_fresh(model, obs, pa, values, calls, tmp_path)
     assert any(out[0] == "SizeOverflow" for out in shared if isinstance(out, tuple))
+
+
+def memo_bytes(memo):
+    """The bytes of every array the memo holds, counted afresh."""
+    total = sum(closed.nbytes() for closed in memo.closed.values())
+    nodes = list(memo.roots.values())
+    while nodes:
+        node = nodes.pop()
+        total += node.nbytes()
+        nodes += node.children.values()
+    return total
+
+
+def test_closed_form_tables_count_toward_the_memo_and_clear_with_it(monkeypatch):
+    model, obs = smoothed_example1()
+    pa, values, _ = nominal_setup(model)
+    controller = RecedingHorizonController(model, obs, pa, values, PlannerConfig(3, 0.5, 0.5))
+    memo = controller.memo
+    assert memo.observer.rules_out_nothing
+    # building the controller builds no table
+    assert (memo.nbytes, memo.roots, memo.closed) == (0, {}, {})
+    controller.decide(0, uniform_belief(3))
+    assert list(memo.closed) == [(0, 3)]
+    closed = memo.closed[(0, 3)]
+    # 12 histories of depths 1 and 2 over 3 states; the 4 prefixes of depth 2
+    assert closed.evidence.shape == (12, 3) and closed.exposure.shape == (4, 36)
+    assert memo.nbytes == memo_bytes(memo)
+    assert 0 < closed.nbytes() < memo.nbytes
+    # a cap the memo already fills clears it at the next insert
+    monkeypatch.setattr(rho, "MAX_TREE_ENTRIES", memo.nbytes // 8)
+    controller.decide(1, uniform_belief(3))
+    assert (0, 3) not in memo.closed and (0, 3) not in memo.roots
+    assert list(memo.closed) == [(1, 3)]
+    assert memo.nbytes == memo_bytes(memo)
 
 
 def test_plan_refuses_a_memo_built_for_another_model():
@@ -805,9 +898,13 @@ def planner_calls(rng, n):
 def test_plan_on_an_observer_that_rules_out_nothing_equals_the_general_path(
     seed, n, m, k, example1
 ):
-    # Skipping a test whose answer is all-open changes no float; the twin
-    # observer, its flag cleared, makes every test. Roots that are not
-    # distributions are refused on both paths.
+    # The closed form scores the same sequences as the tree walk, which the
+    # twin observer, its flag cleared, takes. Its reward and tail terms are
+    # the memo's, so they keep their bits; its exposure divides by the
+    # chance of a whole history rather than by each depth's predictive, so
+    # it may move in the last digits (1.8e-15 at worst over 3,000 random
+    # calls), and 1e-13 bounds that. Roots that are not distributions are
+    # refused on both paths.
     rng = np.random.default_rng(seed)
     model, obs = example1_model() if example1 else random_pair(rng, n, m, k)
     pa, values, _ = nominal_setup(model)
@@ -816,13 +913,22 @@ def test_plan_on_an_observer_that_rules_out_nothing_equals_the_general_path(
     twin = Observer(model, obs, pa)
     object.__setattr__(twin, "rules_out_nothing", False)
     fast_memo, general_memo = PlanMemo(observer, values), PlanMemo(twin, values)
-    for x, o, cfg in planner_calls(rng, model.num_states):
-        fast = plan(model, obs, pa, values, x, o, cfg, memo=fast_memo)
-        general = plan(model, obs, pa, values, x, o, cfg, memo=general_memo)
-        assert fast == general
-        assert fast.sequences == general.sequences
-        # nothing is pruned where nothing is ruled out
-        assert fast.sequences_scored == model.num_actions ** cfg.horizon
+    with tempfile.TemporaryDirectory() as tmp:
+        log = os.path.join(tmp, "plan_log.jsonl")
+        for x, o, cfg in planner_calls(rng, model.num_states):
+            fast = plan(model, obs, pa, values, x, o, cfg, log, memo=fast_memo)
+            general = plan(model, obs, pa, values, x, o, cfg, log, memo=general_memo)
+            assert (fast.actions, fast.sequences_scored, fast.tied) == (
+                general.actions, general.sequences_scored, general.tied)
+            assert [s.actions for s in fast.sequences] == [s.actions for s in general.sequences]
+            for a, b in zip(fast.sequences, general.sequences):
+                assert (a.reward_term, a.tail_term) == (b.reward_term, b.tail_term)
+                assert a.detection_term == pytest.approx(b.detection_term, rel=0.0, abs=1e-13)
+                assert a.objective == pytest.approx(b.objective, rel=0.0, abs=1e-13)
+            # nothing is pruned where nothing is ruled out
+            assert fast.sequences_scored == model.num_actions ** cfg.horizon
+        with open(log, encoding="utf-8") as fh:
+            assert all(json.loads(line)["event"] != "pruned" for line in fh)
     negative = np.zeros(model.num_states)
     negative[0], negative[1] = 3.0, -2.0
     for o in (negative, np.zeros(model.num_states), np.full(model.num_states, np.nan)):
