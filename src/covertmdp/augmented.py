@@ -1,12 +1,13 @@
 """Exact solver on the joint state-belief space.
 
-The belief simplex is discretized with a regular lattice (all integer
-compositions of ``resolution``, indexed by their lexicographic rank), value
-lookups between lattice points use the Freudenthal triangulation (Lovejoy,
-Operations Research 1991), and value iteration runs over the finite grid.
-The rank is a sum of per-coordinate terms of the composition's suffix sums,
-so the ranks of a Freudenthal simplex's vertices are one running sum: the
-floor's rank, then the tabled rank step of each coordinate the walk raises.
+The belief simplex is discretized with a regular lattice (every vector of
+nonnegative integers summing to ``resolution``, scaled by it and indexed by
+its lexicographic rank), value lookups between lattice points use the
+Freudenthal triangulation (Lovejoy, Operations Research 1991), and value
+iteration runs over the finite grid. The rank is a sum of per-coordinate
+terms of the integer vector's suffix sums, so the ranks of a Freudenthal
+simplex's vertices are one running sum: the floor's rank, then the tabled
+rank step of each coordinate the walk raises.
 
 One batched lookahead, :class:`_Lookahead`, backs up every lattice point in
 a sweep and the single (state, belief) pair of a greedy decision. Its
@@ -43,7 +44,6 @@ from .belief import (
     EPS_ZERO,
     ObservationModel,
     Observer,
-    blocked_actions,
     posterior_table,
 )
 from .errors import EmptyAdmissibleSet, SizeOverflow
@@ -70,12 +70,14 @@ MAX_LATTICE_ENTRIES = 2**24
 
 @dataclass(frozen=True)
 class SimplexGrid:
-    """Regular belief lattice: row ``g`` of ``points`` is ``compositions[g] / resolution``.
+    """Regular belief lattice: row ``g`` of ``points`` is a vector of
+    nonnegative integers summing to ``resolution``, divided by it.
 
-    A composition's lexicographic rank is ``sum_j _gains[j, t_j]`` over its
+    Such a vector's lexicographic rank is ``sum_j _gains[j, t_j]`` over its
     suffix sums ``t_j``. With ``C[i, t] = C(t + n-1-i, n-1-i)``, the number
-    of compositions of at most ``t`` into ``n-1-i`` parts, the rank counts
-    for each ``i`` those that agree before ``i`` and hold less at ``i``:
+    of ways ``n-1-i`` nonnegative integers can sum to at most ``t``, the
+    rank counts for each ``i`` those that agree before ``i`` and hold less
+    at ``i``:
     ``C[i, t_i] - C[i, t_{i+1}]``, for ``i < n-1``. Collecting the terms of
     each ``t_j`` gives ``_gains[j] = C[j] - C[j-1]``, with the rows ``C[-1]``
     and ``C[n-1]`` taken as zero. Raising ``t_j`` by one adds the rank step
@@ -89,15 +91,11 @@ class SimplexGrid:
     num_states: int
     resolution: int
     points: np.ndarray
-    compositions: np.ndarray
     _gains: np.ndarray = field(init=False, repr=False)
     _rises: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", _readonly(self.points))
-        object.__setattr__(
-            self, "compositions", _readonly(self.compositions, dtype=np.int64)
-        )
         n = self.num_states
         width = self.resolution + 2
         counts = np.array([[math.comb(t + m, m) for t in range(width)]
@@ -124,7 +122,7 @@ def _grid_size(num_states: int, resolution: int) -> int:
 
 
 def build_simplex_grid(num_states: int, resolution: int) -> SimplexGrid:
-    """Enumerate the lattice in lexicographic composition order; refuses a
+    """Enumerate the lattice in lexicographic order; refuses a
     lattice whose ``G·n`` coordinates exceed ``MAX_LATTICE_ENTRIES``."""
     count = _grid_size(num_states, resolution)
     if count * num_states > MAX_LATTICE_ENTRIES:
@@ -133,14 +131,14 @@ def build_simplex_grid(num_states: int, resolution: int) -> SimplexGrid:
             f"states exceeds the cap of {MAX_LATTICE_ENTRIES} entries; lower "
             f"the resolution or use the receding-horizon planner"
         )
-    # stars and bars: bar positions in lexicographic order give the
-    # compositions in lexicographic order
+    # stars and bars: bar positions in lexicographic order give the integer
+    # vectors in lexicographic order
     slots = resolution + num_states - 1
     bars = np.array(
         list(itertools.combinations(range(slots), num_states - 1)), dtype=np.int64
     ).reshape(count, num_states - 1)
     comps = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
-    return SimplexGrid(num_states, resolution, comps / float(resolution), comps)
+    return SimplexGrid(num_states, resolution, comps / float(resolution))
 
 
 def _simplex_weights(
@@ -275,7 +273,8 @@ class _Lookahead:
             return
 
         self.open_y = open_y.astype(float)
-        blocked = blocked_actions(observer.emits[:, sources], ~open_y.T).T
+        # blocked[b, x, u]: u at x can emit a reading belief b rules out
+        blocked = (observer.emits[:, sources] @ ~open_y.T).T
         self.relaxed = blocked.all(axis=-1)
         total = np.einsum("uxy,by->bxu", observer.emission[:, sources], self.open_y)
         self.usable = (~blocked | self.relaxed[..., None]) & (total > EPS_ZERO)

@@ -251,18 +251,6 @@ class Observer:
         return o
 
 
-def blocked_actions(emits: np.ndarray, ruled_out: np.ndarray) -> np.ndarray:
-    """``blocked[u, ...]``: action ``u`` can produce an observation that the
-    observer's predictive rules out.
-
-    ``emits[u, ..., y]`` is an :attr:`Observer.emits` table and
-    ``ruled_out[y]`` (or ``ruled_out[y, b]`` for a batch of beliefs, whose
-    axis comes last) marks the observations whose predictive mass is at most
-    EPS_ZERO; the axes between ``u`` and ``y`` are batch axes and are kept.
-    """
-    return emits @ ruled_out
-
-
 def admissible_actions(observer: Observer, x: int, o: np.ndarray) -> list[int]:
     """Actions at ``(x, o)`` that cannot surprise the observer, ascending.
 
@@ -273,8 +261,8 @@ def admissible_actions(observer: Observer, x: int, o: np.ndarray) -> list[int]:
     o = observer.check(x, o)
     if observer.rules_out_nothing:
         return list(range(observer.model.num_actions))
-    ruled_out = ~open_observations(observer, o)
-    blocked = blocked_actions(observer.emits[:, x], ruled_out)
+    # blocked[u]: some reading that u can make the agent emit is ruled out
+    blocked = observer.emits[:, x] @ ~open_observations(observer, o)
     return [u for u in range(observer.model.num_actions) if not blocked[u]]
 
 
@@ -302,7 +290,8 @@ def emitting(mass: np.ndarray, support: np.ndarray) -> np.ndarray:
     """``emits[(r, u), (h, y)]``: some state that row ``r`` of the joint
     law ``mass[r, h, x]`` occupies after history ``h`` can emit ``y`` under
     action ``u``, by the full :attr:`Observer.emits` table ``support``.
-    The result is a batched emission table for :func:`blocked_actions`.
+    Its product with a flat ruled-out mask ``(h, y)`` marks the blocked
+    ``(r, u)``.
     """
     # counts of emitting (state, action) pairs, positive exactly where the
     # boolean product is true; as floats the contraction runs in BLAS

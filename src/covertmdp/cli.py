@@ -11,10 +11,8 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -208,17 +206,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         value = _solve_lattice(scn, obs, pa, args).value
         controller = sim.AugmentedValueController(scn.model, obs, pa, value)
-    run = functools.partial(
-        sim.run_closed_loop, scn.model, obs, pa, controller, scn.start_belief,
-        args.steps, args.seed_base, x0=scn.start_state,
+    traces = sim.simulate_runs(
+        scn.model, obs, pa, controller, scn.start_belief, args.steps,
+        args.seed_base, args.seeds, x0=scn.start_state, jobs=args.jobs,
     )
-    # a pool starts all its workers at once, so never ask for more than runs
-    workers = min(args.jobs, args.seeds)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(run, range(args.seeds)))
-    else:
-        traces = list(map(run, range(args.seeds)))
     summary = sim.aggregate_runs(traces)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -12,13 +12,12 @@ distance between the agent and a fixed sensor cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .belief import ObservationModel
 from .errors import ModelFormatError
-from .mdp import MdpModel, _check_fields, _read_json_object, _value_field
+from .mdp import MdpModel, _check_fields, _value_field
 
 # ---------------------------------------------------------------------------
 # three-state example
@@ -191,7 +190,3 @@ def gridworld_spec_from_dict(doc: dict) -> GridWorldSpec:
         **{name: _spec_cell(doc, name) for name in _SPEC_CELLS},
         **{name: _value_field(doc, name, float) for name in _SPEC_REALS if name in doc},
     )
-
-
-def load_gridworld_spec(path: str | Path) -> GridWorldSpec:
-    return gridworld_spec_from_dict(_read_json_object(path))

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import warnings
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -39,7 +39,6 @@ import numpy as np
 from .belief import (
     ObservationModel,
     Observer,
-    blocked_actions,
     emitting,
     joint_step,
     open_observations,
@@ -69,6 +68,8 @@ class PlannerConfig:
             raise ValueError(f"horizon must be an integer, got {horizon!r}")
         if horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {horizon}")
+        # a numpy integer would reach the plan log, which JSON cannot write
+        object.__setattr__(self, "horizon", int(horizon))
         _check_weights(
             reward_weight=self.reward_weight,
             exposure_weight=self.exposure_weight,
@@ -131,14 +132,12 @@ class _Node:
     over (history, state) and ``reach[(prefix, u), (history, y)]``: action
     ``u`` after the prefix can make the agent emit ``y`` after the history.
     A leaf (the full horizon, or no prefix left) holds the terms of its
-    scored sequences instead. ``open_child`` is the child reached when the
-    depth rules nothing out, also held in ``children``.
+    scored sequences instead.
     """
 
     __slots__ = (
         "prefixes", "pruned", "src", "r_inside", "marginal", "live", "mass",
         "reach", "inside_terms", "tail_terms", "r_total", "children",
-        "open_child",
     )
 
     def __init__(self, prefixes, pruned, src, r_inside, marginal):
@@ -150,7 +149,6 @@ class _Node:
         self.live = self.mass = self.reach = None
         self.inside_terms = self.tail_terms = self.r_total = None
         self.children: dict[bytes, _Node] = {}
-        self.open_child: _Node | None = None
 
     def nbytes(self) -> int:
         arrays = (
@@ -270,31 +268,25 @@ class PlanMemo:
         self._insert(node.children, key, new)
         return new
 
-    def open_child(self, node: _Node, depth: int, horizon: int) -> _Node:
-        """:meth:`child` for a depth that blocks nothing, kept on ``node``
-        so that following it builds no table and hashes no key."""
-        if node.open_child is None:
-            blocked = np.zeros((len(node.mass), self.observer.model.num_actions), bool)
-            node.open_child = self.child(node, blocked, depth, horizon)
-        return node.open_child
-
     def closed_form(self, x: int, horizon: int) -> _ClosedForm:
         """The :class:`_ClosedForm` of root ``(x, horizon)``, built on first
-        use by following :meth:`open_child` to the leaf, so it raises
-        :class:`SizeOverflow` where that walk does. Only for an observer
-        that rules nothing out, which prunes nothing."""
+        use by following :meth:`child` with all-False ``blocked`` tables to
+        the leaf, so it shares the walk's nodes and raises
+        :class:`SizeOverflow` where the walk does. Only for an observer that
+        rules nothing out, which prunes nothing."""
         found = self.closed.get((x, horizon))
         if found is not None:
             return found
         q, pa = self.observer.obs.likelihood, self.observer.pa
-        lam = self.observer.model.discount
+        lam, num_actions = self.observer.model.discount, self.observer.model.num_actions
         node = self.root(x, horizon)
         # empty to start: at horizon 1 the root's one prefix has no exposure
         exposure = [np.zeros((1, 0))]
         evidence = [np.zeros((0, len(pa)))]
         steps = []  # (parent, reading) of each depth's histories
         for depth in range(horizon):
-            child = self.open_child(node, depth, horizon)
+            blocked = np.zeros((len(node.mass), num_actions), bool)
+            child = self.child(node, blocked, depth, horizon)
             if child.mass is None:
                 break
             node = child
@@ -357,10 +349,10 @@ def plan(
       closed-form tables (:meth:`PlanMemo.closed_form`) in a few array
       operations. Its last digits may differ from the walk's, which divides
       by the predictive at every depth rather than once.
-    - Otherwise the call walks the tree: one batched
-      :func:`posterior_table` call per depth but the last (which needs
-      only the open observations), with the admissibility test only at
-      depths where something is ruled out.
+    - Otherwise the call walks the tree: at each depth one batched
+      :func:`posterior_table` call (only the open observations at the
+      last) and one admissibility product, whose ``blocked`` table keys
+      the memo's child.
 
     ``PlanResult.sequences`` is built only when read.
 
@@ -434,35 +426,25 @@ def _walk_tree(
     beliefs = o[None, :]
     r_exposed = np.zeros(1)
     pruned: list[tuple[int, ...]] = []
-    # True while every history is occupied. A history reached through an
-    # observation its parent rules out carries memoized mass (only where an
-    # emission probability is at most EPS_ZERO) but is unoccupied: its
-    # posterior row is zero, so it adds no exposure, and its ruled-out row
-    # is cleared, so it blocks nothing
-    occupied = True
     for depth in range(horizon):
         if depth == horizon - 1:
             # the last depth's posteriors would be beliefs beyond the horizon
             open_y = open_observations(observer, beliefs)
         else:
             posteriors, _, open_y = posterior_table(observer, beliefs)
-        ruled_out = ~open_y
-        if not occupied:
-            ruled_out &= open_y.any(axis=1)[:, None]
-        if ruled_out.any():
-            occupied = False
-            blocked = blocked_actions(node.reach, ruled_out.ravel())
-            blocked = blocked.reshape(len(node.mass), -1)
-            node = memo.child(node, blocked, depth, horizon)
-        else:
-            node = memo.open_child(node, depth, horizon)
+        # A history reached through an observation its parent rules out
+        # carries memoized mass (only where an emission probability is at
+        # most EPS_ZERO) but no belief: its posterior row is zero, so it adds
+        # no exposure, and it leaves nothing open, so its row rules nothing
+        # out and blocks nothing
+        ruled_out = ~open_y & open_y.any(axis=1)[:, None]
+        blocked = (node.reach @ ruled_out.ravel()).reshape(len(node.mass), -1)
+        node = memo.child(node, blocked, depth, horizon)
         pruned += node.pruned
         r_exposed = r_exposed[node.src]
         if node.mass is None:
             break
-        beliefs = posteriors.reshape(-1, n)
-        if len(node.live) < len(beliefs):
-            beliefs = beliefs[node.live]
+        beliefs = posteriors.reshape(-1, n)[node.live]
         exposed = (node.mass * beliefs).reshape(len(node.mass), -1).sum(axis=1)
         r_exposed += lam ** (depth + 1) * exposed
     return node, r_exposed, pruned
@@ -476,25 +458,10 @@ def _write_plan_log(
     pruned: list[tuple[int, ...]],
 ) -> None:
     with open(log_path, "a", encoding="utf-8") as fh:
-        header = {
-            "event": "plan",
-            "state": x,
-            "horizon": config.horizon,
-            "reward_weight": config.reward_weight,
-            "exposure_weight": config.exposure_weight,
-            "tail_exposure_weight": config.tail_exposure_weight,
-        }
-        fh.write(json.dumps(header) + "\n")
+        # a numpy integer state is valid, but JSON cannot write it
+        fh.write(json.dumps({"event": "plan", "state": int(x), **asdict(config)}) + "\n")
         for seq in pruned:
             entry = {"event": "pruned", "prefix": list(seq[:-1]), "action": seq[-1]}
             fh.write(json.dumps(entry) + "\n")
         for s in scored:
-            entry = {
-                "event": "scored",
-                "actions": list(s.actions),
-                "reward_term": s.reward_term,
-                "tail_term": s.tail_term,
-                "detection_term": s.detection_term,
-                "objective": s.objective,
-            }
-            fh.write(json.dumps(entry) + "\n")
+            fh.write(json.dumps({"event": "scored", **asdict(s)}) + "\n")

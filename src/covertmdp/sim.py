@@ -14,6 +14,7 @@ formatting, so identical seeds give byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import warnings
 from bisect import bisect_right
@@ -277,13 +278,23 @@ def simulate_runs(
     seed_base: int,
     num_runs: int,
     x0: int | None = None,
+    jobs: int = 1,
 ) -> list[Trace]:
-    return [
-        run_closed_loop(
-            model, obs, pa, controller, o0, num_steps, seed_base, i, x0=x0
-        )
-        for i in range(num_runs)
-    ]
+    """Runs ``0, ..., num_runs - 1`` of one configuration, in run order.
+    With ``jobs`` above 1 they run in a pool of that many worker processes,
+    at most one per run."""
+    run = functools.partial(
+        run_closed_loop, model, obs, pa, controller, o0, num_steps, seed_base, x0=x0
+    )
+    # a pool starts all its workers at once, so never ask for more than runs
+    workers = min(jobs, num_runs)
+    if workers > 1:
+        # imported here, as its 30-odd modules cost a serial caller memory
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, range(num_runs)))
+    return list(map(run, range(num_runs)))
 
 
 # ---------------------------------------------------------------------------

@@ -139,6 +139,13 @@ def sequence_terms_by_path_enumeration(
     return reward_term, tail_term, exposure_term
 
 
+def lattice_compositions(grid):
+    """Row g: the integer composition of `grid.resolution` that lattice
+    point g scales, recovered from its coordinates (exact for the small
+    integers a lattice holds)."""
+    return np.rint(grid.points * grid.resolution).astype(np.int64)
+
+
 def freudenthal_by_definition(belief, resolution):
     """Freudenthal simplex (Lovejoy 1991) of `belief` on the lattice of
     compositions of `resolution`, by explicit loops.
@@ -325,7 +332,7 @@ def lattice_lookahead_by_definition(
     y and successors x' of p(x'|x,u) q(y|x') V(x', posterior after y), with
     V read between lattice points on the simplex that
     `freudenthal_by_definition` finds, each vertex looked up by its
-    composition in `grid.compositions`. Inadmissible actions score -inf.
+    composition in `lattice_compositions(grid)`. Inadmissible actions score -inf.
     With `relax`, a point where no action is admissible uses every action
     instead, renormalizing the mass it puts on open readings (an action
     with none scores -inf). Readings count as open when their predictive is
@@ -333,7 +340,7 @@ def lattice_lookahead_by_definition(
     and on smooth sensors.
     """
     n = len(belief)
-    index = {tuple(c): g for g, c in enumerate(grid.compositions.tolist())}
+    index = {tuple(c): g for g, c in enumerate(lattice_compositions(grid).tolist())}
 
     def interpolate(table, posterior):
         simplex = freudenthal_by_definition(posterior, grid.resolution)

@@ -42,6 +42,7 @@ from covertmdp.sim import AugmentedValueController
 from _oracles import (
     composition_count,
     freudenthal_by_definition,
+    lattice_compositions,
     lattice_lookahead_by_definition,
     lattice_sweep_by_definition,
     random_sane_model,
@@ -74,9 +75,9 @@ def test_grid_points_are_lattice_beliefs():
     grid = build_simplex_grid(3, 10)
     assert np.all(grid.points >= 0.0)
     np.testing.assert_allclose(grid.points.sum(axis=1), 1.0, atol=1e-15)
-    np.testing.assert_array_equal(grid.compositions.sum(axis=1), 10)
+    np.testing.assert_array_equal(lattice_compositions(grid).sum(axis=1), 10)
     # every composition once, in lexicographic order: the rank is the row
-    comps = [tuple(c) for c in grid.compositions.tolist()]
+    comps = [tuple(c) for c in lattice_compositions(grid).tolist()]
     assert comps == sorted(set(comps))
 
 
@@ -210,7 +211,7 @@ def test_simplex_weights_match_the_freudenthal_walk(seed, n, res):
     vertices, weights = _simplex_weights(grid, beliefs)
     for o, idx, w in zip(beliefs, vertices, weights):
         keep = w > 0.0
-        got = dict(zip(map(tuple, grid.compositions[idx[keep]].tolist()),
+        got = dict(zip(map(tuple, lattice_compositions(grid)[idx[keep]].tolist()),
                        w[keep].tolist()))
         assert got == freudenthal_by_definition(o, res)
 
@@ -599,7 +600,7 @@ def test_solver_reports_fallback_points():
     pa = np.eye(2)
     result = solve_augmented_vi(model, obs, pa, 1.0, 1.0, resolution=2, tol=1e-8)
     grid = result.value.grid
-    comps = grid.compositions.tolist()
+    comps = lattice_compositions(grid).tolist()
     pinned_on_0 = comps.index([2, 0])
     pinned_on_1 = comps.index([0, 2])
     for x in (0, 1):

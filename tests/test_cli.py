@@ -323,7 +323,8 @@ def test_simulate_caps_jobs_at_the_number_of_runs(tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr("covertmdp.cli.ProcessPoolExecutor", InlinePool)
+    # simulate_runs imports the pool class only when it needs a pool
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     base = [
         "simulate", "rho", "--model", "example1", "--wn", "0.5", "--wa", "0.5",
         "--horizon", "2", "--steps", "20", "--seeds", "2", "--seed-base", "5",

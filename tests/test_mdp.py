@@ -36,7 +36,8 @@ from covertmdp.mdp import (
     model_to_dict,
     save_model_file,
 )
-from covertmdp.models import desk_gridworld, gridworld_model, load_gridworld_spec
+from covertmdp.cli import _load_scenario
+from covertmdp.models import desk_gridworld, gridworld_model
 from covertmdp.sim import (
     NominalController,
     aggregate_runs,
@@ -310,7 +311,8 @@ def test_json_writers_write_indent_one_with_a_trailing_newline(tmp_path, case):
         (load_model_file, model_to_dict(example1_model()[0]), "reward"),
         (load_observation_file, {"num_observations": 2, "likelihood": [[1.0], [0.0]]},
          "likelihood"),
-        (load_gridworld_spec,
+        # the CLI's reader: a document with a width and a height is a spec
+        (lambda path: _load_scenario(str(path), None),
          {"width": 3, "height": 3, "start": [0, 0], "target": [2, 2], "sensor": [1, 1]},
          "target"),
     ],

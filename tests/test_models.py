@@ -14,12 +14,12 @@ from covertmdp import (
     gridworld_model,
 )
 from covertmdp.belief import validate_observation_model
+from covertmdp.cli import _load_scenario
 from covertmdp.mdp import validate_model
 from covertmdp.models import (
     GRIDWORLD_ACTIONS,
     SENSOR_SUPPORT_SIGMAS,
     gridworld_spec_from_dict,
-    load_gridworld_spec,
 )
 
 
@@ -277,10 +277,11 @@ def test_gridworld_spec_file_loading(tmp_path):
     }
     path = tmp_path / "board.json"
     path.write_text(json.dumps(doc))
-    spec = load_gridworld_spec(path)
+    # the CLI reads a spec file through its loader
+    spec = _load_scenario(str(path), None).grid_spec
     assert spec.noise_sigma == 0.75
     assert spec.sensor == (1, 1)
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2, 3]")
     with pytest.raises(ModelFormatError):
-        load_gridworld_spec(bad)
+        _load_scenario(str(bad), None)

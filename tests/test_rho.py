@@ -32,7 +32,6 @@ from covertmdp import (
     uniform_belief,
 )
 from covertmdp.belief import (
-    blocked_actions,
     emitting,
     joint_step,
     posterior_table,
@@ -400,7 +399,7 @@ def test_joint_step_conserves_mass_and_state_marginal(seed, n, m, k):
     chain_marginal[x0] = 1.0
     for _ in range(4):
         posteriors, _, open_y = posterior_table(observer, beliefs)
-        blocked = blocked_actions(emitting(mass, support), ~open_y.ravel())
+        blocked = emitting(mass, support) @ ~open_y.ravel()
         open_actions = np.flatnonzero(~blocked)
         if open_actions.size == 0:
             break
@@ -435,7 +434,7 @@ def test_emitting_blocks_surprising_move_and_support_names_it():
     observer = Observer(model, obs, pa)
     _, _, open_y = posterior_table(observer, point_belief(2, 0))
     reach = emitting(point_mass(2, 0), observer.emits)
-    assert blocked_actions(reach, ~open_y).tolist() == [False, True]
+    assert (reach @ ~open_y).tolist() == [False, True]
     with pytest.raises(ProhibitedAction) as err:
         augmented_transition_support(observer, 0, point_belief(2, 0), 1)
     msg = str(err.value)
@@ -597,10 +596,21 @@ def test_planner_config_refuses_fractional_horizons_and_non_finite_weights(args)
         PlannerConfig(*args)
 
 
-def test_planner_config_accepts_numpy_horizons_and_negative_weights():
+def test_planner_config_accepts_numpy_horizons_and_negative_weights(tmp_path):
     # criterion 7 plays wa = -1
     config = PlannerConfig(np.int64(2), 1.0, -1.0, 0.0)
     assert (config.horizon, config.exposure_weight) == (2, -1.0)
+    assert type(config.horizon) is int
+    # the plan log's header holds the config and the state, and JSON can
+    # write neither as a numpy integer
+    model, obs = smoothed_example1()
+    pa, values, _ = nominal_setup(model)
+    log = tmp_path / "plan_log.jsonl"
+    plan(model, obs, pa, values, np.int64(1), uniform_belief(3), config, str(log))
+    assert json.loads(log.read_text().splitlines()[0]) == {
+        "event": "plan", "state": 1, "horizon": 2, "reward_weight": 1.0,
+        "exposure_weight": -1.0, "tail_exposure_weight": 0.0,
+    }
 
 
 def test_plan_log_records_scored_and_pruned_events(tmp_path):
@@ -694,6 +704,7 @@ def tiny_likelihood_model():
 # planner when it zeroed the mass of ruled-out observations in its branch
 # tensor instead of leaving their histories unoccupied
 TINY_RECORDED = {
+    1: ([((0,), 1.0, 1.35, 0.0, 1.175), ((1,), 0.3, 0.9900000000000001, 0.0, 0.645)], [(2,)]),
     2: (
         [
             ((0, 0), 1.675, 1.215, 0.6428571428571053, 1.1235714285714473),
@@ -719,11 +730,12 @@ TINY_RECORDED = {
 }
 
 
-@pytest.mark.parametrize("horizon", [2, 3])
+@pytest.mark.parametrize("horizon", [1, 2, 3])
 def test_plan_histories_through_ruled_out_observations_block_nothing(horizon, tmp_path):
     # Such a history holds no belief: left with an all-zero one it would
     # rule out every observation at the next depth and prune every prefix
-    # that reaches it.
+    # that reaches it. Horizon 1 reads only the root, which every belief
+    # occupies, so there the unoccupied-row mask must clear nothing.
     model, obs, pa, values = tiny_likelihood_model()
     log = tmp_path / "plan_log.jsonl"
     cfg = PlannerConfig(horizon, 0.5, 0.5, 0.0)
@@ -857,6 +869,35 @@ def test_closed_form_tables_count_toward_the_memo_and_clear_with_it(monkeypatch)
     controller.decide(1, uniform_belief(3))
     assert (0, 3) not in memo.closed and (0, 3) not in memo.roots
     assert list(memo.closed) == [(1, 3)]
+    assert memo.nbytes == memo_bytes(memo)
+
+
+def test_a_depth_that_rules_nothing_out_adds_one_child_the_closed_form_reuses():
+    # The walk reaches such a depth's child through the bytes of an
+    # all-False blocked table, which is the key the closed form follows.
+    model, obs = smoothed_example1()
+    pa, values, _ = nominal_setup(model)
+    walker = Observer(model, obs, pa)
+    assert walker.rules_out_nothing
+    object.__setattr__(walker, "rules_out_nothing", False)  # so plan walks
+    memo = PlanMemo(walker, values)
+    plan(model, obs, pa, values, 0, uniform_belief(3), PlannerConfig(3, 0.5, 0.5), memo=memo)
+
+    def trie_path():
+        # the root's one chain of children, each keyed by an all-False table
+        parent, path = memo.roots[(0, 3)], []
+        while parent.mass is not None:
+            [(key, child)] = parent.children.items()
+            assert key == np.zeros((len(parent.mass), model.num_actions), bool).tobytes()
+            path.append(child)
+            parent = child
+        return path
+
+    path = trie_path()
+    assert len(path) == 3 and memo.closed == {}
+    closed = memo.closed_form(0, 3)
+    assert closed.leaf is path[-1]
+    assert list(memo.roots) == [(0, 3)] and trie_path() == path  # no node added
     assert memo.nbytes == memo_bytes(memo)
 
 
