@@ -83,9 +83,11 @@ def make_belief(probs) -> np.ndarray:
     """Validate and renormalize a belief vector.
 
     Accepts vectors whose l1 mass deviates from 1 by at most ``BELIEF_L1_TOL``
-    (drift from long filter runs); larger deviations or negative entries are
-    rejected so genuine bugs are not papered over. So are NaN and infinite
-    entries, which every comparison below would let through.
+    (drift from long filter runs) and whose entries lie in
+    ``[-EPS_ZERO, 1 + BELIEF_L1_TOL]``; negative entries within ``EPS_ZERO``
+    of zero (rounding noise) are clipped to 0 before the renormalization.
+    Anything else is rejected so genuine bugs are not papered over. So are
+    NaN and infinite entries, which every comparison below would let through.
     """
     o = np.asarray(probs, dtype=float).copy()
     if o.ndim != 1:
@@ -142,17 +144,13 @@ def posterior_table(
     ``(posteriors, predictive, open_y)`` shaped ``(..., Y, n)``, ``(..., Y)``
     and ``(..., Y)``: the updated belief after each observation, the
     one-step predictive, and which observations the predictive allows
-    (mass above EPS_ZERO). Rows of ruled-out observations are left as zeros
-    and must not be used.
+    (mass above EPS_ZERO). The posteriors are the joint numerators divided
+    in place by the predictive; a ruled-out observation's row is divided by
+    infinity instead, which zeroes it, and must not be used.
     """
     numer, predictive, open_y = _joint_predictive(observer, beliefs)
-    if open_y.all():
-        numer /= predictive[..., None]
-        return numer, predictive, open_y
-    posteriors = np.divide(
-        numer, predictive[..., None], out=np.zeros_like(numer), where=open_y[..., None]
-    )
-    return posteriors, predictive, open_y
+    numer /= np.where(open_y, predictive, np.inf)[..., None]
+    return numer, predictive, open_y
 
 
 def open_observations(observer: Observer, beliefs: np.ndarray) -> np.ndarray:
@@ -259,7 +257,7 @@ def admissible_actions(observer: Observer, x: int, o: np.ndarray) -> list[int]:
     under the observer's predictive.
     """
     o = observer.check(x, o)
-    if observer.rules_out_nothing:
+    if observer.rules_out_nothing:  # ex1-rho, lattice-6s steps: 1/7 the test below
         return list(range(observer.model.num_actions))
     # blocked[u]: some reading that u can make the agent emit is ruled out
     blocked = observer.emits[:, x] @ ~open_observations(observer, o)

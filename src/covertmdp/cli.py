@@ -84,15 +84,15 @@ def _nominal(scn: Scenario, tol: float):
 
 
 def _observed_scenario(args: argparse.Namespace):
-    """The scenario with its observation model, the nominal solve and the
-    chain the observer filters against: ``(scn, obs, nominal, policy, pa)``."""
+    """The scenario, which carries its observation model, the nominal solve
+    and the chain the observer filters against: ``(scn, nominal, policy, pa)``."""
     scn = _load_scenario(args.model, args.obs)
     if scn.obs is None:
         raise FileNotFoundError(
             "this command needs an observation model; pass --obs for file models"
         )
     nominal, policy = _nominal(scn, mdp.DEFAULT_VI_TOL)
-    return scn, scn.obs, nominal, policy, mdp.induced_chain(scn.model, policy)
+    return scn, nominal, policy, mdp.induced_chain(scn.model, policy)
 
 
 def _planner_config(args: argparse.Namespace) -> rho.PlannerConfig:
@@ -160,11 +160,11 @@ def cmd_solve_nominal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solve_lattice(scn: Scenario, obs: bel.ObservationModel, pa: np.ndarray,
-                   args: argparse.Namespace, tol: float = aug.DEFAULT_AVI_TOL):
+def _solve_lattice(scn: Scenario, pa: np.ndarray, args: argparse.Namespace,
+                   tol: float = aug.DEFAULT_AVI_TOL):
     """The lattice solve behind ``solve-augmented`` and ``simulate grid-vi``."""
     result = _converged(aug.solve_augmented_vi(
-        scn.model, obs, pa,
+        scn.model, scn.obs, pa,
         reward_weight=args.wn, exposure_weight=args.wa,
         resolution=args.grid_res, tol=tol,
     ), "augmented")
@@ -178,8 +178,8 @@ def _solve_lattice(scn: Scenario, obs: bel.ObservationModel, pa: np.ndarray,
 
 
 def cmd_solve_augmented(args: argparse.Namespace) -> int:
-    scn, obs, _, _, pa = _observed_scenario(args)
-    result = _solve_lattice(scn, obs, pa, args, args.tol)
+    scn, _, _, pa = _observed_scenario(args)
+    result = _solve_lattice(scn, pa, args, args.tol)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     aug.save_value_file(result.value, out / "augmented_values.json")
@@ -196,18 +196,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     mdp._check_weights(
         reward_weight=args.wn, exposure_weight=args.wa, tail_exposure_weight=args.wap
     )
-    scn, obs, nominal, policy, pa = _observed_scenario(args)
+    scn, nominal, policy, pa = _observed_scenario(args)
     if args.controller == "nominal":
         controller = sim.NominalController(policy)
     elif args.controller == "rho":
         controller = sim.RecedingHorizonController(
-            scn.model, obs, pa, nominal.values, _planner_config(args)
+            scn.model, scn.obs, pa, nominal.values, _planner_config(args)
         )
     else:
-        value = _solve_lattice(scn, obs, pa, args).value
-        controller = sim.AugmentedValueController(scn.model, obs, pa, value)
+        value = _solve_lattice(scn, pa, args).value
+        controller = sim.AugmentedValueController(scn.model, scn.obs, pa, value)
     traces = sim.simulate_runs(
-        scn.model, obs, pa, controller, scn.start_belief, args.steps,
+        scn.model, scn.obs, pa, controller, scn.start_belief, args.steps,
         args.seed_base, args.seeds, x0=scn.start_state, jobs=args.jobs,
     )
     summary = sim.aggregate_runs(traces)
@@ -246,7 +246,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    scn, obs, nominal, _, pa = _observed_scenario(args)
+    scn, nominal, _, pa = _observed_scenario(args)
     config = _planner_config(args)
     log_path = None
     if args.verbose:
@@ -258,7 +258,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     rows = []
     for x in range(scn.model.num_states):
         result = rho.plan(
-            scn.model, obs, pa, nominal.values, x, scn.start_belief, config,
+            scn.model, scn.obs, pa, nominal.values, x, scn.start_belief, config,
             log_path=log_path,
         )
         row = {

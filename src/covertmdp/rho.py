@@ -380,7 +380,7 @@ def plan(
     o = observer.check(x, o)
     horizon = config.horizon
     penalty_weight = config.exposure_weight + config.tail_exposure_weight
-    if observer.rules_out_nothing:
+    if observer.rules_out_nothing:  # ex1-rho: about half the walk's time
         closed = memo.closed_form(x, horizon)
         node, pruned = closed.leaf, []
         weights = (o[None] / (closed.evidence @ o)[:, None]).ravel()
@@ -428,7 +428,7 @@ def _walk_tree(
     pruned: list[tuple[int, ...]] = []
     for depth in range(horizon):
         if depth == horizon - 1:
-            # the last depth's posteriors would be beliefs beyond the horizon
+            # no posteriors past the horizon; on grid-rho, 0.6 the cost
             open_y = open_observations(observer, beliefs)
         else:
             posteriors, _, open_y = posterior_table(observer, beliefs)

@@ -107,10 +107,10 @@ class RecedingHorizonController:
         values: np.ndarray,
         config: PlannerConfig,
     ):
-        self.values = np.asarray(values, dtype=float)
         self.config = config
-        # shared by the fallback horizons, which the memo keys its roots by
-        self.memo = PlanMemo(Observer(model, obs, pa), self.values)
+        # shared by the fallback horizons, which the memo keys its roots by;
+        # it holds the values, which plan matches by identity
+        self.memo = PlanMemo(Observer(model, obs, pa), values)
         self.controller_id = (
             f"receding-horizon(N={config.horizon},wn={config.reward_weight!r},"
             f"wa={config.exposure_weight!r},wap={config.tail_exposure_weight!r})"
@@ -120,13 +120,13 @@ class RecedingHorizonController:
         """First action of the best sequence. When no sequence of the full
         horizon is admissible, replans at horizons N-1, ..., 1 and raises
         only when a single step fails too."""
-        config = self.config
-        observer = self.memo.observer
+        config, memo = self.config, self.memo
+        observer = memo.observer
         while True:
             try:
                 return plan(
-                    observer.model, observer.obs, observer.pa, self.values, x, o,
-                    config, memo=self.memo,
+                    observer.model, observer.obs, observer.pa, memo.values, x, o,
+                    config, memo=memo,
                 ).first_action
             except NoAdmissibleSequence:
                 if config.horizon == 1:
@@ -283,6 +283,10 @@ def simulate_runs(
     """Runs ``0, ..., num_runs - 1`` of one configuration, in run order.
     With ``jobs`` above 1 they run in a pool of that many worker processes,
     at most one per run."""
+    if num_runs < 1:
+        raise ValueError(f"num_runs must be positive, got {num_runs}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     run = functools.partial(
         run_closed_loop, model, obs, pa, controller, o0, num_steps, seed_base, x0=x0
     )

@@ -6,6 +6,7 @@ path enumeration) so that agreement between the two is meaningful.
 """
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -464,3 +465,91 @@ def closed_loop_by_definition(
         y = draw(likelihood[:, x])
         belief = forward_filter_step(chain, likelihood, belief, y)
     return states, actions, observations, beliefs, stop
+
+
+def exact_planner_scores(model, obs, pa, values, x, o, config):
+    """Every admissible sequence's objective under `config`, in exact
+    rational arithmetic: {actions: Fraction}.
+
+    Each float of the model, the sensor, the observer chain `pa`, the values,
+    the belief `o` and the weights is taken as the exact rational it stores.
+    Sequences grow one action at a time from the point law on `x`, carrying
+    the joint law of (observation history, state) as a dict. Action u after
+    a prefix is pruned when some (history, state) the prefix occupies can
+    emit, under u, a reading whose exact predictive from that history's
+    posterior is 0; no extension of a pruned prefix is scored. The objective
+    is wn * (reward + tail) - (wa + wap) * exposure, with exposure at depths
+    1 to N-1, as `sequence_terms_by_path_enumeration` defines the terms.
+    """
+    n, num_u = model.num_states, model.num_actions
+
+    def support(column):
+        """The nonzero entries of a float vector, as (index, Fraction)."""
+        return [(i, Fraction(v)) for i, v in enumerate(column.tolist()) if v != 0.0]
+
+    readings = [support(obs.likelihood[:, d]) for d in range(n)]
+    spread = [support(pa[:, s]) for s in range(n)]
+    # branches[s, u]: (reading, successor, probability) of each joint step
+    branches = {
+        (s, u): [(y, d, p * w) for d, p in support(model.transition[:, s, u])
+                 for y, w in readings[d]]
+        for s in range(n) for u in range(num_u)
+    }
+    emits = {key: {y for y, _, _ in step} for key, step in branches.items()}
+    reward = [[Fraction(v) for v in row] for row in model.reward.tolist()]
+    tail_values = [Fraction(v) for v in np.asarray(values, dtype=float).tolist()]
+    lam = Fraction(model.discount)
+    wn = Fraction(config.reward_weight)
+    weight = Fraction(config.exposure_weight) + Fraction(config.tail_exposure_weight)
+    horizon = config.horizon
+    # the filter never sees actions or states: one posterior per history,
+    # held by its support
+    posteriors = {(): dict(support(np.asarray(o, dtype=float)))}
+    open_readings = {}
+
+    def readings_left_open(history):
+        if history not in open_readings:
+            predicted = {}
+            for s, mass in posteriors[history].items():
+                for d, p in spread[s]:
+                    predicted[d] = predicted.get(d, 0) + p * mass
+            # only the readings some predicted state emits: the rest have
+            # predictive exactly 0
+            joint = {}
+            for d, mass in predicted.items():
+                for y, w in readings[d]:
+                    joint.setdefault(y, {})[d] = w * mass
+            for y, row in joint.items():
+                total = sum(row.values())
+                posteriors[history + (y,)] = {d: v / total for d, v in row.items()}
+            open_readings[history] = set(joint)
+        return open_readings[history]
+
+    scores = {}
+
+    def grow(prefix, law, reward_sum, exposure_sum):
+        depth = len(prefix)
+        for u in range(num_u):
+            if any(emits[s, u] - readings_left_open(h) for h, s in law):
+                continue
+            gained = reward_sum + lam ** depth * sum(
+                mass * reward[s][u] for (_, s), mass in law.items()
+            )
+            moved = {}
+            for (h, s), mass in law.items():
+                for y, d, p in branches[s, u]:
+                    key = (h + (y,), d)
+                    moved[key] = moved.get(key, 0) + mass * p
+            if depth + 1 == horizon:
+                tail = lam ** horizon * sum(
+                    mass * tail_values[d] for (_, d), mass in moved.items()
+                )
+                scores[prefix + (u,)] = wn * (gained + tail) - weight * exposure_sum
+            else:
+                exposed = exposure_sum + lam ** (depth + 1) * sum(
+                    mass * posteriors[h].get(d, 0) for (h, d), mass in moved.items()
+                )
+                grow(prefix + (u,), moved, gained, exposed)
+
+    grow((), {((), x): Fraction(1)}, Fraction(0), Fraction(0))
+    return scores

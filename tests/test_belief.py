@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from covertmdp import (
     IllDefinedUpdate,
+    ModelFormatError,
     extract_nominal_policy,
     NominalController,
     ObservationModel,
@@ -186,7 +187,7 @@ def masked_posteriors(pa, q, beliefs):
     )
 
 
-def test_posterior_table_divides_in_place_bitwise_like_the_masked_divide():
+def test_posterior_table_on_open_readings_is_bitwise_the_masked_divide():
     rng = np.random.default_rng(8)
     for _ in range(30):
         n, k = rng.integers(2, 6, size=2)
@@ -369,6 +370,19 @@ def test_observation_from_dict_rejects_bad_columns():
     with pytest.raises(Exception) as err:
         observation_from_dict(doc, num_states=2)
     assert "not 1" in str(err.value)
+
+
+def test_observation_from_dict_refuses_no_observations():
+    with pytest.raises(ModelFormatError) as err:
+        observation_from_dict({"num_observations": 0, "likelihood": [[1.0], [0.0]]})
+    assert err.value.diagnostics == ["num_observations must be positive, got 0"]
+
+
+def test_make_belief_clips_entries_down_to_minus_eps_zero():
+    o = make_belief([1.0 + 1e-13, -1e-13])
+    np.testing.assert_array_equal(o, [1.0, 0.0])
+    with pytest.raises(ValueError, match="outside"):
+        make_belief([1.0 + 1e-11, -1e-11])
 
 
 def test_filter_step_oracle_agrees_on_example1():

@@ -339,6 +339,23 @@ def test_simulate_caps_jobs_at_the_number_of_runs(tmp_path, monkeypatch):
         assert (wide / name).read_bytes() == (serial / name).read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--jobs", "-3", "jobs must be positive, got -3"),
+     ("--seeds", "0", "num_runs must be positive, got 0")],
+    ids=["negative_jobs", "no_runs"],
+)
+def test_simulate_refuses_nonsense_run_counts(flag, value, message, tmp_path, capsys):
+    out = tmp_path / "runs"
+    code = main([
+        "simulate", "nominal", "--model", "example1", "--steps", "5",
+        "--seeds", "2", flag, value, "--out", str(out),
+    ])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_simulate_belief_csv_flag(tmp_path):
     out = tmp_path / "runs"
     code = main([

@@ -245,6 +245,31 @@ def test_model_from_dict_rejects_bad_columns():
     assert any("x=0" in line for line in err.value.diagnostics)
 
 
+_EXAMPLE1_DOC = model_to_dict(example1_model()[0])
+
+
+@pytest.mark.parametrize(
+    "edit, diagnostics",
+    [
+        ({"num_states": 0}, ["num_states must be positive, got 0"]),
+        ({"num_actions": -1}, ["num_actions must be positive, got -1"]),
+        ({"num_states": -2, "num_actions": 0},
+         ["num_states must be positive, got -2", "num_actions must be positive, got 0"]),
+        ({"transition": _EXAMPLE1_DOC["transition"][:1]},  # one action's table of two
+         ["transition shape (3, 3, 1) != expected (3, 3, 2)"]),
+        ({"num_actions": 3}, ["transition shape (3, 3, 2) != expected (3, 3, 3)",
+                              "reward shape (3, 2) != expected (3, 3)"]),
+    ],
+    ids=["no_states", "negative_actions", "both", "transition_shape", "action_count"],
+)
+def test_model_from_dict_rejects_non_positive_counts_and_mismatched_tables(
+    edit, diagnostics
+):
+    with pytest.raises(ModelFormatError) as err:
+        model_from_dict({**_EXAMPLE1_DOC, **edit})
+    assert err.value.diagnostics == diagnostics
+
+
 # ---------------------------------------------------------------------------
 # the file convention shared by every writer and loader
 

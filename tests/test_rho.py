@@ -7,6 +7,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from covertmdp import (
     ProhibitedAction,
     RecedingHorizonController,
     SizeOverflow,
+    admissible_actions,
     augmented_transition_support,
     example1_model,
     extract_nominal_policy,
@@ -29,17 +31,23 @@ from covertmdp import (
     nominal_value_iteration,
     plan,
     point_belief,
+    run_closed_loop,
     uniform_belief,
 )
+from covertmdp.augmented import solve_augmented_vi
 from covertmdp.belief import (
+    bayes_update,
     emitting,
     joint_step,
+    open_observations,
     posterior_table,
 )
-from covertmdp import rho
+from covertmdp import models, rho
 from covertmdp.rho import MAX_TREE_ENTRIES, PlanMemo, suggested_tail_weight_bound
+from covertmdp.sim import AugmentedValueController
 
 from _oracles import (
+    exact_planner_scores,
     pruned_prefixes_by_definition,
     random_sane_model,
     random_sparse_model,
@@ -976,3 +984,129 @@ def test_plan_on_an_observer_that_rules_out_nothing_equals_the_general_path(
         for memo in (fast_memo, general_memo):
             with pytest.raises(ValueError, match="not a distribution"):
                 plan(model, obs, pa, values, 0, o, PlannerConfig(2), memo=memo)
+
+
+# ---------------------------------------------------------------------------
+# against exact support: the oracle prunes where a predictive is exactly 0,
+# where the library prunes at EPS_ZERO
+
+def check_plan_against_exact_support(model, obs, pa, values, x, o, config):
+    """``plan`` scores the sequences :func:`exact_planner_scores` admits,
+    each within 1e-9 (relative above 1) of its exact objective, and
+    ``admissible_actions`` is the exact horizon-1 set."""
+    exact = exact_planner_scores(model, obs, pa, values, x, o, config)
+    try:
+        scored = {
+            s.actions: s.objective
+            for s in plan(model, obs, pa, values, x, o, config).sequences
+        }
+    except NoAdmissibleSequence:
+        scored = {}
+    assert scored.keys() == exact.keys()
+    for seq, objective in exact.items():
+        assert abs(scored[seq] - float(objective)) <= 1e-9 * max(1.0, abs(objective))
+    first = exact_planner_scores(model, obs, pa, values, x, o, replace(config, horizon=1))
+    assert admissible_actions(Observer(model, obs, pa), x, o) == sorted(
+        u for (u,) in first
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 3),
+    k=st.integers(1, 3),
+    horizon=st.integers(1, 3),
+    filtered=st.integers(0, 3),
+)
+def test_plan_prunes_where_exact_support_does_on_sparse_models(
+    seed, n, m, k, horizon, filtered
+):
+    # Entries of a sparse model are exact zeros or at least 0.1 before
+    # normalization, so a few filter steps keep every predictive exactly 0
+    # or far above EPS_ZERO, and the zero test agrees with exact support.
+    rng = np.random.default_rng(seed)
+    transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
+    model = MdpModel(n, m, transition, reward, 0.9)
+    obs = ObservationModel(k, likelihood)
+    observer = Observer(model, obs, chain)
+    values = rng.uniform(0.0, 5.0, size=n)
+    o = rng.uniform(0.1, 1.0, size=n) * (rng.random(n) < 0.5)
+    o[int(rng.integers(n))] = 1.0
+    o /= o.sum()
+    for _ in range(filtered):  # along readings the observer leaves open
+        y = rng.choice(np.flatnonzero(open_observations(observer, o)))
+        o = bayes_update(observer, o, int(y))
+    config = PlannerConfig(horizon, *rng.uniform(0.0, 1.0, size=2), 0.0)
+    check_plan_against_exact_support(
+        model, obs, chain, values, int(rng.integers(n)), o, config
+    )
+
+
+def sparse_closed_loop_decision():
+    """Step 14 of the lattice controller's closed loop on
+    ``random_sparse_model`` seed 2000 (2 states, 2 actions, 3 readings,
+    resolution 1, observer on the nominal chain): belief ``[1, 3.8e-12]``,
+    whose predictive of reading 1 is 2.4e-13."""
+    rng = np.random.default_rng(2000)
+    transition, reward, likelihood, _ = random_sparse_model(rng, 2, 2, 3)
+    model = MdpModel(2, 2, transition, reward, 0.9)
+    obs = ObservationModel(3, likelihood)
+    pa, values, _ = nominal_setup(model)
+    o0 = rng.uniform(0.1, 1.0, size=2) * (rng.random(2) < 0.5)
+    o0[int(rng.integers(2))] = rng.uniform(0.1, 1.0)
+    o0 /= o0.sum()
+    value = solve_augmented_vi(
+        model, obs, pa, 0.6, 0.4, resolution=1, tol=1e-15, max_iter=2
+    ).value
+    trace = run_closed_loop(
+        model, obs, pa, AugmentedValueController(model, obs, pa, value), o0, 15, 2000, 0
+    )
+    return model, obs, pa, values, int(trace.states[14]), trace.beliefs[14]
+
+
+def gridworld_decision(step, x):
+    """The observer's belief at ``step`` of the desk gridworld's receding-
+    horizon closed loop (horizon 3, wn = wa = 0.5, seed 0, run 0), where the
+    agent sits at state 48 with belief on 10 states, paired with state
+    ``x``."""
+    spec = models.desk_gridworld()
+    model, obs = models.gridworld_model(spec)
+    pa, values, _ = nominal_setup(model)
+    controller = RecedingHorizonController(
+        model, obs, pa, values, PlannerConfig(3, 0.5, 0.5, 0.0)
+    )
+    trace = run_closed_loop(
+        model, obs, pa, controller, uniform_belief(model.num_states), step + 1, 0, 0,
+        x0=spec.cell_index(*spec.start),
+    )
+    o = trace.beliefs[step]
+    assert (trace.states[step], np.count_nonzero(o)) == (48, 10)
+    return model, obs, pa, values, x, o
+
+
+EPS_ZERO_DISAGREES = pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="EPS_ZERO rules out a reading whose exact predictive is positive",
+)
+
+
+@pytest.mark.parametrize(
+    "decision, horizon",
+    [
+        pytest.param(sparse_closed_loop_decision, 2, marks=EPS_ZERO_DISAGREES,
+                     id="sparse_seed2000_step14"),
+        pytest.param(lambda: gridworld_decision(16, 48), 3, id="grid_step16_at48"),
+        pytest.param(lambda: gridworld_decision(16, 27), 2, id="grid_step16_at27"),
+        pytest.param(lambda: gridworld_decision(21, 48), 2, id="grid_step21_at48"),
+        # reading 7's predictive is 2.0e-14, so plan prunes all 25 sequences
+        pytest.param(lambda: gridworld_decision(21, 41), 2, marks=EPS_ZERO_DISAGREES,
+                     id="grid_step21_at41"),
+    ],
+)
+def test_plan_prunes_where_exact_support_does_on_closed_loop_beliefs(decision, horizon):
+    model, obs, pa, values, x, o = decision()
+    check_plan_against_exact_support(
+        model, obs, pa, values, x, o, PlannerConfig(horizon, 0.5, 0.5, 0.0)
+    )

@@ -527,7 +527,7 @@ def planner_table(controller, x, o):
     for horizon in range(config.horizon, 0, -1):
         try:
             result = plan(
-                observer.model, observer.obs, observer.pa, controller.values, x, o,
+                observer.model, observer.obs, observer.pa, controller.memo.values, x, o,
                 replace(config, horizon=horizon), memo=controller.memo,
             )
         except NoAdmissibleSequence:
