@@ -49,21 +49,13 @@ BELIEF_L1_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Likelihood table ``likelihood[y, x] = q(y | x)``; columns sum to 1.
-
-    ``likelihood_cdf`` holds the running sums of each column, computed once
-    so the simulator draws observations without summing per draw.
-    """
+    """Likelihood table ``likelihood[y, x] = q(y | x)``; columns sum to 1."""
 
     num_observations: int
     likelihood: np.ndarray
-    likelihood_cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "likelihood", _readonly(self.likelihood))
-        object.__setattr__(
-            self, "likelihood_cdf", _readonly(np.cumsum(self.likelihood, axis=0))
-        )
 
 
 def validate_observation_model(obs: ObservationModel, num_states: int) -> list[str]:
@@ -124,7 +116,8 @@ def bayes_update(observer: Observer, o: np.ndarray, y: int) -> np.ndarray:
     admissible actions.
     """
     numer = observer.obs.likelihood[y] * (observer.pa @ o)
-    denom = numer.sum()
+    # numer.sum()'s reduction, without its Python-level wrapper
+    denom = np.add.reduce(numer)
     if denom <= EPS_ZERO:
         raise IllDefinedUpdate(
             f"observation y={y} has predictive probability {denom!r}"
@@ -181,7 +174,8 @@ class Observer:
     here; ``emits`` marks where it exceeds EPS_ZERO. The lattice
     lookahead's kernel ``kernel[x, u, y, x'] = q(y|x') p(x'|x,u)`` is built
     on first read, so callers that never read it (the planner and the
-    simulator step) never hold its X²·U·Y entries.
+    simulator step) never hold its X²·U·Y entries. So are the simulator
+    step's running sums, :attr:`successor_cdf` and :attr:`reading_cdf`.
 
     ``rules_out_nothing`` is True when no belief that :meth:`check` accepts
     can rule an observation out, and the lattice lookahead finds mass behind
@@ -224,6 +218,19 @@ class Observer:
     @cached_property
     def kernel(self) -> np.ndarray:
         return np.einsum("yz,zxu->xuyz", self.obs.likelihood, self.model.transition)
+
+    @cached_property
+    def successor_cdf(self) -> list[list[list[float]]]:
+        """``successor_cdf[x][u]``: the running sums of ``p(. | x, u)`` over
+        the successor states, as Python floats that ``bisect`` searches
+        without converting."""
+        return np.cumsum(self.model.transition, axis=0).transpose(1, 2, 0).tolist()
+
+    @cached_property
+    def reading_cdf(self) -> list[list[float]]:
+        """``reading_cdf[x]``: the running sums of ``q(. | x)`` over the
+        readings, as Python floats."""
+        return np.cumsum(self.obs.likelihood, axis=0).T.tolist()
 
     def check(self, x: int | None, o) -> np.ndarray:
         """``o`` as a float array, once state ``x`` is known to be a Python

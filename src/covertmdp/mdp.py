@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -99,9 +99,7 @@ class MdpModel:
     action ``a`` is applied in state ``s``; each ``(s, a)`` column sums to 1.
     ``reward[s, a]`` is the stage reward and ``discount`` lies in (0, 1).
     All arrays are read-only after construction and safe to share across
-    workers. ``transition_cdf`` holds the running sums of each ``(s, a)``
-    column, computed once so the simulator draws successors without summing
-    per draw.
+    workers.
     """
 
     num_states: int
@@ -109,14 +107,10 @@ class MdpModel:
     transition: np.ndarray
     reward: np.ndarray
     discount: float
-    transition_cdf: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "transition", _readonly(self.transition))
         object.__setattr__(self, "reward", _readonly(self.reward))
-        object.__setattr__(
-            self, "transition_cdf", _readonly(np.cumsum(self.transition, axis=0))
-        )
 
 
 @dataclass(frozen=True)

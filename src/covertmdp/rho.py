@@ -383,32 +383,34 @@ def plan(
     if observer.rules_out_nothing:  # ex1-rho: about half the walk's time
         closed = memo.closed_form(x, horizon)
         node, pruned = closed.leaf, []
-        weights = (o[None] / (closed.evidence @ o)[:, None]).ravel()
-        r_exposed = (closed.exposure @ weights)[node.src]
+        # ndarray.dot: the products of ``@`` without its dispatch. The
+        # exposure is not indexed by src first: BLAS may round equal rows
+        # differently by their position
+        weights = (o[None] / closed.evidence.dot(o)[:, None]).ravel()
+        r_exposed = closed.exposure.dot(weights)[node.src]
     else:
         node, r_exposed, pruned = _walk_tree(memo, x, o, horizon)
     objective = config.reward_weight * node.r_total - penalty_weight * r_exposed
+    exposed, scores = r_exposed.tolist(), objective.tolist()
     # empty unless some prefix survived to the full horizon
-    terms = (
-        node.prefixes, node.inside_terms, node.tail_terms, r_exposed.tolist(),
-        objective.tolist(),
-    )
+    terms = node.prefixes, node.inside_terms, node.tail_terms, exposed, scores
     if log_path is not None:
         _write_plan_log(log_path, x, config, map(SequenceScore, *terms), sorted(pruned))
     if not node.prefixes:
         raise NoAdmissibleSequence(
             f"no admissible action sequence of length {horizon} from state x={x}"
         )
-    best = int(np.argmax(objective))
-    actions, reward_term, tail_term, detection_term, top = (c[best] for c in terms)
+    # np.argmax's first maximum, picked from the list
+    top = max(scores)
+    best = scores.index(top)
     return PlanResult(
-        actions,
+        node.prefixes[best],
         top,
-        reward_term,
-        tail_term,
-        detection_term,
+        node.inside_terms[best],
+        node.tail_terms[best],
+        exposed[best],
         len(node.prefixes),
-        int(np.count_nonzero(objective == top)) > 1,
+        scores.count(top) > 1,
         terms,
     )
 

@@ -37,14 +37,15 @@ from .rho import PlanMemo, PlannerConfig, plan
 
 
 def rng_for_run(seed_base: int, run_index: int) -> np.random.Generator:
+    if seed_base < 0:
+        raise ValueError(f"seed_base must be non-negative, got {seed_base}")
     return np.random.default_rng([seed_base, run_index])
 
 
-def _sample(rng: np.random.Generator, cdf: np.ndarray) -> int:
+def _sample(rng: np.random.Generator, cdf: list[float]) -> int:
     """Index drawn from the distribution with running sums ``cdf``: the
     first whose running sum exceeds a uniform draw scaled to the total."""
-    edges = cdf.tolist()
-    return min(bisect_right(edges, rng.random() * edges[-1]), len(edges) - 1)
+    return min(bisect_right(cdf, rng.random() * cdf[-1]), len(cdf) - 1)
 
 
 def model_fingerprint(model: MdpModel, obs: ObservationModel) -> str:
@@ -147,8 +148,8 @@ def step(
     """
     if u not in admissible_actions(observer, x, o):
         raise ProhibitedAction(f"action u={u} is prohibited at state x={x}")
-    x_next = _sample(rng, observer.model.transition_cdf[:, x, u])
-    y = _sample(rng, observer.obs.likelihood_cdf[:, x_next])
+    x_next = _sample(rng, observer.successor_cdf[x][u])
+    y = _sample(rng, observer.reading_cdf[x_next])
     return x_next, y, bayes_update(observer, o, y)
 
 
@@ -215,7 +216,7 @@ def run_closed_loop(
     rng = rng_for_run(seed_base, run_index)
     observer = Observer(model, obs, pa)
     o0 = observer.check(x0, o0)
-    x = _sample(rng, np.cumsum(o0)) if x0 is None else int(x0)
+    x = _sample(rng, np.cumsum(o0).tolist()) if x0 is None else int(x0)
     if o0[x] <= 0.0:
         warnings.warn(
             f"initial belief puts zero mass on the start state x={x}; "
@@ -225,9 +226,9 @@ def run_closed_loop(
         )
     o = o0
 
-    states = np.empty(num_steps, dtype=np.int64)
-    actions = np.empty(num_steps, dtype=np.int64)
-    observations = np.empty(num_steps, dtype=np.int64)
+    # lists skip numpy's per-item setitem; the beliefs stay one preallocated
+    # table, as a list of small arrays takes several times the memory
+    states, actions, observations = [], [], []
     beliefs = np.empty((num_steps, model.num_states))
 
     y = -1  # the prior belief is given, not produced by an observation
@@ -240,12 +241,16 @@ def run_closed_loop(
             u = controller.decide(x, o)
         except loop_errors as e:
             raise type(e)(f"controller failed at step t={t}: {e}") from e
-        states[t], actions[t], observations[t], beliefs[t] = x, u, y, o
+        states.append(x)
+        actions.append(u)
+        observations.append(y)
+        beliefs[t] = o
         try:
             x, y, o = step(observer, x, o, u, rng)
         except loop_errors as e:
             raise type(e)(f"transition failed at step t={t}: {e}") from e
 
+    states, actions = np.array(states, np.int64), np.array(actions, np.int64)
     rewards = model.reward[states, actions]
     # exposure: the observer's belief in the agent's true state
     penalties = beliefs[np.arange(num_steps), states]
@@ -363,19 +368,22 @@ def write_summary_file(summary: RunSummary, path: str | Path) -> None:
 def write_trace_csv(trace: Trace, path: str | Path) -> None:
     """Per-step records, floats formatted with repr so equal runs are
     equal bytes. Beliefs are not included; see :func:`write_belief_csv`."""
+    columns = zip(
+        range(trace.num_steps),
+        trace.states.tolist(),
+        trace.actions.tolist(),
+        trace.observations.tolist(),
+        trace.rewards.tolist(),
+        trace.penalties.tolist(),
+        trace.mean_rewards.tolist(),
+        trace.mean_penalties.tolist(),
+    )
+    # tolist gives Python ints and floats, whose str and repr are the cells
     lines = ["t,x,u,y,reward,penalty,avg_reward,avg_detection"]
-    for t in range(trace.num_steps):
-        row = [
-            str(t),
-            str(int(trace.states[t])),
-            str(int(trace.actions[t])),
-            str(int(trace.observations[t])),
-            repr(float(trace.rewards[t])),
-            repr(float(trace.penalties[t])),
-            repr(float(trace.mean_rewards[t])),
-            repr(float(trace.mean_penalties[t])),
-        ]
-        lines.append(",".join(row))
+    lines += [
+        f"{t},{x},{u},{y},{r!r},{p!r},{ar!r},{ap!r}"
+        for t, x, u, y, r, p, ar, ap in columns
+    ]
     _write_lines(lines, path)
 
 
@@ -383,9 +391,10 @@ def write_belief_csv(trace: Trace, path: str | Path) -> None:
     """Observer belief per step, one column per state (wide format)."""
     n = trace.beliefs.shape[1]
     lines = [",".join(["t"] + [f"o_{i}" for i in range(n)])]
-    for t in range(trace.num_steps):
-        row = [str(t)] + [repr(float(v)) for v in trace.beliefs[t]]
-        lines.append(",".join(row))
+    lines += [
+        f"{t},{','.join(map(repr, row))}"
+        for t, row in enumerate(trace.beliefs.tolist())
+    ]
     _write_lines(lines, path)
 
 

@@ -342,8 +342,9 @@ def test_simulate_caps_jobs_at_the_number_of_runs(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "flag, value, message",
     [("--jobs", "-3", "jobs must be positive, got -3"),
-     ("--seeds", "0", "num_runs must be positive, got 0")],
-    ids=["negative_jobs", "no_runs"],
+     ("--seeds", "0", "num_runs must be positive, got 0"),
+     ("--seed-base", "-1", "--seed-base must be non-negative, got -1")],
+    ids=["negative_jobs", "no_runs", "negative_seed_base"],
 )
 def test_simulate_refuses_nonsense_run_counts(flag, value, message, tmp_path, capsys):
     out = tmp_path / "runs"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from covertmdp import (
     MdpModel,
@@ -531,6 +531,70 @@ def test_plan_unique_best_sequence_is_not_tied():
     objectives = [score.objective for score in result.sequences]
     assert objectives.count(max(objectives)) == 1
     assert not result.tied
+
+
+@pytest.mark.parametrize("horizon, first", [(1, (1,)), (2, (1, 1))])
+def test_plan_picks_the_first_of_a_tie_that_is_not_at_index_0(horizon, first):
+    # One state, one reading, rewards [0, 1, 1]: the best sequences are the
+    # ones that never play action 0, all tied exactly, the first of them at
+    # index 1 (horizon 1) or 4 (horizon 2).
+    model = MdpModel(1, 3, np.ones((1, 1, 3)), np.array([[0.0, 1.0, 1.0]]), 0.9)
+    obs = ObservationModel(1, np.ones((1, 1)))
+    result = plan(model, obs, np.ones((1, 1)), np.zeros(1), 0, np.ones(1),
+                  PlannerConfig(horizon, 1.0, 0.0, 0.0))
+    objectives = [s.objective for s in result.sequences]
+    assert objectives.index(max(objectives)) == {1: 1, 2: 4}[horizon]
+    assert result.actions == first
+    assert result.objective == max(objectives)
+    assert result.tied
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 4),
+    m=st.integers(1, 3),
+    k=st.integers(1, 3),
+    horizon=st.integers(1, 3),
+    example1=st.booleans(),
+    coarse=st.booleans(),
+)
+def test_plan_picks_numpys_first_maximum_and_flags_exact_ties(
+    seed, n, m, k, horizon, example1, coarse
+):
+    # The pick against np.argmax and count_nonzero over the scored
+    # sequences. Coarse rewards with no exposure weight and no tail make
+    # exact ties common.
+    rng = np.random.default_rng(seed)
+    if example1:
+        model, obs = example1_model()
+        pa, values, _ = nominal_setup(model)
+    else:
+        transition, reward, likelihood, pa = random_sparse_model(rng, n, m, k)
+        model = MdpModel(n, m, transition, reward, 0.9)
+        obs = ObservationModel(k, likelihood)
+        values = rng.uniform(0.0, 5.0, size=n)
+    n, m = model.num_states, model.num_actions
+    weights = rng.uniform(0.0, 1.0, size=2)
+    if coarse:
+        reward = rng.integers(0, 2, size=(n, m)).astype(float)
+        model = MdpModel(n, m, model.transition, reward, model.discount)
+        values, weights[1] = np.zeros(n), 0.0
+    o = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+    x = int(rng.integers(n))
+    o[x] += o.sum() == 0.0
+    try:
+        result = plan(model, obs, pa, values, x, o / o.sum(),
+                      PlannerConfig(horizon, *weights, 0.0))
+    except NoAdmissibleSequence:
+        return
+    objectives = np.array([s.objective for s in result.sequences])
+    best = result.sequences[int(np.argmax(objectives))]
+    assert (result.actions, result.objective, result.reward_term, result.tail_term,
+            result.detection_term) == (best.actions, best.objective, best.reward_term,
+                                       best.tail_term, best.detection_term)
+    assert result.tied == (np.count_nonzero(objectives == best.objective) > 1)
+    event(f"tied={result.tied}, first={objectives.argmax() == 0}")
 
 
 def test_plan_refuses_a_tree_beyond_the_size_cap():

@@ -3,6 +3,7 @@
 import itertools
 import json
 import warnings
+from bisect import bisect_right
 from dataclasses import fields, replace
 
 import numpy as np
@@ -106,6 +107,11 @@ def test_rng_for_run_is_reproducible_and_run_specific():
     assert not np.array_equal(a, d)
 
 
+def test_rng_for_run_refuses_a_negative_seed_base():
+    with pytest.raises(ValueError, match=r"^seed_base must be non-negative, got -1$"):
+        rng_for_run(-1, 0)
+
+
 def test_step_sampling_statistics():
     model, obs = smoothed_example1()
     pa, _, _ = nominal_setup(model)
@@ -141,16 +147,47 @@ def _cdf_cases():
 @pytest.mark.parametrize("case", range(3), ids=["example1", "gridworld", "random"])
 def test_cumulative_tables_equal_each_columns_cumsum(case):
     model, obs = _cdf_cases()[case]
+    observer = Observer(model, obs, np.eye(model.num_states))
     for x in range(model.num_states):
         for u in range(model.num_actions):
-            np.testing.assert_array_equal(
-                model.transition_cdf[:, x, u], np.cumsum(model.transition[:, x, u])
-            )
-        np.testing.assert_array_equal(
-            obs.likelihood_cdf[:, x], np.cumsum(obs.likelihood[:, x])
-        )
-    assert not model.transition_cdf.flags.writeable
-    assert not obs.likelihood_cdf.flags.writeable
+            edges = observer.successor_cdf[x][u]
+            assert type(edges) is list and type(edges[-1]) is float
+            assert edges == np.cumsum(model.transition[:, x, u]).tolist()
+        edges = observer.reading_cdf[x]
+        assert type(edges) is list and type(edges[-1]) is float
+        assert edges == np.cumsum(obs.likelihood[:, x]).tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5),
+    m=st.integers(1, 3),
+    k=st.integers(1, 4),
+    sparse=st.booleans(),
+)
+def test_draws_from_the_cdf_lists_equal_bisect_on_each_columns_cumsum(
+    seed, n, m, k, sparse
+):
+    # the step's draws, against bisect on the column's own cumsum fed the
+    # same stream of uniforms
+    rng = np.random.default_rng(seed)
+    if sparse:
+        transition, _, likelihood, _ = random_sparse_model(rng, n, m, k)
+    else:
+        transition, _, likelihood = random_sane_model(rng, n, m, k)
+    model = MdpModel(n, m, transition, np.zeros((n, m)), 0.9)
+    observer = Observer(model, ObservationModel(k, likelihood), np.eye(n))
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for x, u in itertools.product(range(n), range(m)):
+        for _ in range(20):
+            edges = np.cumsum(transition[:, x, u])
+            expected = min(bisect_right(edges, theirs.random() * edges[-1]), n - 1)
+            x_next = _sample(ours, observer.successor_cdf[x][u])
+            assert x_next == expected
+            edges = np.cumsum(likelihood[:, x_next])
+            expected = min(bisect_right(edges, theirs.random() * edges[-1]), k - 1)
+            assert _sample(ours, observer.reading_cdf[x_next]) == expected
 
 
 class _Uniforms:
@@ -179,7 +216,7 @@ def test_sample_picks_the_index_searchsorted_picks():
         draws = [e / edges[-1] for e in edges[:-1]] + [0.0, 1.0 - 2.0**-53]
         draws += rng.random(10_000 // len(columns) - len(draws)).tolist()
         uniforms = _Uniforms(draws)
-        picked = [_sample(uniforms, edges) for _ in draws]
+        picked = [_sample(uniforms, edges.tolist()) for _ in draws]
         values = np.array(draws) * edges[-1]
         expected = np.minimum(
             np.searchsorted(edges, values, side="right"), probs.size - 1
@@ -253,9 +290,13 @@ def test_observer_tables_are_built_once_per_controller_and_episode(monkeypatch):
         counts["tables"] = 0
         run_closed_loop(model, obs, pa, controller, uniform_belief(3), 25, 3, 0)
         assert counts["tables"] == 1
-    # the planner never reads the lattice kernel, so it is never built
+    # the planner never reads the lattice kernel, so it is never built, and
+    # neither controller builds the simulator step's running sums
     assert "kernel" not in vars(receding.memo.observer)
     assert "kernel" in vars(grid_value.observer)
+    for observer in (receding.memo.observer, grid_value.observer):
+        assert "successor_cdf" not in vars(observer)
+        assert "reading_cdf" not in vars(observer)
 
 
 def test_step_rejects_prohibited_action():
@@ -795,6 +836,44 @@ def test_belief_csv_round_trips_the_filter_path(tmp_path):
         np.testing.assert_array_equal(
             np.array([float(c) for c in cells[1:]]), trace.beliefs[t]
         )
+
+
+def test_csv_writers_format_each_cell_by_its_definition(tmp_path):
+    # Each cell is str(int(v)) or repr(float(v)) of its entry, whatever the
+    # writer builds rows from: values whose shortest repr a fixed-precision
+    # or numpy formatter would change.
+    floats = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 1 / 3]
+    steps = len(floats)
+    trace = sim.Trace(
+        controller_id="scripted", model_id="hand", seed_base=0, run_index=0,
+        states=np.arange(steps) * 7, actions=np.arange(steps)[::-1],
+        observations=[-1] + list(range(steps - 1)),
+        beliefs=np.array([np.roll(floats, t) for t in range(steps)]),
+        rewards=floats, penalties=floats[::-1],
+        mean_rewards=np.roll(floats, 1), mean_penalties=np.roll(floats, 2),
+        final_state=3,
+    )
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    write_belief_csv(trace, tmp_path / "beliefs.csv")
+    ints = (trace.states, trace.actions, trace.observations)
+    reals = (trace.rewards, trace.penalties, trace.mean_rewards, trace.mean_penalties)
+    expected = ["t,x,u,y,reward,penalty,avg_reward,avg_detection"]
+    expected += [
+        ",".join([str(t)] + [str(int(c[t])) for c in ints]
+                 + [repr(float(c[t])) for c in reals])
+        for t in range(steps)
+    ]
+    assert (tmp_path / "trace.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+    expected = [",".join(["t"] + [f"o_{i}" for i in range(steps)])]
+    expected += [
+        ",".join([str(t)] + [repr(float(v)) for v in trace.beliefs[t]])
+        for t in range(steps)
+    ]
+    assert (tmp_path / "beliefs.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+    # the cells that show it: a signed zero, a subnormal, an exponent, 17 digits
+    assert "-0.0" in (tmp_path / "trace.csv").read_text()
+    for cell in ("5e-324", "1e-05", "1e+16", "0.30000000000000004", "0.3333333333333333"):
+        assert cell in (tmp_path / "beliefs.csv").read_text()
 
 
 def test_trace_metadata_sidecar(tmp_path):
