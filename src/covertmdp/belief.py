@@ -177,10 +177,13 @@ class Observer:
     simulator step) never hold its X²·U·Y entries. So are the simulator
     step's running sums, :attr:`successor_cdf` and :attr:`reading_cdf`.
 
+    ``pa`` must be ``(n, n)`` with columns that are distributions, by the
+    model files' check (:func:`mdp._stochastic_problems`).
+
     ``rules_out_nothing`` is True when no belief that :meth:`check` accepts
     can rule an observation out, and the lattice lookahead finds mass behind
-    every action: every entry of ``pa`` and of the transition ``p`` lies in
-    ``[0, 1]``, every likelihood is at most 1, and ``min q`` times the
+    every action: every entry of the transition ``p`` lies in ``[0, 1]``,
+    every likelihood is at most 1, and ``min q`` times the
     smallest column sum of ``pa``, and times that of ``p``, exceeds
     ``4 * EPS_ZERO``. Proof: for a belief ``b >= 0``,
     ``predictive(y) = sum_x' q(y|x') sum_x pa[x', x] b[x] >= min q *
@@ -193,8 +196,8 @@ class Observer:
     the lattice's mass of action ``u`` at ``x`` is ``sum_y sum_x' q(y|x')
     p(x'|x,u) >= min q * colsum(p)[x, u] > 4 * EPS_ZERO``, a sum of
     nonnegative terms of at most 1 that rounding cannot take below
-    ``EPS_ZERO`` either. A NaN anywhere in the sensor, the chain or the
-    transition makes a comparison False, and so the flag.
+    ``EPS_ZERO`` either. A NaN anywhere in the sensor or the transition
+    makes a comparison False, and so the flag.
     """
 
     model: MdpModel
@@ -206,10 +209,18 @@ class Observer:
 
     def __post_init__(self):
         pa, q, p = self.pa, self.obs.likelihood, self.model.transition
+        n = self.model.num_states
+        if pa.shape != (n, n):
+            raise ValueError(f"chain pa has shape {pa.shape}, not {(n, n)}")
+        problems = _stochastic_problems(
+            pa, "chain entry pa[{},{}]", "chain column pa[:, {}]"
+        )
+        if problems:
+            raise ValueError("; ".join(problems))
         object.__setattr__(self, "emission", np.inner(p.T, q))
         object.__setattr__(self, "emits", self.emission > EPS_ZERO)
         object.__setattr__(self, "rules_out_nothing", bool(
-            ((pa >= 0.0) & (pa <= 1.0)).all() and ((p >= 0.0) & (p <= 1.0)).all()
+            ((p >= 0.0) & (p <= 1.0)).all()
             and q.max() <= 1.0
             and q.min() * pa.sum(axis=0).min() > 4 * EPS_ZERO
             and q.min() * p.sum(axis=0).min() > 4 * EPS_ZERO

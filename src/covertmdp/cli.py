@@ -24,7 +24,7 @@ from . import mdp
 from . import models
 from . import rho
 from . import sim
-from .errors import CovertMdpError, ModelFormatError
+from .errors import CovertMdpError, ModelFormatError, NoAdmissibleSequence
 
 BUILTIN_NAMES = ("example1", "gridworld")
 
@@ -54,6 +54,9 @@ def _load_scenario(model_arg: str, obs_arg: str | None) -> Scenario:
             model = mdp.model_from_dict(doc)
             if obs_arg:
                 obs = bel.load_observation_file(obs_arg, model.num_states)
+    if obs_arg and (spec is not None or model_arg in BUILTIN_NAMES):
+        # a configuration error, exit 2 as for a file model without --obs
+        raise OSError(f"--obs is for model files; {name} has its own observation model")
     start_state = None
     if spec is not None:
         # the spec loader checks field types; the model's invariants are checked here
@@ -247,41 +250,57 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _plan_log_lines(x: int, config: rho.PlannerConfig, pruned, scored=()) -> list[str]:
+    """plan_log.jsonl's lines for the planner call from state ``x``."""
+    events = [{"event": "plan", "state": x, **asdict(config)}]
+    events += [{"event": "pruned", "prefix": list(p[:-1]), "action": p[-1]} for p in pruned]
+    events += [{"event": "scored", **asdict(s)} for s in scored]
+    return [json.dumps(e) for e in events]
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
     scn, nominal, _, pa = _observed_scenario(args)
     config = _planner_config(args)
-    log_path = None
     if args.verbose:
-        log_dir = Path(args.out) if args.out else Path(".")
-        log_dir.mkdir(parents=True, exist_ok=True)
-        log_path = log_dir / "plan_log.jsonl"
-        log_path.unlink(missing_ok=True)  # rebuilt below, keeping reruns identical
-        log_path = str(log_path)
-    rows = []
-    for x in range(scn.model.num_states):
-        result = rho.plan(
-            scn.model, scn.obs, pa, nominal.values, x, scn.start_belief, config,
-            log_path=log_path,
-        )
-        row = {
-            "state": x,
-            "actions": list(result.actions),
-            "objective": result.objective,
-            "reward_term": result.reward_term,
-            "tail_term": result.tail_term,
-            "detection_term": result.detection_term,
-            "sequences_scored": result.sequences_scored,
-            "tied": result.tied,
-        }
-        rows.append(row)
-        tie_note = ", tied" if row["tied"] else ""
-        print(
-            f"state {x}: actions {row['actions']}, "
-            f"objective {row['objective']:.6f} "
-            f"(reward {row['reward_term']:.6f}, tail {row['tail_term']:.6f}, "
-            f"exposure {row['detection_term']:.6f}, "
-            f"{row['sequences_scored']} sequences{tie_note})"
-        )
+        log_path = (Path(args.out) if args.out else Path(".")) / "plan_log.jsonl"
+        log_path.parent.mkdir(parents=True, exist_ok=True)
+    log, rows = [], []
+    try:
+        for x in range(scn.model.num_states):
+            try:
+                result = rho.plan(
+                    scn.model, scn.obs, pa, nominal.values, x, scn.start_belief, config
+                )
+            except NoAdmissibleSequence as exc:
+                log += _plan_log_lines(x, config, exc.pruned)
+                raise
+            if args.verbose:
+                log += _plan_log_lines(x, config, result.pruned, result.sequences)
+            row = {
+                "state": x,
+                "actions": list(result.actions),
+                "objective": result.objective,
+                "reward_term": result.reward_term,
+                "tail_term": result.tail_term,
+                "detection_term": result.detection_term,
+                "sequences_scored": result.sequences_scored,
+                "tied": result.tied,
+            }
+            rows.append(row)
+            tie_note = ", tied" if row["tied"] else ""
+            print(
+                f"state {x}: actions {row['actions']}, "
+                f"objective {row['objective']:.6f} "
+                f"(reward {row['reward_term']:.6f}, tail {row['tail_term']:.6f}, "
+                f"exposure {row['detection_term']:.6f}, "
+                f"{row['sequences_scored']} sequences{tie_note})"
+            )
+    finally:
+        # a failed run logs what it planned; no log, not a stale one, if nothing
+        if args.verbose and log:
+            mdp._write_lines(log, log_path)
+        elif args.verbose:
+            log_path.unlink(missing_ok=True)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

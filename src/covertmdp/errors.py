@@ -34,7 +34,12 @@ class EmptyAdmissibleSet(CovertMdpError):
 
 
 class NoAdmissibleSequence(CovertMdpError):
-    """Every open-loop action sequence of the requested horizon was pruned."""
+    """Every open-loop action sequence of the requested horizon was pruned;
+    ``pruned`` holds the pruned prefixes, as ``PlanResult.pruned`` would."""
+
+    def __init__(self, message, pruned=()):
+        super().__init__(message)
+        self.pruned = pruned
 
 
 class MixedConfig(CovertMdpError):

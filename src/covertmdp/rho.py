@@ -28,10 +28,8 @@ root instead of walking the tree.
 
 from __future__ import annotations
 
-import json
 import warnings
-from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -68,7 +66,7 @@ class PlannerConfig:
             raise ValueError(f"horizon must be an integer, got {horizon!r}")
         if horizon < 1:
             raise ValueError(f"horizon must be at least 1, got {horizon}")
-        # a numpy integer would reach the plan log, which JSON cannot write
+        # a numpy integer would reach the CLI's plan log, which JSON cannot write
         object.__setattr__(self, "horizon", int(horizon))
         _check_weights(
             reward_weight=self.reward_weight,
@@ -91,9 +89,9 @@ class SequenceScore:
 @dataclass(frozen=True)
 class PlanResult:
     """The best sequence and its terms. ``sequences`` scores every sequence,
-    in the planner's order; it is built on first read from ``_terms``, the
-    parallel lists (actions, reward, tail, detection, objective) of the
-    :class:`SequenceScore` fields."""
+    in the planner's order, built on first read from ``_terms`` (the parallel
+    lists of the :class:`SequenceScore` fields); ``pruned`` holds every
+    pruned prefix, each ending in its pruned action, in ascending order."""
 
     actions: tuple[int, ...]
     objective: float
@@ -102,6 +100,7 @@ class PlanResult:
     detection_term: float
     sequences_scored: int
     tied: bool
+    pruned: tuple[tuple[int, ...], ...]
     _terms: tuple[list, ...] = field(repr=False, hash=False)
 
     @property
@@ -201,12 +200,18 @@ class PlanMemo:
     clears it.
 
     A memo serves one ``(observer, values)``; :func:`plan` refuses it for
-    others.
+    others. ``values`` must be one finite number per state: a NaN would
+    score every sequence NaN.
     """
 
     def __init__(self, observer: Observer, values: np.ndarray):
         self.observer = observer
         self.values = np.asarray(values, dtype=float)
+        n = observer.model.num_states
+        if self.values.shape != (n,) or not np.isfinite(self.values).all():
+            raise ValueError(
+                f"values must be {n} finite numbers, got {self.values.tolist()}"
+            )
         self.roots: dict[tuple[int, int], _Node] = {}
         self.closed: dict[tuple[int, int], _ClosedForm] = {}
         self.nbytes = 0
@@ -325,7 +330,6 @@ def plan(
     x: int,
     o: np.ndarray,
     config: PlannerConfig,
-    log_path: str | None = None,
     *,
     memo: PlanMemo | None = None,
 ) -> PlanResult:
@@ -356,10 +360,8 @@ def plan(
 
     ``PlanResult.sequences`` is built only when read.
 
-    When ``log_path`` is given, every scored sequence and every pruned
-    prefix is appended to that file as one JSON object per line.
-
-    Raises :class:`NoAdmissibleSequence` when every sequence is pruned, and
+    Raises :class:`NoAdmissibleSequence`, with the pruned prefixes, when
+    every sequence is pruned, and
     :class:`SizeOverflow` before a depth's tensors would exceed
     ``MAX_TREE_ENTRIES``.
     """
@@ -382,7 +384,7 @@ def plan(
     penalty_weight = config.exposure_weight + config.tail_exposure_weight
     if observer.rules_out_nothing:  # ex1-rho: about half the walk's time
         closed = memo.closed_form(x, horizon)
-        node, pruned = closed.leaf, []
+        node, pruned = closed.leaf, ()
         # ndarray.dot: the products of ``@`` without its dispatch. The
         # exposure is not indexed by src first: BLAS may round equal rows
         # differently by their position
@@ -394,11 +396,10 @@ def plan(
     exposed, scores = r_exposed.tolist(), objective.tolist()
     # empty unless some prefix survived to the full horizon
     terms = node.prefixes, node.inside_terms, node.tail_terms, exposed, scores
-    if log_path is not None:
-        _write_plan_log(log_path, x, config, map(SequenceScore, *terms), sorted(pruned))
     if not node.prefixes:
         raise NoAdmissibleSequence(
-            f"no admissible action sequence of length {horizon} from state x={x}"
+            f"no admissible action sequence of length {horizon} from state x={x}",
+            pruned,
         )
     # np.argmax's first maximum, picked from the list
     top = max(scores)
@@ -411,17 +412,18 @@ def plan(
         exposed[best],
         len(node.prefixes),
         scores.count(top) > 1,
+        pruned,
         terms,
     )
 
 
 def _walk_tree(
     memo: PlanMemo, x: int, o: np.ndarray, horizon: int
-) -> tuple[_Node, np.ndarray, list[tuple[int, ...]]]:
+) -> tuple[_Node, np.ndarray, tuple[tuple[int, ...], ...]]:
     """Follow the belief tree from ``(x, o)`` to the leaf of the prefixes
     that survive: one :func:`posterior_table` call per depth but the last
     (which needs only the open observations). Returns the leaf, the scored
-    sequences' discounted exposure and the pruned prefixes."""
+    sequences' discounted exposure and the pruned prefixes, sorted."""
     observer = memo.observer
     n, lam = len(o), observer.model.discount
     node = memo.root(x, horizon)
@@ -449,21 +451,4 @@ def _walk_tree(
         beliefs = posteriors.reshape(-1, n)[node.live]
         exposed = (node.mass * beliefs).reshape(len(node.mass), -1).sum(axis=1)
         r_exposed += lam ** (depth + 1) * exposed
-    return node, r_exposed, pruned
-
-
-def _write_plan_log(
-    log_path: str,
-    x: int,
-    config: PlannerConfig,
-    scored: Iterable[SequenceScore],
-    pruned: list[tuple[int, ...]],
-) -> None:
-    with open(log_path, "a", encoding="utf-8") as fh:
-        # a numpy integer state is valid, but JSON cannot write it
-        fh.write(json.dumps({"event": "plan", "state": int(x), **asdict(config)}) + "\n")
-        for seq in pruned:
-            entry = {"event": "pruned", "prefix": list(seq[:-1]), "action": seq[-1]}
-            fh.write(json.dumps(entry) + "\n")
-        for s in scored:
-            fh.write(json.dumps({"event": "scored", **asdict(s)}) + "\n")
+    return node, r_exposed, tuple(sorted(pruned))

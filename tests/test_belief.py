@@ -472,8 +472,8 @@ def test_rules_out_nothing_only_for_strictly_positive_sensors():
     grid_model, grid_obs = gridworld_model(desk_gridworld())
     # the range sensor's truncated tails are exact zeros, which clear the flag
     assert not Observer(grid_model, grid_obs, nominal_chain(grid_model)).rules_out_nothing
-    # so does a likelihood entry too small for the margin, or NaN, or a
-    # NaN or out-of-range chain entry (the flag does not read column sums)
+    # so does a likelihood entry too small for the margin, or NaN; a NaN or
+    # out-of-range chain entry is refused before the flag is read
     for entry in (1e-13, np.nan):
         likelihood = obs.likelihood.copy()
         likelihood[0, 2] = entry
@@ -481,7 +481,8 @@ def test_rules_out_nothing_only_for_strictly_positive_sensors():
     for entry in (np.nan, -0.1, 1.1):
         chain = pa.copy()
         chain[0, 0] = entry
-        assert not Observer(model, obs, chain).rules_out_nothing
+        with pytest.raises(ValueError, match=r"chain entry pa\[0,0\]"):
+            Observer(model, obs, chain)
     # and, as the lattice reads the transition's mass, so does a NaN or
     # out-of-range transition entry, or an (x, u) column with no mass
     for column in ([np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [1.1, 0.0, -0.1], [0.0] * 3):
@@ -489,6 +490,28 @@ def test_rules_out_nothing_only_for_strictly_positive_sensors():
         transition[:, 1, 0] = column
         other = MdpModel(3, model.num_actions, transition, model.reward, model.discount)
         assert not Observer(other, obs, pa).rules_out_nothing
+
+
+def test_a_chain_that_is_not_column_stochastic_is_refused_at_every_entry_point():
+    # Unchecked, a row-stochastic chain (column sums 1.4, 1.0, 0.6) ran a
+    # closed loop and reported an exposure rate, and a (2, 2) chain failed
+    # inside numpy's matmul.
+    model, obs = example1_model()
+    values = nominal_value_iteration(model).values
+    controller = NominalController(extract_nominal_policy(model, values))
+    row_stochastic = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.9, 0.0, 0.1]])
+    o, cfg = uniform_belief(3), PlannerConfig(2, 0.5, 0.5)
+    for chain, message in (
+        (row_stochastic, r"chain column pa\[:, 0\] sums to 1.4, not 1; .* 0.6, not 1"),
+        (np.eye(2), r"chain pa has shape \(2, 2\), not \(3, 3\)"),
+    ):
+        for call, args in (
+            (Observer, (model, obs, chain)),
+            (plan, (model, obs, chain, values, 0, o, cfg)),
+            (run_closed_loop, (model, obs, chain, controller, o, 5, 0, 0)),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call(*args)
 
 
 @settings(max_examples=100, deadline=None)

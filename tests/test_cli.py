@@ -11,8 +11,13 @@ import pytest
 from covertmdp import (
     MdpModel,
     ObservationModel,
+    PlannerConfig,
     example1_model,
+    extract_nominal_policy,
+    induced_chain,
     nominal_value_iteration,
+    plan,
+    uniform_belief,
 )
 from covertmdp import mdp
 from covertmdp.belief import save_observation_file
@@ -20,6 +25,7 @@ from covertmdp.cli import build_parser, main
 from covertmdp.mdp import save_model_file
 
 from _oracles import random_sane_model
+from test_rho import two_state_trap
 
 
 def write_example1_files(tmp_path):
@@ -140,6 +146,25 @@ def test_gridworld_spec_file_is_validated_where_it_is_loaded(tmp_path, capsys):
         assert main(["validate", "--model", str(path)]) == 1
         err = capsys.readouterr().err
         assert f"error: noise_sigma must lie in (1e-150, 1e150), got {sigma!r}" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "solve-nominal", "plan"])
+def test_obs_is_refused_with_a_builtin_model_or_a_spec_file(command, tmp_path, capsys):
+    # those models carry their own sensor, so the flag has nothing to load
+    spec = tmp_path / "board.json"
+    spec.write_text(json.dumps(
+        {"width": 3, "height": 3, "start": [0, 0], "target": [2, 2], "sensor": [1, 1]}
+    ))
+    for model in ("example1", "gridworld", str(spec)):
+        out = tmp_path / "out"
+        code = main([command, "--model", model, "--obs", "/nonexistent.json",
+                     *(["--out", str(out)] if command != "validate" else [])])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --obs is for model files; {model} has its own observation model\n"
+        )
+        assert captured.out == "" and not out.exists()
 
 
 def test_missing_file_is_a_config_error(capsys):
@@ -476,6 +501,90 @@ def test_plan_verbose_log_is_idempotent(tmp_path):
     assert len(scored) == 24  # 8 sequences from each of the 3 states
     assert main(args) == 0
     assert log.read_bytes() == first
+
+
+def write_trap_files(tmp_path):
+    """``two_state_trap``'s model and sensor as files: the nominal policy
+    jumps from state 0 to state 1, so under the CLI's induced chain staying
+    at state 0 (action 0) is pruned at the root."""
+    model, obs, _ = two_state_trap()
+    save_model_file(model, tmp_path / "trap.json")
+    save_observation_file(obs, tmp_path / "trap_obs.json")
+    return model, obs, ["--model", str(tmp_path / "trap.json"),
+                        "--obs", str(tmp_path / "trap_obs.json")]
+
+
+def test_plan_log_prints_each_calls_header_pruned_and_scored_lines(tmp_path):
+    model, obs, files = write_trap_files(tmp_path)
+    out = tmp_path / "plans"
+    assert main(["plan", *files, "--horizon", "2", "--verbose", "--out", str(out)]) == 0
+    lines = (out / "plan_log.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines[:2] == [
+        '{"event": "plan", "state": 0, "horizon": 2, "reward_weight": 1.0, '
+        '"exposure_weight": 0.0, "tail_exposure_weight": 0.0}',
+        '{"event": "pruned", "prefix": [], "action": 0}',
+    ]
+    values = nominal_value_iteration(model).values
+    pa = induced_chain(model, extract_nominal_policy(model, values))
+    expected = []
+    for x in range(2):
+        result = plan(model, obs, pa, values, x, uniform_belief(2), PlannerConfig(2))
+        expected.append({
+            "event": "plan", "state": x, "horizon": 2, "reward_weight": 1.0,
+            "exposure_weight": 0.0, "tail_exposure_weight": 0.0,
+        })
+        # pruned lines in sorted order, then the scored ones in the planner's
+        assert list(result.pruned) == sorted(result.pruned)
+        expected += [
+            {"event": "pruned", "prefix": list(seq[:-1]), "action": seq[-1]}
+            for seq in result.pruned
+        ]
+        expected += [
+            {"event": "scored", "actions": list(s.actions), "reward_term": s.reward_term,
+             "tail_term": s.tail_term, "detection_term": s.detection_term,
+             "objective": s.objective}
+            for s in result.sequences
+        ]
+    assert [json.loads(line) for line in lines] == expected
+    assert sum(e["event"] == "pruned" for e in expected) == 1
+
+
+def write_fork_files(tmp_path):
+    """States 0 and 1 each keep still under their nominal action; state 2
+    moves to either at random. The observer knows where the agent is, so
+    from state 2 every second action is a surprising move back to 2."""
+    transition = np.zeros((3, 3, 2))
+    transition[0, 0, 0] = transition[1, 1, 1] = 1.0
+    transition[2, 0, 1] = transition[2, 1, 0] = 1.0
+    transition[:2, 2, :] = 0.5
+    reward = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    save_model_file(MdpModel(3, 2, transition, reward, 0.9), tmp_path / "fork.json")
+    save_observation_file(ObservationModel(3, np.eye(3)), tmp_path / "fork_obs.json")
+    return ["--model", str(tmp_path / "fork.json"), "--obs", str(tmp_path / "fork_obs.json")]
+
+
+def test_plan_log_of_a_failed_run_holds_what_was_planned(tmp_path, capsys):
+    # State 2 prunes every sequence: its header and pruned lines follow the
+    # two states before it, in place of an earlier run's log
+    out = tmp_path / "plans"
+    out.mkdir()
+    (out / "plan_log.jsonl").write_text("stale\n")
+    args = ["plan", *write_fork_files(tmp_path), "--horizon", "2", "--verbose",
+            "--out", str(out)]
+    assert main(args) == 1
+    assert "no admissible action sequence of length 2 from state x=2" in capsys.readouterr().err
+    events = [json.loads(line) for line in (out / "plan_log.jsonl").read_text().splitlines()]
+    headers = [i for i, e in enumerate(events) if e["event"] == "plan"]
+    assert [events[i]["state"] for i in headers] == [0, 1, 2]
+    assert events[headers[2] + 1:] == [
+        {"event": "pruned", "prefix": [u], "action": v} for u in (0, 1) for v in (0, 1)
+    ]
+    assert not (out / "plan.json").exists()
+    # a run that fails before it logs anything leaves no log at all
+    (out / "plan_log.jsonl").write_text("stale\n")
+    assert main(["plan", "--model", "example1", "--horizon", "40", "--verbose",
+                 "--out", str(out)]) == 1
+    assert not (out / "plan_log.jsonl").exists()
 
 
 def test_plan_refuses_an_oversized_horizon(capsys):

@@ -1,7 +1,9 @@
 """Nominal MDP solving: value iteration, policies, induced chain, files."""
 
+import ast
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from covertmdp import (
     nominal_value_iteration,
     validate_model,
 )
+import covertmdp
 from covertmdp import augmented
 from covertmdp.augmented import (
     AugmentedValueFunction,
@@ -413,3 +416,37 @@ def test_loaders_reject_non_numeric_and_misnested_tables(
         load(path)
     [line] = err.value.diagnostics
     assert line.startswith(diagnostic)
+
+
+def file_opens(tree):
+    """The calls to ``open`` (a name, or an attribute as in ``Path.open``)
+    under an ``ast`` node."""
+    return [
+        call for call in ast.walk(tree)
+        if isinstance(call, ast.Call) and (
+            isinstance(call.func, ast.Name) and call.func.id == "open"
+            or isinstance(call.func, ast.Attribute) and call.func.attr == "open"
+        )
+    ]
+
+
+def test_only_mdps_file_helpers_open_files():
+    # mdp's three helpers hold the one on-disk convention (UTF-8, "\n" line
+    # ends, JSON indent); every other module reads and writes through them
+    helpers = {"_read_json_object", "_write_json", "_write_lines"}
+    package = Path(covertmdp.__file__).parent
+    found, stray = 0, []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        allowed = set()
+        if path == package / "mdp.py":
+            for node in tree.body:
+                if isinstance(node, ast.FunctionDef) and node.name in helpers:
+                    allowed.update(map(id, file_opens(node)))
+            found = len(allowed)
+        stray += [
+            f"{path.relative_to(package)}:{call.lineno}"
+            for call in file_opens(tree) if id(call) not in allowed
+        ]
+    assert found == 3  # the check finds the helpers' own calls
+    assert stray == []

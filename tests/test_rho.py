@@ -2,13 +2,10 @@
 
 import itertools
 import json
-import os
-import tempfile
 import time
 import tracemalloc
 import warnings
-from dataclasses import replace
-from pathlib import Path
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -254,8 +251,9 @@ def test_all_terms_match_path_enumeration_random_models(seed, n, m, k, horizon):
     # Sparse models prune sequences: the planner must score exactly those
     # along which every possible observation has a defined filter update,
     # and score each of them as brute-force path enumeration does.
-    # The logged pruned prefixes are exactly the minimal ones that can emit
-    # an observation the observer's predictive rules out.
+    # The pruned prefixes, on the result or on the error when nothing is
+    # left, are exactly the minimal ones that can emit an observation the
+    # observer's predictive rules out.
     rng = np.random.default_rng(seed)
     transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
     model = MdpModel(n, m, transition, reward, 0.9)
@@ -264,21 +262,13 @@ def test_all_terms_match_path_enumeration_random_models(seed, n, m, k, horizon):
     x0 = int(rng.integers(n))
     o0 = rng.dirichlet(np.ones(n))
     cfg = PlannerConfig(horizon, 0.5, 0.5, 0.0)
-    with tempfile.TemporaryDirectory() as tmp:
-        log = os.path.join(tmp, "plan_log.jsonl")
-        try:
-            scores = {
-                s.actions: s
-                for s in plan(model, obs, chain, values, x0, o0, cfg, log).sequences
-            }
-        except NoAdmissibleSequence:
-            scores = {}
-        with open(log, encoding="utf-8") as fh:
-            events = [json.loads(line) for line in fh]
-    pruned = [
-        tuple(e["prefix"]) + (e["action"],) for e in events if e["event"] == "pruned"
-    ]
-    assert pruned == sorted(pruned)
+    try:
+        result = plan(model, obs, chain, values, x0, o0, cfg)
+        scores = {s.actions: s for s in result.sequences}
+        pruned = result.pruned
+    except NoAdmissibleSequence as exc:
+        scores, pruned = {}, exc.pruned
+    assert pruned == tuple(sorted(pruned))
     assert set(pruned) == pruned_prefixes_by_definition(
         transition, likelihood, chain, x0, o0, horizon
     )
@@ -668,43 +658,39 @@ def test_planner_config_refuses_fractional_horizons_and_non_finite_weights(args)
         PlannerConfig(*args)
 
 
-def test_planner_config_accepts_numpy_horizons_and_negative_weights(tmp_path):
+def test_planner_config_accepts_numpy_horizons_and_negative_weights():
     # criterion 7 plays wa = -1
     config = PlannerConfig(np.int64(2), 1.0, -1.0, 0.0)
     assert (config.horizon, config.exposure_weight) == (2, -1.0)
     assert type(config.horizon) is int
-    # the plan log's header holds the config and the state, and JSON can
-    # write neither as a numpy integer
+    # the CLI's plan log holds the config, and JSON cannot write a numpy
+    # integer; the planner takes a numpy integer state
+    assert json.loads(json.dumps(asdict(config))) == {
+        "horizon": 2, "reward_weight": 1.0, "exposure_weight": -1.0,
+        "tail_exposure_weight": 0.0,
+    }
     model, obs = smoothed_example1()
     pa, values, _ = nominal_setup(model)
-    log = tmp_path / "plan_log.jsonl"
-    plan(model, obs, pa, values, np.int64(1), uniform_belief(3), config, str(log))
-    assert json.loads(log.read_text().splitlines()[0]) == {
-        "event": "plan", "state": 1, "horizon": 2, "reward_weight": 1.0,
-        "exposure_weight": -1.0, "tail_exposure_weight": 0.0,
-    }
+    result = plan(model, obs, pa, values, np.int64(1), uniform_belief(3), config)
+    assert result.sequences_scored == 4 and result.pruned == ()
 
 
-def test_plan_log_records_scored_and_pruned_events(tmp_path):
+def test_plan_log_records_scored_and_pruned_events():
+    # the result records both; the CLI's plan log prints them
     model, obs, pa = two_state_trap()
     values = np.zeros(2)
     cfg = PlannerConfig(2, 1.0, 0.0, 0.0)
-    log = tmp_path / "plan_log.jsonl"
-    result = plan(model, obs, pa, values, 0, point_belief(2, 0), cfg, log_path=str(log))
-    lines = [json.loads(line) for line in log.read_text().splitlines()]
-    assert lines[0]["event"] == "plan"
-    assert lines[0]["horizon"] == 2
-    scored = [e for e in lines if e["event"] == "scored"]
-    pruned = [e for e in lines if e["event"] == "pruned"]
-    assert len(scored) == result.sequences_scored == 1
-    assert scored[0]["actions"] == [0, 0]
-    assert abs(scored[0]["objective"] - result.objective) < 1e-15
-    # the jump action is pruned both at the root and after one stay
-    assert {tuple(e["prefix"]) + (e["action"],) for e in pruned} == {(1,), (0, 1)}
+    result = plan(model, obs, pa, values, 0, point_belief(2, 0), cfg)
+    assert len(result.sequences) == result.sequences_scored == 1
+    assert result.sequences[0].actions == (0, 0)
+    assert abs(result.sequences[0].objective - result.objective) < 1e-15
+    # the jump action is pruned both after one stay and at the root, sorted
+    assert result.pruned == ((0, 1), (1,))
 
 
-def test_plan_sequences_are_the_logged_scores(tmp_path):
-    # sequences is built on first read; the log writes it on every call
+def test_plan_sequences_are_the_logged_scores():
+    # sequences is built on first read, in lexicographic order, and with
+    # the pruned prefixes it covers every sequence (the CLI logs both)
     rng = np.random.default_rng(12)
     cases = [(*smoothed_example1(), None)]
     for _ in range(3):
@@ -717,24 +703,14 @@ def test_plan_sequences_are_the_logged_scores(tmp_path):
         pa = pa if chain is None else chain
         memo = PlanMemo(Observer(model, obs, pa), values)
         for x, o, cfg in random_calls(rng, model.num_states, 8):
-            log = tmp_path / "plan.jsonl"
-            log.unlink(missing_ok=True)
             try:
-                result = plan(model, obs, pa, values, x, o, cfg, str(log), memo=memo)
-            except NoAdmissibleSequence:
+                result = plan(model, obs, pa, values, x, o, cfg, memo=memo)
+            except NoAdmissibleSequence as exc:
+                assert_pruned_cover(exc.pruned, set(), model.num_actions, cfg.horizon)
                 continue
-            events = [json.loads(line) for line in log.read_text().splitlines()]
-            logged = [
-                (tuple(e["actions"]), e["reward_term"], e["tail_term"],
-                 e["detection_term"], e["objective"])
-                for e in events if e["event"] == "scored"
-            ]
-            got = [
-                (s.actions, s.reward_term, s.tail_term, s.detection_term, s.objective)
-                for s in result.sequences
-            ]
-            assert got == logged
-            assert result.sequences_scored == len(logged)
+            actions = [s.actions for s in result.sequences]
+            assert actions == sorted(actions)
+            assert result.sequences_scored == len(actions)
             best = max(result.sequences, key=lambda s: s.objective)  # first maximum
             assert (result.actions, result.objective, result.reward_term,
                     result.tail_term, result.detection_term) == (
@@ -742,6 +718,19 @@ def test_plan_sequences_are_the_logged_scores(tmp_path):
                 best.detection_term)
             top = sum(s.objective == best.objective for s in result.sequences)
             assert result.tied == (top > 1)
+            assert_pruned_cover(
+                result.pruned, {s.actions for s in result.sequences},
+                model.num_actions, cfg.horizon,
+            )
+
+
+def assert_pruned_cover(pruned, scored, num_actions, horizon):
+    """Every sequence is scored or extends exactly one pruned prefix, and
+    the prefixes come sorted."""
+    assert list(pruned) == sorted(set(pruned))
+    for seq in itertools.product(range(num_actions), repeat=horizon):
+        cuts = [d for d in range(1, horizon + 1) if seq[:d] in pruned]
+        assert len(cuts) == (seq not in scored)
 
 
 # ---------------------------------------------------------------------------
@@ -803,36 +792,33 @@ TINY_RECORDED = {
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
-def test_plan_histories_through_ruled_out_observations_block_nothing(horizon, tmp_path):
+def test_plan_histories_through_ruled_out_observations_block_nothing(horizon):
     # Such a history holds no belief: left with an all-zero one it would
     # rule out every observation at the next depth and prune every prefix
     # that reaches it. Horizon 1 reads only the root, which every belief
     # occupies, so there the unoccupied-row mask must clear nothing.
     model, obs, pa, values = tiny_likelihood_model()
-    log = tmp_path / "plan_log.jsonl"
     cfg = PlannerConfig(horizon, 0.5, 0.5, 0.0)
-    result = plan(model, obs, pa, values, 0, np.array([0.5, 0.5, 0.0]), cfg, str(log))
+    result = plan(model, obs, pa, values, 0, np.array([0.5, 0.5, 0.0]), cfg)
     expected, expected_pruned = TINY_RECORDED[horizon]
     assert [s.actions for s in result.sequences] == [e[0] for e in expected]
     for score, (_, *terms) in zip(result.sequences, expected):
         got = [score.reward_term, score.tail_term, score.detection_term, score.objective]
         assert got == pytest.approx(terms, rel=1e-14, abs=0.0)
-    events = [json.loads(line) for line in log.read_text().splitlines()]
-    pruned = [tuple(e["prefix"]) + (e["action"],) for e in events if e["event"] == "pruned"]
-    assert pruned == expected_pruned
+    assert list(result.pruned) == expected_pruned
 
 
-def outcomes(model, obs, pa, values, calls, log, memo=None):
-    """repr of every call's PlanResult and its sequences, or its exception's
-    type and message; each call appends to the plan log ``log``."""
+def outcomes(model, obs, pa, values, calls, memo=None):
+    """repr of every call's PlanResult (its pruned prefixes too) and its
+    sequences, or its exception's type, message and pruned prefixes."""
     kwargs = {} if memo is None else {"memo": memo}
     out = []
     for x, o, cfg in calls:
         try:
-            result = plan(model, obs, pa, values, x, o, cfg, str(log), **kwargs)
+            result = plan(model, obs, pa, values, x, o, cfg, **kwargs)
             out.append(repr(result) + repr(result.sequences))
         except (NoAdmissibleSequence, SizeOverflow) as err:
-            out.append((type(err).__name__, str(err)))
+            out.append((type(err).__name__, str(err), getattr(err, "pruned", None)))
     return out
 
 
@@ -850,12 +836,11 @@ def random_calls(rng, n, count):
     return calls
 
 
-def assert_memo_matches_fresh(model, obs, pa, values, calls, tmp):
+def assert_memo_matches_fresh(model, obs, pa, values, calls):
     memo = PlanMemo(Observer(model, obs, pa), values)
-    shared = outcomes(model, obs, pa, values, calls, tmp / "shared.jsonl", memo)
-    fresh = outcomes(model, obs, pa, values, calls, tmp / "fresh.jsonl")
+    shared = outcomes(model, obs, pa, values, calls, memo)
+    fresh = outcomes(model, obs, pa, values, calls)
     assert shared == fresh
-    assert (tmp / "shared.jsonl").read_bytes() == (tmp / "fresh.jsonl").read_bytes()
     return memo, shared
 
 
@@ -884,13 +869,12 @@ def test_shared_memo_plans_like_a_fresh_one(seed, n, m, k, kind):
         model, obs = random_pair(rng, n, m, k)
         pa, values, _ = nominal_setup(model)
     calls = random_calls(rng, model.num_states, 12)
-    with tempfile.TemporaryDirectory() as tmp:
-        memo, _ = assert_memo_matches_fresh(model, obs, pa, values, calls, Path(tmp))
+    memo, _ = assert_memo_matches_fresh(model, obs, pa, values, calls)
     assert memo.observer.rules_out_nothing or kind != "positive"
     assert bool(memo.closed) == memo.observer.rules_out_nothing
 
 
-def test_memo_clears_when_full_and_still_plans_like_a_fresh_one(monkeypatch, tmp_path):
+def test_memo_clears_when_full_and_still_plans_like_a_fresh_one(monkeypatch):
     # A cap of 200 entries refuses horizon 4 on example1 and leaves room for
     # a few nodes only, so inserts keep clearing the memo.
     # The smoothed sensor rules nothing out, so the memo holds closed-form
@@ -903,10 +887,10 @@ def test_memo_clears_when_full_and_still_plans_like_a_fresh_one(monkeypatch, tmp
     memo = PlanMemo(Observer(model, obs, pa), values)
     assert memo.observer.rules_out_nothing
     for call in calls:
-        outcomes(model, obs, pa, values, [call], tmp_path / "probe.jsonl", memo)
+        outcomes(model, obs, pa, values, [call], memo)
         sizes.append(memo.nbytes)
     assert any(b < a for a, b in zip(sizes, sizes[1:]))  # it was cleared
-    _, shared = assert_memo_matches_fresh(model, obs, pa, values, calls, tmp_path)
+    _, shared = assert_memo_matches_fresh(model, obs, pa, values, calls)
     assert any(out[0] == "SizeOverflow" for out in shared if isinstance(out, tuple))
 
 
@@ -973,6 +957,20 @@ def test_a_depth_that_rules_nothing_out_adds_one_child_the_closed_form_reuses():
     assert memo.nbytes == memo_bytes(memo)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "shape"])
+def test_plan_refuses_values_that_are_not_one_finite_number_per_state(bad):
+    # Unchecked, a NaN value scored every sequence NaN and still picked one,
+    # untied, and values of the wrong shape failed inside numpy's matmul.
+    model, obs = example1_model()
+    pa, values, _ = nominal_setup(model)
+    values = values[:2] if bad == "shape" else np.array([values[0], bad, values[2]])
+    cfg = PlannerConfig(2, 0.5, 0.5, 0.0)
+    with pytest.raises(ValueError, match="values must be 3 finite numbers"):
+        plan(model, obs, pa, values, 0, uniform_belief(3), cfg)
+    with pytest.raises(ValueError, match="values must be 3 finite numbers"):
+        RecedingHorizonController(model, obs, pa, values, cfg)
+
+
 def test_plan_refuses_a_memo_built_for_another_model():
     model, obs = smoothed_example1()
     pa, values, _ = nominal_setup(model)
@@ -1026,22 +1024,19 @@ def test_plan_on_an_observer_that_rules_out_nothing_equals_the_general_path(
     twin = Observer(model, obs, pa)
     object.__setattr__(twin, "rules_out_nothing", False)
     fast_memo, general_memo = PlanMemo(observer, values), PlanMemo(twin, values)
-    with tempfile.TemporaryDirectory() as tmp:
-        log = os.path.join(tmp, "plan_log.jsonl")
-        for x, o, cfg in planner_calls(rng, model.num_states):
-            fast = plan(model, obs, pa, values, x, o, cfg, log, memo=fast_memo)
-            general = plan(model, obs, pa, values, x, o, cfg, log, memo=general_memo)
-            assert (fast.actions, fast.sequences_scored, fast.tied) == (
-                general.actions, general.sequences_scored, general.tied)
-            assert [s.actions for s in fast.sequences] == [s.actions for s in general.sequences]
-            for a, b in zip(fast.sequences, general.sequences):
-                assert (a.reward_term, a.tail_term) == (b.reward_term, b.tail_term)
-                assert a.detection_term == pytest.approx(b.detection_term, rel=0.0, abs=1e-13)
-                assert a.objective == pytest.approx(b.objective, rel=0.0, abs=1e-13)
-            # nothing is pruned where nothing is ruled out
-            assert fast.sequences_scored == model.num_actions ** cfg.horizon
-        with open(log, encoding="utf-8") as fh:
-            assert all(json.loads(line)["event"] != "pruned" for line in fh)
+    for x, o, cfg in planner_calls(rng, model.num_states):
+        fast = plan(model, obs, pa, values, x, o, cfg, memo=fast_memo)
+        general = plan(model, obs, pa, values, x, o, cfg, memo=general_memo)
+        assert (fast.actions, fast.sequences_scored, fast.tied) == (
+            general.actions, general.sequences_scored, general.tied)
+        assert [s.actions for s in fast.sequences] == [s.actions for s in general.sequences]
+        for a, b in zip(fast.sequences, general.sequences):
+            assert (a.reward_term, a.tail_term) == (b.reward_term, b.tail_term)
+            assert a.detection_term == pytest.approx(b.detection_term, rel=0.0, abs=1e-13)
+            assert a.objective == pytest.approx(b.objective, rel=0.0, abs=1e-13)
+        # nothing is pruned where nothing is ruled out
+        assert fast.sequences_scored == model.num_actions ** cfg.horizon
+        assert fast.pruned == general.pruned == ()
     negative = np.zeros(model.num_states)
     negative[0], negative[1] = 3.0, -2.0
     for o in (negative, np.zeros(model.num_states), np.full(model.num_states, np.nan)):
