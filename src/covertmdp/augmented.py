@@ -9,21 +9,23 @@ terms of the integer vector's suffix sums, so the ranks of a Freudenthal
 simplex's vertices are one running sum: the floor's rank, then the tabled
 rank step of each coordinate the walk raises.
 
-One batched lookahead, :class:`_Lookahead`, backs up every lattice point in
-a sweep and the single (state, belief) pair of a greedy decision. Its
-model-level half (the kernel ``q(y|x') p(x'|x,u)`` and the emission table,
-its mass over ``x'``) is read from a :class:`belief.Observer`, built once
-per solve and once per ``AugmentedValueController``. The rest depends on the
-belief: the observer's posteriors and their simplices, found once per (belief,
-observation), the 0/1 mask of the observations each belief leaves open, the
-blocked and relaxed actions, the stage reward and the two contractions. A
-greedy decision computes these for its one belief and reads only its own
-state's rows of the tables. Every belief the lookahead sees is a
-distribution (a lattice point, or a belief that ``Observer.check``
-accepted), so when the observer rules nothing out
-(``Observer.rules_out_nothing``), nothing is blocked, relaxed or without
-mass: the masks are not built and the solver has no fallback or hopeless
-point to look for.
+One batched lookahead backs up every lattice point in a sweep and the
+single (state, belief) pair of a greedy decision. It comes in two halves,
+as the planner's does. :class:`_Lookahead` is what depends on no belief: the
+observer's kernel ``q(y|x') p(x'|x,u)``, the weighted reward, the discount,
+whether the observer rules nothing out, and the lattice's locate tables; it
+is built once per solve and once per ``AugmentedValueController``, which
+hands it to :func:`greedy_action`. :class:`_Backup` is the per-belief step
+that both go through: the observer's posteriors and their simplices, found
+once per (belief, observation), the 0/1 mask of the observations each
+belief leaves open, the blocked and relaxed actions and the stage reward,
+applied to any value table by the two contractions. A greedy decision
+computes these for its one belief and reads only its own state's rows of
+the tables. Every belief the lookahead sees is a distribution (a lattice
+point, or a belief that ``Observer.check`` accepted), so when the observer
+rules nothing out (``Observer.rules_out_nothing``), nothing is blocked,
+relaxed or without mass: the masks are not built and the solver has no
+fallback or hopeless point to look for.
 
 A sweep gathers ``X·G·Y·n`` interpolation values (states, lattice points,
 observations, simplex vertices) at once, and its memory peaks there, at
@@ -44,6 +46,7 @@ from .belief import (
     EPS_ZERO,
     ObservationModel,
     Observer,
+    _check_belief,
     posterior_table,
 )
 from .errors import EmptyAdmissibleSet, SizeOverflow
@@ -85,7 +88,8 @@ class SimplexGrid:
     column). The extra column ``t = resolution + 1`` of ``_gains`` is read
     only through the steps of coordinates already at ``resolution``: the
     first, which is never raised, and others whose raised vertices carry
-    zero weight.
+    zero weight. Both tables are read by flat index: coordinate ``j`` at
+    ``t`` is entry ``_offsets[j] + t``.
     """
 
     num_states: int
@@ -93,6 +97,7 @@ class SimplexGrid:
     points: np.ndarray
     _gains: np.ndarray = field(init=False, repr=False)
     _rises: np.ndarray = field(init=False, repr=False)
+    _offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", _readonly(self.points))
@@ -106,6 +111,9 @@ class SimplexGrid:
         rises = np.diff(gains, axis=1, append=gains[:, -1:])  # last column 0
         object.__setattr__(self, "_gains", _readonly(gains, dtype=np.int64))
         object.__setattr__(self, "_rises", _readonly(rises, dtype=np.int64))
+        object.__setattr__(
+            self, "_offsets", _readonly(np.arange(0, n * width, width), dtype=np.int64)
+        )
 
     @property
     def num_points(self) -> int:
@@ -141,21 +149,30 @@ def build_simplex_grid(num_states: int, resolution: int) -> SimplexGrid:
     return SimplexGrid(num_states, resolution, comps / float(resolution))
 
 
+def _stack_offsets(rows: int, n: int) -> np.ndarray:
+    """Flat index of the first entry of each row of a ``(rows, n)`` stack,
+    as a column."""
+    return np.arange(0, rows * n, n)[:, None]
+
+
 def _simplex_weights(
-    grid: SimplexGrid, beliefs: np.ndarray
+    grid: SimplexGrid, beliefs: np.ndarray, stack: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Freudenthal simplex of each belief in a stack ``(..., n)``.
 
     Returns vertex indices and barycentric weights, both ``(..., n)``. In
     the suffix-sum coordinates the lattice is the integer grid: take the
     floor, then walk up the coordinates in order of decreasing fractional
-    part. The first coordinate is ``resolution`` exactly and never walks,
-    so its fractional part is pinned to 1.0: one stable sort then puts it
-    first, the sorted fractional parts are the weights' ``[1, d_1, ...,
-    d_{n-1}]`` and the coordinates in sorted order are the walk. Vertex
-    ``k``'s rank is the floor's rank plus the rank steps (``_rises``) of the
-    first ``k`` walked coordinates. Zero-weight vertices can fall outside
-    the simplex on boundary faces, so they are replaced by the first vertex.
+    part. The beliefs must be distributions, so the coordinates are
+    nonnegative and truncation is the floor. The first coordinate is
+    ``resolution`` exactly and never walks, so its fractional part is
+    pinned to 1.0: one stable sort then puts it first, the sorted
+    fractional parts are the weights' ``[1, d_1, ..., d_{n-1}]`` and the
+    coordinates in sorted order are the walk. Vertex ``k``'s rank is the
+    floor's rank plus the rank steps (``_rises``) of the first ``k`` walked
+    coordinates. Zero-weight vertices can fall outside the simplex on
+    boundary faces, so they are replaced by the first vertex. ``stack`` is
+    :func:`_stack_offsets` of the stack's rows, for callers that hold it.
     """
     n = grid.num_states
     res = grid.resolution
@@ -166,12 +183,15 @@ def _simplex_weights(
     frac[:, 0] = res  # exact by normalization
     near = frac.round()
     np.copyto(frac, near, where=np.abs(frac - near) <= SNAP_TOL)
-    base = np.floor(frac, out=near).astype(np.int64)
+    del near
+    base = frac.astype(np.int64)
     frac -= base  # the fractional parts from here on
     frac[:, 0] = 1.0  # the pinned head: sorts first, and heads the weights
 
     order = (-frac).argsort(axis=-1, kind="stable")
-    flat = order + np.arange(0, frac.size, n)[:, None]
+    if stack is None:
+        stack = _stack_offsets(len(frac), n)
+    flat = order + stack
     # weights: one difference over [1, d_1, ..., d_{n-1}, 0], with d the
     # fractional parts in walk order; the last, d_{n-1} - 0, stays as it is
     lam = frac.take(flat)
@@ -180,8 +200,9 @@ def _simplex_weights(
     # vertex k raises the coordinates order[1:k+1] of the floor by one, and
     # the rank is separable, so each raise adds that coordinate's rank step;
     # the head never walks, and its column starts the sum at the floor's rank
-    steps = grid._rises[order, base.take(flat)]
-    np.add.reduce(grid._gains[np.arange(n), base], axis=-1, out=steps[:, 0])
+    base += grid._offsets  # each coordinate's floor, as its entry in the tables
+    steps = grid._rises.take(base.take(flat))
+    np.add.reduce(grid._gains.take(base), axis=-1, out=steps[:, 0])
     ranks = steps.cumsum(axis=-1)
     positive = lam > 0.0
     vertices = np.where(positive, ranks, ranks[:, :1])
@@ -193,14 +214,12 @@ def interpolation_weights(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Barycentric weights of ``o`` in its triangulation simplex.
 
+    ``o`` must be a distribution over the grid's states, by
+    :meth:`Observer.check`'s rule; anything else is a ``ValueError``.
     Returns parallel arrays of grid-point indices and strictly positive
     weights (at most ``num_states`` of them, summing to 1).
     """
-    o = np.asarray(o, dtype=float)
-    if o.shape != (grid.num_states,):
-        raise ValueError(
-            f"belief shape {o.shape} does not match grid over {grid.num_states} states"
-        )
+    o = _check_belief(o, grid.num_states)
     idx, w = _simplex_weights(grid, o)
     keep = w > 0.0
     return idx[keep], w[keep]
@@ -236,39 +255,79 @@ class AugmentedVIResult:
 
 
 class _Lookahead:
-    """One-step backup of ``(x, o)`` for the source states ``sources`` and
-    a batch of beliefs.
+    """One-step backup of ``(x, o)`` against a lattice value table
+    ``values[x', g]``: its belief-independent half, built once per solve and
+    once per ``AugmentedValueController``.
 
-    The kernel and the emission table (what each action can emit, and how
-    likely) are the same for every belief, so they are read as ``sources``'
-    rows of ``observer``'s tables. Per
-    belief, the posterior after ``y`` interpolates through
+    It holds the kernel ``q(y|x') p(x'|x,u)`` (read from ``observer``),
+    ``reward_weight`` times the reward, the discount, whether the observer
+    rules nothing out (``all_open``, by ``Observer.rules_out_nothing``), the
+    grid, whose tables the locator reads, and the locator's row offsets for
+    one belief's posteriors. :class:`_Backup` is the per-belief step that
+    both the sweep (over the lattice points) and a greedy decision (one
+    ``(x, o)``) go through.
+
+    It serves one observer and one lattice and pair of weights; a decision
+    refuses it for any other (:meth:`serves`).
+    """
+
+    def __init__(self, observer: Observer, grid: SimplexGrid,
+                 reward_weight: float, exposure_weight: float):
+        lattice, n = grid.num_states, observer.model.num_states
+        if lattice != n:
+            raise ValueError(f"value lattice over {lattice} states, model has {n} states")
+        self.observer = observer
+        self.grid = grid
+        self.reward_weight = reward_weight
+        self.exposure_weight = exposure_weight
+        self.kernel = observer.kernel
+        self.reward = reward_weight * observer.model.reward
+        self.discount = observer.model.discount
+        self.all_open = observer.rules_out_nothing
+        self.stack = _stack_offsets(observer.obs.num_observations, n)
+
+    def serves(self, observer: Observer, value: AugmentedValueFunction) -> bool:
+        grid = value.grid
+        return (
+            observer is self.observer
+            and grid.num_states == self.grid.num_states
+            and grid.resolution == self.grid.resolution
+            and value.reward_weight == self.reward_weight
+            and value.exposure_weight == self.exposure_weight
+        )
+
+
+class _Backup:
+    """A :class:`_Lookahead` at a batch of beliefs ``(B, n)``, for the
+    source states ``sources``: the part of the backup that depends on the
+    belief, computed once and applied to any value table.
+
+    Per belief, the posterior after ``y`` interpolates through
     ``vertices[b, y]`` with ``weights[b, y]``, and its value counts only
     where the predictive leaves ``y`` open (``open_y[b, y]``). Where no
     action is admissible (``relaxed[b, x]``), every action with open mass
     is usable, and at those ``renorm`` entries the contracted future is
-    divided by that mass (``open_mass``). ``stage`` is -inf for unusable
-    actions.
+    divided by that mass (``open_mass``). ``stage`` is the stage reward
+    less the exposure (the belief's mass on the source state), and -inf
+    for unusable actions.
 
-    ``beliefs`` must be distributions. When the observer rules nothing out
-    (``all_open``, by ``Observer.rules_out_nothing``), none of those masks
-    is built: nothing is blocked or relaxed, every action has mass, and the
-    masked backup would multiply by 1.0 and divide nowhere, so skipping it
-    changes no bit.
+    ``beliefs`` must be distributions. When the observer rules nothing out,
+    none of those masks is built: nothing is blocked or relaxed, every
+    action has mass, and the masked backup would multiply by 1.0 and divide
+    nowhere, so skipping it changes no bit.
     """
 
-    def __init__(self, observer: Observer, grid: SimplexGrid, beliefs: np.ndarray,
-                 reward_weight: float, exposure_weight: float,
+    def __init__(self, lookahead: _Lookahead, beliefs: np.ndarray,
                  sources=slice(None)):
-        model = observer.model
+        observer = lookahead.observer
         posteriors, _, open_y = posterior_table(observer, beliefs)
-        self.vertices, self.weights = _simplex_weights(grid, posteriors)
-        self.kernel = observer.kernel[sources]
-        self.discount = model.discount
-        # the stage's exposure is the belief's mass on the source state
-        penalty = exposure_weight * beliefs[..., sources]
-        self.stage = reward_weight * model.reward[sources] - penalty[..., None]
-        self.all_open = observer.rules_out_nothing
+        stack = lookahead.stack if len(beliefs) == 1 else None
+        self.vertices, self.weights = _simplex_weights(lookahead.grid, posteriors, stack)
+        self.kernel = lookahead.kernel[sources]
+        self.discount = lookahead.discount
+        penalty = lookahead.exposure_weight * beliefs[..., sources]
+        self.stage = lookahead.reward[sources] - penalty[..., None]
+        self.all_open = lookahead.all_open
         if self.all_open:  # lattice-6s decisions: 0.5-0.8 the masked time
             return
 
@@ -325,62 +384,63 @@ def solve_augmented_vi(
         )
     grid = build_simplex_grid(n, resolution)
     lookahead = _Lookahead(
-        Observer(model, obs, pa), grid, grid.points, reward_weight, exposure_weight
+        Observer(model, obs, pa), grid, reward_weight, exposure_weight
     )
+    backup = _Backup(lookahead, grid.points)
     fallback = ()  # all open: no point is relaxed, none is hopeless
     if not lookahead.all_open:
-        hopeless = np.argwhere(~lookahead.usable.any(axis=2))
+        hopeless = np.argwhere(~backup.usable.any(axis=2))
         if hopeless.size:
             g, x = hopeless[0]
             raise EmptyAdmissibleSet(
                 f"no usable action at state x={x}, grid point g={g}"
             )
-        fallback = tuple((int(x), int(g)) for g, x in np.argwhere(lookahead.relaxed))
+        fallback = tuple((int(x), int(g)) for g, x in np.argwhere(backup.relaxed))
     vi = value_iteration(
-        lambda values: lookahead(values).max(axis=2).T,
+        lambda values: backup(values).max(axis=2).T,
         np.zeros((model.num_states, grid.num_points)), tol, max_iter,
     )
     value = AugmentedValueFunction(grid, vi.values, reward_weight, exposure_weight)
     return AugmentedVIResult(value, vi.residual, vi.iterations, vi.converged, fallback)
 
 
-def _check_lattice(observer: Observer, value: AugmentedValueFunction) -> None:
-    """Refuse a value function whose lattice is over another state count."""
-    lattice, model = value.grid.num_states, observer.model.num_states
-    if lattice != model:
-        raise ValueError(
-            f"value lattice over {lattice} states, model has {model} states"
-        )
-
-
 def action_values(
-    observer: Observer, value: AugmentedValueFunction, x: int, o: np.ndarray
+    observer: Observer, value: AugmentedValueFunction, x: int, o: np.ndarray,
+    *, lookahead: _Lookahead | None = None,
 ) -> np.ndarray:
     """Greedy lookahead at an arbitrary ``(x, o)``; inadmissible entries are -inf.
 
     Unlike the solver's backup, no action is relaxed here: where every
     action is inadmissible, every entry is -inf. Only the agent's own row
-    is backed up, against ``observer``'s tables.
+    is backed up, against ``observer``'s tables. ``lookahead`` is the
+    belief-independent half, built here when not given; one built for
+    another observer, lattice or pair of weights is refused.
     """
     o = observer.check(x, o)
-    _check_lattice(observer, value)
-    lookahead = _Lookahead(
-        observer, value.grid, o[None, :],
-        value.reward_weight, value.exposure_weight, sources=slice(x, x + 1),
-    )
-    if not lookahead.all_open and lookahead.relaxed[0, 0]:
+    if lookahead is None:
+        lookahead = _Lookahead(
+            observer, value.grid, value.reward_weight, value.exposure_weight
+        )
+    elif not lookahead.serves(observer, value):
+        raise ValueError("lookahead was built for another observer or value function")
+    backup = _Backup(lookahead, o[None, :], slice(x, x + 1))
+    if not lookahead.all_open and backup.relaxed[0, 0]:
         return np.full(observer.model.num_actions, -np.inf)
-    return lookahead(value.values)[0, 0]
+    return backup(value.values)[0, 0]
 
 
 def greedy_action(
-    observer: Observer, value: AugmentedValueFunction, x: int, o: np.ndarray
+    observer: Observer, value: AugmentedValueFunction, x: int, o: np.ndarray,
+    *, lookahead: _Lookahead | None = None,
 ) -> int:
-    """Lowest-index maximizer of the greedy lookahead (:func:`action_values`)."""
-    vals = action_values(observer, value, x, o)
-    if not np.isfinite(vals).any():
+    """Lowest-index maximizer of the greedy lookahead (:func:`action_values`),
+    picked from the Python list of its values: for values that are finite or
+    -inf, ``np.argmax``'s first maximum."""
+    scores = action_values(observer, value, x, o, lookahead=lookahead).tolist()
+    top = max(scores)
+    if top == -math.inf:
         raise EmptyAdmissibleSet(f"no admissible action at state x={x}")
-    return int(vals.argmax())
+    return scores.index(top)
 
 
 # ---------------------------------------------------------------------------

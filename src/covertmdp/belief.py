@@ -139,10 +139,15 @@ def posterior_table(
     one-step predictive, and which observations the predictive allows
     (mass above EPS_ZERO). The posteriors are the joint numerators divided
     in place by the predictive; a ruled-out observation's row is divided by
-    infinity instead, which zeroes it, and must not be used.
+    infinity instead, which zeroes it, and must not be used. ``beliefs``
+    must be distributions: an observer that rules nothing out then leaves
+    every row open, and its rows are divided by the predictive directly.
     """
     numer, predictive, open_y = _joint_predictive(observer, beliefs)
-    numer /= np.where(open_y, predictive, np.inf)[..., None]
+    if observer.rules_out_nothing:
+        numer /= predictive[..., None]
+    else:
+        numer /= np.where(open_y, predictive, np.inf)[..., None]
     return numer, predictive, open_y
 
 
@@ -160,7 +165,8 @@ def _joint_predictive(
     the filter's one zero test."""
     pred_states = (observer.pa @ np.asarray(beliefs, dtype=float).T).T
     numer = observer.obs.likelihood * pred_states[..., None, :]
-    predictive = numer.sum(axis=-1)
+    # numer.sum(axis=-1)'s reduction, without its Python-level wrapper
+    predictive = np.add.reduce(numer, axis=-1)
     return numer, predictive, predictive > EPS_ZERO
 
 
@@ -177,27 +183,25 @@ class Observer:
     simulator step) never hold its X²·U·Y entries. So are the simulator
     step's running sums, :attr:`successor_cdf` and :attr:`reading_cdf`.
 
-    ``pa`` must be ``(n, n)`` with columns that are distributions, by the
-    model files' check (:func:`mdp._stochastic_problems`).
+    ``pa`` must be ``(n, n)``, and ``pa``, the sensor ``q`` and the
+    transition ``p`` must have columns that are distributions, by the model
+    files' check (:func:`mdp._stochastic_problems`).
 
     ``rules_out_nothing`` is True when no belief that :meth:`check` accepts
     can rule an observation out, and the lattice lookahead finds mass behind
-    every action: every entry of the transition ``p`` lies in ``[0, 1]``,
-    every likelihood is at most 1, and ``min q`` times the
-    smallest column sum of ``pa``, and times that of ``p``, exceeds
-    ``4 * EPS_ZERO``. Proof: for a belief ``b >= 0``,
-    ``predictive(y) = sum_x' q(y|x') sum_x pa[x', x] b[x] >= min q *
-    sum_x colsum(pa)[x] b[x] >= min q * min colsum * sum(b)``, which is
-    above ``2 * EPS_ZERO`` once ``sum(b) >= 1/2``. Every term of those sums
-    is nonnegative and, with ``sum(b) <= 2``, at most ``2n``, so nothing
-    overflows, rounding moves the computed predictive by a relative
-    ``(2n + 2) * 2**-53`` at most and underflow by far less than
-    ``EPS_ZERO``: it stays above ``EPS_ZERO``. With every observation open,
-    the lattice's mass of action ``u`` at ``x`` is ``sum_y sum_x' q(y|x')
-    p(x'|x,u) >= min q * colsum(p)[x, u] > 4 * EPS_ZERO``, a sum of
-    nonnegative terms of at most 1 that rounding cannot take below
-    ``EPS_ZERO`` either. A NaN anywhere in the sensor or the transition
-    makes a comparison False, and so the flag.
+    every action: ``min q`` times the smallest column sum of ``pa``, and
+    times that of ``p``, exceeds ``4 * EPS_ZERO``. Proof: for a belief
+    ``b >= 0``, ``predictive(y) = sum_x' q(y|x') sum_x pa[x', x] b[x] >=
+    min q * sum_x colsum(pa)[x] b[x] >= min q * min colsum * sum(b)``,
+    which is above ``2 * EPS_ZERO`` once ``sum(b) >= 1/2``. Every term of
+    those sums is nonnegative and, as every entry lies in ``[0, 1]`` and
+    ``sum(b) <= 2``, at most ``2n``, so nothing overflows, rounding moves
+    the computed predictive by a relative ``(2n + 2) * 2**-53`` at most and
+    underflow by far less than ``EPS_ZERO``: it stays above ``EPS_ZERO``.
+    With every observation open, the lattice's mass of action ``u`` at
+    ``x`` is ``sum_y sum_x' q(y|x') p(x'|x,u) >= min q * colsum(p)[x, u] >
+    4 * EPS_ZERO``, a sum of nonnegative terms of at most 1 that rounding
+    cannot take below ``EPS_ZERO`` either.
     """
 
     model: MdpModel
@@ -212,17 +216,23 @@ class Observer:
         n = self.model.num_states
         if pa.shape != (n, n):
             raise ValueError(f"chain pa has shape {pa.shape}, not {(n, n)}")
-        problems = _stochastic_problems(
-            pa, "chain entry pa[{},{}]", "chain column pa[:, {}]"
-        )
+        problems = [
+            *_stochastic_problems(
+                pa, "chain entry pa[{},{}]", "chain column pa[:, {}]"
+            ),
+            *_stochastic_problems(
+                q, "likelihood q({}|{})", "likelihood column x={}"
+            ),
+            *_stochastic_problems(
+                p, "transition entry p({}|{},{})", "transition column (x={}, u={})"
+            ),
+        ]
         if problems:
             raise ValueError("; ".join(problems))
         object.__setattr__(self, "emission", np.inner(p.T, q))
         object.__setattr__(self, "emits", self.emission > EPS_ZERO)
         object.__setattr__(self, "rules_out_nothing", bool(
-            ((p >= 0.0) & (p <= 1.0)).all()
-            and q.max() <= 1.0
-            and q.min() * pa.sum(axis=0).min() > 4 * EPS_ZERO
+            q.min() * pa.sum(axis=0).min() > 4 * EPS_ZERO
             and q.min() * p.sum(axis=0).min() > 4 * EPS_ZERO
         ))
 
@@ -247,24 +257,30 @@ class Observer:
         """``o`` as a float array, once state ``x`` is known to be a Python
         int or a numpy integer (a float would index its floor or fail; a
         bool is neither) in ``[0, n)`` (a negative one would index from the
-        end; None skips the test) and ``o`` to be a distribution over the ``n`` states:
-        shaped ``(n,)``, no entry negative and its mass within
-        ``BELIEF_L1_TOL`` of 1. It is not renormalized."""
+        end; None skips the test) and ``o`` to be a distribution over the
+        ``n`` states (:func:`_check_belief`)."""
         n = self.model.num_states
         if x is not None:
             if type(x) is not int and not isinstance(x, np.integer):
                 raise ValueError(f"state x={x!r} is not an integer")
             if not 0 <= x < n:
                 raise ValueError(f"state x={x} outside [0, {n})")
-        o = np.asarray(o, dtype=float)
-        if o.shape != (n,):
-            raise ValueError(f"belief shape {o.shape} does not match {n} states")
-        mass = o.tolist()
-        # the sum is NaN when any entry is, and no comparison holds for NaN;
-        # min alone would pass a NaN that is not first
-        if min(mass) < 0.0 or not abs(sum(mass) - 1.0) <= BELIEF_L1_TOL:
-            raise ValueError(f"belief {mass} is not a distribution")
-        return o
+        return _check_belief(o, n)
+
+
+def _check_belief(o, n: int) -> np.ndarray:
+    """``o`` as a float array, once it is known to be a distribution over
+    ``n`` states: shaped ``(n,)``, no entry negative or non-finite and its
+    mass within ``BELIEF_L1_TOL`` of 1. It is not renormalized."""
+    o = np.asarray(o, dtype=float)
+    if o.shape != (n,):
+        raise ValueError(f"belief shape {o.shape} does not match {n} states")
+    mass = o.tolist()
+    # the sum is NaN when any entry is, and no comparison holds for NaN;
+    # min alone would pass a NaN that is not first
+    if min(mass) < 0.0 or not abs(sum(mass) - 1.0) <= BELIEF_L1_TOL:
+        raise ValueError(f"belief {mass} is not a distribution")
+    return o
 
 
 def admissible_actions(observer: Observer, x: int, o: np.ndarray) -> list[int]:

@@ -259,10 +259,13 @@ def _plan_log_lines(x: int, config: rho.PlannerConfig, pruned, scored=()) -> lis
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    log_path = (Path(args.out) if args.out else Path(".")) / "plan_log.jsonl"
+    if args.verbose:
+        # before anything can fail: a failed run leaves no earlier run's log
+        log_path.unlink(missing_ok=True)
     scn, nominal, _, pa = _observed_scenario(args)
     config = _planner_config(args)
     if args.verbose:
-        log_path = (Path(args.out) if args.out else Path(".")) / "plan_log.jsonl"
         log_path.parent.mkdir(parents=True, exist_ok=True)
     log, rows = [], []
     try:
@@ -296,11 +299,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 f"{row['sequences_scored']} sequences{tie_note})"
             )
     finally:
-        # a failed run logs what it planned; no log, not a stale one, if nothing
+        # a failed run logs what it planned, and no log if nothing
         if args.verbose and log:
             mdp._write_lines(log, log_path)
-        elif args.verbose:
-            log_path.unlink(missing_ok=True)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -198,16 +198,26 @@ def mixed_beliefs(rng, grid):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), res=st.integers(1, 10)
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), res=st.integers(1, 10),
+    edge=st.just(()),
 )
-@example(seed=0, n=1, res=4)  # one state: every belief is the single vertex
-@example(seed=0, n=2, res=1)  # the smallest walk past the first coordinate
-@example(seed=0, n=6, res=10)  # the benchmark's lattice
-def test_simplex_weights_match_the_freudenthal_walk(seed, n, res):
+@example(seed=0, n=1, res=4, edge=())  # one state: every belief is the single vertex
+@example(seed=0, n=2, res=1, edge=())  # the smallest walk past the first coordinate
+@example(seed=0, n=6, res=10, edge=())  # the benchmark's lattice
+# a suffix coordinate 5e-11 below the integer 3: snapped to it, then
+# truncated, where the unsnapped coordinate truncates to its floor 2
+@example(seed=0, n=3, res=10, edge=([0.5, 0.2 + 5e-12, 0.3 - 5e-12],))
+@example(seed=0, n=3, res=10, edge=([0.5, 0.2 + 5e-10, 0.3 - 5e-10],))
+# exact-zero tail entries, of either sign: their coordinates truncate to 0
+@example(seed=0, n=4, res=10, edge=([0.7, 0.3, 0.0, 0.0], [0.7, 0.3, -0.0, -0.0]))
+def test_simplex_weights_match_the_freudenthal_walk(seed, n, res, edge):
     # exact: the oracle and the locator take the same float steps in the
-    # same order, so any differing bit is a change in the locator
+    # same order, but the oracle takes the floor where the locator
+    # truncates, so any differing bit is a change in the locator
     grid = build_simplex_grid(n, res)
     beliefs = mixed_beliefs(np.random.default_rng(seed), grid)
+    if edge:
+        beliefs = np.vstack([beliefs, edge])
     vertices, weights = _simplex_weights(grid, beliefs)
     for o, idx, w in zip(beliefs, vertices, weights):
         keep = w > 0.0
@@ -240,6 +250,25 @@ def test_interpolation_weights_reject_wrong_shape():
     grid = build_simplex_grid(3, 4)
     with pytest.raises(ValueError):
         interpolation_weights(grid, np.array([0.5, 0.5]))
+
+
+@pytest.mark.parametrize("o", [
+    [0.5, 0.6, -0.1],  # unchecked: vertices [6, 6], weights [0.4, 0.6]
+    [np.nan, 0.5, 0.5],  # unchecked: vertex 2, weight 1
+    [0.5, 0.5, np.nan],
+    [0.2, 0.2, 0.2],  # unchecked: a convex combination
+    [np.inf, 0.0, 0.0],
+    [1.0 + 2e-9, 0.0, 0.0],
+])
+def test_interpolation_weights_refuse_a_belief_that_is_not_a_distribution(o):
+    # by Observer.check's rule, which also keeps the locator's coordinates
+    # nonnegative, where truncation is the floor
+    grid = build_simplex_grid(3, 10)
+    with pytest.raises(ValueError, match="not a distribution"):
+        interpolation_weights(grid, np.array(o))
+    # mass within BELIEF_L1_TOL of 1 is accepted, and not renormalized
+    idx, w = interpolation_weights(grid, np.array([1.0 - 5e-10, 0.0, 0.0]))
+    assert grid.points[idx].tolist() == [[1.0, 0.0, 0.0]] and w.tolist() == [1.0]
 
 
 def test_pure_reward_solution_reduces_to_nominal_values():
@@ -386,8 +415,8 @@ def test_lattice_on_an_observer_that_rules_out_nothing_equals_the_masked_path(
 
     beliefs = [*rng.dirichlet(np.full(n, 0.3), size=4),
                *grid.points[rng.integers(grid.num_points, size=4)]]
+    assert _Lookahead(observer, grid, 0.6, 0.4).all_open
     for o in beliefs:
-        assert _Lookahead(observer, grid, o[None], 0.6, 0.4).all_open
         for x in range(n):
             np.testing.assert_array_equal(
                 action_values(observer, value, x, o), action_values(twin, value, x, o)
@@ -415,22 +444,23 @@ def test_lattice_on_an_observer_that_rules_out_nothing_equals_the_masked_path(
 
 
 def test_a_transition_column_with_no_mass_keeps_its_action_out():
-    # Nothing checks a hand-built model's columns; where action 0 leaves
-    # state 1 with no mass, the flag is down and the lookahead keeps that
-    # action at -inf, which skipping the masks would make finite.
+    # Where action 0 leaves state 1 with no mass, the lookahead would have
+    # to keep that action at -inf, which skipping the masks would make
+    # finite; the observer refuses the model instead, so no lattice
+    # decision or solve ever reads such a column.
     model, obs = example1_model()
     pa, _ = nominal_chain(model)
     transition = model.transition.copy()
     transition[:, 1, 0] = 0.0
     model = MdpModel(3, model.num_actions, transition, model.reward, model.discount)
-    observer = Observer(model, obs, pa)
-    assert not observer.rules_out_nothing
     value = _zero_value(model, 3)
-    vals = action_values(observer, value, 1, uniform_belief(3))
-    assert np.isneginf(vals[0]) and np.all(np.isfinite(vals[1:]))
-    forced = Observer(model, obs, pa)
-    object.__setattr__(forced, "rules_out_nothing", True)
-    assert np.all(np.isfinite(action_values(forced, value, 1, uniform_belief(3))))
+    refused = r"transition column \(x=1, u=0\) sums to 0.0, not 1"
+    with pytest.raises(ValueError, match=refused):
+        Observer(model, obs, pa)
+    with pytest.raises(ValueError, match=refused):
+        AugmentedValueController(model, obs, pa, value)
+    with pytest.raises(ValueError, match=refused):
+        solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=3)
 
 
 @pytest.fixture(scope="module")
@@ -540,6 +570,95 @@ def test_action_values_mark_inadmissible_actions():
     assert np.all(np.isneginf(vals))
     with pytest.raises(EmptyAdmissibleSet):
         greedy_action(observer, _zero_value(model, 3), 0, o)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    k=st.integers(2, 3),
+    sparse=st.booleans(),
+)
+def test_a_decision_through_the_held_lookahead_equals_a_fresh_one(seed, n, m, k, sparse):
+    # The controller's belief-independent half gives the bits a lookahead
+    # built for the one call gives, on observers that rule nothing out and
+    # on sparse ones that build every mask.
+    rng = np.random.default_rng(seed)
+    if sparse:
+        model, obs, pa = sparse_problem(seed, n, m, k)
+    else:
+        transition, reward, likelihood = random_sane_model(rng, n, m, k)
+        model = MdpModel(n, m, transition, reward, 0.9)
+        obs = ObservationModel(k, likelihood)
+        pa, _ = nominal_chain(model)
+    grid = build_simplex_grid(n, 4)
+    value = AugmentedValueFunction(grid, rng.normal(size=(n, grid.num_points)), 0.6, 0.4)
+    controller = AugmentedValueController(model, obs, pa, value)
+    observer = controller.observer
+    beliefs = [*grid.points[rng.integers(grid.num_points, size=3)]]
+    for _ in range(5):
+        # with exact zeros, its positive entries bounded away from zero
+        weights = rng.uniform(0.1, 1.0, size=n) * (rng.random(n) < 0.5)
+        weights[int(rng.integers(n))] = rng.uniform(0.1, 1.0)
+        beliefs.append(weights / weights.sum())
+    for o in beliefs:
+        x = int(rng.integers(n))
+        held = action_values(observer, value, x, o, lookahead=controller.lookahead)
+        fresh = action_values(observer, value, x, o)
+        assert held.tobytes() == fresh.tobytes()
+        if np.isneginf(fresh).all():
+            with pytest.raises(EmptyAdmissibleSet):
+                controller.decide(x, o)
+        else:
+            assert controller.decide(x, o) == int(np.argmax(fresh))
+
+
+@pytest.mark.parametrize("vals", [
+    [0.25, -1.0, 0.5],
+    [0.5, 0.5],
+    [-np.inf, 1.5, 2.0, 2.0, 1.0],  # a tie that is not at index 0
+    [-np.inf, -np.inf, 0.0],
+    [-0.5, -np.inf, -0.5],
+    [3.0],
+])
+def test_the_greedy_pick_is_argmaxs_first_maximum(vals, monkeypatch):
+    model, obs = example1_model()
+    observer = Observer(model, obs, nominal_chain(model)[0])
+    monkeypatch.setattr(augmented, "action_values", lambda *_, **__: np.array(vals))
+    got = greedy_action(observer, _zero_value(model, 2), 0, uniform_belief(3))
+    assert type(got) is int and got == int(np.argmax(vals))
+
+
+def test_the_greedy_pick_refuses_values_that_are_all_minus_infinity(monkeypatch):
+    model, obs = example1_model()
+    observer = Observer(model, obs, nominal_chain(model)[0])
+    monkeypatch.setattr(
+        augmented, "action_values", lambda *_, **__: np.full(2, -np.inf)
+    )
+    with pytest.raises(EmptyAdmissibleSet, match="no admissible action at state x=1"):
+        greedy_action(observer, _zero_value(model, 2), 1, uniform_belief(3))
+
+
+def test_a_lookahead_built_for_another_observer_or_value_function_is_refused():
+    model, obs = example1_model()
+    pa, _ = nominal_chain(model)
+    value = _zero_value(model, 3)
+    controller = AugmentedValueController(model, obs, pa, value)
+    o = uniform_belief(3)
+    others = [
+        (Observer(model, obs, pa), value),  # an equal observer is another one
+        (controller.observer, _zero_value(model, 2)),
+        (controller.observer, dataclasses.replace(value, reward_weight=0.5)),
+        (controller.observer, dataclasses.replace(value, exposure_weight=0.5)),
+    ]
+    for observer, other in others:
+        for decide in (action_values, greedy_action):
+            with pytest.raises(ValueError, match="lookahead was built for another"):
+                decide(observer, other, 0, o, lookahead=controller.lookahead)
+    # the same lattice, weights and observer in a new value table are served
+    table = dataclasses.replace(value, values=np.ones_like(value.values))
+    assert greedy_action(controller.observer, table, 0, o, lookahead=controller.lookahead) in (0, 1)
 
 
 def test_action_values_reject_bad_state_and_belief():

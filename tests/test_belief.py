@@ -472,24 +472,63 @@ def test_rules_out_nothing_only_for_strictly_positive_sensors():
     grid_model, grid_obs = gridworld_model(desk_gridworld())
     # the range sensor's truncated tails are exact zeros, which clear the flag
     assert not Observer(grid_model, grid_obs, nominal_chain(grid_model)).rules_out_nothing
-    # so does a likelihood entry too small for the margin, or NaN; a NaN or
-    # out-of-range chain entry is refused before the flag is read
-    for entry in (1e-13, np.nan):
+    # so does a likelihood entry too small for the margin, in a column that
+    # is still a distribution
+    likelihood = obs.likelihood.copy()
+    likelihood[1, 2] += likelihood[0, 2] - 1e-13
+    likelihood[0, 2] = 1e-13
+    assert not Observer(model, ObservationModel(3, likelihood), pa).rules_out_nothing
+    # a NaN or out-of-range sensor or chain entry is refused before the
+    # flag is read
+    for entry in (np.nan, -0.1, 1.1):
         likelihood = obs.likelihood.copy()
         likelihood[0, 2] = entry
-        assert not Observer(model, ObservationModel(3, likelihood), pa).rules_out_nothing
-    for entry in (np.nan, -0.1, 1.1):
+        with pytest.raises(ValueError, match=r"likelihood q\(0\|2\)"):
+            Observer(model, ObservationModel(3, likelihood), pa)
         chain = pa.copy()
         chain[0, 0] = entry
         with pytest.raises(ValueError, match=r"chain entry pa\[0,0\]"):
             Observer(model, obs, chain)
-    # and, as the lattice reads the transition's mass, so does a NaN or
+    # and, as the lattice reads the transition's mass, so is a NaN or
     # out-of-range transition entry, or an (x, u) column with no mass
-    for column in ([np.nan, 0.5, 0.5], [-0.1, 0.6, 0.5], [1.1, 0.0, -0.1], [0.0] * 3):
+    for column, message in (
+        ([np.nan, 0.5, 0.5], r"transition entry p\(0\|1,0\) = nan"),
+        ([-0.1, 0.6, 0.5], r"transition entry p\(0\|1,0\) = -0.1"),
+        ([1.1, 0.0, -0.1], r"transition entry p\(0\|1,0\) = 1.1"),
+        ([0.0] * 3, r"transition column \(x=1, u=0\) sums to 0.0, not 1"),
+    ):
         transition = model.transition.copy()
         transition[:, 1, 0] = column
         other = MdpModel(3, model.num_actions, transition, model.reward, model.discount)
-        assert not Observer(other, obs, pa).rules_out_nothing
+        with pytest.raises(ValueError, match=message):
+            Observer(other, obs, pa)
+
+
+def test_a_sensor_or_transition_that_is_not_column_stochastic_is_refused_at_every_entry_point():
+    # Unchecked, a sensor column scaled to sum 1.5 ran a closed loop and
+    # reported an exposure rate, and a transition column scaled to sum 1.3
+    # gave a planner decision.
+    model, obs = example1_model()
+    pa = nominal_chain(model)
+    values = nominal_value_iteration(model).values
+    controller = NominalController(extract_nominal_policy(model, values))
+    likelihood = obs.likelihood.copy()
+    likelihood[:, 0] *= 1.5
+    transition = model.transition.copy()
+    transition[:, 0, 0] *= 1.3
+    o, cfg = uniform_belief(3), PlannerConfig(2, 0.5, 0.5)
+    for bad_model, bad_obs, message in (
+        (model, ObservationModel(3, likelihood), r"likelihood column x=0 sums to 1.5"),
+        (MdpModel(3, model.num_actions, transition, model.reward, model.discount), obs,
+         r"transition column \(x=0, u=0\) sums to 1\.29"),
+    ):
+        for call, args in (
+            (Observer, (bad_model, bad_obs, pa)),
+            (plan, (bad_model, bad_obs, pa, values, 0, o, cfg)),
+            (run_closed_loop, (bad_model, bad_obs, pa, controller, o, 5, 0, 0)),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call(*args)
 
 
 def test_a_chain_that_is_not_column_stochastic_is_refused_at_every_entry_point():

@@ -587,6 +587,21 @@ def test_plan_log_of_a_failed_run_holds_what_was_planned(tmp_path, capsys):
     assert not (out / "plan_log.jsonl").exists()
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--horizon", "0"], 1),  # refused by the planner's config
+    (["--wn", "nan"], 1),
+    (["--model", "no_such_model.json"], 2),  # no scenario to load
+])
+def test_plan_that_fails_before_planning_leaves_no_stale_log(flags, code, tmp_path, capsys):
+    out = tmp_path / "plans"
+    out.mkdir()
+    (out / "plan_log.jsonl").write_text("stale\n")
+    args = ["plan", "--model", "example1", "--verbose", "--out", str(out), *flags]
+    assert main(args) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(out.iterdir())
+
+
 def test_plan_refuses_an_oversized_horizon(capsys):
     assert main(["plan", "--model", "example1", "--horizon", "40"]) == 1
     err = capsys.readouterr().err

@@ -40,7 +40,7 @@ from covertmdp import (
     uniform_belief,
     write_trace_csv,
 )
-from covertmdp import belief, sim
+from covertmdp import augmented, belief, sim
 from covertmdp.sim import (
     AugmentedValueController,
     _sample,
@@ -271,25 +271,31 @@ def test_traced_entry_points_are_called_once_per_step(monkeypatch):
 
 def test_observer_tables_are_built_once_per_controller_and_episode(monkeypatch):
     # Each controller builds its observer once and each episode one for the
-    # simulator step; a decision or a step builds no model table.
+    # simulator step; a decision or a step builds no model table. The
+    # lattice controller also builds its lookahead's belief-independent
+    # half once, and a decision builds none.
     model, obs = example1_model()
     pa, values, policy = nominal_setup(model)
     value = solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=3, tol=1e-4).value
     # the observer builds its emission table in __post_init__, and only there
-    counts = {"tables": 0}
+    counts = {"tables": 0, "lookaheads": 0}
     monkeypatch.setattr(
         belief.Observer, "__post_init__",
         _counting("tables", belief.Observer.__post_init__, counts),
+    )
+    monkeypatch.setattr(
+        augmented._Lookahead, "__init__",
+        _counting("lookaheads", augmented._Lookahead.__init__, counts),
     )
     receding = RecedingHorizonController(
         model, obs, pa, values, PlannerConfig(3, 0.5, 0.5, 0.0)
     )
     grid_value = AugmentedValueController(model, obs, pa, value)
-    assert counts["tables"] == 2
+    assert counts == {"tables": 2, "lookaheads": 1}
     for controller in (NominalController(policy), receding, grid_value):
-        counts["tables"] = 0
+        counts["tables"] = counts["lookaheads"] = 0
         run_closed_loop(model, obs, pa, controller, uniform_belief(3), 25, 3, 0)
-        assert counts["tables"] == 1
+        assert counts == {"tables": 1, "lookaheads": 0}
     # the planner never reads the lattice kernel, so it is never built, and
     # neither controller builds the simulator step's running sums
     assert "kernel" not in vars(receding.memo.observer)
