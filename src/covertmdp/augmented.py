@@ -435,10 +435,11 @@ def greedy_action(
 ) -> int:
     """Lowest-index maximizer of the greedy lookahead (:func:`action_values`),
     picked from the Python list of its values: for values that are finite or
-    -inf, ``np.argmax``'s first maximum."""
+    -inf, ``np.argmax``'s first maximum. Raises :class:`EmptyAdmissibleSet`
+    when every value is -inf (or NaN, from a table holding NaN)."""
     scores = action_values(observer, value, x, o, lookahead=lookahead).tolist()
     top = max(scores)
-    if top == -math.inf:
+    if not top > -math.inf:
         raise EmptyAdmissibleSet(f"no admissible action at state x={x}")
     return scores.index(top)
 

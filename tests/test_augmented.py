@@ -630,12 +630,12 @@ def test_the_greedy_pick_is_argmaxs_first_maximum(vals, monkeypatch):
     assert type(got) is int and got == int(np.argmax(vals))
 
 
-def test_the_greedy_pick_refuses_values_that_are_all_minus_infinity(monkeypatch):
+@pytest.mark.parametrize("vals", [[-np.inf, -np.inf], [np.nan, np.nan]])
+def test_the_greedy_pick_refuses_values_that_are_all_minus_infinity(vals, monkeypatch):
+    # as np.isfinite(vals).any() did, a table of NaN is refused too
     model, obs = example1_model()
     observer = Observer(model, obs, nominal_chain(model)[0])
-    monkeypatch.setattr(
-        augmented, "action_values", lambda *_, **__: np.full(2, -np.inf)
-    )
+    monkeypatch.setattr(augmented, "action_values", lambda *_, **__: np.array(vals))
     with pytest.raises(EmptyAdmissibleSet, match="no admissible action at state x=1"):
         greedy_action(observer, _zero_value(model, 2), 1, uniform_belief(3))
 
