@@ -45,7 +45,6 @@ from .mdp import (
     load_model_file,
     nominal_value_iteration,
     save_model_file,
-    validate_model,
 )
 from .models import (
     GridWorldSpec,

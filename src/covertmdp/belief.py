@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import IllDefinedUpdate, ModelFormatError, ProhibitedAction
 from .mdp import (
+    STOCHASTIC_TOL,
     MdpModel,
     _check_fields,
     _read_json_object,
@@ -49,25 +50,29 @@ BELIEF_L1_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Likelihood table ``likelihood[y, x] = q(y | x)``; columns sum to 1."""
+    """Likelihood table ``likelihood[y, x] = q(y | x)``, one row per
+    observation; the constructor refuses a column that is not a distribution."""
 
     num_observations: int
     likelihood: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "likelihood", _readonly(self.likelihood))
+        problems = _observation_problems(self.num_observations, self.likelihood)
+        if problems:
+            raise ModelFormatError(problems)
 
 
-def validate_observation_model(obs: ObservationModel, num_states: int) -> list[str]:
-    k = obs.num_observations
+def _observation_problems(k: int, likelihood: np.ndarray) -> list[str]:
+    """Every way the fields of an :class:`ObservationModel` break its
+    definition; empty when they make a sensor."""
     if k < 1:
         return [f"num_observations must be positive, got {k}"]
-    if obs.likelihood.shape != (k, num_states):
-        return [
-            f"likelihood shape {obs.likelihood.shape} != expected {(k, num_states)}"
-        ]
+    expected = (k, *likelihood.shape[-1:])  # a table of any other depth differs
+    if likelihood.shape != expected:
+        return [f"likelihood shape {likelihood.shape} != expected {expected}"]
     return _stochastic_problems(
-        obs.likelihood, "likelihood q({}|{})", "likelihood column x={}"
+        likelihood, "likelihood q({}|{})", "likelihood column x={}"
     )
 
 
@@ -183,25 +188,27 @@ class Observer:
     simulator step) never hold its X²·U·Y entries. So are the simulator
     step's running sums, :attr:`successor_cdf` and :attr:`reading_cdf`.
 
-    ``pa`` must be ``(n, n)``, and ``pa``, the sensor ``q`` and the
-    transition ``p`` must have columns that are distributions, by the model
-    files' check (:func:`mdp._stochastic_problems`).
+    The model and the sensor checked themselves when they were built. The
+    sensor must cover the model's ``n`` states, and the chain ``pa`` must be
+    ``(n, n)`` with columns that are distributions, by the same check
+    (:func:`mdp._stochastic_problems`); anything else is a
+    :class:`ModelFormatError`.
 
     ``rules_out_nothing`` is True when no belief that :meth:`check` accepts
     can rule an observation out, and the lattice lookahead finds mass behind
-    every action: ``min q`` times the smallest column sum of ``pa``, and
-    times that of ``p``, exceeds ``4 * EPS_ZERO``. Proof: for a belief
+    every action: ``min q * (1 - STOCHASTIC_TOL)`` exceeds ``4 * EPS_ZERO``.
+    Proof: every column of ``pa`` and of ``p`` is a distribution, so lies in
+    ``[0, 1]`` and sums to at least ``1 - STOCHASTIC_TOL``. For a belief
     ``b >= 0``, ``predictive(y) = sum_x' q(y|x') sum_x pa[x', x] b[x] >=
-    min q * sum_x colsum(pa)[x] b[x] >= min q * min colsum * sum(b)``,
-    which is above ``2 * EPS_ZERO`` once ``sum(b) >= 1/2``. Every term of
-    those sums is nonnegative and, as every entry lies in ``[0, 1]`` and
+    min q * (1 - STOCHASTIC_TOL) * sum(b)``, which is above ``2 * EPS_ZERO``
+    once ``sum(b) >= 1/2``. Every term of those sums is nonnegative and, as
     ``sum(b) <= 2``, at most ``2n``, so nothing overflows, rounding moves
     the computed predictive by a relative ``(2n + 2) * 2**-53`` at most and
     underflow by far less than ``EPS_ZERO``: it stays above ``EPS_ZERO``.
     With every observation open, the lattice's mass of action ``u`` at
-    ``x`` is ``sum_y sum_x' q(y|x') p(x'|x,u) >= min q * colsum(p)[x, u] >
-    4 * EPS_ZERO``, a sum of nonnegative terms of at most 1 that rounding
-    cannot take below ``EPS_ZERO`` either.
+    ``x`` is ``sum_y sum_x' q(y|x') p(x'|x,u) >= min q * (1 -
+    STOCHASTIC_TOL) > 4 * EPS_ZERO``, a sum of nonnegative terms of at most
+    1 that rounding cannot take below ``EPS_ZERO`` either.
     """
 
     model: MdpModel
@@ -214,26 +221,19 @@ class Observer:
     def __post_init__(self):
         pa, q, p = self.pa, self.obs.likelihood, self.model.transition
         n = self.model.num_states
+        if q.shape[1] != n:
+            raise ModelFormatError([f"likelihood covers {q.shape[1]} states, not {n}"])
         if pa.shape != (n, n):
-            raise ValueError(f"chain pa has shape {pa.shape}, not {(n, n)}")
-        problems = [
-            *_stochastic_problems(
-                pa, "chain entry pa[{},{}]", "chain column pa[:, {}]"
-            ),
-            *_stochastic_problems(
-                q, "likelihood q({}|{})", "likelihood column x={}"
-            ),
-            *_stochastic_problems(
-                p, "transition entry p({}|{},{})", "transition column (x={}, u={})"
-            ),
-        ]
+            raise ModelFormatError([f"chain pa has shape {pa.shape}, not {(n, n)}"])
+        problems = _stochastic_problems(
+            pa, "chain entry pa[{},{}]", "chain column pa[:, {}]"
+        )
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ModelFormatError(problems)
         object.__setattr__(self, "emission", np.inner(p.T, q))
         object.__setattr__(self, "emits", self.emission > EPS_ZERO)
         object.__setattr__(self, "rules_out_nothing", bool(
-            q.min() * pa.sum(axis=0).min() > 4 * EPS_ZERO
-            and q.min() * p.sum(axis=0).min() > 4 * EPS_ZERO
+            q.min() * (1.0 - STOCHASTIC_TOL) > 4 * EPS_ZERO
         ))
 
     @cached_property
@@ -390,14 +390,16 @@ _OBS_KEYS = {"num_observations", "likelihood"}
 
 
 def observation_from_dict(doc: dict, num_states: int | None = None) -> ObservationModel:
+    """Build a sensor from the on-disk dict layout. One of the wrong
+    ``num_states`` is refused by its shape alone, before its columns are read."""
     _check_fields(doc, _OBS_KEYS)
     likelihood = _table_field(doc, "likelihood", "[observation][state]")
-    obs = ObservationModel(_value_field(doc, "num_observations", int), likelihood)
-    n = likelihood.shape[1] if num_states is None else num_states
-    problems = validate_observation_model(obs, n)
-    if problems:
-        raise ModelFormatError(problems)
-    return obs
+    k = _value_field(doc, "num_observations", int)
+    if num_states is not None and k >= 1 and likelihood.shape != (k, num_states):
+        raise ModelFormatError(
+            [f"likelihood shape {likelihood.shape} != expected {(k, num_states)}"]
+        )
+    return ObservationModel(k, likelihood)
 
 
 def load_observation_file(path: str | Path, num_states: int | None = None) -> ObservationModel:

@@ -59,11 +59,8 @@ def _load_scenario(model_arg: str, obs_arg: str | None) -> Scenario:
         raise OSError(f"--obs is for model files; {name} has its own observation model")
     start_state = None
     if spec is not None:
-        # the spec loader checks field types; the model's invariants are checked here
+        # the spec loader checks field types; the model checks its own tables
         model, obs = models.gridworld_model(spec)
-        problems = mdp.validate_model(model)
-        if problems:
-            raise ModelFormatError(problems)
         start_state = spec.cell_index(*spec.start)
     return Scenario(
         name, model, obs, bel.uniform_belief(model.num_states), start_state, spec

@@ -5,8 +5,9 @@ class CovertMdpError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class ModelFormatError(CovertMdpError):
-    """A model file parsed but violates model invariants.
+class ModelFormatError(CovertMdpError, ValueError):
+    """A table is not a model: a model file that does not parse as one, or
+    fields that break the definition of an MDP, a sensor or a chain.
 
     ``diagnostics`` holds one human-readable line per violation.
     """

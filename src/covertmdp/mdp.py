@@ -97,9 +97,10 @@ class MdpModel:
 
     ``transition[d, s, a]`` is the probability of landing in state ``d`` when
     action ``a`` is applied in state ``s``; each ``(s, a)`` column sums to 1.
-    ``reward[s, a]`` is the stage reward and ``discount`` lies in (0, 1).
-    All arrays are read-only after construction and safe to share across
-    workers.
+    ``reward[s, a]`` is the stage reward, finite, and ``discount`` lies in
+    (0, 1). A model that breaks any of these is never made: the constructor
+    raises one :class:`ModelFormatError` listing every problem. All arrays
+    are read-only after construction and safe to share across workers.
     """
 
     num_states: int
@@ -111,6 +112,10 @@ class MdpModel:
     def __post_init__(self):
         object.__setattr__(self, "transition", _readonly(self.transition))
         object.__setattr__(self, "reward", _readonly(self.reward))
+        problems = _model_problems(self.num_states, self.num_actions,
+                                   self.transition, self.reward, self.discount)
+        if problems:
+            raise ModelFormatError(problems)
 
 
 @dataclass(frozen=True)
@@ -159,14 +164,13 @@ def _stochastic_problems(table: np.ndarray, entry: str, column: str) -> list[str
     return out
 
 
-def validate_model(model: MdpModel) -> list[str]:
-    """Return a list of invariant violations; empty means the model is valid.
-
-    Each entry names the offending index and quantity. Nothing is raised:
-    callers decide whether violations are fatal.
-    """
+def _model_problems(
+    n: int, m: int, transition: np.ndarray, reward: np.ndarray, discount: float
+) -> list[str]:
+    """Every way the fields of an :class:`MdpModel` break its definition,
+    one line each naming the offending index and quantity; empty when they
+    make a model."""
     out: list[str] = []
-    n, m = model.num_states, model.num_actions
     if n < 1:
         out.append(f"num_states must be positive, got {n}")
     if m < 1:
@@ -174,25 +178,23 @@ def validate_model(model: MdpModel) -> list[str]:
     if out:
         return out
 
-    if model.transition.shape != (n, n, m):
-        out.append(
-            f"transition shape {model.transition.shape} != expected {(n, n, m)}"
-        )
-    if model.reward.shape != (n, m):
-        out.append(f"reward shape {model.reward.shape} != expected {(n, m)}")
+    if transition.shape != (n, n, m):
+        out.append(f"transition shape {transition.shape} != expected {(n, n, m)}")
+    if reward.shape != (n, m):
+        out.append(f"reward shape {reward.shape} != expected {(n, m)}")
     if out:
         return out
 
     out += _stochastic_problems(
-        model.transition,
+        transition,
         "transition entry p({}|{},{})",
         "transition column (x={}, u={})",
     )
-    if not np.all(np.isfinite(model.reward)):
-        s, a = np.argwhere(~np.isfinite(model.reward))[0]
-        out.append(f"reward R({s},{a}) = {float(model.reward[s, a])!r} is not finite")
-    if not (0.0 < model.discount < 1.0):
-        out.append(f"discount {model.discount!r} not strictly inside (0, 1)")
+    if not np.all(np.isfinite(reward)):
+        s, a = np.argwhere(~np.isfinite(reward))[0]
+        out.append(f"reward R({s},{a}) = {float(reward[s, a])!r} is not finite")
+    if not (0.0 < discount < 1.0):
+        out.append(f"discount {discount!r} not strictly inside (0, 1)")
     return out
 
 
@@ -269,23 +271,20 @@ _MODEL_KEYS = {"num_states", "num_actions", "discount", "transition", "reward"}
 
 
 def model_from_dict(doc: dict) -> MdpModel:
-    """Build a model from the on-disk dict layout, validating invariants."""
+    """Build a model from the on-disk dict layout; :class:`MdpModel` checks
+    the tables it is given."""
     _check_fields(doc, _MODEL_KEYS)
     file_kernel = _table_field(
         doc, "transition", "[action][source][destination]", name="table"
     )
     reward = _table_field(doc, "reward", name="table")
-    model = MdpModel(
+    return MdpModel(
         num_states=_value_field(doc, "num_states", int),
         num_actions=_value_field(doc, "num_actions", int),
         transition=file_kernel.transpose(2, 1, 0),
         reward=reward,
         discount=_value_field(doc, "discount", float),
     )
-    problems = validate_model(model)
-    if problems:
-        raise ModelFormatError(problems)
-    return model
 
 
 def model_to_dict(model: MdpModel) -> dict:

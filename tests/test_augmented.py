@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from covertmdp import (
     EmptyAdmissibleSet,
     MdpModel,
+    ModelFormatError,
     ObservationModel,
     Observer,
     SizeOverflow,
@@ -446,21 +447,14 @@ def test_lattice_on_an_observer_that_rules_out_nothing_equals_the_masked_path(
 def test_a_transition_column_with_no_mass_keeps_its_action_out():
     # Where action 0 leaves state 1 with no mass, the lookahead would have
     # to keep that action at -inf, which skipping the masks would make
-    # finite; the observer refuses the model instead, so no lattice
+    # finite; such a model cannot be built, so no observer, lattice
     # decision or solve ever reads such a column.
-    model, obs = example1_model()
-    pa, _ = nominal_chain(model)
+    model, _ = example1_model()
     transition = model.transition.copy()
     transition[:, 1, 0] = 0.0
-    model = MdpModel(3, model.num_actions, transition, model.reward, model.discount)
-    value = _zero_value(model, 3)
-    refused = r"transition column \(x=1, u=0\) sums to 0.0, not 1"
-    with pytest.raises(ValueError, match=refused):
-        Observer(model, obs, pa)
-    with pytest.raises(ValueError, match=refused):
-        AugmentedValueController(model, obs, pa, value)
-    with pytest.raises(ValueError, match=refused):
-        solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=3)
+    with pytest.raises(ModelFormatError) as err:
+        MdpModel(3, model.num_actions, transition, model.reward, model.discount)
+    assert err.value.diagnostics == ["transition column (x=1, u=0) sums to 0.0, not 1"]
 
 
 @pytest.fixture(scope="module")

@@ -33,7 +33,6 @@ from covertmdp.belief import (
     observation_from_dict,
     posterior_table,
     save_observation_file,
-    validate_observation_model,
 )
 from covertmdp.augmented import (
     AugmentedValueFunction,
@@ -53,6 +52,7 @@ from _oracles import (
     random_sane_model,
     random_sparse_model,
 )
+from test_mdp import refusal
 
 
 def identity_chain(n):
@@ -340,17 +340,29 @@ def test_support_raises_on_prohibited_action():
 
 
 def test_validate_observation_model_diagnostics():
-    model, obs = example1_model()
-    assert validate_observation_model(obs, model.num_states) == []
-    bad_shape = ObservationModel(3, np.full((2, 3), 0.5))
-    assert any("shape" in m for m in validate_observation_model(bad_shape, 3))
+    _, obs = example1_model()
+    assert refusal(ObservationModel, obs.num_observations, obs.likelihood) == []
+    msgs = refusal(ObservationModel, 3, np.full((2, 3), 0.5))
+    assert any("shape" in m for m in msgs)
     col = np.array([[0.6, 0.6, 0.3], [0.3, 0.4, 0.7]])
-    bad_col = ObservationModel(2, col)
-    msgs = validate_observation_model(bad_col, 3)
+    msgs = refusal(ObservationModel, 2, col)
     assert any("x=0" in m and "not 1" in m for m in msgs)
     neg = np.array([[1.2, 0.5], [-0.2, 0.5]])
-    msgs = validate_observation_model(ObservationModel(2, neg), 2)
+    msgs = refusal(ObservationModel, 2, neg)
     assert any("outside [0, 1]" in m for m in msgs)
+
+
+def test_a_sensor_whose_rows_are_not_its_observations_is_refused():
+    # Unchecked, example1's 3-reading sensor declared with 1 observation
+    # gave a lattice whose greedy decision read the wrong rows: action 1 at
+    # x=0, o=[0.5, 0.3, 0.2], where the true sensor picks action 0.
+    _, obs = example1_model()
+    with pytest.raises(ModelFormatError) as err:
+        ObservationModel(1, obs.likelihood)
+    assert err.value.diagnostics == ["likelihood shape (3, 3) != expected (1, 3)"]
+    with pytest.raises(ModelFormatError) as err:
+        ObservationModel(3, obs.likelihood[0])
+    assert err.value.diagnostics == ["likelihood shape (3,) != expected (3, 3)"]
 
 
 def test_observation_file_roundtrip(tmp_path):
@@ -478,19 +490,20 @@ def test_rules_out_nothing_only_for_strictly_positive_sensors():
     likelihood[1, 2] += likelihood[0, 2] - 1e-13
     likelihood[0, 2] = 1e-13
     assert not Observer(model, ObservationModel(3, likelihood), pa).rules_out_nothing
-    # a NaN or out-of-range sensor or chain entry is refused before the
-    # flag is read
+    # a NaN or out-of-range sensor entry is refused when the sensor is
+    # built, and a chain entry by the observer, before the flag is read
     for entry in (np.nan, -0.1, 1.1):
         likelihood = obs.likelihood.copy()
         likelihood[0, 2] = entry
-        with pytest.raises(ValueError, match=r"likelihood q\(0\|2\)"):
-            Observer(model, ObservationModel(3, likelihood), pa)
+        with pytest.raises(ModelFormatError, match=r"likelihood q\(0\|2\)"):
+            ObservationModel(3, likelihood)
         chain = pa.copy()
         chain[0, 0] = entry
-        with pytest.raises(ValueError, match=r"chain entry pa\[0,0\]"):
+        with pytest.raises(ModelFormatError, match=r"chain entry pa\[0,0\]"):
             Observer(model, obs, chain)
     # and, as the lattice reads the transition's mass, so is a NaN or
-    # out-of-range transition entry, or an (x, u) column with no mass
+    # out-of-range transition entry, or an (x, u) column with no mass, when
+    # the model is built
     for column, message in (
         ([np.nan, 0.5, 0.5], r"transition entry p\(0\|1,0\) = nan"),
         ([-0.1, 0.6, 0.5], r"transition entry p\(0\|1,0\) = -0.1"),
@@ -499,36 +512,41 @@ def test_rules_out_nothing_only_for_strictly_positive_sensors():
     ):
         transition = model.transition.copy()
         transition[:, 1, 0] = column
-        other = MdpModel(3, model.num_actions, transition, model.reward, model.discount)
-        with pytest.raises(ValueError, match=message):
-            Observer(other, obs, pa)
+        with pytest.raises(ModelFormatError, match=message):
+            MdpModel(3, model.num_actions, transition, model.reward, model.discount)
 
 
 def test_a_sensor_or_transition_that_is_not_column_stochastic_is_refused_at_every_entry_point():
     # Unchecked, a sensor column scaled to sum 1.5 ran a closed loop and
     # reported an exposure rate, and a transition column scaled to sum 1.3
-    # gave a planner decision.
+    # gave a planner decision. Neither can be built now, so its constructor
+    # is its one entry point.
     model, obs = example1_model()
     pa = nominal_chain(model)
     values = nominal_value_iteration(model).values
     controller = NominalController(extract_nominal_policy(model, values))
     likelihood = obs.likelihood.copy()
     likelihood[:, 0] *= 1.5
+    with pytest.raises(ModelFormatError, match=r"likelihood column x=0 sums to 1.5"):
+        ObservationModel(3, likelihood)
     transition = model.transition.copy()
     transition[:, 0, 0] *= 1.3
-    o, cfg = uniform_belief(3), PlannerConfig(2, 0.5, 0.5)
-    for bad_model, bad_obs, message in (
-        (model, ObservationModel(3, likelihood), r"likelihood column x=0 sums to 1.5"),
-        (MdpModel(3, model.num_actions, transition, model.reward, model.discount), obs,
-         r"transition column \(x=0, u=0\) sums to 1\.29"),
+    with pytest.raises(
+        ModelFormatError, match=r"transition column \(x=0, u=0\) sums to 1\.29"
     ):
-        for call, args in (
-            (Observer, (bad_model, bad_obs, pa)),
-            (plan, (bad_model, bad_obs, pa, values, 0, o, cfg)),
-            (run_closed_loop, (bad_model, bad_obs, pa, controller, o, 5, 0, 0)),
-        ):
-            with pytest.raises(ValueError, match=message):
-                call(*args)
+        MdpModel(3, model.num_actions, transition, model.reward, model.discount)
+    # A sensor over 2 states is one, but not of this 3-state model; unchecked,
+    # numpy's np.inner refused it as "shapes (2,3,3) and (2,2) not aligned".
+    narrow = ObservationModel(3, obs.likelihood[:, :2])
+    o, cfg = uniform_belief(3), PlannerConfig(2, 0.5, 0.5)
+    for call, args in (
+        (Observer, (model, narrow, pa)),
+        (plan, (model, narrow, pa, values, 0, o, cfg)),
+        (run_closed_loop, (model, narrow, pa, controller, o, 5, 0, 0)),
+    ):
+        with pytest.raises(ModelFormatError) as err:
+            call(*args)
+        assert err.value.diagnostics == ["likelihood covers 2 states, not 3"]
 
 
 def test_a_chain_that_is_not_column_stochastic_is_refused_at_every_entry_point():

@@ -112,6 +112,20 @@ def test_validate_prints_plain_numbers_for_bad_entries(tmp_path, capsys):
     assert "np.float64(" not in err
 
 
+def test_validate_reports_only_the_shape_of_a_sensor_over_other_states(tmp_path, capsys):
+    # the sensor is measured against the model's states before its columns
+    # are read, so a bad column in a sensor of the wrong size goes unnamed
+    model_path, _ = write_example1_files(tmp_path)
+    obs_path = tmp_path / "narrow_obs.json"
+    obs_path.write_text(json.dumps(
+        {"num_observations": 2, "likelihood": [[0.5, 0.9], [0.5, 0.6]]}
+    ))
+    assert main(["validate", "--model", model_path, "--obs", str(obs_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "invalid: likelihood shape (2, 2) != expected (2, 3)\n"
+    assert captured.out == ""
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]

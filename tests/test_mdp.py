@@ -15,7 +15,6 @@ from covertmdp import (
     extract_nominal_policy,
     induced_chain,
     nominal_value_iteration,
-    validate_model,
 )
 import covertmdp
 from covertmdp import augmented
@@ -30,7 +29,6 @@ from covertmdp.belief import (
     load_observation_file,
     save_observation_file,
     uniform_belief,
-    validate_observation_model,
 )
 from covertmdp.mdp import (
     bellman_backup,
@@ -68,17 +66,26 @@ def two_state_switch_model():
     return MdpModel(2, 2, transition, reward, 0.5)
 
 
+def refusal(build, *fields):
+    """The diagnostics of the :class:`ModelFormatError` that ``build(*fields)``
+    raises; ``[]`` when it builds."""
+    try:
+        build(*fields)
+    except ModelFormatError as err:
+        return err.diagnostics
+    return []
+
+
 def test_validate_model_accepts_example1():
     model, _ = example1_model()
-    assert validate_model(model) == []
+    assert refusal(MdpModel, 3, 2, model.transition, model.reward, model.discount) == []
 
 
 def test_validate_model_flags_bad_column():
     model, _ = example1_model()
     transition = model.transition.copy()
     transition[0, 1, 0] += 0.25
-    bad = MdpModel(3, 2, transition, model.reward, model.discount)
-    problems = validate_model(bad)
+    problems = refusal(MdpModel, 3, 2, transition, model.reward, model.discount)
     assert problems
     assert any("x=1" in line and "u=0" in line for line in problems)
 
@@ -88,8 +95,8 @@ def test_validate_model_flags_negative_probability():
     transition = model.transition.copy()
     transition[0, 0, 0] -= 0.9
     transition[1, 0, 0] += 0.9  # column still sums to one
-    bad = MdpModel(3, 2, transition, model.reward, model.discount)
-    assert any("outside [0, 1]" in line for line in validate_model(bad))
+    problems = refusal(MdpModel, 3, 2, transition, model.reward, model.discount)
+    assert any("outside [0, 1]" in line for line in problems)
 
 
 def test_validate_model_and_observation_model_refuse_nan():
@@ -98,21 +105,30 @@ def test_validate_model_and_observation_model_refuse_nan():
     model, obs = example1_model()
     transition = model.transition.copy()
     transition[0, 1, 0] = np.nan
-    problems = validate_model(MdpModel(3, 2, transition, model.reward, model.discount))
+    problems = refusal(MdpModel, 3, 2, transition, model.reward, model.discount)
     assert any("p(0|1,0) =" in line and "nan" in line for line in problems)
     assert any("(x=1, u=0) sums to" in line and "nan" in line for line in problems)
-    assert validate_model(MdpModel(1, 1, [[[np.nan]]], [[0.0]], 0.9))
+    assert refusal(MdpModel, 1, 1, [[[np.nan]]], [[0.0]], 0.9)
+    # unchecked, a NaN reward ran 50 lattice sweeps to NaN values and gave
+    # the planner a NaN objective, with no error
+    reward = model.reward.copy()
+    reward[1, 0] = np.nan
+    problems = refusal(MdpModel, 3, 2, model.transition, reward, model.discount)
+    assert problems == ["reward R(1,0) = nan is not finite"]
     likelihood = obs.likelihood.copy()
     likelihood[2, 0] = np.nan
-    problems = validate_observation_model(ObservationModel(3, likelihood), 3)
+    problems = refusal(ObservationModel, 3, likelihood)
     assert any("q(2|0) =" in line and "nan" in line for line in problems)
     assert any("column x=0 sums to" in line and "nan" in line for line in problems)
 
 
 def test_validate_model_flags_discount_out_of_range():
     model, _ = example1_model()
-    bad = MdpModel(3, 2, model.transition, model.reward, 1.0)
-    assert any("discount" in line for line in validate_model(bad))
+    for discount in (1.0, 1.5):
+        # the refusal is a ValueError too
+        with pytest.raises(ValueError) as err:
+            MdpModel(3, 2, model.transition, model.reward, discount)
+        assert any("discount" in line for line in err.value.diagnostics)
 
 
 def test_single_state_closed_form():
@@ -450,3 +466,45 @@ def test_only_mdps_file_helpers_open_files():
         ]
     assert found == 3  # the check finds the helpers' own calls
     assert stray == []
+
+
+def callers_of(tree, name):
+    """The scope (``Class.method``, ``function`` or ``""`` for module level)
+    of each call to ``name`` (a name, or an attribute as in ``mdp.name``)
+    under an ``ast`` tree."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Call) and (
+                isinstance(child.func, ast.Name) and child.func.id == name
+                or isinstance(child.func, ast.Attribute) and child.func.attr == name
+            ):
+                found.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_stochastic_tables_are_checked_only_where_models_are_built():
+    # One validity rule: the model and the sensor check their tables when
+    # they are built, through their own helpers, and the observer checks
+    # only the chain it is given. Nothing else checks them again.
+    package = Path(covertmdp.__file__).parent
+    callers = sorted(
+        f"{path.relative_to(package)}:{scope}"
+        for path in sorted(package.rglob("*.py"))
+        for scope in callers_of(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path)),
+            "_stochastic_problems",
+        )
+    )
+    assert callers == [
+        "belief.py:Observer.__post_init__",
+        "belief.py:_observation_problems",
+        "mdp.py:_model_problems",
+    ]

@@ -9,13 +9,12 @@ import pytest
 from covertmdp import (
     GridWorldSpec,
     ModelFormatError,
+    Observer,
     desk_gridworld,
     example1_model,
     gridworld_model,
 )
-from covertmdp.belief import validate_observation_model
 from covertmdp.cli import _load_scenario
-from covertmdp.mdp import validate_model
 from covertmdp.models import (
     GRIDWORLD_ACTIONS,
     SENSOR_SUPPORT_SIGMAS,
@@ -52,9 +51,10 @@ def test_example1_exact_matrices():
 
 
 def test_example1_passes_validation():
+    # the model and the sensor refuse to be built invalid, and the observer
+    # refuses a sensor over other states
     model, obs = example1_model()
-    assert validate_model(model) == []
-    assert validate_observation_model(obs, model.num_states) == []
+    Observer(model, obs, np.eye(model.num_states))
 
 
 def test_desk_gridworld_defaults():
@@ -81,8 +81,7 @@ def test_gridworld_shapes_scale_with_the_board():
     assert model.reward.shape == (121, 5)
     assert obs.num_observations == 21  # readings 0 .. 20
     assert obs.likelihood.shape == (21, 121)
-    assert validate_model(model) == []
-    assert validate_observation_model(obs, 121) == []
+    Observer(model, obs, np.eye(121))  # a sensor over the model's states
 
 
 def test_gridworld_action_order_and_slip_composition():
