@@ -9,17 +9,16 @@ terms of the integer vector's suffix sums, so the ranks of a Freudenthal
 simplex's vertices are one running sum: the floor's rank, then the tabled
 rank step of each coordinate the walk raises.
 
-One batched lookahead backs up every lattice point in a sweep and the
-single (state, belief) pair of a greedy decision. It comes in two halves,
-as the planner's does. :class:`_Lookahead` is what depends on no belief: the
-observer's kernel ``q(y|x') p(x'|x,u)``, the weighted reward, the discount,
-whether the observer rules nothing out, and the lattice's locate tables; it
-is built once per solve and once per ``AugmentedValueController``, which
-hands it to :func:`greedy_action`. :class:`_Backup` is the per-belief step
-that both go through: the observer's posteriors and their simplices, found
-once per (belief, observation), the 0/1 mask of the observations each
-belief leaves open, the blocked and relaxed actions and the stage reward,
-applied to any value table by the two contractions. A greedy decision
+One batched lookahead, :class:`_Backup`, backs up every lattice point in a
+sweep and the single (state, belief) pair of a greedy decision. What it
+reads that depends on no belief is held elsewhere, once: the observer's
+kernel ``q(y|x') p(x'|x,u)`` on the :class:`~covertmdp.belief.Observer`, the
+locate tables on the lattice. What depends on the belief it computes once
+per batch: the observer's posteriors and their simplices, found once per
+(belief, observation), the observations each belief leaves open, the
+blocked and relaxed actions and each action's open mass (all three from
+``belief``, which owns every zero test) and the stage reward; it applies
+them to any value table by the two contractions. A greedy decision
 computes these for its one belief and reads only its own state's rows of
 the tables. Every belief the lookahead sees is a distribution (a lattice
 point, or a belief that ``Observer.check`` accepted), so when the observer
@@ -43,10 +42,11 @@ from pathlib import Path
 import numpy as np
 
 from .belief import (
-    EPS_ZERO,
     ObservationModel,
     Observer,
     _check_belief,
+    blocked_actions,
+    open_mass,
     posterior_table,
 )
 from .errors import EmptyAdmissibleSet, SizeOverflow
@@ -149,14 +149,8 @@ def build_simplex_grid(num_states: int, resolution: int) -> SimplexGrid:
     return SimplexGrid(num_states, resolution, comps / float(resolution))
 
 
-def _stack_offsets(rows: int, n: int) -> np.ndarray:
-    """Flat index of the first entry of each row of a ``(rows, n)`` stack,
-    as a column."""
-    return np.arange(0, rows * n, n)[:, None]
-
-
 def _simplex_weights(
-    grid: SimplexGrid, beliefs: np.ndarray, stack: np.ndarray | None = None
+    grid: SimplexGrid, beliefs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Freudenthal simplex of each belief in a stack ``(..., n)``.
 
@@ -171,8 +165,7 @@ def _simplex_weights(
     coordinates in sorted order are the walk. Vertex ``k``'s rank is the
     floor's rank plus the rank steps (``_rises``) of the first ``k`` walked
     coordinates. Zero-weight vertices can fall outside the simplex on
-    boundary faces, so they are replaced by the first vertex. ``stack`` is
-    :func:`_stack_offsets` of the stack's rows, for callers that hold it.
+    boundary faces, so they are replaced by the first vertex.
     """
     n = grid.num_states
     res = grid.resolution
@@ -189,9 +182,8 @@ def _simplex_weights(
     frac[:, 0] = 1.0  # the pinned head: sorts first, and heads the weights
 
     order = (-frac).argsort(axis=-1, kind="stable")
-    if stack is None:
-        stack = _stack_offsets(len(frac), n)
-    flat = order + stack
+    # flat index of each row's first entry, as a column
+    flat = order + np.arange(0, frac.size, n)[:, None]
     # weights: one difference over [1, d_1, ..., d_{n-1}, 0], with d the
     # fractional parts in walk order; the last, d_{n-1} - 0, stays as it is
     lam = frac.take(flat)
@@ -227,7 +219,9 @@ def interpolation_weights(
 
 @dataclass(frozen=True)
 class AugmentedValueFunction:
-    """Joint value function: ``values[x, g]`` at state ``x``, lattice belief ``g``."""
+    """Joint value function: ``values[x, g]`` at state ``x``, lattice belief
+    ``g``; a table of another shape, or with an entry that is not finite, is
+    refused."""
 
     grid: SimplexGrid
     values: np.ndarray
@@ -241,6 +235,8 @@ class AugmentedValueFunction:
             raise ValueError(
                 f"value table shape {self.values.shape} does not match {expected}"
             )
+        if not np.isfinite(self.values).all():
+            raise ValueError("value table entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -254,62 +250,32 @@ class AugmentedVIResult:
     fallback_points: tuple[tuple[int, int], ...]
 
 
-class _Lookahead:
-    """One-step backup of ``(x, o)`` against a lattice value table
-    ``values[x', g]``: its belief-independent half, built once per solve and
-    once per ``AugmentedValueController``.
-
-    It holds the kernel ``q(y|x') p(x'|x,u)`` (read from ``observer``),
-    ``reward_weight`` times the reward, the discount, whether the observer
-    rules nothing out (``all_open``, by ``Observer.rules_out_nothing``), the
-    grid, whose tables the locator reads, and the locator's row offsets for
-    one belief's posteriors. :class:`_Backup` is the per-belief step that
-    both the sweep (over the lattice points) and a greedy decision (one
-    ``(x, o)``) go through.
-
-    It serves one observer and one lattice and pair of weights; a decision
-    refuses it for any other (:meth:`serves`).
-    """
-
-    def __init__(self, observer: Observer, grid: SimplexGrid,
-                 reward_weight: float, exposure_weight: float):
-        lattice, n = grid.num_states, observer.model.num_states
-        if lattice != n:
-            raise ValueError(f"value lattice over {lattice} states, model has {n} states")
-        self.observer = observer
-        self.grid = grid
-        self.reward_weight = reward_weight
-        self.exposure_weight = exposure_weight
-        self.kernel = observer.kernel
-        self.reward = reward_weight * observer.model.reward
-        self.discount = observer.model.discount
-        self.all_open = observer.rules_out_nothing
-        self.stack = _stack_offsets(observer.obs.num_observations, n)
-
-    def serves(self, observer: Observer, value: AugmentedValueFunction) -> bool:
-        grid = value.grid
-        return (
-            observer is self.observer
-            and grid.num_states == self.grid.num_states
-            and grid.resolution == self.grid.resolution
-            and value.reward_weight == self.reward_weight
-            and value.exposure_weight == self.exposure_weight
+def _check_lattice(grid: SimplexGrid, model: MdpModel) -> None:
+    """Refuse a value lattice over another number of states than ``model``'s."""
+    if grid.num_states != model.num_states:
+        raise ValueError(
+            f"value lattice over {grid.num_states} states, "
+            f"model has {model.num_states} states"
         )
 
 
 class _Backup:
-    """A :class:`_Lookahead` at a batch of beliefs ``(B, n)``, for the
-    source states ``sources``: the part of the backup that depends on the
-    belief, computed once and applied to any value table.
+    """One-step backup of ``(x, o)`` against a lattice value table
+    ``values[x', g]``, at a batch of beliefs ``(B, n)`` and the source
+    states ``sources``: the part that depends on the belief, computed once
+    and applied to any value table. The sweep builds one over the lattice
+    points, a greedy decision one for its ``(x, o)``.
 
     Per belief, the posterior after ``y`` interpolates through
     ``vertices[b, y]`` with ``weights[b, y]``, and its value counts only
     where the predictive leaves ``y`` open (``open_y[b, y]``). Where no
-    action is admissible (``relaxed[b, x]``), every action with open mass
+    action is admissible (``relaxed[b, x]``, from
+    :func:`~covertmdp.belief.blocked_actions`), every action with open mass
     is usable, and at those ``renorm`` entries the contracted future is
-    divided by that mass (``open_mass``). ``stage`` is the stage reward
-    less the exposure (the belief's mass on the source state), and -inf
-    for unusable actions.
+    divided by that mass (``open_mass``, from
+    :func:`~covertmdp.belief.open_mass`). ``stage`` is ``reward_weight``
+    times the reward less ``exposure_weight`` times the exposure (the
+    belief's mass on the source state), and -inf for unusable actions.
 
     ``beliefs`` must be distributions. When the observer rules nothing out,
     none of those masks is built: nothing is blocked or relaxed, every
@@ -317,29 +283,29 @@ class _Backup:
     nowhere, so skipping it changes no bit.
     """
 
-    def __init__(self, lookahead: _Lookahead, beliefs: np.ndarray,
-                 sources=slice(None)):
-        observer = lookahead.observer
+    def __init__(self, observer: Observer, grid: SimplexGrid,
+                 reward_weight: float, exposure_weight: float,
+                 beliefs: np.ndarray, sources=slice(None)):
+        model = observer.model
+        _check_lattice(grid, model)
         posteriors, _, open_y = posterior_table(observer, beliefs)
-        stack = lookahead.stack if len(beliefs) == 1 else None
-        self.vertices, self.weights = _simplex_weights(lookahead.grid, posteriors, stack)
-        self.kernel = lookahead.kernel[sources]
-        self.discount = lookahead.discount
-        penalty = lookahead.exposure_weight * beliefs[..., sources]
-        self.stage = lookahead.reward[sources] - penalty[..., None]
-        self.all_open = lookahead.all_open
+        self.vertices, self.weights = _simplex_weights(grid, posteriors)
+        self.kernel = observer.kernel[sources]
+        self.discount = model.discount
+        penalty = exposure_weight * beliefs[..., sources, None]
+        self.stage = reward_weight * model.reward[sources] - penalty
+        self.all_open = observer.rules_out_nothing
         if self.all_open:  # lattice-6s decisions: 0.5-0.8 the masked time
             return
 
-        self.open_y = open_y.astype(float)
-        # blocked[b, x, u]: u at x can emit a reading belief b rules out
-        blocked = (observer.emits[:, sources] @ ~open_y.T).T
+        self.open_y = open_y
+        blocked = blocked_actions(observer, open_y, sources)
         self.relaxed = blocked.all(axis=-1)
-        total = np.einsum("uxy,by->bxu", observer.emission[:, sources], self.open_y)
-        self.usable = (~blocked | self.relaxed[..., None]) & (total > EPS_ZERO)
+        mass, has_mass = open_mass(observer, open_y, sources)
+        self.usable = (~blocked | self.relaxed[..., None]) & has_mass
         renorm = self.usable & self.relaxed[..., None]
         self.renorm = np.nonzero(renorm)
-        self.open_mass = total[renorm]
+        self.open_mass = mass[renorm]
         self.stage = np.where(self.usable, self.stage, -np.inf)
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
@@ -383,12 +349,11 @@ def solve_augmented_vi(
             f"receding-horizon planner (the rho controller, or plan) instead"
         )
     grid = build_simplex_grid(n, resolution)
-    lookahead = _Lookahead(
-        Observer(model, obs, pa), grid, reward_weight, exposure_weight
+    backup = _Backup(
+        Observer(model, obs, pa), grid, reward_weight, exposure_weight, grid.points
     )
-    backup = _Backup(lookahead, grid.points)
     fallback = ()  # all open: no point is relaxed, none is hopeless
-    if not lookahead.all_open:
+    if not backup.all_open:
         hopeless = np.argwhere(~backup.usable.any(axis=2))
         if hopeless.size:
             g, x = hopeless[0]
@@ -405,39 +370,33 @@ def solve_augmented_vi(
 
 
 def action_values(
-    observer: Observer, value: AugmentedValueFunction, x: int, o: np.ndarray,
-    *, lookahead: _Lookahead | None = None,
+    observer: Observer, value: AugmentedValueFunction, x: int, o: np.ndarray
 ) -> np.ndarray:
     """Greedy lookahead at an arbitrary ``(x, o)``; inadmissible entries are -inf.
 
     Unlike the solver's backup, no action is relaxed here: where every
     action is inadmissible, every entry is -inf. Only the agent's own row
-    is backed up, against ``observer``'s tables. ``lookahead`` is the
-    belief-independent half, built here when not given; one built for
-    another observer, lattice or pair of weights is refused.
+    is backed up, against ``observer``'s tables; a lattice over another
+    number of states is refused.
     """
     o = observer.check(x, o)
-    if lookahead is None:
-        lookahead = _Lookahead(
-            observer, value.grid, value.reward_weight, value.exposure_weight
-        )
-    elif not lookahead.serves(observer, value):
-        raise ValueError("lookahead was built for another observer or value function")
-    backup = _Backup(lookahead, o[None, :], slice(x, x + 1))
-    if not lookahead.all_open and backup.relaxed[0, 0]:
+    backup = _Backup(
+        observer, value.grid, value.reward_weight, value.exposure_weight,
+        o[None, :], slice(x, x + 1),
+    )
+    if not backup.all_open and backup.relaxed[0, 0]:
         return np.full(observer.model.num_actions, -np.inf)
     return backup(value.values)[0, 0]
 
 
 def greedy_action(
-    observer: Observer, value: AugmentedValueFunction, x: int, o: np.ndarray,
-    *, lookahead: _Lookahead | None = None,
+    observer: Observer, value: AugmentedValueFunction, x: int, o: np.ndarray
 ) -> int:
     """Lowest-index maximizer of the greedy lookahead (:func:`action_values`),
     picked from the Python list of its values: for values that are finite or
     -inf, ``np.argmax``'s first maximum. Raises :class:`EmptyAdmissibleSet`
-    when every value is -inf (or NaN, from a table holding NaN)."""
-    scores = action_values(observer, value, x, o, lookahead=lookahead).tolist()
+    when every value is -inf (or NaN)."""
+    scores = action_values(observer, value, x, o).tolist()
     top = max(scores)
     if not top > -math.inf:
         raise EmptyAdmissibleSet(f"no admissible action at state x={x}")

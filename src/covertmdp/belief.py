@@ -107,6 +107,8 @@ def uniform_belief(num_states: int) -> np.ndarray:
 
 
 def point_belief(num_states: int, x: int) -> np.ndarray:
+    if not 0 <= x < num_states:
+        raise ValueError(f"state x={x} outside [0, {num_states})")
     o = np.zeros(num_states)
     o[x] = 1.0
     return make_belief(o)
@@ -116,16 +118,22 @@ def bayes_update(observer: Observer, o: np.ndarray, y: int) -> np.ndarray:
     """One predict-update step of ``observer``'s filter: row ``y`` of
     :func:`posterior_table`, by the same arithmetic.
 
-    Raises :class:`IllDefinedUpdate` when the predictive probability of ``y``
-    is numerically zero; callers prevent that by restricting the agent to
-    admissible actions.
+    Raises ``ValueError`` for a reading outside ``[0, Y)`` (a negative one
+    would index from the end), and :class:`IllDefinedUpdate` when the
+    predictive probability of ``y`` is not above EPS_ZERO, by the filter's
+    own zero test (NaN, from a belief holding NaN, included); callers
+    prevent that by restricting the agent to admissible actions.
     """
+    if not 0 <= y < observer.obs.num_observations:
+        raise ValueError(
+            f"observation y={y} outside [0, {observer.obs.num_observations})"
+        )
     numer = observer.obs.likelihood[y] * (observer.pa @ o)
     # numer.sum()'s reduction, without its Python-level wrapper
     denom = np.add.reduce(numer)
-    if denom <= EPS_ZERO:
+    if not denom > EPS_ZERO:
         raise IllDefinedUpdate(
-            f"observation y={y} has predictive probability {denom!r}"
+            f"observation y={y} has predictive probability {float(denom)!r}"
         )
     post = numer / denom
     post.setflags(write=False)
@@ -293,9 +301,33 @@ def admissible_actions(observer: Observer, x: int, o: np.ndarray) -> list[int]:
     o = observer.check(x, o)
     if observer.rules_out_nothing:  # ex1-rho, lattice-6s steps: 1/7 the test below
         return list(range(observer.model.num_actions))
-    # blocked[u]: some reading that u can make the agent emit is ruled out
-    blocked = observer.emits[:, x] @ ~open_observations(observer, o)
+    blocked = blocked_actions(observer, open_observations(observer, o), x)
     return [u for u in range(observer.model.num_actions) if not blocked[u]]
+
+
+def blocked_actions(
+    observer: Observer, open_y: np.ndarray, sources=slice(None)
+) -> np.ndarray:
+    """``blocked[..., x, u]``: action ``u`` at source state ``x`` can make
+    the next state emit a reading that ``open_y[..., y]`` rules out.
+
+    ``open_y`` is one belief's open readings ``(Y,)`` or a stack ``(B, Y)``
+    (:func:`posterior_table`); ``sources`` picks the source states, and a
+    single state drops that axis.
+    """
+    return (observer.emits[:, sources] @ ~open_y.T).T
+
+
+def open_mass(
+    observer: Observer, open_y: np.ndarray, sources=slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """``mass[b, x, u]``, the chance that action ``u`` at source state ``x``
+    makes the next state emit a reading that belief ``b`` leaves open
+    (``open_y``, a stack ``(B, Y)``), and where that mass is above EPS_ZERO."""
+    mass = np.einsum(
+        "uxy,by->bxu", observer.emission[:, sources], open_y.astype(float)
+    )
+    return mass, mass > EPS_ZERO
 
 
 def joint_step(
@@ -361,11 +393,14 @@ def augmented_transition_support(
 
     One atom per (observation, successor state) pair with positive
     probability, carrying that observation's posterior; atoms with equal
-    posteriors are not merged. Raises :class:`ProhibitedAction` when ``u``
-    is not admissible at ``(x, o)``.
+    posteriors are not merged. Raises ``ValueError`` for an action outside
+    ``[0, U)`` and :class:`ProhibitedAction` when ``u`` is not admissible at
+    ``(x, o)``.
     """
     o = observer.check(x, o)
     model = observer.model
+    if not 0 <= u < model.num_actions:
+        raise ValueError(f"action u={u} outside [0, {model.num_actions})")
     posteriors, _, open_y = posterior_table(observer, o)
     surprising = np.flatnonzero(observer.emits[u, x] & ~open_y)
     if surprising.size:

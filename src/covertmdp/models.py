@@ -67,6 +67,11 @@ SENSOR_SUPPORT_SIGMAS = 3.0
 
 @dataclass(frozen=True)
 class GridWorldSpec:
+    """A grid scenario; the constructor raises one :class:`ModelFormatError`
+    listing every way its values break it: a cell off the grid, the start on
+    the target, ``slip_prob`` outside ``[0, 1)`` or ``noise_sigma`` outside
+    ``(1e-150, 1e150)``."""
+
     width: int
     height: int
     start: tuple[int, int]
@@ -76,6 +81,26 @@ class GridWorldSpec:
     target_reward: float = 1.0
     noise_sigma: float = 1.0
     discount: float = 0.95
+
+    def __post_init__(self):
+        problems = []
+        for name in _SPEC_CELLS:
+            r, c = getattr(self, name)
+            if not (0 <= r < self.height and 0 <= c < self.width):
+                problems.append(f"{name} cell {(r, c)} outside the grid")
+        if self.start == self.target:
+            problems.append("start and target must be different cells")
+        if not 0.0 <= self.slip_prob < 1.0:
+            problems.append(f"slip_prob must be in [0, 1), got {self.slip_prob}")
+        # the reading's Gaussian divides by 2 * noise_sigma**2, which must be
+        # a positive finite float: a square that underflows to 0 makes a 0/0
+        # likelihood, and one that overflows raises. The range also refuses NaN.
+        if not 1e-150 < self.noise_sigma < 1e150:
+            problems.append(
+                f"noise_sigma must lie in (1e-150, 1e150), got {self.noise_sigma!r}"
+            )
+        if problems:
+            raise ModelFormatError(problems)
 
     def cell_index(self, row: int, col: int) -> int:
         return row * self.width + col
@@ -114,22 +139,6 @@ def _resolved_moves(spec: GridWorldSpec, row: int, col: int) -> list[int]:
 def gridworld_model(spec: GridWorldSpec) -> tuple[MdpModel, ObservationModel]:
     n = spec.num_cells
     num_u = len(_MOVES)
-    for name in ("start", "target", "sensor"):
-        r, c = getattr(spec, name)
-        if not (0 <= r < spec.height and 0 <= c < spec.width):
-            raise ValueError(f"{name} cell {(r, c)} outside the grid")
-    if spec.start == spec.target:
-        raise ValueError("start and target must be different cells")
-    if not 0.0 <= spec.slip_prob < 1.0:
-        raise ValueError(f"slip_prob must be in [0, 1), got {spec.slip_prob}")
-    # the reading's Gaussian divides by 2 * noise_sigma**2, which must be a
-    # positive finite float: a square that underflows to 0 makes a 0/0
-    # likelihood, and one that overflows raises. The range also refuses NaN.
-    if not 1e-150 < spec.noise_sigma < 1e150:
-        raise ValueError(
-            f"noise_sigma must lie in (1e-150, 1e150), got {spec.noise_sigma!r}"
-        )
-
     target = spec.cell_index(*spec.target)
     transition = np.zeros((n, n, num_u))
     reward = np.zeros((n, num_u))

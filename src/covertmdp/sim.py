@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augmented import AugmentedValueFunction, _Lookahead, greedy_action
+from .augmented import AugmentedValueFunction, _check_lattice, greedy_action
 from .belief import ObservationModel, Observer, admissible_actions, bayes_update
 from .errors import (
     EmptyAdmissibleSet,
@@ -74,9 +74,9 @@ class NominalController:
 class AugmentedValueController:
     """Greedy one-step lookahead on a solved state-belief value function.
 
-    The observer, whose tables the lookahead reads, and the lookahead's
-    belief-independent half are built here, once, so a decision computes
-    only what depends on the belief.
+    The observer, whose tables the lookahead reads, is built here, once, so
+    a decision computes only what depends on the belief; a lattice over
+    another number of states is refused here too.
     """
 
     def __init__(
@@ -87,9 +87,7 @@ class AugmentedValueController:
         value: AugmentedValueFunction,
     ):
         self.observer = Observer(model, obs, pa)
-        self.lookahead = _Lookahead(
-            self.observer, value.grid, value.reward_weight, value.exposure_weight
-        )
+        _check_lattice(value.grid, model)
         self.value = value
         self.controller_id = (
             f"grid-value(res={value.grid.resolution},"
@@ -97,9 +95,7 @@ class AugmentedValueController:
         )
 
     def decide(self, x: int, o: np.ndarray) -> int:
-        return greedy_action(
-            self.observer, self.value, x, o, lookahead=self.lookahead
-        )
+        return greedy_action(self.observer, self.value, x, o)
 
 
 class RecedingHorizonController:

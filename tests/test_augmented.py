@@ -28,7 +28,7 @@ from covertmdp import (
 from covertmdp import augmented
 from covertmdp.augmented import (
     AugmentedValueFunction,
-    _Lookahead,
+    _Backup,
     _simplex_weights,
     action_values,
     build_simplex_grid,
@@ -416,7 +416,8 @@ def test_lattice_on_an_observer_that_rules_out_nothing_equals_the_masked_path(
 
     beliefs = [*rng.dirichlet(np.full(n, 0.3), size=4),
                *grid.points[rng.integers(grid.num_points, size=4)]]
-    assert _Lookahead(observer, grid, 0.6, 0.4).all_open
+    assert _Backup(observer, grid, 0.6, 0.4, grid.points).all_open
+    assert not _Backup(twin, grid, 0.6, 0.4, grid.points).all_open
     for o in beliefs:
         for x in range(n):
             np.testing.assert_array_equal(
@@ -574,10 +575,10 @@ def test_action_values_mark_inadmissible_actions():
     k=st.integers(2, 3),
     sparse=st.booleans(),
 )
-def test_a_decision_through_the_held_lookahead_equals_a_fresh_one(seed, n, m, k, sparse):
-    # The controller's belief-independent half gives the bits a lookahead
-    # built for the one call gives, on observers that rule nothing out and
-    # on sparse ones that build every mask.
+def test_a_controller_decision_is_the_first_maximum_of_the_action_values(seed, n, m, k, sparse):
+    # On observers that rule nothing out and on sparse ones that build
+    # every mask, the controller picks np.argmax's first maximum of the
+    # lookahead, and refuses a row that is all -inf.
     rng = np.random.default_rng(seed)
     if sparse:
         model, obs, pa = sparse_problem(seed, n, m, k)
@@ -589,7 +590,6 @@ def test_a_decision_through_the_held_lookahead_equals_a_fresh_one(seed, n, m, k,
     grid = build_simplex_grid(n, 4)
     value = AugmentedValueFunction(grid, rng.normal(size=(n, grid.num_points)), 0.6, 0.4)
     controller = AugmentedValueController(model, obs, pa, value)
-    observer = controller.observer
     beliefs = [*grid.points[rng.integers(grid.num_points, size=3)]]
     for _ in range(5):
         # with exact zeros, its positive entries bounded away from zero
@@ -598,14 +598,12 @@ def test_a_decision_through_the_held_lookahead_equals_a_fresh_one(seed, n, m, k,
         beliefs.append(weights / weights.sum())
     for o in beliefs:
         x = int(rng.integers(n))
-        held = action_values(observer, value, x, o, lookahead=controller.lookahead)
-        fresh = action_values(observer, value, x, o)
-        assert held.tobytes() == fresh.tobytes()
-        if np.isneginf(fresh).all():
+        vals = action_values(controller.observer, value, x, o)
+        if np.isneginf(vals).all():
             with pytest.raises(EmptyAdmissibleSet):
                 controller.decide(x, o)
         else:
-            assert controller.decide(x, o) == int(np.argmax(fresh))
+            assert controller.decide(x, o) == int(np.argmax(vals))
 
 
 @pytest.mark.parametrize("vals", [
@@ -634,27 +632,6 @@ def test_the_greedy_pick_refuses_values_that_are_all_minus_infinity(vals, monkey
         greedy_action(observer, _zero_value(model, 2), 1, uniform_belief(3))
 
 
-def test_a_lookahead_built_for_another_observer_or_value_function_is_refused():
-    model, obs = example1_model()
-    pa, _ = nominal_chain(model)
-    value = _zero_value(model, 3)
-    controller = AugmentedValueController(model, obs, pa, value)
-    o = uniform_belief(3)
-    others = [
-        (Observer(model, obs, pa), value),  # an equal observer is another one
-        (controller.observer, _zero_value(model, 2)),
-        (controller.observer, dataclasses.replace(value, reward_weight=0.5)),
-        (controller.observer, dataclasses.replace(value, exposure_weight=0.5)),
-    ]
-    for observer, other in others:
-        for decide in (action_values, greedy_action):
-            with pytest.raises(ValueError, match="lookahead was built for another"):
-                decide(observer, other, 0, o, lookahead=controller.lookahead)
-    # the same lattice, weights and observer in a new value table are served
-    table = dataclasses.replace(value, values=np.ones_like(value.values))
-    assert greedy_action(controller.observer, table, 0, o, lookahead=controller.lookahead) in (0, 1)
-
-
 def test_action_values_reject_bad_state_and_belief():
     model, obs = example1_model()
     pa, _ = nominal_chain(model)
@@ -673,6 +650,16 @@ def test_value_function_rejects_a_table_of_the_wrong_shape():
     for shape in [(2, grid.num_points), (3, grid.num_points + 1), (grid.num_points,)]:
         with pytest.raises(ValueError, match="does not match"):
             AugmentedValueFunction(grid, np.zeros(shape), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_value_function_rejects_a_table_that_is_not_finite(entry):
+    # a NaN table would make every decision on it report no admissible action
+    grid = build_simplex_grid(3, 2)
+    table = np.zeros((3, grid.num_points))
+    table[1, 2] = entry
+    with pytest.raises(ValueError, match="value table entries must be finite"):
+        AugmentedValueFunction(grid, table, 1.0, 1.0)
 
 
 def test_lattice_over_another_state_count_is_refused():

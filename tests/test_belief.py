@@ -147,6 +147,34 @@ def test_bayes_update_rejects_zero_predictive_mass():
         bayes_update(chain_observer(pa, q), o, 1)
 
 
+def test_bayes_update_refuses_a_belief_holding_nan():
+    # by the filter's own zero test, a NaN predictive is not above EPS_ZERO
+    model, obs = example1_model()
+    observer = Observer(model, obs, nominal_chain(model))
+    for y in range(3):
+        with pytest.raises(IllDefinedUpdate, match="predictive probability nan"):
+            bayes_update(observer, np.full(3, np.nan), y)
+
+
+def test_negative_indices_are_refused_not_counted_from_the_end():
+    model, obs = example1_model()
+    observer = Observer(model, obs, nominal_chain(model))
+    o = uniform_belief(3)
+    for y in (-1, -3, 3):
+        with pytest.raises(ValueError, match=f"observation y={y} outside \\[0, 3\\)"):
+            bayes_update(observer, o, y)
+    for x in (-1, 3):
+        with pytest.raises(ValueError, match=f"state x={x} outside \\[0, 3\\)"):
+            point_belief(3, x)
+    for u in (-1, 2):
+        with pytest.raises(ValueError, match=f"action u={u} outside \\[0, 2\\)"):
+            augmented_transition_support(observer, 0, o, u)
+    # the last index in range is still served
+    assert bayes_update(observer, o, 2).shape == (3,)
+    assert point_belief(3, 2).tolist() == [0.0, 0.0, 1.0]
+    assert augmented_transition_support(observer, 0, o, 1).probs.sum() > 0.99
+
+
 def test_posterior_table_matches_single_updates():
     rng = np.random.default_rng(3)
     for _ in range(50):

@@ -159,7 +159,7 @@ def test_gridworld_spec_file_is_validated_where_it_is_loaded(tmp_path, capsys):
         path.write_text(json.dumps({**spec, "noise_sigma": sigma}))
         assert main(["validate", "--model", str(path)]) == 1
         err = capsys.readouterr().err
-        assert f"error: noise_sigma must lie in (1e-150, 1e150), got {sigma!r}" in err
+        assert f"invalid: noise_sigma must lie in (1e-150, 1e150), got {sigma!r}" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "solve-nominal", "plan"])

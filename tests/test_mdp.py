@@ -508,3 +508,22 @@ def test_stochastic_tables_are_checked_only_where_models_are_built():
         "belief.py:_observation_problems",
         "mdp.py:_model_problems",
     ]
+
+
+def test_the_lattice_reads_no_zero_test_of_its_own():
+    # Which readings and actions the observer allows is decided in belief;
+    # the lattice backup reads its masks and never the threshold or the
+    # emission table behind them.
+    path = Path(augmented.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):  # an imported name
+            names.add(node.name)
+    assert not names & {"EPS_ZERO", "emits", "emission"}
+    # the same walk sees what the lattice does read from belief
+    assert {"blocked_actions", "open_mass", "kernel"} <= names

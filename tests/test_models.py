@@ -187,17 +187,28 @@ def test_gridworld_sharp_sensor_degenerates_to_exact_distance():
 
 
 def test_gridworld_rejects_degenerate_setups():
-    with pytest.raises(ValueError, match="outside the grid"):
-        gridworld_model(GridWorldSpec(3, 3, (0, 0), (5, 5), (1, 1)))
-    with pytest.raises(ValueError, match="different cells"):
-        gridworld_model(GridWorldSpec(3, 3, (1, 1), (1, 1), (0, 0)))
-    with pytest.raises(ValueError, match="slip_prob"):
-        gridworld_model(GridWorldSpec(3, 3, (0, 0), (2, 2), (1, 1), slip_prob=1.0))
+    # the spec refuses itself when it is built, with one line per problem
+    with pytest.raises(ModelFormatError, match="outside the grid"):
+        GridWorldSpec(3, 3, (0, 0), (5, 5), (1, 1))
+    with pytest.raises(ModelFormatError, match="different cells"):
+        GridWorldSpec(3, 3, (1, 1), (1, 1), (0, 0))
+    with pytest.raises(ModelFormatError, match="slip_prob"):
+        GridWorldSpec(3, 3, (0, 0), (2, 2), (1, 1), slip_prob=1.0)
     # 1e-200 squared underflows to 0 (a 0/0 likelihood column of NaN) and
     # 1e300 squared overflows (OverflowError from the Python float)
     for sigma in (0.0, 1e-200, 1e300, np.nan, np.inf):
-        with pytest.raises(ValueError, match="noise_sigma"):
-            gridworld_model(GridWorldSpec(3, 3, (0, 0), (2, 2), (1, 1), noise_sigma=sigma))
+        with pytest.raises(ModelFormatError, match="noise_sigma"):
+            GridWorldSpec(3, 3, (0, 0), (2, 2), (1, 1), noise_sigma=sigma)
+    with pytest.raises(ModelFormatError) as err:
+        GridWorldSpec(3, 3, (0, 3), (0, 3), (-1, 1), slip_prob=np.nan, noise_sigma=0.0)
+    assert err.value.diagnostics == [
+        "start cell (0, 3) outside the grid",
+        "target cell (0, 3) outside the grid",
+        "sensor cell (-1, 1) outside the grid",
+        "start and target must be different cells",
+        "slip_prob must be in [0, 1), got nan",
+        "noise_sigma must lie in (1e-150, 1e150), got 0.0",
+    ]
 
 
 def test_gridworld_spec_from_dict_applies_defaults():

@@ -1,5 +1,6 @@
 """Tests for closed-loop simulation, aggregation, and trace files."""
 
+import functools
 import itertools
 import json
 import warnings
@@ -40,7 +41,7 @@ from covertmdp import (
     uniform_belief,
     write_trace_csv,
 )
-from covertmdp import augmented, belief, sim
+from covertmdp import belief, sim
 from covertmdp.sim import (
     AugmentedValueController,
     _sample,
@@ -272,30 +273,37 @@ def test_traced_entry_points_are_called_once_per_step(monkeypatch):
 def test_observer_tables_are_built_once_per_controller_and_episode(monkeypatch):
     # Each controller builds its observer once and each episode one for the
     # simulator step; a decision or a step builds no model table. The
-    # lattice controller also builds its lookahead's belief-independent
-    # half once, and a decision builds none.
+    # lattice kernel is built on the grid-value controller's first decision,
+    # and no later lattice decision builds an observer or a kernel.
     model, obs = example1_model()
     pa, values, policy = nominal_setup(model)
     value = solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=3, tol=1e-4).value
     # the observer builds its emission table in __post_init__, and only there
-    counts = {"tables": 0, "lookaheads": 0}
+    counts = {"tables": 0, "kernels": 0}
     monkeypatch.setattr(
         belief.Observer, "__post_init__",
         _counting("tables", belief.Observer.__post_init__, counts),
     )
-    monkeypatch.setattr(
-        augmented._Lookahead, "__init__",
-        _counting("lookaheads", augmented._Lookahead.__init__, counts),
+    kernel = functools.cached_property(
+        _counting("kernels", belief.Observer.kernel.func, counts)
     )
+    kernel.__set_name__(belief.Observer, "kernel")
+    monkeypatch.setattr(belief.Observer, "kernel", kernel)
     receding = RecedingHorizonController(
         model, obs, pa, values, PlannerConfig(3, 0.5, 0.5, 0.0)
     )
     grid_value = AugmentedValueController(model, obs, pa, value)
-    assert counts == {"tables": 2, "lookaheads": 1}
+    assert counts == {"tables": 2, "kernels": 0}
     for controller in (NominalController(policy), receding, grid_value):
-        counts["tables"] = counts["lookaheads"] = 0
-        run_closed_loop(model, obs, pa, controller, uniform_belief(3), 25, 3, 0)
-        assert counts == {"tables": 1, "lookaheads": 0}
+        for episode in range(2):
+            counts["tables"] = counts["kernels"] = 0
+            run_closed_loop(model, obs, pa, controller, uniform_belief(3), 25, 3, 0)
+            first_lattice = controller is grid_value and episode == 0
+            assert counts == {"tables": 1, "kernels": int(first_lattice)}
+    counts["tables"] = counts["kernels"] = 0
+    for x in range(3):
+        grid_value.decide(x, uniform_belief(3))
+    assert counts == {"tables": 0, "kernels": 0}
     # the planner never reads the lattice kernel, so it is never built, and
     # neither controller builds the simulator step's running sums
     assert "kernel" not in vars(receding.memo.observer)
