@@ -106,9 +106,19 @@ def uniform_belief(num_states: int) -> np.ndarray:
     return make_belief(np.full(num_states, 1.0 / num_states))
 
 
+def _check_index(value, size: int, name: str) -> None:
+    """Refuse ``value`` as index ``name`` (``"state x"``, say) unless it is
+    a Python int or a numpy integer (a float would index its floor or fail;
+    a bool is neither) in ``[0, size)`` (a negative one would index from the
+    end)."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise ValueError(f"{name}={value!r} is not an integer")
+    if not 0 <= value < size:
+        raise ValueError(f"{name}={value} outside [0, {size})")
+
+
 def point_belief(num_states: int, x: int) -> np.ndarray:
-    if not 0 <= x < num_states:
-        raise ValueError(f"state x={x} outside [0, {num_states})")
+    _check_index(x, num_states, "state x")
     o = np.zeros(num_states)
     o[x] = 1.0
     return make_belief(o)
@@ -118,16 +128,13 @@ def bayes_update(observer: Observer, o: np.ndarray, y: int) -> np.ndarray:
     """One predict-update step of ``observer``'s filter: row ``y`` of
     :func:`posterior_table`, by the same arithmetic.
 
-    Raises ``ValueError`` for a reading outside ``[0, Y)`` (a negative one
-    would index from the end), and :class:`IllDefinedUpdate` when the
+    Raises ``ValueError`` for a reading that is not an integer in ``[0, Y)``
+    (:func:`_check_index`), and :class:`IllDefinedUpdate` when the
     predictive probability of ``y`` is not above EPS_ZERO, by the filter's
     own zero test (NaN, from a belief holding NaN, included); callers
     prevent that by restricting the agent to admissible actions.
     """
-    if not 0 <= y < observer.obs.num_observations:
-        raise ValueError(
-            f"observation y={y} outside [0, {observer.obs.num_observations})"
-        )
+    _check_index(y, observer.obs.num_observations, "observation y")
     numer = observer.obs.likelihood[y] * (observer.pa @ o)
     # numer.sum()'s reduction, without its Python-level wrapper
     denom = np.add.reduce(numer)
@@ -262,17 +269,12 @@ class Observer:
         return np.cumsum(self.obs.likelihood, axis=0).T.tolist()
 
     def check(self, x: int | None, o) -> np.ndarray:
-        """``o`` as a float array, once state ``x`` is known to be a Python
-        int or a numpy integer (a float would index its floor or fail; a
-        bool is neither) in ``[0, n)`` (a negative one would index from the
-        end; None skips the test) and ``o`` to be a distribution over the
-        ``n`` states (:func:`_check_belief`)."""
+        """``o`` as a float array, once state ``x`` is known to be an index
+        in ``[0, n)`` (:func:`_check_index`; None skips the test) and ``o``
+        to be a distribution over the ``n`` states (:func:`_check_belief`)."""
         n = self.model.num_states
         if x is not None:
-            if type(x) is not int and not isinstance(x, np.integer):
-                raise ValueError(f"state x={x!r} is not an integer")
-            if not 0 <= x < n:
-                raise ValueError(f"state x={x} outside [0, {n})")
+            _check_index(x, n, "state x")
         return _check_belief(o, n)
 
 
@@ -393,14 +395,13 @@ def augmented_transition_support(
 
     One atom per (observation, successor state) pair with positive
     probability, carrying that observation's posterior; atoms with equal
-    posteriors are not merged. Raises ``ValueError`` for an action outside
-    ``[0, U)`` and :class:`ProhibitedAction` when ``u`` is not admissible at
-    ``(x, o)``.
+    posteriors are not merged. Raises ``ValueError`` for an action that is
+    not an integer in ``[0, U)`` (:func:`_check_index`) and
+    :class:`ProhibitedAction` when ``u`` is not admissible at ``(x, o)``.
     """
     o = observer.check(x, o)
     model = observer.model
-    if not 0 <= u < model.num_actions:
-        raise ValueError(f"action u={u} outside [0, {model.num_actions})")
+    _check_index(u, model.num_actions, "action u")
     posteriors, _, open_y = posterior_table(observer, o)
     surprising = np.flatnonzero(observer.emits[u, x] & ~open_y)
     if surprising.size:

@@ -200,8 +200,12 @@ def _model_problems(
 
 def bellman_backup(model: MdpModel, values: np.ndarray) -> np.ndarray:
     """One sweep of the greedy backup; returns the action-value table (X, U)."""
-    future = np.einsum("dsa,d->sa", model.transition, values)
-    return model.reward + model.discount * future
+    # scaled and added in place on einsum's own output: the same sums as
+    # ``reward + discount * future``
+    q = np.einsum("dsa,d->sa", model.transition, values)
+    q *= model.discount
+    q += model.reward
+    return q
 
 
 def _check_tol(tol: float) -> None:
@@ -226,7 +230,8 @@ def value_iteration(backup, values: np.ndarray, tol: float, max_iter: int) -> VI
     iterations = 0
     for iterations in range(1, max_iter + 1):
         updated = backup(values)
-        residual = float(np.max(np.abs(updated - values)))
+        # np.max's reduction, without its Python-level wrapper
+        residual = float(np.maximum.reduce(np.abs(updated - values), axis=None))
         values = updated
         if residual <= tol:
             break
@@ -242,7 +247,8 @@ def nominal_value_iteration(
     table; the geometric contraction makes the Bellman residual of the
     returned table at most ``tol`` as well."""
     return value_iteration(
-        lambda values: bellman_backup(model, values).max(axis=1),
+        # .max(axis=1)'s reduction, without its Python-level wrapper
+        lambda values: np.maximum.reduce(bellman_backup(model, values), axis=1),
         np.zeros(model.num_states), tol, max_iter,
     )
 

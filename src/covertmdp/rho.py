@@ -86,30 +86,65 @@ class SequenceScore:
     objective: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class PlanResult:
-    """The best sequence and its terms. ``sequences`` scores every sequence,
-    in the planner's order, built on first read from ``_terms`` (the parallel
-    lists of the :class:`SequenceScore` fields); ``pruned`` holds every
-    pruned prefix, each ending in its pruned action, in ascending order."""
+    """A view of the table :func:`plan` scored: ``_terms`` holds the
+    parallel lists of the :class:`SequenceScore` fields, one row per scored
+    sequence in the planner's order, and ``_best`` the winner's row, the
+    first maximum of the objective. The winner's fields (``actions``,
+    ``objective`` and its terms) read that row, ``tied`` is True when
+    another row scored exactly the same, and ``sequences`` scores every
+    row, built on first read. ``pruned`` holds every pruned prefix, each
+    ending in its pruned action, in ascending order. The repr shows the
+    winner's fields and ``pruned``."""
 
-    actions: tuple[int, ...]
-    objective: float
-    reward_term: float
-    tail_term: float
-    detection_term: float
-    sequences_scored: int
-    tied: bool
     pruned: tuple[tuple[int, ...], ...]
-    _terms: tuple[list, ...] = field(repr=False, hash=False)
+    _terms: tuple[list, ...] = field(hash=False)
+    _best: int
+
+    @property
+    def actions(self) -> tuple[int, ...]:
+        return self._terms[0][self._best]
 
     @property
     def first_action(self) -> int:
-        return self.actions[0]
+        return self._terms[0][self._best][0]
+
+    @property
+    def reward_term(self) -> float:
+        return self._terms[1][self._best]
+
+    @property
+    def tail_term(self) -> float:
+        return self._terms[2][self._best]
+
+    @property
+    def detection_term(self) -> float:
+        return self._terms[3][self._best]
+
+    @property
+    def objective(self) -> float:
+        return self._terms[4][self._best]
+
+    @property
+    def sequences_scored(self) -> int:
+        return len(self._terms[0])
+
+    @property
+    def tied(self) -> bool:
+        scores = self._terms[4]
+        return scores.count(scores[self._best]) > 1
 
     @cached_property
     def sequences(self) -> tuple[SequenceScore, ...]:
         return tuple(map(SequenceScore, *self._terms))
+
+    def __repr__(self) -> str:
+        shown = (
+            "actions", "objective", "reward_term", "tail_term", "detection_term",
+            "sequences_scored", "tied", "pruned",
+        )
+        return f"PlanResult({', '.join(f'{k}={getattr(self, k)!r}' for k in shown)})"
 
 
 def suggested_tail_weight_bound(config: PlannerConfig, discount: float) -> float:
@@ -358,14 +393,18 @@ def plan(
       last) and one admissibility product, whose ``blocked`` table keys
       the memo's child.
 
-    ``PlanResult.sequences`` is built only when read.
+    The :class:`PlanResult` is a view of the scored table: it keeps the
+    term lists and the winner's row, and ``sequences`` is built only when
+    read. The tail-weight warning (:func:`suggested_tail_weight_bound`) is
+    checked only when ``wap`` is not 0, as ``wap = 0`` lies in its range
+    whenever ``wa >= 0``.
 
     Raises :class:`NoAdmissibleSequence`, with the pruned prefixes, when
     every sequence is pruned, and
     :class:`SizeOverflow` before a depth's tensors would exceed
     ``MAX_TREE_ENTRIES``.
     """
-    if config.exposure_weight >= 0.0:
+    if config.tail_exposure_weight != 0.0 and config.exposure_weight >= 0.0:
         hi = suggested_tail_weight_bound(config, model.discount)
         if not 0.0 <= config.tail_exposure_weight <= hi + 1e-12:
             warnings.warn(
@@ -388,7 +427,7 @@ def plan(
         # ndarray.dot: the products of ``@`` without its dispatch. The
         # exposure is not indexed by src first: BLAS may round equal rows
         # differently by their position
-        weights = (o[None] / closed.evidence.dot(o)[:, None]).ravel()
+        weights = (o / closed.evidence.dot(o)[:, None]).ravel()
         r_exposed = closed.exposure.dot(weights)[node.src]
     else:
         node, r_exposed, pruned = _walk_tree(memo, x, o, horizon)
@@ -402,19 +441,7 @@ def plan(
             pruned,
         )
     # np.argmax's first maximum, picked from the list
-    top = max(scores)
-    best = scores.index(top)
-    return PlanResult(
-        node.prefixes[best],
-        top,
-        node.inside_terms[best],
-        node.tail_terms[best],
-        exposed[best],
-        len(node.prefixes),
-        scores.count(top) > 1,
-        pruned,
-        terms,
-    )
+    return PlanResult(pruned, terms, scores.index(max(scores)))
 
 
 def _walk_tree(

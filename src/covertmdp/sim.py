@@ -24,7 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from .augmented import AugmentedValueFunction, _check_lattice, greedy_action
-from .belief import ObservationModel, Observer, admissible_actions, bayes_update
+from .belief import (
+    ObservationModel,
+    Observer,
+    _check_index,
+    admissible_actions,
+    bayes_update,
+)
 from .errors import (
     EmptyAdmissibleSet,
     IllDefinedUpdate,
@@ -144,9 +150,12 @@ def step(
 ) -> tuple[int, int, np.ndarray]:
     """Apply ``u``: returns (next state, observation, next belief).
 
-    Rejects prohibited actions up front so a failure is deterministic
+    Rejects an action that is not an integer in ``[0, U)``
+    (:func:`belief._check_index`) with ``ValueError``, and a prohibited one
+    with :class:`ProhibitedAction`, up front, so a failure is deterministic
     rather than appearing only on the unlucky observation draw.
     """
+    _check_index(u, observer.model.num_actions, "action u")
     if u not in admissible_actions(observer, x, o):
         raise ProhibitedAction(f"action u={u} is prohibited at state x={x}")
     x_next = _sample(rng, observer.successor_cdf[x][u])

@@ -65,6 +65,23 @@ def best_value_by_enumeration(transition, reward, discount):
     return best
 
 
+def nominal_value_iteration_reference(transition, reward, discount, tol, max_iter):
+    """Nominal value iteration from the zero table, written with numpy's
+    wrapped reductions (``.max``, ``np.max``) and an out-of-place backup
+    ``reward + discount * future``: the library's arithmetic in another
+    form, so its ``(values, residual, sweeps)`` must match bit for bit."""
+    values = np.zeros(reward.shape[0])
+    residual, sweeps = np.inf, 0
+    for sweeps in range(1, max_iter + 1):
+        future = np.einsum("dsa,d->sa", transition, values)
+        updated = (reward + discount * future).max(axis=1)
+        residual = float(np.max(np.abs(updated - values)))
+        values = updated
+        if residual <= tol:
+            break
+    return values, residual, sweeps
+
+
 def stationary_reward_rate(transition, reward, discount, assignment):
     """Long-run average reward of a deterministic policy's chain."""
     n = reward.shape[0]

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covertmdp import (
     MdpModel,
@@ -158,6 +159,41 @@ def test_value_iteration_matches_policy_enumeration_on_random_models():
         result = nominal_value_iteration(model, tol=1e-12)
         oracle = _oracles.best_value_by_enumeration(transition, reward, 0.9)
         np.testing.assert_allclose(result.values, oracle, atol=1e-8)
+
+
+def _assert_solve_matches_reference(model, tol=1e-10, max_iter=100_000):
+    result = nominal_value_iteration(model, tol=tol, max_iter=max_iter)
+    values, residual, sweeps = _oracles.nominal_value_iteration_reference(
+        model.transition, model.reward, model.discount, tol, max_iter
+    )
+    assert result.values.tobytes() == values.tobytes()
+    assert (result.residual, result.iterations) == (residual, sweeps)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [example1_model()[0], gridworld_model(desk_gridworld())[0]],
+    ids=["example1", "desk_gridworld"],
+)
+def test_nominal_solve_matches_the_reference_loop_bitwise(model):
+    _assert_solve_matches_reference(model)
+    _assert_solve_matches_reference(model, max_iter=7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    m=st.integers(1, 3),
+    discount=st.floats(0.05, 0.97),
+)
+def test_nominal_solve_matches_the_reference_loop_bitwise_on_random_models(
+    seed, n, m, discount
+):
+    transition, reward, _ = _oracles.random_sane_model(
+        np.random.default_rng(seed), n, m, 2
+    )
+    _assert_solve_matches_reference(MdpModel(n, m, transition, reward, discount))
 
 
 def test_fixed_point_residual():

@@ -1,5 +1,6 @@
 """Tests for open-loop sequence scoring and the receding-horizon planner."""
 
+import dataclasses
 import itertools
 import json
 import time
@@ -76,6 +77,19 @@ def scores_by_sequence(model, obs, pa, values, x, o, config):
         warnings.simplefilter("ignore")
         result = plan(model, obs, pa, values, x, o, config)
     return {score.actions: score for score in result.sequences}
+
+
+def assert_winner_is_first_maximum(result):
+    """Every winner property of ``result`` reads the first maximum of its
+    scored sequences (np.argmax's), and ``tied`` is set exactly when
+    another sequence scored the same."""
+    objectives = np.array([s.objective for s in result.sequences])
+    best = result.sequences[int(np.argmax(objectives))]
+    assert (result.actions, result.first_action, result.objective, result.reward_term,
+            result.tail_term, result.detection_term, result.sequences_scored) == (
+        best.actions, best.actions[0], best.objective, best.reward_term,
+        best.tail_term, best.detection_term, len(result.sequences))
+    assert result.tied == (np.count_nonzero(objectives == best.objective) > 1)
 
 
 def deterministic_cycle():
@@ -264,6 +278,7 @@ def test_all_terms_match_path_enumeration_random_models(seed, n, m, k, horizon):
     cfg = PlannerConfig(horizon, 0.5, 0.5, 0.0)
     try:
         result = plan(model, obs, chain, values, x0, o0, cfg)
+        assert_winner_is_first_maximum(result)
         scores = {s.actions: s for s in result.sequences}
         pruned = result.pruned
     except NoAdmissibleSequence as exc:
@@ -318,6 +333,7 @@ def test_closed_form_terms_match_path_enumeration(seed, n, m, k, horizon):
     result = plan(model, obs, pa, values, x0, o0, PlannerConfig(horizon, 0.5, 0.5, 0.0),
                   memo=memo)
     assert list(memo.closed) == [(x0, horizon)]
+    assert_winner_is_first_maximum(result)
     assert [s.actions for s in result.sequences] == list(
         itertools.product(range(m), repeat=horizon)
     )
@@ -578,13 +594,25 @@ def test_plan_picks_numpys_first_maximum_and_flags_exact_ties(
                       PlannerConfig(horizon, *weights, 0.0))
     except NoAdmissibleSequence:
         return
+    assert_winner_is_first_maximum(result)
     objectives = np.array([s.objective for s in result.sequences])
-    best = result.sequences[int(np.argmax(objectives))]
-    assert (result.actions, result.objective, result.reward_term, result.tail_term,
-            result.detection_term) == (best.actions, best.objective, best.reward_term,
-                                       best.tail_term, best.detection_term)
-    assert result.tied == (np.count_nonzero(objectives == best.objective) > 1)
     event(f"tied={result.tied}, first={objectives.argmax() == 0}")
+
+
+def test_plan_result_is_a_view_of_the_scored_table():
+    # The result holds the term lists and the winner's row, nothing of the
+    # winner twice; its repr still shows the winner's fields and pruned.
+    model, obs, pa = two_state_trap()
+    result = plan(model, obs, pa, np.zeros(2), 0, point_belief(2, 0),
+                  PlannerConfig(2, 1.0, 0.0, 0.0))
+    assert [f.name for f in dataclasses.fields(result)] == ["pruned", "_terms", "_best"]
+    assert sorted(vars(result)) == ["_best", "_terms", "pruned"]
+    assert repr(result) == (
+        "PlanResult(actions=(0, 0), objective=0.0, reward_term=0.0, tail_term=0.0, "
+        "detection_term=0.9, sequences_scored=1, tied=False, pruned=((0, 1), (1,)))"
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        result.actions = (1, 1)
 
 
 def test_plan_refuses_a_tree_beyond_the_size_cap():
@@ -639,6 +667,25 @@ def test_tail_weight_bound_and_warning():
     below = PlannerConfig(3, 0.5, 0.5, -0.5)
     with pytest.warns(RuntimeWarning, match="tail exposure weight"):
         plan(model, obs, pa, values, 0, uniform_belief(3), below)
+
+
+def test_plan_at_zero_tail_weight_never_reads_the_tail_weight_bound(monkeypatch):
+    # wap = 0 lies in [0, bound] whenever wa >= 0, and the warning is off
+    # for wa < 0, so the bound is not computed; at any other wap it is.
+    def no_bound(*args):
+        raise AssertionError("the tail-weight bound was computed")
+
+    monkeypatch.setattr(rho, "suggested_tail_weight_bound", no_bound)
+    model, obs = smoothed_example1()
+    pa, values, _ = nominal_setup(model)
+    memo = PlanMemo(Observer(model, obs, pa), values)
+    for wa in (0.5, 0.0, -1.0):
+        for wap in (0.0, -0.0):
+            plan(model, obs, pa, values, 0, uniform_belief(3),
+                 PlannerConfig(3, 0.5, wa, wap), memo=memo)
+    with pytest.raises(AssertionError, match="bound was computed"):
+        plan(model, obs, pa, values, 0, uniform_belief(3),
+             PlannerConfig(3, 0.5, 0.5, 0.1), memo=memo)
 
 
 def test_plan_rejects_nonpositive_horizon():
@@ -710,14 +757,7 @@ def test_plan_sequences_are_the_logged_scores():
                 continue
             actions = [s.actions for s in result.sequences]
             assert actions == sorted(actions)
-            assert result.sequences_scored == len(actions)
-            best = max(result.sequences, key=lambda s: s.objective)  # first maximum
-            assert (result.actions, result.objective, result.reward_term,
-                    result.tail_term, result.detection_term) == (
-                best.actions, best.objective, best.reward_term, best.tail_term,
-                best.detection_term)
-            top = sum(s.objective == best.objective for s in result.sequences)
-            assert result.tied == (top > 1)
+            assert_winner_is_first_maximum(result)
             assert_pruned_cover(
                 result.pruned, {s.actions for s in result.sequences},
                 model.num_actions, cfg.horizon,
@@ -809,13 +849,15 @@ def test_plan_histories_through_ruled_out_observations_block_nothing(horizon):
 
 
 def outcomes(model, obs, pa, values, calls, memo=None):
-    """repr of every call's PlanResult (its pruned prefixes too) and its
-    sequences, or its exception's type, message and pruned prefixes."""
+    """repr of every call's PlanResult (the winner's fields and the pruned
+    prefixes) and its sequences, or its exception's type, message and
+    pruned prefixes. Each result's winner is checked against its sequences."""
     kwargs = {} if memo is None else {"memo": memo}
     out = []
     for x, o, cfg in calls:
         try:
             result = plan(model, obs, pa, values, x, o, cfg, **kwargs)
+            assert_winner_is_first_maximum(result)
             out.append(repr(result) + repr(result.sequences))
         except (NoAdmissibleSequence, SizeOverflow) as err:
             out.append((type(err).__name__, str(err), getattr(err, "pruned", None)))
@@ -1027,6 +1069,8 @@ def test_plan_on_an_observer_that_rules_out_nothing_equals_the_general_path(
     for x, o, cfg in planner_calls(rng, model.num_states):
         fast = plan(model, obs, pa, values, x, o, cfg, memo=fast_memo)
         general = plan(model, obs, pa, values, x, o, cfg, memo=general_memo)
+        assert_winner_is_first_maximum(fast)
+        assert_winner_is_first_maximum(general)
         assert (fast.actions, fast.sequences_scored, fast.tied) == (
             general.actions, general.sequences_scored, general.tied)
         assert [s.actions for s in fast.sequences] == [s.actions for s in general.sequences]

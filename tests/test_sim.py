@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import re
 import warnings
 from bisect import bisect_right
 from dataclasses import fields, replace
@@ -355,6 +356,49 @@ def test_entry_points_reject_out_of_range_states(entry, x):
     # another state
     with pytest.raises(ValueError, match=rf"state x={x} outside \[0, 3\)"):
         _state_entry_points()[entry](x)
+
+
+def _index_entry_points():
+    """Each entry point that takes a state, action or reading index: the
+    index's name, its range and a call on it. In range, each answers as it
+    does for the Python int of the same value."""
+    model, obs = example1_model()
+    pa, _, _ = nominal_setup(model)
+    observer = Observer(model, obs, pa)
+    o = uniform_belief(3)
+    return {
+        "Observer.check": ("state x", 3, lambda v: observer.check(v, o)),
+        "point_belief": ("state x", 3, lambda v: point_belief(3, v)),
+        "bayes_update": (
+            "observation y", obs.num_observations, lambda v: bayes_update(observer, o, v)
+        ),
+        "augmented_transition_support": (
+            "action u", 2, lambda v: augmented_transition_support(observer, 0, o, v)
+        ),
+        "step": (
+            "action u", 2, lambda v: step(observer, 0, o, v, np.random.default_rng(0))
+        ),
+    }
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, np.float64(0.0), "size", -1])
+@pytest.mark.parametrize("entry", sorted(_index_entry_points()))
+def test_entry_points_refuse_an_index_that_is_not_an_integer_in_range(entry, bad):
+    # Unchecked, step played action 1 for True, bayes_update failed inside
+    # numpy, point_belief with a belief-mass error, and the rest indexed
+    # their tables with the bool or failed there.
+    name, size, call = _index_entry_points()[entry]
+    if bad == "size":
+        bad = size
+    if type(bad) is int:
+        message = f"{name}={bad} outside [0, {size})"
+    else:
+        message = f"{name}={bad!r} is not an integer"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(bad)
+    # a numpy integer is an index
+    expected = repr(call(1))
+    assert repr(call(np.int64(1))) == expected
 
 
 def test_same_seed_reproduces_the_whole_trace():
