@@ -52,6 +52,7 @@ from .belief import (
 from .errors import EmptyAdmissibleSet, SizeOverflow
 from .mdp import (
     MdpModel,
+    _check_integer,
     _check_tol,
     _check_weights,
     _readonly,
@@ -120,19 +121,18 @@ class SimplexGrid:
         return self.points.shape[0]
 
 
-def _grid_size(num_states: int, resolution: int) -> int:
-    """Points of the lattice, once its arguments are known to be positive."""
-    if num_states < 1:
-        raise ValueError(f"num_states must be positive, got {num_states}")
-    if resolution < 1:
-        raise ValueError(f"resolution must be positive, got {resolution}")
-    return math.comb(resolution + num_states - 1, num_states - 1)
+def _grid_size(num_states: int, resolution: int) -> tuple[int, int, int]:
+    """``(num_states, resolution, points)`` of the lattice: its arguments as
+    Python ints, once the integer rule finds them positive, and its size."""
+    num_states = _check_integer(num_states, "num_states", 1)
+    resolution = _check_integer(resolution, "resolution", 1)
+    return num_states, resolution, math.comb(resolution + num_states - 1, num_states - 1)
 
 
 def build_simplex_grid(num_states: int, resolution: int) -> SimplexGrid:
     """Enumerate the lattice in lexicographic order; refuses a
     lattice whose ``G·n`` coordinates exceed ``MAX_LATTICE_ENTRIES``."""
-    count = _grid_size(num_states, resolution)
+    num_states, resolution, count = _grid_size(num_states, resolution)
     if count * num_states > MAX_LATTICE_ENTRIES:
         raise SizeOverflow(
             f"refusing: a belief grid of {count} points over {num_states} "
@@ -337,9 +337,10 @@ def solve_augmented_vi(
     """
     # before the lattice is built
     _check_tol(tol)
+    _check_integer(max_iter, "max_iter", 1)
     _check_weights(reward_weight=reward_weight, exposure_weight=exposure_weight)
     n = model.num_states
-    points = _grid_size(n, resolution)
+    points = _grid_size(n, resolution)[2]
     entries = n * points * obs.num_observations * n
     if entries > MAX_LATTICE_ENTRIES:
         raise SizeOverflow(

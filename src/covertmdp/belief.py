@@ -32,6 +32,8 @@ from .mdp import (
     STOCHASTIC_TOL,
     MdpModel,
     _check_fields,
+    _check_integer,
+    _integer_problem,
     _read_json_object,
     _readonly,
     _stochastic_problems,
@@ -61,13 +63,16 @@ class ObservationModel:
         problems = _observation_problems(self.num_observations, self.likelihood)
         if problems:
             raise ModelFormatError(problems)
+        # as a Python int, which JSON can write
+        object.__setattr__(self, "num_observations", int(self.num_observations))
 
 
 def _observation_problems(k: int, likelihood: np.ndarray) -> list[str]:
     """Every way the fields of an :class:`ObservationModel` break its
     definition; empty when they make a sensor."""
-    if k < 1:
-        return [f"num_observations must be positive, got {k}"]
+    problem = _integer_problem(k, "num_observations", 1)
+    if problem:
+        return [problem]
     expected = (k, *likelihood.shape[-1:])  # a table of any other depth differs
     if likelihood.shape != expected:
         return [f"likelihood shape {likelihood.shape} != expected {expected}"]
@@ -106,19 +111,8 @@ def uniform_belief(num_states: int) -> np.ndarray:
     return make_belief(np.full(num_states, 1.0 / num_states))
 
 
-def _check_index(value, size: int, name: str) -> None:
-    """Refuse ``value`` as index ``name`` (``"state x"``, say) unless it is
-    a Python int or a numpy integer (a float would index its floor or fail;
-    a bool is neither) in ``[0, size)`` (a negative one would index from the
-    end)."""
-    if type(value) is not int and not isinstance(value, np.integer):
-        raise ValueError(f"{name}={value!r} is not an integer")
-    if not 0 <= value < size:
-        raise ValueError(f"{name}={value} outside [0, {size})")
-
-
 def point_belief(num_states: int, x: int) -> np.ndarray:
-    _check_index(x, num_states, "state x")
+    _check_integer(x, "state x", 0, num_states)
     o = np.zeros(num_states)
     o[x] = 1.0
     return make_belief(o)
@@ -129,12 +123,12 @@ def bayes_update(observer: Observer, o: np.ndarray, y: int) -> np.ndarray:
     :func:`posterior_table`, by the same arithmetic.
 
     Raises ``ValueError`` for a reading that is not an integer in ``[0, Y)``
-    (:func:`_check_index`), and :class:`IllDefinedUpdate` when the
+    (:func:`mdp._check_integer`), and :class:`IllDefinedUpdate` when the
     predictive probability of ``y`` is not above EPS_ZERO, by the filter's
     own zero test (NaN, from a belief holding NaN, included); callers
     prevent that by restricting the agent to admissible actions.
     """
-    _check_index(y, observer.obs.num_observations, "observation y")
+    _check_integer(y, "observation y", 0, observer.obs.num_observations)
     numer = observer.obs.likelihood[y] * (observer.pa @ o)
     # numer.sum()'s reduction, without its Python-level wrapper
     denom = np.add.reduce(numer)
@@ -270,11 +264,11 @@ class Observer:
 
     def check(self, x: int | None, o) -> np.ndarray:
         """``o`` as a float array, once state ``x`` is known to be an index
-        in ``[0, n)`` (:func:`_check_index`; None skips the test) and ``o``
+        in ``[0, n)`` (:func:`mdp._check_integer`; None skips the test) and ``o``
         to be a distribution over the ``n`` states (:func:`_check_belief`)."""
         n = self.model.num_states
         if x is not None:
-            _check_index(x, n, "state x")
+            _check_integer(x, "state x", 0, n)
         return _check_belief(o, n)
 
 
@@ -396,12 +390,12 @@ def augmented_transition_support(
     One atom per (observation, successor state) pair with positive
     probability, carrying that observation's posterior; atoms with equal
     posteriors are not merged. Raises ``ValueError`` for an action that is
-    not an integer in ``[0, U)`` (:func:`_check_index`) and
+    not an integer in ``[0, U)`` (:func:`mdp._check_integer`) and
     :class:`ProhibitedAction` when ``u`` is not admissible at ``(x, o)``.
     """
     o = observer.check(x, o)
     model = observer.model
-    _check_index(u, model.num_actions, "action u")
+    _check_integer(u, "action u", 0, model.num_actions)
     posteriors, _, open_y = posterior_table(observer, o)
     surprising = np.flatnonzero(observer.emits[u, x] & ~open_y)
     if surprising.size:

@@ -196,8 +196,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     mdp._check_weights(
         reward_weight=args.wn, exposure_weight=args.wa, tail_exposure_weight=args.wap
     )
-    if args.seed_base < 0:
-        raise ValueError(f"--seed-base must be non-negative, got {args.seed_base}")
+    # refused before any solve, under the flag's name
+    mdp._check_integer(args.seed_base, "--seed-base", 0)
     scn, nominal, policy, pa = _observed_scenario(args)
     if args.controller == "nominal":
         controller = sim.NominalController(policy)

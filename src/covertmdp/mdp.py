@@ -70,8 +70,10 @@ def _value_field(doc: dict, key: str, kind: type):
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ModelFormatError([f"non-numeric {key}: {value!r}"])
-    if kind is int and not isinstance(value, numbers.Integral):
-        raise ModelFormatError([f"{key} must be an integer, got {value!r}"])
+    if kind is int:
+        problem = _integer_problem(value, key)
+        if problem:
+            raise ModelFormatError([problem])
     return kind(value)
 
 
@@ -116,6 +118,9 @@ class MdpModel:
                                    self.transition, self.reward, self.discount)
         if problems:
             raise ModelFormatError(problems)
+        # as Python ints, which JSON can write
+        object.__setattr__(self, "num_states", int(self.num_states))
+        object.__setattr__(self, "num_actions", int(self.num_actions))
 
 
 @dataclass(frozen=True)
@@ -170,11 +175,8 @@ def _model_problems(
     """Every way the fields of an :class:`MdpModel` break its definition,
     one line each naming the offending index and quantity; empty when they
     make a model."""
-    out: list[str] = []
-    if n < 1:
-        out.append(f"num_states must be positive, got {n}")
-    if m < 1:
-        out.append(f"num_actions must be positive, got {m}")
+    out = list(filter(None, (_integer_problem(n, "num_states", 1),
+                             _integer_problem(m, "num_actions", 1))))
     if out:
         return out
 
@@ -208,7 +210,38 @@ def bellman_backup(model: MdpModel, values: np.ndarray) -> np.ndarray:
     return q
 
 
+def _integer_problem(value, name: str, low=-math.inf, high=math.inf) -> str | None:
+    """The one integer rule: the line refusing argument ``name``, or None for
+    a Python or numpy integer, not a bool, in ``[low, high)``. A count's
+    ``low`` is 1 (positive) or 0 (non-negative); an index has a finite ``high``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        return f"{name} must be an integer, got {value!r}"
+    if high < math.inf and not low <= value < high:  # an index
+        return f"{name}={value} outside [{low}, {high})"
+    if value < low:
+        return f"{name} must be {'positive' if low else 'non-negative'}, got {value}"
+    return None
+
+
+def _check_integer(value, name: str, low, high=math.inf) -> int:
+    """``value`` as a Python int if :func:`_integer_problem` accepts it;
+    ``ValueError`` with its line if not."""
+    if type(value) is int and low <= value < high:  # each index of a step
+        return value
+    problem = _integer_problem(value, name, low, high)
+    if problem:
+        raise ValueError(problem)
+    return int(value)
+
+
+def _check_real(value, name: str) -> None:
+    """Refuse a bool (it would read as 1.0 or 0.0) or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 def _check_tol(tol: float) -> None:
+    _check_real(tol, "tol")
     if not tol > 0.0:  # NaN too, which would run every sweep and never stop
         raise ValueError(f"tol must be positive, got {tol}")
 
@@ -217,17 +250,17 @@ def _check_weights(**weights: float) -> None:
     """Refuse a non-finite objective weight: NaN would score every choice
     NaN, and infinity gives NaN against a zero term. Negative ones are legal."""
     for name, weight in weights.items():
+        _check_real(weight, name)
         if not math.isfinite(weight):
             raise ValueError(f"{name} must be finite, got {weight!r}")
 
 
 def value_iteration(backup, values: np.ndarray, tol: float, max_iter: int) -> VIResult:
     """Iterate ``values = backup(values)`` until the sup-norm of successive
-    iterates drops to ``tol``, for at most ``max_iter`` sweeps.
+    iterates drops to ``tol``, for at most ``max_iter`` sweeps, at least 1.
     Non-convergence is reported via ``converged``, not raised."""
     _check_tol(tol)
-    residual = np.inf
-    iterations = 0
+    max_iter = _check_integer(max_iter, "max_iter", 1)
     for iterations in range(1, max_iter + 1):
         updated = backup(values)
         # np.max's reduction, without its Python-level wrapper

@@ -17,7 +17,7 @@ import numpy as np
 
 from .belief import ObservationModel
 from .errors import ModelFormatError
-from .mdp import MdpModel, _check_fields, _value_field
+from .mdp import MdpModel, _check_fields, _integer_problem, _value_field
 
 # ---------------------------------------------------------------------------
 # three-state example
@@ -68,8 +68,9 @@ SENSOR_SUPPORT_SIGMAS = 3.0
 @dataclass(frozen=True)
 class GridWorldSpec:
     """A grid scenario; the constructor raises one :class:`ModelFormatError`
-    listing every way its values break it: a cell off the grid, the start on
-    the target, ``slip_prob`` outside ``[0, 1)`` or ``noise_sigma`` outside
+    listing every way its values break it: a width or height that is not a
+    positive integer, a cell off the grid, the start on the target,
+    ``slip_prob`` outside ``[0, 1)`` or ``noise_sigma`` outside
     ``(1e-150, 1e150)``."""
 
     width: int
@@ -83,11 +84,17 @@ class GridWorldSpec:
     discount: float = 0.95
 
     def __post_init__(self):
-        problems = []
-        for name in _SPEC_CELLS:
-            r, c = getattr(self, name)
-            if not (0 <= r < self.height and 0 <= c < self.width):
-                problems.append(f"{name} cell {(r, c)} outside the grid")
+        problems = list(filter(None, (_integer_problem(self.width, "width", 1),
+                                      _integer_problem(self.height, "height", 1))))
+        if not problems:  # the cells are placed on a grid of known size
+            object.__setattr__(self, "width", int(self.width))
+            object.__setattr__(self, "height", int(self.height))
+            for name in _SPEC_CELLS:
+                r, c = getattr(self, name)
+                # each coordinate an index into the grid: an integer in range
+                if (_integer_problem(r, name, 0, self.height)
+                        or _integer_problem(c, name, 0, self.width)):
+                    problems.append(f"{name} cell {(r, c)} outside the grid")
         if self.start == self.target:
             problems.append("start and target must be different cells")
         if not 0.0 <= self.slip_prob < 1.0:

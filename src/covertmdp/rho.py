@@ -43,7 +43,7 @@ from .belief import (
     posterior_table,
 )
 from .errors import NoAdmissibleSequence, SizeOverflow
-from .mdp import MdpModel, _check_weights
+from .mdp import MdpModel, _check_integer, _check_weights
 
 DEFAULT_HORIZON = 3
 
@@ -60,14 +60,8 @@ class PlannerConfig:
     tail_exposure_weight: float = 0.0
 
     def __post_init__(self):
-        horizon = self.horizon
-        # a float horizon would score fractional depths; a bool is no count
-        if type(horizon) is not int and not isinstance(horizon, np.integer):
-            raise ValueError(f"horizon must be an integer, got {horizon!r}")
-        if horizon < 1:
-            raise ValueError(f"horizon must be at least 1, got {horizon}")
         # a numpy integer would reach the CLI's plan log, which JSON cannot write
-        object.__setattr__(self, "horizon", int(horizon))
+        object.__setattr__(self, "horizon", _check_integer(self.horizon, "horizon", 1))
         _check_weights(
             reward_weight=self.reward_weight,
             exposure_weight=self.exposure_weight,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import warnings
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
@@ -27,7 +28,6 @@ from .augmented import AugmentedValueFunction, _check_lattice, greedy_action
 from .belief import (
     ObservationModel,
     Observer,
-    _check_index,
     admissible_actions,
     bayes_update,
 )
@@ -38,14 +38,15 @@ from .errors import (
     NoAdmissibleSequence,
     ProhibitedAction,
 )
-from .mdp import MdpModel, Policy, _readonly, _write_json, _write_lines
+from .mdp import MdpModel, Policy, _check_integer, _readonly, _write_json, _write_lines
 from .rho import PlanMemo, PlannerConfig, plan
 
 
 def rng_for_run(seed_base: int, run_index: int) -> np.random.Generator:
-    if seed_base < 0:
-        raise ValueError(f"seed_base must be non-negative, got {seed_base}")
-    return np.random.default_rng([seed_base, run_index])
+    return np.random.default_rng([
+        _check_integer(seed_base, "seed_base", 0),
+        _check_integer(run_index, "run_index", 0),
+    ])
 
 
 def _sample(rng: np.random.Generator, cdf: list[float]) -> int:
@@ -151,11 +152,11 @@ def step(
     """Apply ``u``: returns (next state, observation, next belief).
 
     Rejects an action that is not an integer in ``[0, U)``
-    (:func:`belief._check_index`) with ``ValueError``, and a prohibited one
+    (:func:`mdp._check_integer`) with ``ValueError``, and a prohibited one
     with :class:`ProhibitedAction`, up front, so a failure is deterministic
     rather than appearing only on the unlucky observation draw.
     """
-    _check_index(u, observer.model.num_actions, "action u")
+    _check_integer(u, "action u", 0, observer.model.num_actions)
     if u not in admissible_actions(observer, x, o):
         raise ProhibitedAction(f"action u={u} is prohibited at state x={x}")
     x_next = _sample(rng, observer.successor_cdf[x][u])
@@ -221,8 +222,7 @@ def run_closed_loop(
     must be a distribution (:meth:`Observer.check`), and is checked before
     the start is drawn from it.
     """
-    if num_steps < 1:
-        raise ValueError(f"num_steps must be positive, got {num_steps}")
+    num_steps = _check_integer(num_steps, "num_steps", 1)
     rng = rng_for_run(seed_base, run_index)
     observer = Observer(model, obs, pa)
     o0 = observer.check(x0, o0)
@@ -250,7 +250,9 @@ def run_closed_loop(
         try:
             u = controller.decide(x, o)
         except loop_errors as e:
-            raise type(e)(f"controller failed at step t={t}: {e}") from e
+            # the same error, so its attributes (``pruned``) reach the caller
+            e.args = (f"controller failed at step t={t}: {e}",)
+            raise
         states.append(x)
         actions.append(u)
         observations.append(y)
@@ -258,7 +260,8 @@ def run_closed_loop(
         try:
             x, y, o = step(observer, x, o, u, rng)
         except loop_errors as e:
-            raise type(e)(f"transition failed at step t={t}: {e}") from e
+            e.args = (f"transition failed at step t={t}: {e}",)
+            raise
 
     states, actions = np.array(states, np.int64), np.array(actions, np.int64)
     rewards = model.reward[states, actions]
@@ -269,8 +272,8 @@ def run_closed_loop(
     return Trace(
         controller_id=controller.controller_id,
         model_id=model_fingerprint(model, obs),
-        seed_base=seed_base,
-        run_index=run_index,
+        seed_base=int(seed_base),  # as rng_for_run accepted it, for JSON
+        run_index=int(run_index),
         states=states,
         actions=actions,
         observations=observations,
@@ -297,11 +300,10 @@ def simulate_runs(
 ) -> list[Trace]:
     """Runs ``0, ..., num_runs - 1`` of one configuration, in run order.
     With ``jobs`` above 1 they run in a pool of that many worker processes,
-    at most one per run."""
-    if num_runs < 1:
-        raise ValueError(f"num_runs must be positive, got {num_runs}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
+    at most one per run, each playing one contiguous chunk of runs with one
+    copy of the controller (and its planner memo)."""
+    num_runs = _check_integer(num_runs, "num_runs", 1)
+    jobs = _check_integer(jobs, "jobs", 1)
     run = functools.partial(
         run_closed_loop, model, obs, pa, controller, o0, num_steps, seed_base, x0=x0
     )
@@ -312,7 +314,9 @@ def simulate_runs(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, range(num_runs)))
+            # the pool pickles ``run``, and the controller it holds, per chunk
+            chunk = math.ceil(num_runs / workers)
+            return list(pool.map(run, range(num_runs), chunksize=chunk))
     return list(map(run, range(num_runs)))
 
 

@@ -135,7 +135,11 @@ def test_solve_admits_a_lattice_at_the_entry_cap(monkeypatch):
         solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=3)
 
 
-@pytest.mark.parametrize("weights", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.0)])
+@pytest.mark.parametrize(
+    "weights",
+    [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.0), (True, 0.5), (0.5, np.False_),
+     ("1", 0.5)],
+)
 def test_solve_refuses_non_finite_weights_before_building_the_lattice(
     weights, monkeypatch
 ):
@@ -147,7 +151,7 @@ def test_solve_refuses_non_finite_weights_before_building_the_lattice(
         raise AssertionError("the lattice was built")
 
     monkeypatch.setattr(augmented, "build_simplex_grid", unreachable)
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be (finite|a real number)"):
         solve_augmented_vi(model, obs, pa, *weights, resolution=5)
 
 

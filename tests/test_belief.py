@@ -704,7 +704,7 @@ def test_a_state_that_is_not_an_integer_is_refused_at_every_entry_point(setup):
             (action_values, (observer, table, x, o)),
             (greedy_action, (observer, table, x, o)),
         ):
-            with pytest.raises(ValueError, match="is not an integer"):
+            with pytest.raises(ValueError, match="^state x must be an integer, got "):
                 call(*args)
     assert observer.check(np.int64(1), o).tobytes() == o.tobytes()
     assert admissible_actions(observer, np.int64(1), o) == admissible_actions(observer, 1, o)

@@ -332,16 +332,24 @@ def test_simulate_same_seed_identical_bytes(tmp_path):
 
 
 def test_simulate_parallel_jobs_match_serial(tmp_path):
-    base = [
-        "simulate", "nominal", "--model", "example1",
-        "--steps", "50", "--seeds", "3", "--seed-base", "7",
-    ]
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert main(base + ["--jobs", "1", "--out", str(serial)]) == 0
-    assert main(base + ["--jobs", "2", "--out", str(parallel)]) == 0
-    for i in range(3):
-        name = f"trace_{i:03d}.csv"
-        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+    # five runs: two workers take chunks of 3 and 2, three take 2, 2 and 1
+    for controller in (
+        ["nominal"],
+        ["rho", "--wn", "0.5", "--wa", "0.5", "--horizon", "2"],
+        ["grid-vi", "--wn", "0.5", "--wa", "0.5", "--grid-res", "4"],
+    ):
+        for beliefs in ([], ["--beliefs"]):
+            written = []
+            for jobs in ("1", "2", "3"):
+                out = tmp_path / f"{controller[0]}{beliefs}{jobs}"
+                assert main([
+                    "simulate", *controller, "--model", "example1", "--steps", "30",
+                    "--seeds", "5", "--seed-base", "7", "--jobs", jobs, "--out", str(out),
+                    *beliefs,
+                ]) == 0
+                written.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+            assert len(written[0]) == 1 + 5 * (3 if beliefs else 2)
+            assert written[1] == written[0] and written[2] == written[0]
 
 
 def test_simulate_caps_jobs_at_the_number_of_runs(tmp_path, monkeypatch):
@@ -359,7 +367,7 @@ def test_simulate_caps_jobs_at_the_number_of_runs(tmp_path, monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     # simulate_runs imports the pool class only when it needs a pool

@@ -231,16 +231,23 @@ def test_nominal_and_lattice_solves_share_one_sweep(
     assert (result.iterations, result.residual, result.converged) == (
         sweeps, residual, True
     )
-    none = solve(max_iter=0)
-    assert (none.iterations, none.residual, none.converged) == (0, np.inf, False)
+    one = solve(max_iter=1)
+    assert (one.iterations, one.converged) == (1, False)
 
     def no_lattice(*args):
-        raise AssertionError("the lattice was built before tol was checked")
+        raise AssertionError("the lattice was built before its arguments were checked")
 
     monkeypatch.setattr(augmented, "build_simplex_grid", no_lattice)
     for tol in (0.0, -1e-9, np.nan):
         with pytest.raises(ValueError, match="tol must be positive"):
             solve(tol=tol)
+    # True ran a solve at tol 1.0, and a string failed inside the comparison
+    for tol in (True, np.True_, "1e-6"):
+        with pytest.raises(ValueError, match=f"^tol must be a real number, got {tol!r}$"):
+            solve(tol=tol)
+    # no sweep at all returned an unconverged table of zeros
+    with pytest.raises(ValueError, match="^max_iter must be positive, got 0$"):
+        solve(max_iter=0)
 
 
 def test_policy_extraction_prefers_lowest_action_on_ties():
@@ -544,6 +551,23 @@ def test_stochastic_tables_are_checked_only_where_models_are_built():
         "belief.py:_observation_problems",
         "mdp.py:_model_problems",
     ]
+
+
+def test_only_mdp_decides_what_makes_an_integer():
+    # One integer rule (mdp._integer_problem) for every count and index;
+    # a module that names numpy's or the standard library's integer types
+    # is deciding it again.
+    package = Path(covertmdp.__file__).parent
+    named = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute) and node.attr in {"integer", "Integral"}
+                or isinstance(node, ast.alias) and node.name in {"integer", "Integral"}
+            ):
+                named.append(f"{path.relative_to(package)}:{node.lineno}")
+    assert named and all(name.startswith("mdp.py:") for name in named)
 
 
 def test_the_lattice_reads_no_zero_test_of_its_own():

@@ -209,6 +209,18 @@ def test_gridworld_rejects_degenerate_setups():
         "slip_prob must be in [0, 1), got nan",
         "noise_sigma must lie in (1e-150, 1e150), got 0.0",
     ]
+    # the loader's lines, by the one integer rule; cells are placed only on
+    # a grid of known size, and a coordinate is an index into it
+    with pytest.raises(ModelFormatError) as err:
+        GridWorldSpec(3.0, 0, (0, 0), (2, 2), (1, 1))
+    assert err.value.diagnostics == [
+        "width must be an integer, got 3.0", "height must be positive, got 0",
+    ]
+    with pytest.raises(ModelFormatError) as err:
+        GridWorldSpec(3, 3, (0.5, 0), (2, True), (1, 1))
+    assert err.value.diagnostics == [
+        "start cell (0.5, 0) outside the grid", "target cell (2, True) outside the grid",
+    ]
 
 
 def test_gridworld_spec_from_dict_applies_defaults():

@@ -698,6 +698,8 @@ def test_plan_rejects_nonpositive_horizon():
     [
         (2.5, 1.0, 0.0, 0.0), (2.0,), (True,), ("2",),
         (2, np.nan), (2, 1.0, np.inf), (2, 1.0, 0.0, -np.inf),
+        # a bool weight read as 1.0 or 0.0 into every controller_id
+        (2, True, False), (2, 1.0, np.True_), (2, 1.0, 0.0, "0"),
     ],
 )
 def test_planner_config_refuses_fractional_horizons_and_non_finite_weights(args):

@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import re
+import uuid
 import warnings
 from bisect import bisect_right
 from dataclasses import fields, replace
@@ -393,12 +394,76 @@ def test_entry_points_refuse_an_index_that_is_not_an_integer_in_range(entry, bad
     if type(bad) is int:
         message = f"{name}={bad} outside [0, {size})"
     else:
-        message = f"{name}={bad!r} is not an integer"
+        message = f"{name} must be an integer, got {bad!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(bad)
     # a numpy integer is an index
     expected = repr(call(1))
     assert repr(call(np.int64(1))) == expected
+
+
+def _count_entry_points():
+    """Each library argument that takes a count or a seed: its name, its
+    least value, a value it accepts and a call on it whose result is
+    compared by ``repr``."""
+    model, obs = example1_model()
+    pa, _, policy = nominal_setup(model)
+    nominal = NominalController(policy)
+    o = uniform_belief(3)
+
+    def closed_loop(num_steps=3, seed_base=0, run_index=0):
+        return run_closed_loop(model, obs, pa, nominal, o, num_steps, seed_base, run_index)
+
+    def runs(num_runs=2, jobs=1):
+        return simulate_runs(model, obs, pa, nominal, o, 3, 0, num_runs, jobs=jobs)
+
+    def lattice(resolution=2, max_iter=3):
+        return solve_augmented_vi(model, obs, pa, 1.0, 0.5, resolution, 1e-6, max_iter)
+
+    return {
+        "MdpModel.num_states": (1, 3, lambda v: replace(model, num_states=v)),
+        "MdpModel.num_actions": (1, 2, lambda v: replace(model, num_actions=v)),
+        "ObservationModel.num_observations": (
+            1, 3, lambda v: replace(obs, num_observations=v)
+        ),
+        "GridWorldSpec.width": (1, 7, lambda v: replace(desk_gridworld(), width=v)),
+        "GridWorldSpec.height": (1, 7, lambda v: replace(desk_gridworld(), height=v)),
+        "PlannerConfig.horizon": (1, 2, lambda v: PlannerConfig(v)),
+        "rng_for_run.seed_base": (0, 5, lambda v: rng_for_run(v, 1).random(3)),
+        "rng_for_run.run_index": (0, 5, lambda v: rng_for_run(1, v).random(3)),
+        "run_closed_loop.num_steps": (1, 3, lambda v: closed_loop(num_steps=v)),
+        "run_closed_loop.seed_base": (0, 5, lambda v: closed_loop(seed_base=v)),
+        "run_closed_loop.run_index": (0, 5, lambda v: closed_loop(run_index=v)),
+        "simulate_runs.num_runs": (1, 2, lambda v: runs(num_runs=v)),
+        "simulate_runs.jobs": (1, 1, lambda v: runs(jobs=v)),
+        "build_simplex_grid.num_states": (1, 3, lambda v: build_simplex_grid(v, 2)),
+        "build_simplex_grid.resolution": (1, 2, lambda v: build_simplex_grid(3, v)),
+        "solve_augmented_vi.resolution": (1, 2, lambda v: lattice(resolution=v)),
+        "solve_augmented_vi.max_iter": (1, 3, lambda v: lattice(max_iter=v)),
+        "nominal_value_iteration.max_iter": (
+            1, 3, lambda v: nominal_value_iteration(model, max_iter=v)
+        ),
+    }
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, np.float64(2.0), "low"])
+@pytest.mark.parametrize("entry", sorted(_count_entry_points()))
+def test_entry_points_refuse_a_count_that_is_not_an_integer_in_range(entry, bad):
+    # Unchecked, each took the bool or the float: a sensor file that its
+    # loader refuses, a lattice of resolution True, a trace whose metadata
+    # reads "seed_base": true, or a solve of no sweeps
+    low, valid, call = _count_entry_points()[entry]
+    name = entry.split(".")[1]
+    if bad == "low":
+        bad = low - 1
+        bound = {0: "non-negative", 1: "positive"}[low]
+        message = f"{name} must be {bound}, got {bad}"
+    else:
+        message = f"{name} must be an integer, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(bad)
+    # a numpy integer is the count, kept as the Python int
+    assert repr(call(np.int64(valid))) == repr(call(valid))
 
 
 def test_same_seed_reproduces_the_whole_trace():
@@ -537,7 +602,7 @@ def test_closed_loop_refuses_a_start_state_that_is_not_an_integer():
     model, obs = example1_model()
     pa, _, policy = nominal_setup(model)
     o0 = uniform_belief(3)
-    with pytest.raises(ValueError, match=r"state x=1\.5 is not an integer"):
+    with pytest.raises(ValueError, match=r"^state x must be an integer, got 1\.5$"):
         run_closed_loop(model, obs, pa, NominalController(policy), o0, 3, 0, 0, x0=1.5)
     trace = run_closed_loop(model, obs, pa, NominalController(policy), o0, 3, 0, 0,
                             x0=np.int64(1))
@@ -575,6 +640,54 @@ def test_controller_failure_reports_step_index():
     with pytest.raises(NoAdmissibleSequence) as err:
         run_closed_loop(model, obs, pa, ctrl, point_belief(2, 0), 3, 0, 0, x0=0)
     assert "controller failed at step t=0" in str(err.value)
+
+
+def test_a_failing_step_reaches_the_caller_with_its_attributes():
+    # The loop used to rebuild the error from its message, which dropped
+    # NoAdmissibleSequence.pruned.
+    model, obs = example1_model()
+    pa, _, _ = nominal_setup(model)
+
+    class Pruning(ScriptedController):
+        def decide(self, x, o):
+            if self.t == 1:
+                raise NoAdmissibleSequence("x", ((0,),))
+            return super().decide(x, o)
+
+    with pytest.raises(NoAdmissibleSequence) as err:
+        run_closed_loop(model, obs, pa, Pruning([0, 0]), uniform_belief(3), 3, 0, 0)
+    assert str(err.value) == "controller failed at step t=1: x"
+    assert err.value.pruned == ((0,),)
+
+
+class CopyTaggingController(NominalController):
+    """The nominal policy; every unpickled copy names itself afresh in its
+    ``controller_id``, so a trace shows which copy played it."""
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        self.controller_id = f"copy-{uuid.uuid4().hex}"
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_parallel_runs_keep_one_controller_copy_per_worker(jobs):
+    # One run per task unpickled a fresh controller, and an empty planner
+    # memo, for every run: five copies for five runs.
+    model, obs = example1_model()
+    pa, _, policy = nominal_setup(model)
+    traces = simulate_runs(
+        model, obs, pa, CopyTaggingController(policy), uniform_belief(3), 5, 0, 5,
+        jobs=jobs,
+    )
+    tags = [trace.controller_id for trace in traces]
+    assert all(tag.startswith("copy-") for tag in tags)  # played by workers
+    assert len(set(tags)) <= jobs
+    # each copy played one contiguous chunk of the batch
+    assert [tag for tag, _ in itertools.groupby(tags)] == list(dict.fromkeys(tags))
+    serial = simulate_runs(model, obs, pa, NominalController(policy),
+                           uniform_belief(3), 5, 0, 5)
+    for trace, reference in zip(traces, serial):
+        assert repr(replace(trace, controller_id="nominal")) == repr(reference)
 
 
 def check_episode_by_definition(model, obs, chain, controller, scores, o0, steps, seed):
