@@ -121,18 +121,17 @@ class SimplexGrid:
         return self.points.shape[0]
 
 
-def _grid_size(num_states: int, resolution: int) -> tuple[int, int, int]:
-    """``(num_states, resolution, points)`` of the lattice: its arguments as
-    Python ints, once the integer rule finds them positive, and its size."""
-    num_states = _check_integer(num_states, "num_states", 1)
-    resolution = _check_integer(resolution, "resolution", 1)
-    return num_states, resolution, math.comb(resolution + num_states - 1, num_states - 1)
+def _grid_size(num_states: int, resolution: int) -> int:
+    """Points of the lattice, once the integer rule finds its arguments positive."""
+    _check_integer(num_states, "num_states", 1)
+    _check_integer(resolution, "resolution", 1)
+    return math.comb(resolution + num_states - 1, num_states - 1)
 
 
 def build_simplex_grid(num_states: int, resolution: int) -> SimplexGrid:
     """Enumerate the lattice in lexicographic order; refuses a
     lattice whose ``G·n`` coordinates exceed ``MAX_LATTICE_ENTRIES``."""
-    num_states, resolution, count = _grid_size(num_states, resolution)
+    count = _grid_size(num_states, resolution)
     if count * num_states > MAX_LATTICE_ENTRIES:
         raise SizeOverflow(
             f"refusing: a belief grid of {count} points over {num_states} "
@@ -146,7 +145,8 @@ def build_simplex_grid(num_states: int, resolution: int) -> SimplexGrid:
         list(itertools.combinations(range(slots), num_states - 1)), dtype=np.int64
     ).reshape(count, num_states - 1)
     comps = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
-    return SimplexGrid(num_states, resolution, comps / float(resolution))
+    # the grid keeps Python ints, which JSON can write
+    return SimplexGrid(int(num_states), int(resolution), comps / float(resolution))
 
 
 def _simplex_weights(
@@ -340,7 +340,7 @@ def solve_augmented_vi(
     _check_integer(max_iter, "max_iter", 1)
     _check_weights(reward_weight=reward_weight, exposure_weight=exposure_weight)
     n = model.num_states
-    points = _grid_size(n, resolution)[2]
+    points = _grid_size(n, resolution)
     entries = n * points * obs.num_observations * n
     if entries > MAX_LATTICE_ENTRIES:
         raise SizeOverflow(

@@ -66,14 +66,12 @@ def _check_fields(doc: dict, allowed: set[str], required: set[str] | None = None
 def _value_field(doc: dict, key: str, kind: type):
     """Scalar field ``key`` of a document as ``kind``: a count (``int``)
     must be a JSON integer and a real (``float``) any JSON number. Anything
-    else, booleans included, is a :class:`ModelFormatError` naming the field."""
+    else, booleans included, is a :class:`ModelFormatError` with the line of
+    :func:`_real_problem` or :func:`_integer_problem`."""
     value = doc[key]
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ModelFormatError([f"non-numeric {key}: {value!r}"])
-    if kind is int:
-        problem = _integer_problem(value, key)
-        if problem:
-            raise ModelFormatError([problem])
+    problem = _real_problem(value, key) or (kind is int and _integer_problem(value, key))
+    if problem:
+        raise ModelFormatError([problem])
     return kind(value)
 
 
@@ -118,9 +116,8 @@ class MdpModel:
                                    self.transition, self.reward, self.discount)
         if problems:
             raise ModelFormatError(problems)
-        # as Python ints, which JSON can write
-        object.__setattr__(self, "num_states", int(self.num_states))
-        object.__setattr__(self, "num_actions", int(self.num_actions))
+        for name in ("num_states", "num_actions"):  # as Python ints, for JSON
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -223,25 +220,32 @@ def _integer_problem(value, name: str, low=-math.inf, high=math.inf) -> str | No
     return None
 
 
+def _real_problem(value, name: str) -> str | None:
+    """The one real-number rule, in the loaders' words: the line refusing
+    ``name`` unless it is a Python or numpy real, never a bool (which would
+    read as 1.0 or 0.0)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"non-numeric {name}: {value!r}"
+    return None
+
+
+def _refuse(problem: str | None) -> None:
+    """Raise a rule's refusal line as ``ValueError``; None passes."""
+    if problem:
+        raise ValueError(problem)
+
+
 def _check_integer(value, name: str, low, high=math.inf) -> int:
     """``value`` as a Python int if :func:`_integer_problem` accepts it;
     ``ValueError`` with its line if not."""
     if type(value) is int and low <= value < high:  # each index of a step
         return value
-    problem = _integer_problem(value, name, low, high)
-    if problem:
-        raise ValueError(problem)
+    _refuse(_integer_problem(value, name, low, high))
     return int(value)
 
 
-def _check_real(value, name: str) -> None:
-    """Refuse a bool (it would read as 1.0 or 0.0) or a non-number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-
-
 def _check_tol(tol: float) -> None:
-    _check_real(tol, "tol")
+    _refuse(_real_problem(tol, "tol"))
     if not tol > 0.0:  # NaN too, which would run every sweep and never stop
         raise ValueError(f"tol must be positive, got {tol}")
 
@@ -250,7 +254,7 @@ def _check_weights(**weights: float) -> None:
     """Refuse a non-finite objective weight: NaN would score every choice
     NaN, and infinity gives NaN against a zero term. Negative ones are legal."""
     for name, weight in weights.items():
-        _check_real(weight, name)
+        _refuse(_real_problem(weight, name))
         if not math.isfinite(weight):
             raise ValueError(f"{name} must be finite, got {weight!r}")
 

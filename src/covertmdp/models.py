@@ -86,15 +86,18 @@ class GridWorldSpec:
     def __post_init__(self):
         problems = list(filter(None, (_integer_problem(self.width, "width", 1),
                                       _integer_problem(self.height, "height", 1))))
-        if not problems:  # the cells are placed on a grid of known size
-            object.__setattr__(self, "width", int(self.width))
-            object.__setattr__(self, "height", int(self.height))
-            for name in _SPEC_CELLS:
-                r, c = getattr(self, name)
-                # each coordinate an index into the grid: an integer in range
-                if (_integer_problem(r, name, 0, self.height)
-                        or _integer_problem(c, name, 0, self.width)):
-                    problems.append(f"{name} cell {(r, c)} outside the grid")
+        sized = not problems  # cells are placed only on a grid of known size
+        if sized:
+            for name in ("width", "height"):  # as Python ints, for JSON
+                object.__setattr__(self, name, int(getattr(self, name)))
+        for name in _SPEC_CELLS:
+            r, c = getattr(self, name)
+            # a coordinate that is not an integer gets the loader's line
+            lines = list(filter(None, (_integer_problem(r, f"{name} row"),
+                                       _integer_problem(c, f"{name} col"))))
+            if sized and not lines and not (0 <= r < self.height and 0 <= c < self.width):
+                lines = [f"{name} cell {(r, c)} outside the grid"]
+            problems += lines
         if self.start == self.target:
             problems.append("start and target must be different cells")
         if not 0.0 <= self.slip_prob < 1.0:

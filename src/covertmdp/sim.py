@@ -43,10 +43,8 @@ from .rho import PlanMemo, PlannerConfig, plan
 
 
 def rng_for_run(seed_base: int, run_index: int) -> np.random.Generator:
-    return np.random.default_rng([
-        _check_integer(seed_base, "seed_base", 0),
-        _check_integer(run_index, "run_index", 0),
-    ])
+    seed_base = _check_integer(seed_base, "seed_base", 0)
+    return np.random.default_rng([seed_base, _check_integer(run_index, "run_index", 0)])
 
 
 def _sample(rng: np.random.Generator, cdf: list[float]) -> int:
@@ -223,6 +221,9 @@ def run_closed_loop(
     the start is drawn from it.
     """
     num_steps = _check_integer(num_steps, "num_steps", 1)
+    # as Python ints, which the trace's metadata holds
+    seed_base = _check_integer(seed_base, "seed_base", 0)
+    run_index = _check_integer(run_index, "run_index", 0)
     rng = rng_for_run(seed_base, run_index)
     observer = Observer(model, obs, pa)
     o0 = observer.check(x0, o0)
@@ -272,8 +273,8 @@ def run_closed_loop(
     return Trace(
         controller_id=controller.controller_id,
         model_id=model_fingerprint(model, obs),
-        seed_base=int(seed_base),  # as rng_for_run accepted it, for JSON
-        run_index=int(run_index),
+        seed_base=seed_base,
+        run_index=run_index,
         states=states,
         actions=actions,
         observations=observations,

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import time
 import tracemalloc
 from pathlib import Path
@@ -135,11 +136,7 @@ def test_solve_admits_a_lattice_at_the_entry_cap(monkeypatch):
         solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=3)
 
 
-@pytest.mark.parametrize(
-    "weights",
-    [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.0), (True, 0.5), (0.5, np.False_),
-     ("1", 0.5)],
-)
+@pytest.mark.parametrize("weights", [(np.nan, 0.5), (0.5, np.inf), (-np.inf, 0.0)])
 def test_solve_refuses_non_finite_weights_before_building_the_lattice(
     weights, monkeypatch
 ):
@@ -151,7 +148,28 @@ def test_solve_refuses_non_finite_weights_before_building_the_lattice(
         raise AssertionError("the lattice was built")
 
     monkeypatch.setattr(augmented, "build_simplex_grid", unreachable)
-    with pytest.raises(ValueError, match="must be (finite|a real number)"):
+    with pytest.raises(ValueError, match="must be finite"):
+        solve_augmented_vi(model, obs, pa, *weights, resolution=5)
+
+
+@pytest.mark.parametrize(
+    "weights, name", [((True, 0.5), "reward"), ((0.5, np.False_), "exposure"),
+                      (("1", 0.5), "reward")],
+)
+def test_solve_refuses_weights_that_are_not_real_numbers_before_building_the_lattice(
+    weights, name, monkeypatch
+):
+    # a bool solved as 1.0 or 0.0, and a string failed inside math.isfinite
+    model, obs = example1_model()
+    pa, _ = nominal_chain(model)
+
+    def unreachable(*args):
+        raise AssertionError("the lattice was built")
+
+    monkeypatch.setattr(augmented, "build_simplex_grid", unreachable)
+    bad = weights[0] if name == "reward" else weights[1]
+    message = f"non-numeric {name}_weight: {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         solve_augmented_vi(model, obs, pa, *weights, resolution=5)
 
 

@@ -210,16 +210,17 @@ def test_gridworld_rejects_degenerate_setups():
         "noise_sigma must lie in (1e-150, 1e150), got 0.0",
     ]
     # the loader's lines, by the one integer rule; cells are placed only on
-    # a grid of known size, and a coordinate is an index into it
+    # a grid of known size, and only integer coordinates can be off it
     with pytest.raises(ModelFormatError) as err:
         GridWorldSpec(3.0, 0, (0, 0), (2, 2), (1, 1))
     assert err.value.diagnostics == [
         "width must be an integer, got 3.0", "height must be positive, got 0",
     ]
     with pytest.raises(ModelFormatError) as err:
-        GridWorldSpec(3, 3, (0.5, 0), (2, True), (1, 1))
+        GridWorldSpec(3, 3, (0.5, 0), (2, True), (1, 3))
     assert err.value.diagnostics == [
-        "start cell (0.5, 0) outside the grid", "target cell (2, True) outside the grid",
+        "start row must be an integer, got 0.5", "target col must be an integer, got True",
+        "sensor cell (1, 3) outside the grid",
     ]
 
 
