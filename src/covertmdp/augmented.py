@@ -54,7 +54,7 @@ from .mdp import (
     MdpModel,
     _check_integer,
     _check_tol,
-    _check_weights,
+    _check_weight,
     _readonly,
     _write_json,
     value_iteration,
@@ -221,7 +221,7 @@ def interpolation_weights(
 class AugmentedValueFunction:
     """Joint value function: ``values[x, g]`` at state ``x``, lattice belief
     ``g``; a table of another shape, or with an entry that is not finite, is
-    refused."""
+    refused. The weights are kept as the floats the weight rule returns."""
 
     grid: SimplexGrid
     values: np.ndarray
@@ -230,6 +230,8 @@ class AugmentedValueFunction:
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
+        for name in ("reward_weight", "exposure_weight"):
+            object.__setattr__(self, name, _check_weight(getattr(self, name), name))
         expected = (self.grid.num_states, self.grid.num_points)
         if self.values.shape != expected:
             raise ValueError(
@@ -338,7 +340,8 @@ def solve_augmented_vi(
     # before the lattice is built
     _check_tol(tol)
     _check_integer(max_iter, "max_iter", 1)
-    _check_weights(reward_weight=reward_weight, exposure_weight=exposure_weight)
+    reward_weight = _check_weight(reward_weight, "reward_weight")
+    exposure_weight = _check_weight(exposure_weight, "exposure_weight")
     n = model.num_states
     points = _grid_size(n, resolution)
     entries = n * points * obs.num_observations * n

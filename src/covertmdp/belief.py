@@ -38,7 +38,6 @@ from .mdp import (
     _readonly,
     _stochastic_problems,
     _table_field,
-    _value_field,
     _write_json,
 )
 
@@ -420,12 +419,13 @@ _OBS_KEYS = {"num_observations", "likelihood"}
 
 
 def observation_from_dict(doc: dict, num_states: int | None = None) -> ObservationModel:
-    """Build a sensor from the on-disk dict layout. One of the wrong
-    ``num_states`` is refused by its shape alone, before its columns are read."""
+    """Build a sensor from the on-disk dict layout; :class:`ObservationModel`
+    checks it, after one over other ``num_states`` is refused by shape alone."""
     _check_fields(doc, _OBS_KEYS)
     likelihood = _table_field(doc, "likelihood", "[observation][state]")
-    k = _value_field(doc, "num_observations", int)
-    if num_states is not None and k >= 1 and likelihood.shape != (k, num_states):
+    k = doc["num_observations"]
+    if (num_states is not None and _integer_problem(k, "num_observations", 1) is None
+            and likelihood.shape != (k, num_states)):
         raise ModelFormatError(
             [f"likelihood shape {likelihood.shape} != expected {(k, num_states)}"]
         )

@@ -59,7 +59,7 @@ def _load_scenario(model_arg: str, obs_arg: str | None) -> Scenario:
         raise OSError(f"--obs is for model files; {name} has its own observation model")
     start_state = None
     if spec is not None:
-        # the spec loader checks field types; the model checks its own tables
+        # the spec checked its fields when it was built; the model checks its tables
         model, obs = models.gridworld_model(spec)
         start_state = spec.cell_index(*spec.start)
     return Scenario(
@@ -193,9 +193,9 @@ def cmd_solve_augmented(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     # the nominal controller reads no weight, yet summary.json echoes them
-    mdp._check_weights(
-        reward_weight=args.wn, exposure_weight=args.wa, tail_exposure_weight=args.wap
-    )
+    for flag, name in (("wn", "reward_weight"), ("wa", "exposure_weight"),
+                       ("wap", "tail_exposure_weight")):
+        mdp._check_weight(getattr(args, flag), name)
     # refused before any solve, under the flag's name
     mdp._check_integer(args.seed_base, "--seed-base", 0)
     scn, nominal, policy, pa = _observed_scenario(args)

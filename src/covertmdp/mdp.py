@@ -41,9 +41,10 @@ def _read_json_object(path: str | Path) -> dict:
 
 
 def _write_json(doc: dict, path: str | Path, sort_keys: bool = False) -> None:
+    # encoded before the target opens: TypeError on a value JSON cannot write
+    text = json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=sort_keys)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_lines(lines: list[str], path: str | Path) -> None:
@@ -61,18 +62,6 @@ def _check_fields(doc: dict, allowed: set[str], required: set[str] | None = None
     unknown = doc.keys() - allowed
     if unknown:
         raise ModelFormatError([f"unknown field {k!r}" for k in sorted(unknown)])
-
-
-def _value_field(doc: dict, key: str, kind: type):
-    """Scalar field ``key`` of a document as ``kind``: a count (``int``)
-    must be a JSON integer and a real (``float``) any JSON number. Anything
-    else, booleans included, is a :class:`ModelFormatError` with the line of
-    :func:`_real_problem` or :func:`_integer_problem`."""
-    value = doc[key]
-    problem = _real_problem(value, key) or (kind is int and _integer_problem(value, key))
-    if problem:
-        raise ModelFormatError([problem])
-    return kind(value)
 
 
 def _table_field(doc: dict, key: str, nesting: str = "", name: str = "") -> np.ndarray:
@@ -97,10 +86,10 @@ class MdpModel:
 
     ``transition[d, s, a]`` is the probability of landing in state ``d`` when
     action ``a`` is applied in state ``s``; each ``(s, a)`` column sums to 1.
-    ``reward[s, a]`` is the stage reward, finite, and ``discount`` lies in
+    ``reward[s, a]`` is the stage reward, finite, and ``discount`` a real in
     (0, 1). A model that breaks any of these is never made: the constructor
-    raises one :class:`ModelFormatError` listing every problem. All arrays
-    are read-only after construction and safe to share across workers.
+    raises one :class:`ModelFormatError` listing every problem. It keeps
+    Python ints and floats, and read-only arrays safe to share across workers.
     """
 
     num_states: int
@@ -116,8 +105,8 @@ class MdpModel:
                                    self.transition, self.reward, self.discount)
         if problems:
             raise ModelFormatError(problems)
-        for name in ("num_states", "num_actions"):  # as Python ints, for JSON
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, kind in (("num_states", int), ("num_actions", int), ("discount", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -192,7 +181,10 @@ def _model_problems(
     if not np.all(np.isfinite(reward)):
         s, a = np.argwhere(~np.isfinite(reward))[0]
         out.append(f"reward R({s},{a}) = {float(reward[s, a])!r} is not finite")
-    if not (0.0 < discount < 1.0):
+    problem = _real_problem(discount, "discount")
+    if problem:
+        out.append(problem)
+    elif not 0.0 < discount < 1.0:
         out.append(f"discount {discount!r} not strictly inside (0, 1)")
     return out
 
@@ -221,18 +213,11 @@ def _integer_problem(value, name: str, low=-math.inf, high=math.inf) -> str | No
 
 
 def _real_problem(value, name: str) -> str | None:
-    """The one real-number rule, in the loaders' words: the line refusing
-    ``name`` unless it is a Python or numpy real, never a bool (which would
-    read as 1.0 or 0.0)."""
+    """The one real-number rule: the line refusing ``name`` unless it is a
+    Python or numpy real, never a bool (which would read as 1.0 or 0.0)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         return f"non-numeric {name}: {value!r}"
     return None
-
-
-def _refuse(problem: str | None) -> None:
-    """Raise a rule's refusal line as ``ValueError``; None passes."""
-    if problem:
-        raise ValueError(problem)
 
 
 def _check_integer(value, name: str, low, high=math.inf) -> int:
@@ -240,30 +225,42 @@ def _check_integer(value, name: str, low, high=math.inf) -> int:
     ``ValueError`` with its line if not."""
     if type(value) is int and low <= value < high:  # each index of a step
         return value
-    _refuse(_integer_problem(value, name, low, high))
+    problem = _integer_problem(value, name, low, high)
+    if problem:
+        raise ValueError(problem)
     return int(value)
 
 
-def _check_tol(tol: float) -> None:
-    _refuse(_real_problem(tol, "tol"))
+def _check_real(value, name: str) -> float:
+    """``value`` as a Python float if :func:`_real_problem` accepts it;
+    ``ValueError`` with its line if not."""
+    problem = _real_problem(value, name)
+    if problem:
+        raise ValueError(problem)
+    return float(value)
+
+
+def _check_tol(tol) -> float:
+    tol = _check_real(tol, "tol")
     if not tol > 0.0:  # NaN too, which would run every sweep and never stop
         raise ValueError(f"tol must be positive, got {tol}")
+    return tol
 
 
-def _check_weights(**weights: float) -> None:
-    """Refuse a non-finite objective weight: NaN would score every choice
-    NaN, and infinity gives NaN against a zero term. Negative ones are legal."""
-    for name, weight in weights.items():
-        _refuse(_real_problem(weight, name))
-        if not math.isfinite(weight):
-            raise ValueError(f"{name} must be finite, got {weight!r}")
+def _check_weight(weight, name: str) -> float:
+    """A finite objective weight as a Python float: NaN would score every
+    choice NaN, and infinity gives NaN against a zero term. Negatives are legal."""
+    weight = _check_real(weight, name)
+    if not math.isfinite(weight):
+        raise ValueError(f"{name} must be finite, got {weight!r}")
+    return weight
 
 
 def value_iteration(backup, values: np.ndarray, tol: float, max_iter: int) -> VIResult:
     """Iterate ``values = backup(values)`` until the sup-norm of successive
     iterates drops to ``tol``, for at most ``max_iter`` sweeps, at least 1.
     Non-convergence is reported via ``converged``, not raised."""
-    _check_tol(tol)
+    tol = _check_tol(tol)
     max_iter = _check_integer(max_iter, "max_iter", 1)
     for iterations in range(1, max_iter + 1):
         updated = backup(values)
@@ -314,19 +311,18 @@ _MODEL_KEYS = {"num_states", "num_actions", "discount", "transition", "reward"}
 
 
 def model_from_dict(doc: dict) -> MdpModel:
-    """Build a model from the on-disk dict layout; :class:`MdpModel` checks
-    the tables it is given."""
+    """Build a model from the on-disk dict layout. The loader only parses:
+    :class:`MdpModel` checks every value it is given."""
     _check_fields(doc, _MODEL_KEYS)
     file_kernel = _table_field(
         doc, "transition", "[action][source][destination]", name="table"
     )
-    reward = _table_field(doc, "reward", name="table")
     return MdpModel(
-        num_states=_value_field(doc, "num_states", int),
-        num_actions=_value_field(doc, "num_actions", int),
+        num_states=doc["num_states"],
+        num_actions=doc["num_actions"],
         transition=file_kernel.transpose(2, 1, 0),
-        reward=reward,
-        discount=_value_field(doc, "discount", float),
+        reward=_table_field(doc, "reward", name="table"),
+        discount=doc["discount"],
     )
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .belief import ObservationModel
 from .errors import ModelFormatError
-from .mdp import MdpModel, _check_fields, _integer_problem, _value_field
+from .mdp import MdpModel, _check_fields, _integer_problem, _real_problem
 
 # ---------------------------------------------------------------------------
 # three-state example
@@ -69,9 +69,10 @@ SENSOR_SUPPORT_SIGMAS = 3.0
 class GridWorldSpec:
     """A grid scenario; the constructor raises one :class:`ModelFormatError`
     listing every way its values break it: a width or height that is not a
-    positive integer, a cell off the grid, the start on the target,
+    positive integer, a cell that is not a pair of integers or lies off the
+    grid, the start on the target, a real field that is not a number,
     ``slip_prob`` outside ``[0, 1)`` or ``noise_sigma`` outside
-    ``(1e-150, 1e150)``."""
+    ``(1e-150, 1e150)``. It keeps Python ints and floats."""
 
     width: int
     height: int
@@ -88,24 +89,37 @@ class GridWorldSpec:
                                       _integer_problem(self.height, "height", 1))))
         sized = not problems  # cells are placed only on a grid of known size
         if sized:
-            for name in ("width", "height"):  # as Python ints, for JSON
-                object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, "width", int(self.width))
+            object.__setattr__(self, "height", int(self.height))
+        cells = {}  # the pairs of integers, placed or not
         for name in _SPEC_CELLS:
-            r, c = getattr(self, name)
-            # a coordinate that is not an integer gets the loader's line
-            lines = list(filter(None, (_integer_problem(r, f"{name} row"),
-                                       _integer_problem(c, f"{name} col"))))
-            if sized and not lines and not (0 <= r < self.height and 0 <= c < self.width):
-                lines = [f"{name} cell {(r, c)} outside the grid"]
+            pair = getattr(self, name)
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                problems.append(f"{name} must be a [row, col] pair")
+                continue
+            lines = list(filter(None, (_integer_problem(pair[0], f"{name} row"),
+                                       _integer_problem(pair[1], f"{name} col"))))
+            if not lines:
+                cells[name] = r, c = int(pair[0]), int(pair[1])
+                object.__setattr__(self, name, cells[name])
+                if sized and not (0 <= r < self.height and 0 <= c < self.width):
+                    lines = [f"{name} cell {(r, c)} outside the grid"]
             problems += lines
-        if self.start == self.target:
+        if "start" in cells and cells["start"] == cells.get("target"):
             problems.append("start and target must be different cells")
-        if not 0.0 <= self.slip_prob < 1.0:
+        for name in _SPEC_REALS:
+            problem = _real_problem(getattr(self, name), name)
+            if problem:
+                problems.append(problem)
+            else:
+                object.__setattr__(self, name, float(getattr(self, name)))
+        # the range tests read only the fields the real rule stored as floats
+        if isinstance(self.slip_prob, float) and not 0.0 <= self.slip_prob < 1.0:
             problems.append(f"slip_prob must be in [0, 1), got {self.slip_prob}")
         # the reading's Gaussian divides by 2 * noise_sigma**2, which must be
         # a positive finite float: a square that underflows to 0 makes a 0/0
         # likelihood, and one that overflows raises. The range also refuses NaN.
-        if not 1e-150 < self.noise_sigma < 1e150:
+        if isinstance(self.noise_sigma, float) and not 1e-150 < self.noise_sigma < 1e150:
             problems.append(
                 f"noise_sigma must lie in (1e-150, 1e150), got {self.noise_sigma!r}"
             )
@@ -190,22 +204,8 @@ _SPEC_REALS = ("slip_prob", "target_reward", "noise_sigma", "discount")
 _SPEC_REQUIRED = {"width", "height", *_SPEC_CELLS}
 
 
-def _spec_cell(doc: dict, name: str) -> tuple[int, int]:
-    pair = doc[name]
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ModelFormatError([f"{name} must be a [row, col] pair"])
-    cell = {f"{name} row": pair[0], f"{name} col": pair[1]}
-    return tuple(_value_field(cell, key, int) for key in cell)
-
-
 def gridworld_spec_from_dict(doc: dict) -> GridWorldSpec:
-    """Counts and cell coordinates must be JSON integers and the optional
-    reals JSON numbers, as in every other model file."""
+    """The desk scenario with a document's fields; the loader only parses,
+    and :class:`GridWorldSpec` checks every value it is given."""
     _check_fields(doc, _SPEC_REQUIRED | set(_SPEC_REALS), _SPEC_REQUIRED)
-    return replace(
-        desk_gridworld(),
-        width=_value_field(doc, "width", int),
-        height=_value_field(doc, "height", int),
-        **{name: _spec_cell(doc, name) for name in _SPEC_CELLS},
-        **{name: _value_field(doc, name, float) for name in _SPEC_REALS if name in doc},
-    )
+    return replace(desk_gridworld(), **doc)

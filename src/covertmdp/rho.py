@@ -43,7 +43,7 @@ from .belief import (
     posterior_table,
 )
 from .errors import NoAdmissibleSequence, SizeOverflow
-from .mdp import MdpModel, _check_integer, _check_weights
+from .mdp import MdpModel, _check_integer, _check_weight
 
 DEFAULT_HORIZON = 3
 
@@ -60,13 +60,10 @@ class PlannerConfig:
     tail_exposure_weight: float = 0.0
 
     def __post_init__(self):
-        # a numpy integer would reach the CLI's plan log, which JSON cannot write
+        # as Python values, which the plan log and the controller ids write
         object.__setattr__(self, "horizon", _check_integer(self.horizon, "horizon", 1))
-        _check_weights(
-            reward_weight=self.reward_weight,
-            exposure_weight=self.exposure_weight,
-            tail_exposure_weight=self.tail_exposure_weight,
-        )
+        for name in ("reward_weight", "exposure_weight", "tail_exposure_weight"):
+            object.__setattr__(self, name, _check_weight(getattr(self, name), name))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from covertmdp.belief import (
     uniform_belief,
 )
 from covertmdp.mdp import (
+    _write_json,
     bellman_backup,
     load_model_file,
     model_from_dict,
@@ -393,6 +394,14 @@ def test_json_writers_write_indent_one_with_a_trailing_newline(tmp_path, case):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+def test_a_document_json_cannot_encode_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'{"kept": 1}\n')
+    with pytest.raises(TypeError):
+        _write_json({"discount": 0.5, "weight": np.float32(0.5)}, path)
+    assert path.read_bytes() == b'{"kept": 1}\n'
+
+
 @pytest.mark.parametrize(
     "load, doc, field",
     [
@@ -430,13 +439,13 @@ _SCALAR_DOCS = {
     "load, field, bad, diagnostic",
     [
         (load_model_file, "discount", "x", "non-numeric discount: 'x'"),
-        (load_model_file, "num_states", "three", "non-numeric num_states: 'three'"),
+        (load_model_file, "num_states", "three", "num_states must be an integer, got 'three'"),
         (load_observation_file, "num_observations", "two",
-         "non-numeric num_observations: 'two'"),
+         "num_observations must be an integer, got 'two'"),
         (load_model_file, "num_actions", 2.9, "num_actions must be an integer, got 2.9"),
         (load_observation_file, "num_observations", 2.0,
          "num_observations must be an integer, got 2.0"),
-        (load_model_file, "num_states", True, "non-numeric num_states: True"),
+        (load_model_file, "num_states", True, "num_states must be an integer, got True"),
     ],
     ids=["model_discount_text", "model_states_text", "observation_count_text",
          "model_actions_fraction", "observation_count_float", "model_states_bool"],
@@ -555,20 +564,44 @@ def test_stochastic_tables_are_checked_only_where_models_are_built():
 
 
 def test_only_mdp_decides_what_makes_an_integer():
-    # One integer rule (mdp._integer_problem) for every count and index;
-    # a module that names numpy's or the standard library's integer types
-    # is deciding it again.
+    # One integer rule (mdp._integer_problem) for every count and index, and
+    # one real-number rule (mdp._real_problem); a module that names numpy's
+    # or the standard library's integer or real types is deciding them again.
     package = Path(covertmdp.__file__).parent
+    types = {"integer", "Integral", "floating", "Real"}
     named = []
     for path in sorted(package.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if (
-                isinstance(node, ast.Attribute) and node.attr in {"integer", "Integral"}
-                or isinstance(node, ast.alias) and node.name in {"integer", "Integral"}
+                isinstance(node, ast.Attribute) and node.attr in types
+                or isinstance(node, ast.alias) and node.name in types
             ):
                 named.append(f"{path.relative_to(package)}:{node.lineno}")
     assert named and all(name.startswith("mdp.py:") for name in named)
+
+
+def test_value_rules_run_only_in_mdps_checks_and_the_constructors():
+    # The loaders only parse: a count or a real is judged by mdp's checks,
+    # which raise, or by a constructor, which lists every problem. The
+    # sensor loader reads its count only to size its shape test.
+    package = Path(covertmdp.__file__).parent
+    callers = {
+        f"{path.relative_to(package)}:{scope}"
+        for path in sorted(package.rglob("*.py"))
+        for rule in ("_integer_problem", "_real_problem")
+        for scope in callers_of(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), rule
+        )
+    }
+    assert callers == {
+        "belief.py:_observation_problems",
+        "belief.py:observation_from_dict",
+        "mdp.py:_check_integer",
+        "mdp.py:_check_real",
+        "mdp.py:_model_problems",
+        "models.py:GridWorldSpec.__post_init__",
+    }
 
 
 def test_the_lattice_reads_no_zero_test_of_its_own():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -222,6 +223,21 @@ def test_gridworld_rejects_degenerate_setups():
         "start row must be an integer, got 0.5", "target col must be an integer, got True",
         "sensor cell (1, 3) outside the grid",
     ]
+    # a cell that is not a pair, or a real that is not a number, is listed
+    # beside the other problems, in a spec file's words
+    for edit, diagnostics in [
+        ({"start": 5, "height": 0},
+         ["height must be positive, got 0", "start must be a [row, col] pair"]),
+        ({"start": (0, 0, 0), "noise_sigma": 0.0},
+         ["start must be a [row, col] pair",
+          "noise_sigma must lie in (1e-150, 1e150), got 0.0"]),
+        ({"slip_prob": "0.1"}, ["non-numeric slip_prob: '0.1'"]),
+        ({"target_reward": True}, ["non-numeric target_reward: True"]),
+        ({"noise_sigma": True}, ["non-numeric noise_sigma: True"]),
+    ]:
+        with pytest.raises(ModelFormatError) as err:
+            replace(GridWorldSpec(3, 3, (0, 0), (2, 2), (1, 1)), **edit)
+        assert err.value.diagnostics == diagnostics
 
 
 def test_gridworld_spec_from_dict_applies_defaults():
@@ -277,8 +293,8 @@ def test_gridworld_spec_from_dict_rejects_malformed_documents():
     # int() and float() would truncate, parse strings and read booleans
     for field, bad, diagnostic in [
         ("width", 3.9, "width must be an integer, got 3.9"),
-        ("height", True, "non-numeric height: True"),
-        ("width", "7", "non-numeric width: '7'"),
+        ("height", True, "height must be an integer, got True"),
+        ("width", "7", "width must be an integer, got '7'"),
         ("slip_prob", "0.1", "non-numeric slip_prob: '0.1'"),
         ("discount", True, "non-numeric discount: True"),
         ("start", [0.5, 0], "start row must be an integer, got 0.5"),

@@ -7,7 +7,7 @@ import re
 import uuid
 import warnings
 from bisect import bisect_right
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -60,8 +60,10 @@ from covertmdp.augmented import (
     action_values,
     build_simplex_grid,
     greedy_action,
+    save_value_file,
     solve_augmented_vi,
 )
+from covertmdp.mdp import save_model_file
 
 from _oracles import (
     closed_loop_by_definition,
@@ -669,6 +671,40 @@ class CopyTaggingController(NominalController):
         self.controller_id = f"copy-{uuid.uuid4().hex}"
 
 
+@pytest.mark.parametrize("cpus, jobs, pool", [(3, 64, [3]), (8, 64, [5]), (1, 4, [])])
+def test_parallel_runs_start_no_more_workers_than_cpus_or_runs(cpus, jobs, pool, monkeypatch):
+    # five runs; a pool of one worker is no pool at all
+    requested = []
+
+    class InlinePool:
+        """Records the worker count a pool is asked for; maps in-process."""
+
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    model, obs = example1_model()
+    pa, _, policy = nominal_setup(model)
+    traces = simulate_runs(model, obs, pa, NominalController(policy),
+                           uniform_belief(3), 5, 0, 5, jobs=jobs)
+    assert requested == pool
+    serial = simulate_runs(model, obs, pa, NominalController(policy),
+                           uniform_belief(3), 5, 0, 5)
+    assert list(map(repr, traces)) == list(map(repr, serial))
+
+
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_parallel_runs_keep_one_controller_copy_per_worker(jobs):
     # One run per task unpickled a fresh controller, and an empty planner
@@ -944,6 +980,46 @@ def test_model_fingerprint_tracks_content():
         model, obs, pa, NominalController(policy), uniform_belief(3), 2, 0, 0
     )
     assert trace.model_id == fp
+
+
+def test_numpy_scalars_give_the_identity_of_the_python_values(tmp_path):
+    # The constructors keep the Python value their rules accept, so a numpy
+    # scalar names the same model and controller, and writes the same files,
+    # as the Python value it holds.
+    model, obs = example1_model()
+    discount = np.float32(0.95)  # the float32 nearest 0.95, not 0.95
+    py = MdpModel(3, 2, model.transition, model.reward, float(discount))
+    npy = MdpModel(np.int64(3), np.int64(2), model.transition, model.reward, discount)
+    wide = MdpModel(3, 2, model.transition, model.reward, np.float64(0.95))
+    assert model_fingerprint(wide, obs) == model_fingerprint(model, obs)
+    assert model_fingerprint(npy, obs) == model_fingerprint(py, obs)
+    save_model_file(py, tmp_path / "py.json")
+    save_model_file(npy, tmp_path / "np.json")
+    assert (tmp_path / "np.json").read_bytes() == (tmp_path / "py.json").read_bytes()
+
+    pa, values, _ = nominal_setup(py)
+    half = np.float64(0.5)
+    configs = [PlannerConfig(2, 0.5, 0.5, 0), PlannerConfig(2, half, half, np.float64(0))]
+    assert json.dumps(asdict(configs[1])) == json.dumps(asdict(configs[0]))
+    traces = [
+        run_closed_loop(m, obs, pa, RecedingHorizonController(m, obs, pa, values, c),
+                        uniform_belief(3), 5, 0, 0)
+        for m, c in zip((py, npy), configs)
+    ]
+    assert traces[0].controller_id.endswith("wap=0.0)")
+    for name, trace in zip(("py", "np"), traces):
+        write_trace_metadata(trace, tmp_path / f"{name}.meta.json")
+    assert (tmp_path / "np.meta.json").read_bytes() == (tmp_path / "py.meta.json").read_bytes()
+    aggregate_runs(traces)  # one configuration
+
+    lattices = [solve_augmented_vi(py, obs, pa, w, 0.0, resolution=2, tol=1e-4).value
+                for w in (1.0, np.float32(1.0))]
+    for name, value in zip(("py", "np"), lattices):
+        save_value_file(value, tmp_path / f"{name}.values.json")
+    assert ((tmp_path / "np.values.json").read_bytes()
+            == (tmp_path / "py.values.json").read_bytes())
+    ids = {AugmentedValueController(py, obs, pa, v).controller_id for v in lattices}
+    assert len(ids) == 1
 
 
 def test_aggregate_runs_statistics_and_guards():
