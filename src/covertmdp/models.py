@@ -89,8 +89,8 @@ class GridWorldSpec:
                                       _integer_problem(self.height, "height", 1))))
         sized = not problems  # cells are placed only on a grid of known size
         if sized:
-            object.__setattr__(self, "width", int(self.width))
-            object.__setattr__(self, "height", int(self.height))
+            for name in ("width", "height"):  # as Python ints, for JSON
+                object.__setattr__(self, name, int(getattr(self, name)))
         cells = {}  # the pairs of integers, placed or not
         for name in _SPEC_CELLS:
             pair = getattr(self, name)

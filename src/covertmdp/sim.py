@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import os
 import warnings
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, replace
@@ -302,17 +301,15 @@ def simulate_runs(
 ) -> list[Trace]:
     """Runs ``0, ..., num_runs - 1`` of one configuration, in run order.
     With ``jobs`` above 1 they run in a pool of that many worker processes,
-    at most one per run and per CPU, each playing one contiguous chunk of
-    runs with one copy of the controller (and its planner memo)."""
+    at most one per run, each playing one contiguous chunk of runs with one
+    copy of the controller (and its planner memo)."""
     num_runs = _check_integer(num_runs, "num_runs", 1)
     jobs = _check_integer(jobs, "jobs", 1)
     run = functools.partial(
         run_closed_loop, model, obs, pa, controller, o0, num_steps, seed_base, x0=x0
     )
-    # a pool starts all its workers at once: never more than runs or CPUs
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    workers = min(jobs, num_runs, cpus)
+    # a pool starts all its workers at once, so never ask for more than runs
+    workers = min(jobs, num_runs)
     if workers > 1:
         # imported here, as its 30-odd modules cost a serial caller memory
         from concurrent.futures import ProcessPoolExecutor

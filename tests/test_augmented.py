@@ -684,6 +684,25 @@ def test_value_function_rejects_a_table_that_is_not_finite(entry):
         AugmentedValueFunction(grid, table, 1.0, 1.0)
 
 
+def test_value_function_keeps_its_weights_as_python_floats():
+    grid = build_simplex_grid(3, 2)
+    value = AugmentedValueFunction(grid, np.zeros((3, grid.num_points)),
+                                   np.float32(1.0), np.float64(0.5))
+    assert (value.reward_weight, value.exposure_weight) == (1.0, 0.5)
+    assert type(value.reward_weight) is float and type(value.exposure_weight) is float
+
+
+@pytest.mark.parametrize("weight, line", [
+    (True, "non-numeric reward_weight: True"),
+    ("1.0", "non-numeric reward_weight: '1.0'"),
+    (np.nan, "reward_weight must be finite, got nan"),
+])
+def test_value_function_refuses_a_weight_the_rule_refuses(weight, line):
+    grid = build_simplex_grid(3, 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(line)}$"):
+        AugmentedValueFunction(grid, np.zeros((3, grid.num_points)), weight, 0.5)
+
+
 def test_lattice_over_another_state_count_is_refused():
     model, obs = example1_model()
     pa, _ = nominal_chain(model)

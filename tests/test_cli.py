@@ -372,9 +372,6 @@ def test_simulate_caps_jobs_at_the_number_of_runs(tmp_path, monkeypatch):
 
     # simulate_runs imports the pool class only when it needs a pool
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-    # more CPUs than runs, whatever the host has
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: 8)
     base = [
         "simulate", "rho", "--model", "example1", "--wn", "0.5", "--wa", "0.5",
         "--horizon", "2", "--steps", "20", "--seeds", "2", "--seed-base", "5",

@@ -671,40 +671,6 @@ class CopyTaggingController(NominalController):
         self.controller_id = f"copy-{uuid.uuid4().hex}"
 
 
-@pytest.mark.parametrize("cpus, jobs, pool", [(3, 64, [3]), (8, 64, [5]), (1, 4, [])])
-def test_parallel_runs_start_no_more_workers_than_cpus_or_runs(cpus, jobs, pool, monkeypatch):
-    # five runs; a pool of one worker is no pool at all
-    requested = []
-
-    class InlinePool:
-        """Records the worker count a pool is asked for; maps in-process."""
-
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: cpus)
-    model, obs = example1_model()
-    pa, _, policy = nominal_setup(model)
-    traces = simulate_runs(model, obs, pa, NominalController(policy),
-                           uniform_belief(3), 5, 0, 5, jobs=jobs)
-    assert requested == pool
-    serial = simulate_runs(model, obs, pa, NominalController(policy),
-                           uniform_belief(3), 5, 0, 5)
-    assert list(map(repr, traces)) == list(map(repr, serial))
-
-
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_parallel_runs_keep_one_controller_copy_per_worker(jobs):
     # One run per task unpickled a fresh controller, and an empty planner
