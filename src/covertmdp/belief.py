@@ -5,7 +5,7 @@ The observer cannot see actions. It filters against the Markov chain induced
 by the nominal policy, so the filter map depends only on that chain ``pa``
 and the likelihood table. An action of the controlled agent is *prohibited*
 at ``(x, o)`` when it could generate an observation to which the observer's
-one-step predictive assigns (numerically) zero probability; such an
+one-step predictive assigns zero probability; such an
 observation would make the filter update undefined and reveal the deviation.
 
 As the filter is action-blind, the observer's belief is a function of the
@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import IllDefinedUpdate, ModelFormatError, ProhibitedAction
 from .mdp import (
-    STOCHASTIC_TOL,
     MdpModel,
     _check_fields,
     _check_integer,
@@ -41,9 +40,8 @@ from .mdp import (
     _write_json,
 )
 
-# Threshold below which a probability is treated as an exact zero. All
-# quantities compared against it are finite sums of products of model
-# probabilities, so true zeros carry only accumulated rounding noise.
+# make_belief's clip tolerance: a negative entry this close to zero is
+# rounding noise. Every zero test of the observer is exact.
 EPS_ZERO = 1e-12
 
 BELIEF_L1_TOL = 1e-9
@@ -123,15 +121,15 @@ def bayes_update(observer: Observer, o: np.ndarray, y: int) -> np.ndarray:
 
     Raises ``ValueError`` for a reading that is not an integer in ``[0, Y)``
     (:func:`mdp._check_integer`), and :class:`IllDefinedUpdate` when the
-    predictive probability of ``y`` is not above EPS_ZERO, by the filter's
-    own zero test (NaN, from a belief holding NaN, included); callers
+    predictive probability of ``y`` is not positive, by the filter's own
+    zero test (NaN, from a belief holding NaN, included); callers
     prevent that by restricting the agent to admissible actions.
     """
     _check_integer(y, "observation y", 0, observer.obs.num_observations)
     numer = observer.obs.likelihood[y] * (observer.pa @ o)
     # numer.sum()'s reduction, without its Python-level wrapper
     denom = np.add.reduce(numer)
-    if not denom > EPS_ZERO:
+    if not denom > 0.0:
         raise IllDefinedUpdate(
             f"observation y={y} has predictive probability {float(denom)!r}"
         )
@@ -150,7 +148,7 @@ def posterior_table(
     ``(posteriors, predictive, open_y)`` shaped ``(..., Y, n)``, ``(..., Y)``
     and ``(..., Y)``: the updated belief after each observation, the
     one-step predictive, and which observations the predictive allows
-    (mass above EPS_ZERO). The posteriors are the joint numerators divided
+    (positive mass). The posteriors are the joint numerators divided
     in place by the predictive; a ruled-out observation's row is divided by
     infinity instead, which zeroes it, and must not be used. ``beliefs``
     must be distributions: an observer that rules nothing out then leaves
@@ -175,12 +173,15 @@ def _joint_predictive(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``numer[..., y, x'] = q(y | x') (pa o)(x')``, its sum over ``x'`` (the
     one-step predictive) and the observations the predictive leaves open:
-    the filter's one zero test."""
+    the filter's one zero test. It is exact, as products and sums of exact
+    zeros stay exact; only a product of positive factors that underflows
+    (below about 1e-308) would read as a zero, which supports carried
+    beside the floats would decide without them."""
     pred_states = (observer.pa @ np.asarray(beliefs, dtype=float).T).T
     numer = observer.obs.likelihood * pred_states[..., None, :]
     # numer.sum(axis=-1)'s reduction, without its Python-level wrapper
     predictive = np.add.reduce(numer, axis=-1)
-    return numer, predictive, predictive > EPS_ZERO
+    return numer, predictive, predictive > 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,9 +189,9 @@ class Observer:
     """The observer of one model, sensor ``obs`` and nominal chain ``pa``,
     with the tables that depend on nothing else; compared by identity.
 
-    ``emission[u, x, y] = sum_x' p(x'|x,u) q(y|x')`` is the chance that
-    action ``u`` in state ``x`` makes the next state emit ``y``, built once
-    here; ``emits`` marks where it exceeds EPS_ZERO. The lattice
+    ``emits[u, x, y]``: action ``u`` in state ``x`` can make the next state
+    emit ``y``, some ``x'`` having ``p(x'|x,u) > 0`` and ``q(y|x') > 0``;
+    built once here from those boolean tables, so it is exact. The lattice
     lookahead's kernel ``kernel[x, u, y, x'] = q(y|x') p(x'|x,u)`` is built
     on first read, so callers that never read it (the planner and the
     simulator step) never hold its X²·U·Y entries. So are the simulator
@@ -202,27 +203,15 @@ class Observer:
     (:func:`mdp._stochastic_problems`); anything else is a
     :class:`ModelFormatError`.
 
-    ``rules_out_nothing`` is True when no belief that :meth:`check` accepts
-    can rule an observation out, and the lattice lookahead finds mass behind
-    every action: ``min q * (1 - STOCHASTIC_TOL)`` exceeds ``4 * EPS_ZERO``.
-    Proof: every column of ``pa`` and of ``p`` is a distribution, so lies in
-    ``[0, 1]`` and sums to at least ``1 - STOCHASTIC_TOL``. For a belief
-    ``b >= 0``, ``predictive(y) = sum_x' q(y|x') sum_x pa[x', x] b[x] >=
-    min q * (1 - STOCHASTIC_TOL) * sum(b)``, which is above ``2 * EPS_ZERO``
-    once ``sum(b) >= 1/2``. Every term of those sums is nonnegative and, as
-    ``sum(b) <= 2``, at most ``2n``, so nothing overflows, rounding moves
-    the computed predictive by a relative ``(2n + 2) * 2**-53`` at most and
-    underflow by far less than ``EPS_ZERO``: it stays above ``EPS_ZERO``.
-    With every observation open, the lattice's mass of action ``u`` at
-    ``x`` is ``sum_y sum_x' q(y|x') p(x'|x,u) >= min q * (1 -
-    STOCHASTIC_TOL) > 4 * EPS_ZERO``, a sum of nonnegative terms of at most
-    1 that rounding cannot take below ``EPS_ZERO`` either.
+    ``rules_out_nothing`` is True when every likelihood is positive: then
+    every predicted state emits every reading, so no belief that
+    :meth:`check` accepts rules an observation out, and every action has
+    mass on the open readings.
     """
 
     model: MdpModel
     obs: ObservationModel
     pa: np.ndarray
-    emission: np.ndarray = field(init=False, repr=False)
     emits: np.ndarray = field(init=False, repr=False)
     rules_out_nothing: bool = field(init=False)
 
@@ -238,11 +227,10 @@ class Observer:
         )
         if problems:
             raise ModelFormatError(problems)
-        object.__setattr__(self, "emission", np.inner(p.T, q))
-        object.__setattr__(self, "emits", self.emission > EPS_ZERO)
-        object.__setattr__(self, "rules_out_nothing", bool(
-            q.min() * (1.0 - STOCHASTIC_TOL) > 4 * EPS_ZERO
-        ))
+        # counts of emitting successors, exact as floats; BLAS contracts them
+        reach = np.inner((p.T > 0.0).astype(float), (q > 0.0).astype(float))
+        object.__setattr__(self, "emits", reach > 0.0)
+        object.__setattr__(self, "rules_out_nothing", bool((q > 0.0).all()))
 
     @cached_property
     def kernel(self) -> np.ndarray:
@@ -290,8 +278,8 @@ def admissible_actions(observer: Observer, x: int, o: np.ndarray) -> list[int]:
     """Actions at ``(x, o)`` that cannot surprise the observer, ascending.
 
     ``u`` is prohibited iff some observation has positive probability under
-    the agent's true successor distribution but numerically zero probability
-    under the observer's predictive.
+    the agent's true successor distribution but zero probability under the
+    observer's predictive.
     """
     o = observer.check(x, o)
     if observer.rules_out_nothing:  # ex1-rho, lattice-6s steps: 1/7 the test below
@@ -318,11 +306,12 @@ def open_mass(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``mass[b, x, u]``, the chance that action ``u`` at source state ``x``
     makes the next state emit a reading that belief ``b`` leaves open
-    (``open_y``, a stack ``(B, Y)``), and where that mass is above EPS_ZERO."""
+    (``open_y``, a stack ``(B, Y)``), from :attr:`Observer.kernel`, and
+    where that mass is positive."""
     mass = np.einsum(
-        "uxy,by->bxu", observer.emission[:, sources], open_y.astype(float)
+        "xuyz,by->bxu", observer.kernel[sources], open_y.astype(float)
     )
-    return mass, mass > EPS_ZERO
+    return mass, mass > 0.0
 
 
 def joint_step(
@@ -405,11 +394,9 @@ def augmented_transition_support(
     mass = np.zeros((1, 1, model.num_states))
     mass[0, 0, x] = 1.0
     step, ys = joint_step(mass, model.transition.T[u][None], observer.obs.likelihood)
-    # drop the (at most EPS_ZERO) mass on observations the observer rules out
-    keep = open_y[ys]
-    step, ys = step[0, keep], ys[keep]
-    i, xp = np.nonzero(step)
-    return AugmentedSupport(xp, posteriors[ys[i]], step[i, xp])
+    # every reading with mass is one u can emit, so open
+    i, xp = np.nonzero(step[0])
+    return AugmentedSupport(xp, posteriors[ys[i]], step[0, i, xp])
 
 
 # ---------------------------------------------------------------------------

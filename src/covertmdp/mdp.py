@@ -163,24 +163,21 @@ def _model_problems(
     make a model."""
     out = list(filter(None, (_integer_problem(n, "num_states", 1),
                              _integer_problem(m, "num_actions", 1))))
-    if out:
-        return out
-
-    if transition.shape != (n, n, m):
-        out.append(f"transition shape {transition.shape} != expected {(n, n, m)}")
-    if reward.shape != (n, m):
-        out.append(f"reward shape {reward.shape} != expected {(n, m)}")
-    if out:
-        return out
-
-    out += _stochastic_problems(
-        transition,
-        "transition entry p({}|{},{})",
-        "transition column (x={}, u={})",
-    )
-    if not np.all(np.isfinite(reward)):
-        s, a = np.argwhere(~np.isfinite(reward))[0]
-        out.append(f"reward R({s},{a}) = {float(reward[s, a])!r} is not finite")
+    if not out:
+        if transition.shape != (n, n, m):
+            out.append(f"transition shape {transition.shape} != expected {(n, n, m)}")
+        if reward.shape != (n, m):
+            out.append(f"reward shape {reward.shape} != expected {(n, m)}")
+    if not out:  # the tables are read only once the counts and shapes hold
+        out += _stochastic_problems(
+            transition,
+            "transition entry p({}|{},{})",
+            "transition column (x={}, u={})",
+        )
+        if not np.all(np.isfinite(reward)):
+            s, a = np.argwhere(~np.isfinite(reward))[0]
+            out.append(f"reward R({s},{a}) = {float(reward[s, a])!r} is not finite")
+    # the discount is checked whatever the counts and shapes are
     problem = _real_problem(discount, "discount")
     if problem:
         out.append(problem)

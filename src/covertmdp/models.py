@@ -58,10 +58,9 @@ _MOVES = ((-1, 0), (1, 0), (0, -1), (0, 1), (0, 0))  # up, down, left, right, st
 GRIDWORLD_ACTIONS = ("up", "down", "left", "right", "stay")
 
 # Readings further than this many sigmas from the true distance get exactly
-# zero likelihood. Untruncated Gaussian tails sit astride the zero threshold
-# of the prohibition test (positive as an emission probability, zero once
-# scaled by small belief mass in the observer's predictive), which would
-# prohibit every action; truncation keeps "possible reading" a sharp set.
+# zero likelihood. Untruncated Gaussian tails would make nearly every reading
+# possible from every cell, with chances down to the float range's floor;
+# truncation keeps "possible reading" a sharp set.
 SENSOR_SUPPORT_SIGMAS = 3.0
 
 

@@ -454,13 +454,7 @@ def _walk_tree(
             open_y = open_observations(observer, beliefs)
         else:
             posteriors, _, open_y = posterior_table(observer, beliefs)
-        # A history reached through an observation its parent rules out
-        # carries memoized mass (only where an emission probability is at
-        # most EPS_ZERO) but no belief: its posterior row is zero, so it adds
-        # no exposure, and it leaves nothing open, so its row rules nothing
-        # out and blocks nothing
-        ruled_out = ~open_y & open_y.any(axis=1)[:, None]
-        blocked = (node.reach @ ruled_out.ravel()).reshape(len(node.mass), -1)
+        blocked = (node.reach @ ~open_y.ravel()).reshape(len(node.mass), -1)
         node = memo.child(node, blocked, depth, horizon)
         pruned += node.pruned
         r_exposed = r_exposed[node.src]

@@ -232,7 +232,7 @@ def random_sparse_model(rng, num_states, num_actions, num_obs):
 
     Every column is stochastic; roughly half its entries are exactly zero and
     the rest lie in [0.1, 1] before normalization, so every product of a few
-    entries is either exactly zero or far above the library's zero threshold.
+    entries is either exactly zero or far from underflow.
     That keeps "can this observation occur" an unambiguous question.
     Returns (transition, reward, likelihood, observer_chain).
     """
@@ -423,7 +423,7 @@ def lattice_sweep_by_definition(
 
 def closed_loop_by_definition(
     transition, likelihood, chain, scores, o0, num_steps, seed_base, run_index,
-    tie_gap=1e-9, near_zero=1e-9,
+    tie_gap=1e-9,
 ):
     """One closed-loop episode by definition, from the simulator's seeds.
 
@@ -438,10 +438,8 @@ def closed_loop_by_definition(
     the steps before `stop`. `stop` is None for a whole episode, or
     `(reason, t)` where step t ends it: "controller" when no action has a
     finite score, "transition" when the played action is not admissible,
-    "near tie" when the two best scores are within `tie_gap`, so that
-    rounding may pick either, and "near zero" when the belief gives some
-    reading a positive predictive of at most `near_zero`, which a zero
-    threshold may count as no mass (a belief entry can decay that far).
+    and "near tie" when the two best scores are within `tie_gap`, so that
+    rounding may pick either.
     """
     rng = np.random.default_rng([seed_base, run_index])
 
@@ -453,15 +451,7 @@ def closed_loop_by_definition(
     x, y, belief = draw(o0), -1, np.asarray(o0, dtype=float)
     states, actions, observations, beliefs = [], [], [], []
     stop = None
-    n = len(belief)
     for t in range(num_steps):
-        predicted = [sum(chain[d, s] * belief[s] for s in range(n)) for d in range(n)]
-        if any(
-            0.0 < sum(likelihood[y, d] * predicted[d] for d in range(n)) <= near_zero
-            for y in range(likelihood.shape[0])
-        ):
-            stop = ("near zero", t)
-            break
         rated = np.asarray(scores(x, belief), dtype=float)
         ranked = np.argsort(-rated, kind="stable")
         if not np.isfinite(rated[ranked[0]]):

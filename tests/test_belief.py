@@ -26,7 +26,6 @@ from covertmdp import (
     uniform_belief,
 )
 from covertmdp.belief import (
-    EPS_ZERO,
     emitting,
     load_observation_file,
     open_observations,
@@ -148,7 +147,7 @@ def test_bayes_update_rejects_zero_predictive_mass():
 
 
 def test_bayes_update_refuses_a_belief_holding_nan():
-    # by the filter's own zero test, a NaN predictive is not above EPS_ZERO
+    # by the filter's own zero test, a NaN predictive is not positive
     model, obs = example1_model()
     observer = Observer(model, obs, nominal_chain(model))
     for y in range(3):
@@ -186,9 +185,9 @@ def test_posterior_table_matches_single_updates():
         o = make_belief(rng.dirichlet(np.ones(n)))
         posts, pred, open_y = posterior_table(observer, o)
         np.testing.assert_allclose(pred, obs.likelihood @ (pa @ o), atol=1e-14)
-        np.testing.assert_array_equal(open_y, pred > EPS_ZERO)
+        np.testing.assert_array_equal(open_y, pred > 0.0)
         for y in range(k):
-            if pred[y] > EPS_ZERO:
+            if pred[y] > 0.0:
                 # one filter arithmetic: the single update is the table's row
                 np.testing.assert_array_equal(posts[y], bayes_update(observer, o, y))
             else:
@@ -209,7 +208,7 @@ def masked_posteriors(pa, q, beliefs):
     pred_states = (pa @ np.asarray(beliefs, dtype=float).T).T
     numer = q * pred_states[..., None, :]
     predictive = numer.sum(axis=-1)
-    open_y = predictive > EPS_ZERO
+    open_y = predictive > 0.0
     return np.divide(
         numer, predictive[..., None], out=np.zeros_like(numer), where=open_y[..., None]
     )
@@ -246,6 +245,20 @@ def test_posterior_table_zeros_the_rows_of_ruled_out_observations():
     np.testing.assert_array_equal(open_observations(observer, beliefs), open_y)
 
 
+def emits_by_definition(model, obs):
+    """``emits[u][x][y]`` by loops: some successor ``x'`` has ``p(x'|x,u)
+    > 0`` and ``q(y|x') > 0``."""
+    n, p, q = model.num_states, model.transition, obs.likelihood
+    return [
+        [
+            [any(p[d, x, u] > 0.0 and q[y, d] > 0.0 for d in range(n))
+             for y in range(obs.num_observations)]
+            for x in range(n)
+        ]
+        for u in range(model.num_actions)
+    ]
+
+
 def test_emission_support_matches_loops():
     rng = np.random.default_rng(5)
     transition, reward, likelihood, chain = random_sparse_model(rng, 4, 3, 3)
@@ -253,17 +266,16 @@ def test_emission_support_matches_loops():
     obs = ObservationModel(3, likelihood)
     observer = Observer(model, obs, chain)
     table = observer.emits
-    assert table.shape == observer.emission.shape == (3, 4, 3)
+    assert table.shape == (3, 4, 3)
     assert 0 < table.sum() < table.size
-    for y in range(obs.num_observations):
-        for x in range(model.num_states):
-            for u in range(model.num_actions):
-                direct = sum(
-                    obs.likelihood[y, d] * model.transition[d, x, u]
-                    for d in range(model.num_states)
-                )
-                assert observer.emission[u, x, y] == pytest.approx(direct, abs=1e-15)
-                assert table[u, x, y] == (direct > 0.0)
+    assert table.tolist() == emits_by_definition(model, obs)
+    # exact where the chance itself underflows: 1e-200 * 1e-200 is 0.0
+    pa = np.array([[1.0, 1.0], [1e-200, 0.0]])
+    likelihood = np.array([[1.0, 1.0], [0.0, 1e-200]])
+    tiny = chain_observer(pa, likelihood)
+    assert likelihood[1] @ pa[:, 0] == 0.0
+    assert tiny.emits[0, :, 1].tolist() == [True, False]
+    assert tiny.emits.tolist() == emits_by_definition(tiny.model, tiny.obs)
     # the batched table of a joint law over (row, history, state)
     mass = rng.uniform(0.1, 1.0, size=(2, 3, 4)) * (rng.random((2, 3, 4)) < 0.15)
     reach = emitting(mass, table)
@@ -339,7 +351,7 @@ def test_support_atoms_carry_filter_posteriors():
         hits = [
             y
             for y in range(obs.num_observations)
-            if pred[y] > EPS_ZERO and np.max(np.abs(posts[y] - b)) < 1e-9
+            if pred[y] > 0.0 and np.max(np.abs(posts[y] - b)) < 1e-9
         ]
         assert hits, "atom belief is not any observation's posterior"
 
@@ -432,7 +444,7 @@ def test_filter_step_oracle_agrees_on_example1():
     observer = Observer(model, obs, pa)
     for y in range(obs.num_observations):
         pred = posterior_table(observer, o)[1][y]
-        if pred <= EPS_ZERO:
+        if pred == 0.0:
             continue
         ours = bayes_update(observer, o, y)
         oracle = forward_filter_step(pa, obs.likelihood, o, y)
@@ -512,11 +524,15 @@ def test_rules_out_nothing_only_for_strictly_positive_sensors():
     grid_model, grid_obs = gridworld_model(desk_gridworld())
     # the range sensor's truncated tails are exact zeros, which clear the flag
     assert not Observer(grid_model, grid_obs, nominal_chain(grid_model)).rules_out_nothing
-    # so does a likelihood entry too small for the margin, in a column that
-    # is still a distribution
+    # a likelihood entry of 1e-13 is positive, so it rules nothing out; an
+    # exact 0, in a column that is still a distribution, clears the flag
     likelihood = obs.likelihood.copy()
     likelihood[1, 2] += likelihood[0, 2] - 1e-13
     likelihood[0, 2] = 1e-13
+    assert Observer(model, ObservationModel(3, likelihood), pa).rules_out_nothing
+    likelihood = likelihood.copy()
+    likelihood[1, 2] += likelihood[0, 2]
+    likelihood[0, 2] = 0.0
     assert not Observer(model, ObservationModel(3, likelihood), pa).rules_out_nothing
     # a NaN or out-of-range sensor entry is refused when the sensor is
     # built, and a chain entry by the observer, before the flag is read

@@ -334,6 +334,24 @@ def test_model_from_dict_rejects_non_positive_counts_and_mismatched_tables(
     assert err.value.diagnostics == diagnostics
 
 
+@pytest.mark.parametrize(
+    "num_states, num_actions, diagnostics",
+    [
+        ("three", 2, ["num_states must be an integer, got 'three'"]),
+        (3, 3, ["transition shape (3, 3, 2) != expected (3, 3, 3)",
+                "reward shape (3, 2) != expected (3, 3)"]),
+    ],
+    ids=["count_text", "wrong_shapes"],
+)
+def test_the_discount_is_checked_whatever_the_counts_and_shapes(
+    num_states, num_actions, diagnostics
+):
+    model, _ = example1_model()
+    with pytest.raises(ModelFormatError) as err:
+        MdpModel(num_states, num_actions, model.transition, model.reward, "x")
+    assert err.value.diagnostics == [*diagnostics, "non-numeric discount: 'x'"]
+
+
 # ---------------------------------------------------------------------------
 # the file convention shared by every writer and loader
 
@@ -604,20 +622,46 @@ def test_value_rules_run_only_in_mdps_checks_and_the_constructors():
     }
 
 
-def test_the_lattice_reads_no_zero_test_of_its_own():
-    # Which readings and actions the observer allows is decided in belief;
-    # the lattice backup reads its masks and never the threshold or the
-    # emission table behind them.
-    path = Path(augmented.__file__)
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):  # an imported name
-            names.add(node.name)
-    assert not names & {"EPS_ZERO", "emits", "emission"}
+def names_by_scope(tree):
+    """``(scope, name)`` of each name, attribute, imported name and
+    definition under an ``ast`` tree, scoped as in :func:`callers_of`."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                found.append((".".join(scope), child.name))
+                visit(child, [*scope, child.name])
+                continue
+            for kind, field in ((ast.Name, "id"), (ast.Attribute, "attr"), (ast.alias, "name")):
+                if isinstance(child, kind):
+                    found.append((".".join(scope), getattr(child, field)))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_no_module_reads_a_zero_threshold_of_its_own():
+    # Every zero the observer decides is an exact one, in belief. EPS_ZERO
+    # is only make_belief's clip tolerance, no module names an emission
+    # table, and the lattice backup reads belief's masks, never the emits
+    # table behind them.
+    package = Path(covertmdp.__file__).parent
+    named = {
+        path.relative_to(package).as_posix(): names_by_scope(
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        )
+        for path in sorted(package.rglob("*.py"))
+    }
+    assert {
+        f"{module}:{scope}"
+        for module, found in named.items()
+        for scope, name in found
+        if name == "EPS_ZERO"
+    } == {"belief.py:", "belief.py:make_belief"}
+    assert not [m for m, found in named.items() if any(n == "emission" for _, n in found)]
+    lattice = {name for _, name in named["augmented.py"]}
+    assert not lattice & {"EPS_ZERO", "emits"}
     # the same walk sees what the lattice does read from belief
-    assert {"blocked_actions", "open_mass", "kernel"} <= names
+    assert {"blocked_actions", "open_mass", "kernel"} <= lattice

@@ -776,16 +776,15 @@ def assert_pruned_cover(pruned, scored, num_actions, horizon):
 
 
 # ---------------------------------------------------------------------------
-# histories through ruled-out observations, and the memo
+# tiny likelihoods, live histories, and the memo
 
 
 def tiny_likelihood_model():
     """Three states; state 1 reads 2 with probability 1e-13.
 
-    An observer with no mass on state 2 rules reading 2 out. Actions 0 and
-    1 still stay admissible (their chance of reading 2 is below EPS_ZERO),
-    so the belief tree reaches a history through an observation its parent
-    rules out, carrying about 1e-13 of mass. Action 2 is always pruned."""
+    That chance is positive however small, so an observer with no mass on
+    state 2 still leaves reading 2 open (its predictive is about 1e-13),
+    and actions that can reach state 2 stay admissible."""
     transition = np.zeros((3, 3, 3))
     transition[0, :, 0] = 0.5
     transition[1, :, 0] = 0.5
@@ -802,52 +801,51 @@ def tiny_likelihood_model():
     return model, ObservationModel(3, likelihood), pa, values
 
 
-# (actions, reward, tail, detection, objective) of every scored sequence and
-# the pruned log from state 0 under belief (0.5, 0.5, 0), as printed by the
-# planner when it zeroed the mass of ruled-out observations in its branch
-# tensor instead of leaving their histories unoccupied
-TINY_RECORDED = {
-    1: ([((0,), 1.0, 1.35, 0.0, 1.175), ((1,), 0.3, 0.9900000000000001, 0.0, 0.645)], [(2,)]),
-    2: (
-        [
-            ((0, 0), 1.675, 1.215, 0.6428571428571053, 1.1235714285714473),
-            ((0, 1), 1.54, 0.8910000000000001, 0.6428571428571053, 0.8940714285714474),
-            ((1, 0), 0.795, 1.215, 0.6428571428570693, 0.6835714285714655),
-            ((1, 1), 1.056, 0.8910000000000001, 0.6428571428570693, 0.6520714285714654),
-        ],
-        [(0, 2), (1, 2), (2,)],
-    ),
-    3: (
-        [
-            ((0, 0, 0), 2.2825, 1.0935000000000001, 1.2214285714284712, 1.0772857142857646),
-            ((0, 0, 1), 2.161, 0.8019000000000002, 1.2214285714284712, 0.8707357142857646),
-            ((0, 1, 0), 1.9855, 1.0935000000000001, 1.2214285714284387, 0.9287857142857807),
-            ((0, 1, 1), 2.2204, 0.8019000000000002, 1.2214285714284387, 0.9004357142857808),
-            ((1, 0, 0), 1.4025, 1.0935000000000001, 1.221428571428412, 0.6372857142857942),
-            ((1, 0, 1), 1.2810000000000001, 0.8019000000000002, 1.221428571428412, 0.43073571428579416),
-            ((1, 1, 0), 1.5015, 1.0935000000000001, 1.2214285714283797, 0.6867857142858103),
-            ((1, 1, 1), 1.7364000000000002, 0.8019000000000002, 1.2214285714283797, 0.6584357142858104),
-        ],
-        [(0, 0, 2), (0, 1, 2), (0, 2), (1, 0, 2), (1, 1, 2), (1, 2), (2,)],
-    ),
-}
-
-
 @pytest.mark.parametrize("horizon", [1, 2, 3])
-def test_plan_histories_through_ruled_out_observations_block_nothing(horizon):
-    # Such a history holds no belief: left with an all-zero one it would
-    # rule out every observation at the next depth and prune every prefix
-    # that reaches it. Horizon 1 reads only the root, which every belief
-    # occupies, so there the unoccupied-row mask must clear nothing.
+def test_plan_scores_a_tiny_likelihood_as_exact_support_does(horizon):
     model, obs, pa, values = tiny_likelihood_model()
-    cfg = PlannerConfig(horizon, 0.5, 0.5, 0.0)
-    result = plan(model, obs, pa, values, 0, np.array([0.5, 0.5, 0.0]), cfg)
-    expected, expected_pruned = TINY_RECORDED[horizon]
-    assert [s.actions for s in result.sequences] == [e[0] for e in expected]
-    for score, (_, *terms) in zip(result.sequences, expected):
-        got = [score.reward_term, score.tail_term, score.detection_term, score.objective]
-        assert got == pytest.approx(terms, rel=1e-14, abs=0.0)
-    assert list(result.pruned) == expected_pruned
+    check_plan_against_exact_support(
+        model, obs, pa, values, 0, np.array([0.5, 0.5, 0.0]),
+        PlannerConfig(horizon, 0.5, 0.5, 0.0),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 4),
+    m=st.integers(1, 3),
+    k=st.integers(2, 3),
+    tiny=st.booleans(),
+)
+def test_no_live_history_passes_through_a_reading_its_parent_rules_out(
+    seed, n, m, k, tiny
+):
+    # A prefix survives a depth only if nothing it occupies can emit a
+    # reading the belief there rules out, so every history a memo node
+    # carries mass on has a posterior, and the walk needs no mask for
+    # histories without one. The tiny model adds a reading whose chance
+    # is 1e-13.
+    rng = np.random.default_rng(seed)
+    if tiny:
+        model, obs, pa, values = tiny_likelihood_model()
+    else:
+        transition, reward, likelihood, pa = random_sparse_model(rng, n, m, k)
+        model = MdpModel(n, m, transition, reward, 0.9)
+        obs, values = ObservationModel(k, likelihood), rng.uniform(0.0, 5.0, size=n)
+    observer = Observer(model, obs, pa)
+    memo = PlanMemo(observer, values)
+    n = model.num_states
+    for x, o, cfg in random_calls(rng, n, 6):
+        node, beliefs = memo.root(x, cfg.horizon), o[None, :]
+        for depth in range(cfg.horizon):
+            posteriors, _, open_y = posterior_table(observer, beliefs)
+            blocked = (node.reach @ ~open_y.ravel()).reshape(len(node.mass), -1)
+            node = memo.child(node, blocked, depth, cfg.horizon)
+            if node.mass is None:
+                break
+            assert open_y.ravel()[node.live].all()
+            beliefs = posteriors.reshape(-1, n)[node.live]
 
 
 def outcomes(model, obs, pa, values, calls, memo=None):
@@ -1092,8 +1090,7 @@ def test_plan_on_an_observer_that_rules_out_nothing_equals_the_general_path(
 
 
 # ---------------------------------------------------------------------------
-# against exact support: the oracle prunes where a predictive is exactly 0,
-# where the library prunes at EPS_ZERO
+# against exact support: the oracle prunes where a predictive is exactly 0
 
 def check_plan_against_exact_support(model, obs, pa, values, x, o, config):
     """``plan`` scores the sequences :func:`exact_planner_scores` admits,
@@ -1129,8 +1126,7 @@ def test_plan_prunes_where_exact_support_does_on_sparse_models(
     seed, n, m, k, horizon, filtered
 ):
     # Entries of a sparse model are exact zeros or at least 0.1 before
-    # normalization, so a few filter steps keep every predictive exactly 0
-    # or far above EPS_ZERO, and the zero test agrees with exact support.
+    # normalization, so every predictive is exactly 0 or far from underflow.
     rng = np.random.default_rng(seed)
     transition, reward, likelihood, chain = random_sparse_model(rng, n, m, k)
     model = MdpModel(n, m, transition, reward, 0.9)
@@ -1191,23 +1187,15 @@ def gridworld_decision(step, x):
     return model, obs, pa, values, x, o
 
 
-EPS_ZERO_DISAGREES = pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="EPS_ZERO rules out a reading whose exact predictive is positive",
-)
-
-
 @pytest.mark.parametrize(
     "decision, horizon",
     [
-        pytest.param(sparse_closed_loop_decision, 2, marks=EPS_ZERO_DISAGREES,
-                     id="sparse_seed2000_step14"),
+        pytest.param(sparse_closed_loop_decision, 2, id="sparse_seed2000_step14"),
         pytest.param(lambda: gridworld_decision(16, 48), 3, id="grid_step16_at48"),
         pytest.param(lambda: gridworld_decision(16, 27), 2, id="grid_step16_at27"),
         pytest.param(lambda: gridworld_decision(21, 48), 2, id="grid_step21_at48"),
-        # reading 7's predictive is 2.0e-14, so plan prunes all 25 sequences
-        pytest.param(lambda: gridworld_decision(21, 41), 2, marks=EPS_ZERO_DISAGREES,
-                     id="grid_step21_at41"),
+        # reading 7's predictive is 2.0e-14, positive, so it is left open
+        pytest.param(lambda: gridworld_decision(21, 41), 2, id="grid_step21_at41"),
     ],
 )
 def test_plan_prunes_where_exact_support_does_on_closed_loop_beliefs(decision, horizon):

@@ -282,7 +282,7 @@ def test_observer_tables_are_built_once_per_controller_and_episode(monkeypatch):
     model, obs = example1_model()
     pa, values, policy = nominal_setup(model)
     value = solve_augmented_vi(model, obs, pa, 0.5, 0.5, resolution=3, tol=1e-4).value
-    # the observer builds its emission table in __post_init__, and only there
+    # the observer builds its emission support in __post_init__, and only there
     counts = {"tables": 0, "kernels": 0}
     monkeypatch.setattr(
         belief.Observer, "__post_init__",
@@ -694,8 +694,7 @@ def test_parallel_runs_keep_one_controller_copy_per_worker(jobs):
 
 def check_episode_by_definition(model, obs, chain, controller, scores, o0, steps, seed):
     """``run_closed_loop`` against :func:`closed_loop_by_definition` from
-    the same seeds, up to the oracle's first near tie or near-zero reading;
-    returns the trace of the steps compared (None when there are none).
+    the same seeds, up to the oracle's first near tie; returns the trace of the steps compared (None when there are none).
     A lattice controller's action values at every recorded step must also
     match the oracle's."""
     rated = []
@@ -709,7 +708,7 @@ def check_episode_by_definition(model, obs, chain, controller, scores, o0, steps
     )
     event(f"{controller.controller_id.split('(')[0]}: "
           f"{'whole episode' if stop is None else stop[0]}")
-    if stop is not None and stop[0] not in ("near tie", "near zero"):
+    if stop is not None and stop[0] != "near tie":
         reason, t = stop
         error = {
             "controller": (EmptyAdmissibleSet, NoAdmissibleSequence),
@@ -795,17 +794,24 @@ def planner_scores_by_definition(model, obs, chain, values, config):
     k=st.integers(2, 3),
     res=st.integers(1, 3),
     steps=st.integers(20, 40),
-    sparse=st.booleans(),
+    sensor=st.sampled_from(["sane", "sparse", "tiny"]),
     horizon=st.integers(1, 3),
 )
-def test_closed_loop_follows_its_definition(seed, n, m, k, res, steps, sparse, horizon):
+def test_closed_loop_follows_its_definition(seed, n, m, k, res, steps, sensor, horizon):
     # A sane model's observer rules nothing out, so the lattice lookahead
-    # builds no masks; a sparse one's exact zeros make every mask count.
+    # builds no masks; a sparse one's exact zeros make every mask count. A
+    # tiny one turns some of those zeros into likelihoods in (0, 4e-12],
+    # positive however small, which a zero threshold would rule out.
     rng = np.random.default_rng(seed)
-    if sparse:
-        transition, reward, likelihood, surprised = random_sparse_model(rng, n, m, k)
-    else:
+    if sensor == "sane":
         transition, reward, likelihood = random_sane_model(rng, n, m, k)
+    else:
+        transition, reward, likelihood, surprised = random_sparse_model(rng, n, m, k)
+    if sensor == "tiny":
+        tiny = (likelihood == 0.0) & (rng.random(likelihood.shape) < 0.5)
+        entries = 4e-12 * (1.0 - rng.random(likelihood.shape))  # in (0, 4e-12]
+        likelihood = np.where(tiny, entries, likelihood)
+        likelihood /= likelihood.sum(axis=0)
     model = MdpModel(n, m, transition, reward, 0.9)
     obs = ObservationModel(k, likelihood)
     pa, nominal_values, policy = nominal_setup(model)
@@ -818,7 +824,7 @@ def test_closed_loop_follows_its_definition(seed, n, m, k, res, steps, sparse, h
         return np.where(np.arange(m) == policy.actions[x], 0.0, -np.inf)
 
     # the policy can surprise only an observer that expects another chain
-    nominal_chain = surprised if sparse else pa
+    nominal_chain = pa if sensor == "sane" else surprised
     check_episode_by_definition(model, obs, nominal_chain, NominalController(policy),
                                 plays_the_policy, o0, steps, seed)
 
@@ -869,35 +875,51 @@ def test_closed_loop_follows_its_definition(seed, n, m, k, res, steps, sparse, h
     )
 
 
+def dead_end_model():
+    """Four states that the sensor reads exactly: S=0 moves to M=1, M to A=2
+    or B=3 at even odds, and the observer expects A and B to return to S.
+    Only action 0 does so from A and only action 1 from B; the other moves
+    to M, a reading the observer rules out there. So an open-loop sequence
+    from S is admissible at 2 actions but not at 3, and from M at 1 but not
+    at 2, while the closed loop always has an admissible action."""
+    S, M, A, B = range(4)
+    transition = np.zeros((4, 4, 2))
+    transition[M, S, :] = 1.0
+    transition[[A, B], M, :] = 0.5
+    transition[[S, M], A, :] = [[1.0, 0.0], [0.0, 1.0]]
+    transition[[S, M], B, :] = [[0.0, 1.0], [1.0, 0.0]]
+    reward = np.array([[0.0, 1.0], [0.5, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    model = MdpModel(4, 2, transition, reward, 0.9)
+    pa = np.zeros((4, 4))
+    pa[M, S] = pa[S, A] = pa[S, B] = 1.0
+    pa[[A, B], M] = 0.5
+    return model, ObservationModel(4, np.eye(4)), pa, np.zeros(4)
+
+
 def test_receding_horizon_falls_back_to_shorter_horizons():
-    # Gridworld run 1 of seed base 8 reaches state 20 at t=15 holding an
-    # observer belief of 2.8e-8 there. No open-loop sequence of length 3 is
-    # admissible at that pair, while shorter ones are, so the controller
-    # must replan at a shorter horizon instead of stopping the episode.
-    spec = desk_gridworld()
-    model, obs = gridworld_model(spec)
-    pa, values, _ = nominal_setup(model)
-    ctrl = RecedingHorizonController(
-        model, obs, pa, values, PlannerConfig(3, 0.5, 0.5, 0.0)
-    )
-    trace = run_closed_loop(
-        model, obs, pa, ctrl, uniform_belief(model.num_states), 17, 8, 1,
-        x0=spec.cell_index(*spec.start),
-    )
-    assert trace.states[15] == 20
-    assert trace.beliefs[15][20] < 1e-7
-    with pytest.raises(NoAdmissibleSequence):
-        plan(model, obs, pa, values, 20, trace.beliefs[15], ctrl.config)
+    # No open-loop sequence of the full horizon is admissible at S, nor of
+    # horizon 2 at M, while shorter ones are, so the controller must replan
+    # at a shorter horizon instead of stopping the episode.
+    model, obs, pa, values = dead_end_model()
+    config = PlannerConfig(3, 0.5, 0.5, 0.0)
+    for x, o, horizon in ((0, uniform_belief(4), 3), (1, point_belief(4, 1), 2)):
+        with pytest.raises(NoAdmissibleSequence):
+            plan(model, obs, pa, values, x, o, replace(config, horizon=horizon))
+        plan(model, obs, pa, values, x, o, replace(config, horizon=horizon - 1))
+    ctrl = RecedingHorizonController(model, obs, pa, values, config)
+    trace = run_closed_loop(model, obs, pa, ctrl, uniform_belief(4), 17, 8, 1, x0=0)
     assert trace.num_steps == 17
+    assert set(trace.states.tolist()) == {0, 1, 2, 3}
     # The controller's one memo served horizon 3 and the fallback horizons,
     # and it chose what a fresh plan with the same fallback chooses.
-    assert {horizon for _, horizon in ctrl.memo.roots} > {3}
+    assert {horizon for _, horizon in ctrl.memo.roots} == {1, 2, 3}
     for t in range(trace.num_steps):
         x, o = int(trace.states[t]), trace.beliefs[t]
         for horizon in (3, 2, 1):
-            cfg = PlannerConfig(horizon, 0.5, 0.5, 0.0)
             try:
-                first = plan(model, obs, pa, values, x, o, cfg).first_action
+                first = plan(
+                    model, obs, pa, values, x, o, replace(config, horizon=horizon)
+                ).first_action
                 break
             except NoAdmissibleSequence:
                 continue
